@@ -6,6 +6,7 @@ package reldiv
 // paper-style cost figures appear alongside Go wall time.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 	"repro/internal/disk"
 	"repro/internal/division"
 	"repro/internal/exec"
+	"repro/internal/netexchange"
 	"repro/internal/parallel"
+	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -318,6 +321,94 @@ func BenchmarkParallelWorkers(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAbsorbPaths reports wall-clock ns per dividend tuple for each
+// in-memory hash-division path on the Zipf-1.5 |S| = |Q| = 400 cell, the
+// input of divload's morsel-zipf and wire-zipf workloads: the serial
+// HashDivision operator (also on the two-column composite-key layout, whose
+// probes take the compiled closure kernels), two morsel workers, two
+// shared-table workers, and two netexchange workers over loopback TCP. The
+// parallel paths run with the bit-vector filter, as divload does. Absorbing
+// the dividend dominates every path; the rest is the shuffle, or the wire.
+func BenchmarkAbsorbPaths(b *testing.B) {
+	inst, err := workload.Generate(workload.Config{
+		DivisorTuples:      400,
+		QuotientCandidates: 400,
+		FullFraction:       0.5,
+		MatchFraction:      0.8,
+		NoisePerCandidate:  5,
+		CourseZipfS:        1.5,
+		Shuffle:            true,
+		Seed:               1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	check := func(b *testing.B, q []tuple.Tuple) {
+		if len(q) != len(inst.QuotientIDs) {
+			b.Fatalf("quotient = %d, want %d", len(q), len(inst.QuotientIDs))
+		}
+	}
+	r := inst.Rekey(workload.CompositeKey)
+	cluster, err := netexchange.StartLocalCluster(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	inParallel := func(path parallel.Path) func(*testing.B) []tuple.Tuple {
+		return func(b *testing.B) []tuple.Tuple {
+			res, err := parallel.Divide(benchSpec(b, inst), parallel.Config{
+				Workers: 2, Strategy: division.QuotientPartitioning, Path: path, BitVectorFilter: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Quotient
+		}
+	}
+	paths := []struct {
+		name   string
+		divide func(*testing.B) []tuple.Tuple
+	}{
+		{"serial", func(b *testing.B) []tuple.Tuple {
+			q, err := division.Run(division.AlgHashDivision, benchSpec(b, inst), division.Env{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q
+		}},
+		{"serial-composite", func(b *testing.B) []tuple.Tuple {
+			q, err := division.Run(division.AlgHashDivision, division.Spec{
+				Dividend:    exec.NewMemScan(r.DividendSchema, r.Dividend),
+				Divisor:     exec.NewMemScan(r.DivisorSchema, r.Divisor),
+				DivisorCols: r.DivisorCols,
+			}, division.Env{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q
+		}},
+		{"morsel", inParallel(parallel.PathMorsel)},
+		{"shared-table", inParallel(parallel.PathSharedTable)},
+		{"netexchange", func(b *testing.B) []tuple.Tuple {
+			res, err := netexchange.Divide(context.Background(), benchSpec(b, inst), netexchange.Config{
+				Strategy: division.QuotientPartitioning, BitVectorFilter: true,
+			}, cluster.Conns())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Quotient
+		}},
+	}
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				check(b, p.divide(b))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(inst.Dividend)), "ns/tuple")
+		})
 	}
 }
 

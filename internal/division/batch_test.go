@@ -248,3 +248,63 @@ func TestBatchGenericKernelParity(t *testing.T) {
 		t.Errorf("Counters diverged\n batch: %+v\n tuple: %+v", bc, tc)
 	}
 }
+
+// TestBatchTupleStatsParityPerKernel extends the parity property to
+// HashDivisionStats and to both kernel branches of the core: the word
+// probes of a single int64 key, and the compiled closures of multi-column
+// and character keys. Batch, tuple and roundtrip inputs must agree on the
+// quotient, the Counters and the Stats, in stop-and-go and early-emit mode.
+func TestBatchTupleStatsParityPerKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261016))
+	for trial := 0; trial < 4; trial++ {
+		inst, err := workload.Generate(randomConfig(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range keyShapes {
+			rk := inst.Rekey(shape)
+			want, err := Reference(rekeyedSpec(rk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := rekeyedSpec(rk).QuotientSchema()
+			for _, opts := range []HashDivisionOptions{{}, {EarlyEmit: true}} {
+				type outcome struct {
+					c  exec.Counters
+					st HashDivisionStats
+				}
+				run := func(mode string) outcome {
+					sp := rekeyedSpec(rk)
+					switch mode {
+					case "tuple":
+						sp.Dividend = exec.Opaque(sp.Dividend)
+						sp.Divisor = exec.Opaque(sp.Divisor)
+					case "roundtrip":
+						sp.Dividend = exec.Lower(exec.Lift(sp.Dividend), 64)
+						sp.Divisor = exec.Lower(exec.Lift(sp.Divisor), 64)
+					}
+					var c exec.Counters
+					env := testEnv()
+					env.Counters = &c
+					hd := NewHashDivision(sp, env, opts)
+					q, err := exec.Collect(hd)
+					if err != nil {
+						t.Fatalf("trial %d %v %+v %s: %v", trial, shape, opts, mode, err)
+					}
+					if !EqualTupleSets(qs, q, want) {
+						t.Errorf("trial %d %v %+v %s: quotient of %d tuples, reference has %d",
+							trial, shape, opts, mode, len(q), len(want))
+					}
+					return outcome{c, hd.Stats()}
+				}
+				base := run("batch")
+				for _, mode := range []string{"tuple", "roundtrip"} {
+					if got := run(mode); got != base {
+						t.Errorf("trial %d %v %+v: %s diverged\n batch: %+v\n %s: %+v",
+							trial, shape, opts, mode, base, mode, got)
+					}
+				}
+			}
+		}
+	}
+}

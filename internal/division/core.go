@@ -1,0 +1,414 @@
+package division
+
+import (
+	"encoding/binary"
+
+	"repro/internal/bitmap"
+	"repro/internal/exec"
+	"repro/internal/hashtab"
+	"repro/internal/tuple"
+)
+
+// Core is Figure 1, implemented once: the divisor table numbering the
+// distinct divisor tuples, the quotient table whose candidates carry a bit
+// map indexed by those numbers, and the scan for bit maps without a zero.
+// Every in-memory hash-division runs through it: the HashDivision operator
+// (and with it partitioned, combined and recursive division), the parallel
+// package's workers, and the netexchange wire workers. Only SharedTable
+// keeps its own loop, because its quotient table is shared between
+// goroutines.
+//
+// A Core is driven in Figure 1's order: AddDivisor for every divisor tuple
+// (step 1), then AbsorbBatch or Absorb for the dividend (step 2), then Scan
+// (step 3). It is not safe for concurrent use.
+type Core struct {
+	opts CoreOptions
+	qs   *tuple.Schema
+	k    kernels
+
+	divisorTable  *hashtab.Table
+	quotientTable *hashtab.Table // created by the first absorb
+	divisorCount  int64
+
+	stats HashDivisionStats
+}
+
+// CoreOptions configure a Core.
+type CoreOptions struct {
+	HashDivisionOptions
+	// ExpectedDivisor and ExpectedQuotient size the two tables at HBS
+	// tuples per bucket; a wrong guess costs growth, never correctness.
+	ExpectedDivisor  int
+	ExpectedQuotient int
+	HBS              float64
+	// DivisorCapacity, when positive, is the exact divisor cardinality: the
+	// divisor table is pre-sized for it whatever HBS is
+	// (hashtab.NewWithCapacity), so it never grows, and ExpectedDivisor is
+	// ignored.
+	DivisorCapacity int
+	// Filter, when set, receives the Babb bit of every distinct divisor
+	// tuple (SetFilterBit).
+	Filter *bitmap.Bitmap
+	// Counters, when set, is charged the Table 1 cost units of the run.
+	Counters *exec.Counters
+}
+
+// NewCore prepares a division of dividends laid out by ds by divisors laid
+// out by ss, matching on the dividend's divisorCols.
+func NewCore(ds, ss *tuple.Schema, divisorCols []int, opts CoreOptions) *Core {
+	qCols := ds.Complement(divisorCols)
+	divisorTable := hashtab.NewForExpected(ss, opts.ExpectedDivisor, opts.HBS)
+	if opts.DivisorCapacity > 0 {
+		divisorTable = hashtab.NewWithCapacity(ss, opts.DivisorCapacity)
+	}
+	return &Core{
+		opts:         opts,
+		qs:           ds.Project(qCols),
+		k:            compileKernels(ds, divisorCols, qCols),
+		divisorTable: divisorTable,
+	}
+}
+
+// SetFilterBit marks divisor tuple d in a Babb bit-vector filter. A dividend
+// tuple passes the filter iff the hash of its divisor attributes, which
+// equals HashBytes of the projection, lands on a set bit.
+func SetFilterBit(bv *bitmap.Bitmap, d tuple.Tuple) {
+	bv.Set(int(tuple.HashBytes(d) % uint64(bv.Len())))
+}
+
+// Router sends the dividend tuples of a partitioned division to their sites,
+// with its hashes compiled once (tuple.HashFunc) rather than interpreted per
+// tuple. A tuple first meets the bit-vector filter, when there is one, on
+// its divisor-attribute hash, the bit SetFilterBit set for a matching
+// divisor tuple. A passing tuple then goes to the site its routing columns
+// hash to: the quotient attributes under quotient partitioning, or, with no
+// routing columns, the divisor attributes that clustered the divisor. The
+// kernels are pure, so concurrent producers may share one Router.
+type Router struct {
+	divHash   func(tuple.Tuple) uint64
+	routeHash func(tuple.Tuple) uint64 // nil = route on divHash
+	filter    *bitmap.Bitmap
+	sites     uint64
+}
+
+// NewRouter compiles a Router over sites sites for dividends laid out by ds.
+// filter may be nil.
+func NewRouter(ds *tuple.Schema, divisorCols, routeCols []int, filter *bitmap.Bitmap, sites int) Router {
+	r := Router{divHash: ds.HashFunc(divisorCols), filter: filter, sites: uint64(sites)}
+	if len(routeCols) > 0 {
+		r.routeHash = ds.HashFunc(routeCols)
+	}
+	return r
+}
+
+// Dest returns t's site, or false when the filter drops t.
+func (r *Router) Dest(t tuple.Tuple) (int, bool) {
+	h := r.divHash(t)
+	if r.filter != nil && !r.filter.Test(int(h%uint64(r.filter.Len()))) {
+		return 0, false
+	}
+	if r.routeHash != nil {
+		h = r.routeHash(t)
+	}
+	return int(h % r.sites), true
+}
+
+// DivisorCount returns the number of distinct divisor tuples added so far.
+func (c *Core) DivisorCount() int64 { return c.divisorCount }
+
+// Stats returns the run statistics gathered so far.
+func (c *Core) Stats() HashDivisionStats { return c.stats }
+
+// MemBytes reports the footprint of the tables still held.
+func (c *Core) MemBytes() int {
+	n := 0
+	if c.divisorTable != nil {
+		n += c.divisorTable.MemBytes()
+	}
+	if c.quotientTable != nil {
+		n += c.quotientTable.MemBytes()
+	}
+	return n
+}
+
+// checkBudget records the memory high-water mark and fails once the tables
+// outgrow the budget.
+func (c *Core) checkBudget() error {
+	m := c.MemBytes()
+	if m > c.stats.PeakTableBytes {
+		c.stats.PeakTableBytes = m
+	}
+	if c.opts.MemoryBudget > 0 && m > c.opts.MemoryBudget {
+		return ErrMemoryBudget
+	}
+	return nil
+}
+
+// AddDivisor is step 1 for one divisor tuple: duplicates are eliminated on
+// the fly ("while building the divisor table"), and each distinct tuple gets
+// the next divisor number and its filter bit. It fails with ErrMemoryBudget
+// once the tables outgrow the budget. All divisor tuples must be added
+// before the first absorb.
+func (c *Core) AddDivisor(t tuple.Tuple) error {
+	c.stats.DivisorTuples++
+	if e, created := c.divisorTable.GetOrInsert(t); created {
+		e.Num = c.divisorCount
+		c.divisorCount++
+		c.stats.DivisorDistinct = c.divisorCount
+		if c.opts.Filter != nil {
+			SetFilterBit(c.opts.Filter, t)
+		}
+	}
+	return c.checkBudget()
+}
+
+// quotient returns the quotient table, creating it after the divisor build
+// so the build's budget checks see the divisor table alone.
+func (c *Core) quotient() *hashtab.Table {
+	if c.quotientTable == nil {
+		c.quotientTable = hashtab.NewForExpected(c.qs, c.opts.ExpectedQuotient, c.opts.HBS)
+	}
+	return c.quotientTable
+}
+
+// newCandidate gives a fresh quotient candidate its bit map, charging the
+// map to the table footprint.
+func (c *Core) newCandidate(qe *hashtab.Element) error {
+	qe.Bits = bitmap.New(int(c.divisorCount))
+	c.quotientTable.AddMemBytes(qe.Bits.SizeBytes())
+	return c.checkBudget()
+}
+
+// Absorb is step 2 for one dividend tuple, for inputs without the batch
+// protocol and for early emission. In EarlyEmit mode (§3.3) a counter per
+// candidate, incremented only for fresh bits, is compared against the
+// divisor count, and the candidate's quotient tuple is returned the moment
+// it completes; otherwise Absorb returns nil.
+func (c *Core) Absorb(t tuple.Tuple) (tuple.Tuple, error) {
+	c.stats.DividendTuples++
+	return c.absorb(t)
+}
+
+// AbsorbBatch is step 2 over one dividend batch in stop-and-go mode (not
+// EarlyEmit), with the same probes, bit sets, statistics and counter
+// increments as Absorb. The batch may alias foreign memory: candidates
+// store owned copies.
+func (c *Core) AbsorbBatch(b *exec.Batch) error {
+	if c.k.fastU64 {
+		return c.absorbBatchU64(b)
+	}
+	divisorTable, quotientTable := c.divisorTable, c.quotient()
+	countersOnly := c.opts.CountersOnly
+	k := &c.k
+	n := b.Len()
+	c.stats.DividendTuples += int64(n)
+	var bits int64
+	for i := 0; i < n; i++ {
+		t := b.Tuple(i)
+		de := divisorTable.LookupPre(k.divHash(t), t, k.divEq)
+		if de == nil {
+			c.stats.DiscardedNoMatch++
+			continue
+		}
+		qe, created := quotientTable.GetOrInsertPre(k.quotHash(t), t, k.quotEq, k.quotProject)
+		if created {
+			c.stats.Candidates++
+			if !countersOnly {
+				if err := c.newCandidate(qe); err != nil {
+					c.chargeBits(bits)
+					return err
+				}
+			}
+		}
+		if countersOnly {
+			qe.Num++
+			continue
+		}
+		bits++
+		qe.Bits.Set(int(de.Num))
+	}
+	c.chargeBits(bits)
+	return nil
+}
+
+// absorb is Absorb for a tuple already counted in DividendTuples.
+func (c *Core) absorb(t tuple.Tuple) (tuple.Tuple, error) {
+	var de, qe *hashtab.Element
+	var created bool
+	if c.k.fastU64 {
+		dk := binary.LittleEndian.Uint64(t[c.k.divOff:])
+		if de = c.divisorTable.LookupU64(tuple.HashUint64LE(dk), dk); de != nil {
+			qk := binary.LittleEndian.Uint64(t[c.k.quotOff:])
+			qe, created = c.quotient().GetOrInsertU64(tuple.HashUint64LE(qk), qk)
+		}
+	} else if de = c.divisorTable.LookupPre(c.k.divHash(t), t, c.k.divEq); de != nil {
+		qe, created = c.quotient().GetOrInsertPre(c.k.quotHash(t), t, c.k.quotEq, c.k.quotProject)
+	}
+	if de == nil {
+		// No matching divisor tuple: discard immediately.
+		c.stats.DiscardedNoMatch++
+		return nil, nil
+	}
+	ctr := c.opts.Counters
+	if created {
+		c.stats.Candidates++
+		if !c.opts.CountersOnly {
+			if err := c.newCandidate(qe); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if c.opts.CountersOnly {
+		// Counter-only variant: requires a duplicate-free dividend.
+		qe.Num++
+	} else {
+		if ctr != nil {
+			ctr.Bit++
+		}
+		if qe.Bits.SetAndReport(int(de.Num)) {
+			return nil, nil
+		}
+		qe.Num++
+	}
+	if !c.opts.EarlyEmit {
+		return nil, nil
+	}
+	if ctr != nil {
+		ctr.Comp++
+	}
+	if qe.Num == c.divisorCount {
+		c.stats.QuotientTuples++
+		return qe.Tuple, nil
+	}
+	return nil, nil
+}
+
+// absorbBatchU64 is AbsorbBatch for the single-8-byte-column shape, the hot
+// loop of every benchmark workload: keys load as words, hashes are the
+// unrolled tuple.HashUint64LE and the chain walks compare words, so no
+// closure or interface call remains in the loop. Both batch loops charge
+// bit sets once per batch.
+func (c *Core) absorbBatchU64(b *exec.Batch) error {
+	divisorTable, quotientTable := c.divisorTable, c.quotient()
+	countersOnly := c.opts.CountersOnly
+	divOff, quotOff := c.k.divOff, c.k.quotOff
+	n := b.Len()
+	c.stats.DividendTuples += int64(n)
+	var bits int64
+	for i := 0; i < n; i++ {
+		t := b.Tuple(i)
+		dk := binary.LittleEndian.Uint64(t[divOff:])
+		de := divisorTable.LookupU64(tuple.HashUint64LE(dk), dk)
+		if de == nil {
+			c.stats.DiscardedNoMatch++
+			continue
+		}
+		qk := binary.LittleEndian.Uint64(t[quotOff:])
+		qe, created := quotientTable.GetOrInsertU64(tuple.HashUint64LE(qk), qk)
+		if created {
+			c.stats.Candidates++
+			if !countersOnly {
+				if err := c.newCandidate(qe); err != nil {
+					c.chargeBits(bits)
+					return err
+				}
+			}
+		}
+		if countersOnly {
+			qe.Num++
+			continue
+		}
+		bits++
+		qe.Bits.Set(int(de.Num))
+	}
+	c.chargeBits(bits)
+	return nil
+}
+
+func (c *Core) chargeBits(bits int64) {
+	if c.opts.Counters != nil {
+		c.opts.Counters.Bit += bits
+	}
+}
+
+// Scan is step 3: it emits every candidate whose bit map has no zero — a
+// word-level population count equal to the divisor count (§3.3 "inspecting
+// a word at a time") — or, without bit maps, whose counter reached it. An
+// empty divisor divides nothing, so it yields an empty quotient.
+func (c *Core) Scan(emit func(tuple.Tuple) error) error {
+	if c.quotientTable == nil || c.divisorCount == 0 {
+		return nil
+	}
+	ctr := c.opts.Counters
+	return c.quotientTable.Iterate(func(e *hashtab.Element) error {
+		var complete bool
+		if c.opts.CountersOnly {
+			if ctr != nil {
+				ctr.Comp++
+			}
+			complete = e.Num == c.divisorCount
+		} else {
+			if ctr != nil {
+				ctr.Bit += int64(e.Bits.SizeBytes() / 8)
+			}
+			complete = e.Bits.PopCount() == int(c.divisorCount)
+		}
+		if !complete {
+			return nil
+		}
+		c.stats.QuotientTuples++
+		return emit(e.Tuple)
+	})
+}
+
+// FreeDivisor drops the divisor table once the dividend is absorbed ("free
+// divisor table"), charging its probe work to the counters.
+func (c *Core) FreeDivisor() {
+	c.fold(c.divisorTable)
+	c.divisorTable = nil
+}
+
+// Release drops both tables ("free quotient table"), charging their
+// remaining probe work to the counters. Stats stay readable.
+func (c *Core) Release() {
+	c.FreeDivisor()
+	c.fold(c.quotientTable)
+	c.quotientTable = nil
+}
+
+func (c *Core) fold(t *hashtab.Table) {
+	if c.opts.Counters != nil && t != nil {
+		st := t.Stats()
+		c.opts.Counters.Hash += st.Hashes
+		c.opts.Counters.Comp += st.Comparisons
+	}
+}
+
+// kernels are step 2's hash and equality functions, compiled once per
+// division: "all functions on data records, e.g., comparison and hashing,
+// are compiled prior to execution" (§5.1). When the divisor and quotient
+// projections are both a single 8-byte column — the Table 4 shape — fastU64
+// selects concrete word-key probes at divOff/quotOff and the closures stay
+// nil.
+type kernels struct {
+	fastU64         bool
+	divOff, quotOff int
+
+	divHash, quotHash func(tuple.Tuple) uint64
+	divEq, quotEq     func(src, stored tuple.Tuple) bool
+	quotProject       func(tuple.Tuple) tuple.Tuple
+}
+
+func compileKernels(ds *tuple.Schema, divisorCols, qCols []int) kernels {
+	if len(divisorCols) == 1 && ds.Field(divisorCols[0]).Width == 8 &&
+		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
+		return kernels{fastU64: true, divOff: ds.Offset(divisorCols[0]), quotOff: ds.Offset(qCols[0])}
+	}
+	return kernels{
+		divHash:     ds.HashFunc(divisorCols),
+		divEq:       ds.EqualProjectedFunc(divisorCols),
+		quotHash:    ds.HashFunc(qCols),
+		quotEq:      ds.EqualProjectedFunc(qCols),
+		quotProject: func(src tuple.Tuple) tuple.Tuple { return ds.ProjectTuple(src, qCols) },
+	}
+}

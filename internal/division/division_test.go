@@ -171,7 +171,7 @@ func TestHashDivisionFigure1Steps(t *testing.T) {
 	}
 	// Quotient table holds both candidates (Ann and Barb entered), but only
 	// Ann survives step 3.
-	if got := hd.quotientTable.Len(); got != 2 {
+	if got := hd.core.quotientTable.Len(); got != 2 {
 		t.Errorf("quotient table has %d candidates, want 2 (Ann and Barb)", got)
 	}
 	q, err := hd.Next()

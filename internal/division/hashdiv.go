@@ -1,13 +1,10 @@
 package division
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/tuple"
 )
@@ -47,24 +44,20 @@ type HashDivisionStats struct {
 	PeakTableBytes   int   // high-water mark of divisor + quotient table memory
 }
 
-// HashDivision implements Figure 1. Step 1 builds the divisor table,
-// numbering divisor tuples and eliminating divisor duplicates on the fly.
-// Step 2 consumes the dividend: tuples without a divisor match are discarded
-// immediately; matching tuples locate (or create) their quotient candidate
-// and set the bit indexed by the divisor number — so dividend duplicates are
-// ignored automatically. Step 3 scans the quotient table for bit maps with
-// no zero bit.
+// HashDivision is the Figure 1 operator over a Core. Step 1 builds the
+// divisor table, numbering divisor tuples and eliminating divisor duplicates
+// on the fly. Step 2 consumes the dividend: tuples without a divisor match
+// are discarded immediately; matching tuples locate (or create) their
+// quotient candidate and set the bit indexed by the divisor number — so
+// dividend duplicates are ignored automatically. Step 3 scans the quotient
+// table for bit maps with no zero bit.
 type HashDivision struct {
 	sp   Spec
 	env  Env
 	opts HashDivisionOptions
 
-	qs    *tuple.Schema
-	qCols []int
-
-	divisorTable  *hashtab.Table
-	quotientTable *hashtab.Table
-	divisorCount  int64
+	qs   *tuple.Schema
+	core *Core // built by Open
 
 	// Stop-and-go result path.
 	results []tuple.Tuple
@@ -74,38 +67,24 @@ type HashDivision struct {
 	streaming bool
 	opened    bool
 
-	// Compiled probe kernels for the batch path, built lazily on the first
-	// absorbBatch (see tuple.HashFunc / tuple.EqualProjectedFunc). When both
-	// projections are single 8-byte columns (fastU64), the loop instead uses
-	// the fully concrete word-key probes at divOff/quotOff.
-	divHash     func(tuple.Tuple) uint64
-	divEq       func(src, stored tuple.Tuple) bool
-	quotHash    func(tuple.Tuple) uint64
-	quotEq      func(src, stored tuple.Tuple) bool
-	quotProject func(tuple.Tuple) tuple.Tuple
-	kernelsInit bool
-	fastU64     bool
-	divOff      int
-	quotOff     int
-
 	// Profile spans for the three Figure 1 steps (nil without a tracer).
 	buildSpan  *obs.Span
 	absorbSpan *obs.Span
 	scanQSpan  *obs.Span
-
-	stats HashDivisionStats
 }
 
 // Stats returns the run statistics gathered so far (complete after the
 // operator is drained).
-func (h *HashDivision) Stats() HashDivisionStats { return h.stats }
+func (h *HashDivision) Stats() HashDivisionStats {
+	if h.core == nil {
+		return HashDivisionStats{}
+	}
+	return h.core.Stats()
+}
 
 // NewHashDivision builds the operator.
 func NewHashDivision(sp Spec, env Env, opts HashDivisionOptions) *HashDivision {
-	h := &HashDivision{
-		sp: sp, env: env, opts: opts,
-		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
-	}
+	h := &HashDivision{sp: sp, env: env, opts: opts, qs: sp.QuotientSchema()}
 	h.initSpans()
 	return h
 }
@@ -131,39 +110,34 @@ func (h *HashDivision) initSpans() {
 }
 
 // DivisorCount reports the number of distinct divisor tuples seen at Open.
-func (h *HashDivision) DivisorCount() int64 { return h.divisorCount }
+func (h *HashDivision) DivisorCount() int64 {
+	if h.core == nil {
+		return 0
+	}
+	return h.core.DivisorCount()
+}
 
 // TableMemBytes reports the combined hash table footprint, for overflow
 // experiments.
 func (h *HashDivision) TableMemBytes() int {
-	n := 0
-	if h.divisorTable != nil {
-		n += h.divisorTable.MemBytes()
+	if h.core == nil {
+		return 0
 	}
-	if h.quotientTable != nil {
-		n += h.quotientTable.MemBytes()
-	}
-	return n
+	return h.core.MemBytes()
 }
 
 // Schema implements Operator.
 func (h *HashDivision) Schema() *tuple.Schema { return h.qs }
 
-func (h *HashDivision) checkBudget() error {
-	if m := h.TableMemBytes(); m > h.stats.PeakTableBytes {
-		h.stats.PeakTableBytes = m
-	}
-	if h.opts.MemoryBudget > 0 && h.TableMemBytes() > h.opts.MemoryBudget {
-		return ErrMemoryBudget
-	}
-	return nil
-}
-
 // buildDivisorTable is step 1 of Figure 1.
 func (h *HashDivision) buildDivisorTable() error {
-	ss := h.sp.Divisor.Schema()
-	h.divisorTable = hashtab.NewForExpected(ss, h.env.expectedDivisor(), h.env.hbs())
-	h.divisorCount = 0
+	h.core = NewCore(h.sp.Dividend.Schema(), h.sp.Divisor.Schema(), h.sp.DivisorCols, CoreOptions{
+		HashDivisionOptions: h.opts,
+		ExpectedDivisor:     h.env.expectedDivisor(),
+		ExpectedQuotient:    h.env.expectedQuotient(),
+		HBS:                 h.env.hbs(),
+		Counters:            h.env.Counters,
+	})
 	if err := h.sp.Divisor.Open(); err != nil {
 		return err
 	}
@@ -172,82 +146,15 @@ func (h *HashDivision) buildDivisorTable() error {
 		if err == io.EOF {
 			break
 		}
+		if err == nil {
+			err = h.core.AddDivisor(t)
+		}
 		if err != nil {
 			h.sp.Divisor.Close()
 			return err
 		}
-		// GetOrInsert: "duplicates in the divisor can be eliminated while
-		// building the divisor table".
-		h.stats.DivisorTuples++
-		e, created := h.divisorTable.GetOrInsert(t)
-		if created {
-			e.Num = h.divisorCount
-			h.divisorCount++
-		}
-		if err := h.checkBudget(); err != nil {
-			h.sp.Divisor.Close()
-			return err
-		}
 	}
-	h.stats.DivisorDistinct = h.divisorCount
 	return h.sp.Divisor.Close()
-}
-
-// absorb processes one dividend tuple (step 2 of Figure 1). It returns the
-// completed quotient tuple in early-emit mode, or nil.
-func (h *HashDivision) absorb(t tuple.Tuple) (tuple.Tuple, error) {
-	ds := h.sp.Dividend.Schema()
-	h.stats.DividendTuples++
-	de := h.divisorTable.LookupProjected(t, ds, h.sp.DivisorCols)
-	if de == nil {
-		// No matching divisor tuple: discard immediately.
-		h.stats.DiscardedNoMatch++
-		return nil, nil
-	}
-	qe, created := h.quotientTable.GetOrInsertProjected(t, ds, h.qCols)
-	if created {
-		h.stats.Candidates++
-	}
-	if created && !h.opts.CountersOnly {
-		qe.Bits = bitmap.New(int(h.divisorCount))
-		h.quotientTable.AddMemBytes(qe.Bits.SizeBytes())
-		if err := h.checkBudget(); err != nil {
-			return nil, err
-		}
-	}
-	if h.opts.CountersOnly {
-		// Counter-only variant: requires a duplicate-free dividend.
-		qe.Num++
-		if h.opts.EarlyEmit {
-			if h.env.Counters != nil {
-				h.env.Counters.Comp++
-			}
-			if qe.Num == h.divisorCount {
-				h.stats.QuotientTuples++
-				return qe.Tuple, nil
-			}
-		}
-		return nil, nil
-	}
-
-	if h.env.Counters != nil {
-		h.env.Counters.Bit++
-	}
-	wasSet := qe.Bits.SetAndReport(int(de.Num))
-	if h.opts.EarlyEmit && !wasSet {
-		// §3.3: increment the counter only for fresh bits and compare with
-		// the divisor count; on equality the quotient tuple is produced
-		// immediately.
-		qe.Num++
-		if h.env.Counters != nil {
-			h.env.Counters.Comp++
-		}
-		if qe.Num == h.divisorCount {
-			h.stats.QuotientTuples++
-			return qe.Tuple, nil
-		}
-	}
-	return nil, nil
 }
 
 // Open implements Operator. In the default mode the entire dividend is
@@ -258,14 +165,12 @@ func (h *HashDivision) Open() error {
 	if err := h.sp.Validate(); err != nil {
 		return err
 	}
-	h.stats = HashDivisionStats{}
 	ph := h.buildSpan.Start(h.env.Counters)
 	err := h.buildDivisorTable()
-	ph.End(h.stats.DivisorDistinct)
+	ph.End(h.core.Stats().DivisorDistinct)
 	if err != nil {
 		return err
 	}
-	h.quotientTable = hashtab.NewForExpected(h.qs, h.env.expectedQuotient(), h.env.hbs())
 	h.results = nil
 	h.pos = 0
 	h.streaming = h.opts.EarlyEmit
@@ -280,40 +185,21 @@ func (h *HashDivision) Open() error {
 
 	ph = h.absorbSpan.Start(h.env.Counters)
 	err = h.absorbDividend()
-	ph.End(h.stats.DividendTuples)
+	ph.End(h.core.Stats().DividendTuples)
 	if err != nil {
 		return err
 	}
 
 	// "free divisor table" — the divisor numbers are no longer needed.
-	h.foldCounters(h.divisorTable)
-	h.divisorTable = nil
+	h.core.FreeDivisor()
 
 	// Step 3: find the result in the quotient table.
 	ph = h.scanQSpan.Start(h.env.Counters)
-	err = h.quotientTable.Iterate(func(e *hashtab.Element) error {
-		if h.opts.CountersOnly {
-			if h.env.Counters != nil {
-				h.env.Counters.Comp++
-			}
-			if e.Num == h.divisorCount && h.divisorCount > 0 {
-				h.results = append(h.results, e.Tuple)
-				h.stats.QuotientTuples++
-			}
-			return nil
-		}
-		if h.env.Counters != nil {
-			h.env.Counters.Bit += int64(e.Bits.SizeBytes() / 8)
-		}
-		// Word-level population count (§3.3 "inspecting a word at a time"):
-		// a candidate is in the quotient iff every divisor bit is set.
-		if h.divisorCount > 0 && e.Bits.PopCount() == int(h.divisorCount) {
-			h.results = append(h.results, e.Tuple)
-			h.stats.QuotientTuples++
-		}
+	err = h.core.Scan(func(t tuple.Tuple) error {
+		h.results = append(h.results, t)
 		return nil
 	})
-	ph.End(h.stats.QuotientTuples)
+	ph.End(h.core.Stats().QuotientTuples)
 	return err
 }
 
@@ -321,9 +207,9 @@ func (h *HashDivision) Open() error {
 // drained, and closed here, entirely inside the absorb phase window, so the
 // dividend scan's records nest under that phase. Batch-capable inputs take
 // the vectorized pass — one NextBatch per page-sized batch instead of one
-// interface dispatch per Transcript tuple; absorbBatch performs exactly the
-// operations absorb would, so statistics and cost counters are identical on
-// both paths.
+// interface dispatch per Transcript tuple; Core.AbsorbBatch performs exactly
+// the operations Core.Absorb would, so statistics and cost counters are
+// identical on both paths.
 func (h *HashDivision) absorbDividend() error {
 	if err := h.sp.Dividend.Open(); err != nil {
 		return err
@@ -340,11 +226,10 @@ func (h *HashDivision) absorbDividend() error {
 			if err == io.EOF {
 				break
 			}
-			if err != nil {
-				h.sp.Dividend.Close()
-				return err
+			if err == nil {
+				_, err = h.core.Absorb(t)
 			}
-			if _, err := h.absorb(t); err != nil {
+			if err != nil {
 				h.sp.Dividend.Close()
 				return err
 			}
@@ -354,8 +239,7 @@ func (h *HashDivision) absorbDividend() error {
 }
 
 // absorbBatches is the vectorized step 2: it drains the dividend through the
-// batch protocol and runs the probe+bitmap-set hot loop over contiguous
-// arenas.
+// batch protocol into the core's compiled kernels.
 func (h *HashDivision) absorbBatches(bop exec.BatchOperator) error {
 	b := exec.NewBatch(h.sp.Dividend.Schema(), h.env.batchSize())
 	defer b.Release()
@@ -367,132 +251,10 @@ func (h *HashDivision) absorbBatches(bop exec.BatchOperator) error {
 		if err != nil {
 			return err
 		}
-		if err := h.absorbBatch(b); err != nil {
+		if err := h.core.AbsorbBatch(b); err != nil {
 			return err
 		}
 	}
-}
-
-// initKernels compiles the probe kernels the batch path hoists out of its
-// per-tuple loops. The common Table 4 shape — divisor and quotient
-// projections both a single 8-byte column — selects the fully concrete
-// word-key loop (absorbBatchU64); anything else gets the closure kernels.
-func (h *HashDivision) initKernels() {
-	ds := h.sp.Dividend.Schema()
-	qCols := h.qCols
-	if len(h.sp.DivisorCols) == 1 && ds.Field(h.sp.DivisorCols[0]).Width == 8 &&
-		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
-		h.fastU64 = true
-		h.divOff = ds.Offset(h.sp.DivisorCols[0])
-		h.quotOff = ds.Offset(qCols[0])
-	} else {
-		h.divHash = ds.HashFunc(h.sp.DivisorCols)
-		h.divEq = ds.EqualProjectedFunc(h.sp.DivisorCols)
-		h.quotHash = ds.HashFunc(qCols)
-		h.quotEq = ds.EqualProjectedFunc(qCols)
-		h.quotProject = func(src tuple.Tuple) tuple.Tuple { return ds.ProjectTuple(src, qCols) }
-	}
-	h.kernelsInit = true
-}
-
-// absorbBatch processes one dividend batch. It is absorb unrolled over the
-// batch with the loop-invariant lookups hoisted and the hash/equality
-// kernels compiled once per operator: same probes, same bitmap updates,
-// same statistics and cost-counter increments, minus the per-tuple
-// interface dispatch and bounds ceremony. Only the stop-and-go (non
-// early-emit) modes reach this path.
-func (h *HashDivision) absorbBatch(b *exec.Batch) error {
-	if !h.kernelsInit {
-		h.initKernels()
-	}
-	if h.fastU64 {
-		return h.absorbBatchU64(b)
-	}
-	divisorTable, quotientTable := h.divisorTable, h.quotientTable
-	countersOnly := h.opts.CountersOnly
-	n := b.Len()
-	h.stats.DividendTuples += int64(n)
-	var bits int64
-	for i := 0; i < n; i++ {
-		t := b.Tuple(i)
-		de := divisorTable.LookupPre(h.divHash(t), t, h.divEq)
-		if de == nil {
-			h.stats.DiscardedNoMatch++
-			continue
-		}
-		qe, created := quotientTable.GetOrInsertPre(h.quotHash(t), t, h.quotEq, h.quotProject)
-		if created {
-			h.stats.Candidates++
-			if !countersOnly {
-				qe.Bits = bitmap.New(int(h.divisorCount))
-				quotientTable.AddMemBytes(qe.Bits.SizeBytes())
-				if err := h.checkBudget(); err != nil {
-					if h.env.Counters != nil {
-						h.env.Counters.Bit += bits
-					}
-					return err
-				}
-			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
-		}
-		bits++
-		qe.Bits.Set(int(de.Num))
-	}
-	if h.env.Counters != nil {
-		h.env.Counters.Bit += bits
-	}
-	return nil
-}
-
-// absorbBatchU64 is absorbBatch for the single-8-byte-column fast path:
-// keys load as words, hashes are the unrolled tuple.HashUint64LE, and the
-// chain walks (hashtab.LookupU64 / GetOrInsertU64) compare words — no
-// closure or interface call anywhere in the loop. Probes, statistics, and
-// counter increments remain byte-identical to the generic path.
-func (h *HashDivision) absorbBatchU64(b *exec.Batch) error {
-	divisorTable, quotientTable := h.divisorTable, h.quotientTable
-	countersOnly := h.opts.CountersOnly
-	divOff, quotOff := h.divOff, h.quotOff
-	n := b.Len()
-	h.stats.DividendTuples += int64(n)
-	var bits int64
-	for i := 0; i < n; i++ {
-		t := b.Tuple(i)
-		dk := binary.LittleEndian.Uint64(t[divOff:])
-		de := divisorTable.LookupU64(tuple.HashUint64LE(dk), dk)
-		if de == nil {
-			h.stats.DiscardedNoMatch++
-			continue
-		}
-		qk := binary.LittleEndian.Uint64(t[quotOff:])
-		qe, created := quotientTable.GetOrInsertU64(tuple.HashUint64LE(qk), qk)
-		if created {
-			h.stats.Candidates++
-			if !countersOnly {
-				qe.Bits = bitmap.New(int(h.divisorCount))
-				quotientTable.AddMemBytes(qe.Bits.SizeBytes())
-				if err := h.checkBudget(); err != nil {
-					if h.env.Counters != nil {
-						h.env.Counters.Bit += bits
-					}
-					return err
-				}
-			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
-		}
-		bits++
-		qe.Bits.Set(int(de.Num))
-	}
-	if h.env.Counters != nil {
-		h.env.Counters.Bit += bits
-	}
-	return nil
 }
 
 // NextBatch implements exec.BatchOperator: the quotient-output scan emits
@@ -532,7 +294,7 @@ func (h *HashDivision) Next() (tuple.Tuple, error) {
 		return nil, errNotOpen("HashDivision")
 	}
 	if h.streaming {
-		if h.divisorCount == 0 {
+		if h.core.DivisorCount() == 0 {
 			return nil, io.EOF
 		}
 		for {
@@ -543,7 +305,7 @@ func (h *HashDivision) Next() (tuple.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			q, err := h.absorb(t)
+			q, err := h.core.Absorb(t)
 			if err != nil {
 				return nil, err
 			}
@@ -560,24 +322,15 @@ func (h *HashDivision) Next() (tuple.Tuple, error) {
 	return t, nil
 }
 
-func (h *HashDivision) foldCounters(t *hashtab.Table) {
-	if h.env.Counters != nil && t != nil {
-		st := t.Stats()
-		h.env.Counters.Hash += st.Hashes
-		h.env.Counters.Comp += st.Comparisons
-	}
-}
-
 // Close implements Operator: "free quotient table".
 func (h *HashDivision) Close() error {
 	var err error
 	if h.streaming && h.opened {
 		err = h.sp.Dividend.Close()
 	}
-	h.foldCounters(h.divisorTable)
-	h.foldCounters(h.quotientTable)
-	h.divisorTable = nil
-	h.quotientTable = nil
+	if h.core != nil {
+		h.core.Release()
+	}
 	h.results = nil
 	h.opened = false
 	h.streaming = false

@@ -49,26 +49,16 @@ type SharedStats struct {
 // buckets are sized once from expectedQuotient/hbs. A wrong estimate costs
 // longer chains, never correctness.
 type SharedTable struct {
-	ds          *tuple.Schema
-	qs          *tuple.Schema
-	qCols       []int
-	divisorCols []int
+	ds    *tuple.Schema
+	qs    *tuple.Schema
+	qCols []int
 
 	divisor      *hashtab.Frozen
 	divisorCount int64
 
 	buckets []atomic.Pointer[SharedElem]
 
-	// Compiled probe kernels, mirroring HashDivision.initKernels: the
-	// single-8-byte-column shape gets concrete word-key probes, everything
-	// else closure kernels compiled once at build time.
-	fastU64 bool
-	divOff  int
-	quotOff int
-	divHash func(tuple.Tuple) uint64
-	divEq   func(src, stored tuple.Tuple) bool
-	quoHash func(tuple.Tuple) uint64
-	quoEq   func(src, stored tuple.Tuple) bool
+	k kernels // Core's compiled probe kernels
 }
 
 // NewSharedTable builds the divisor table from the given distinct divisor
@@ -85,10 +75,10 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 	ds := sp.Dividend.Schema()
 	qCols := sp.QuotientCols()
 	s := &SharedTable{
-		ds:          ds,
-		qs:          sp.QuotientSchema(),
-		qCols:       qCols,
-		divisorCols: append([]int(nil), sp.DivisorCols...),
+		ds:    ds,
+		qs:    sp.QuotientSchema(),
+		qCols: qCols,
+		k:     compileKernels(ds, sp.DivisorCols, qCols),
 	}
 	tab := hashtab.NewWithCapacity(sp.Divisor.Schema(), len(divisor))
 	for _, d := range divisor {
@@ -104,18 +94,6 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 		nBuckets = int(float64(expectedQuotient)/hbs) + 1
 	}
 	s.buckets = make([]atomic.Pointer[SharedElem], nBuckets)
-
-	if len(s.divisorCols) == 1 && ds.Field(s.divisorCols[0]).Width == 8 &&
-		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
-		s.fastU64 = true
-		s.divOff = ds.Offset(s.divisorCols[0])
-		s.quotOff = ds.Offset(qCols[0])
-	} else {
-		s.divHash = ds.HashFunc(s.divisorCols)
-		s.divEq = ds.EqualProjectedFunc(s.divisorCols)
-		s.quoHash = ds.HashFunc(qCols)
-		s.quoEq = ds.EqualProjectedFunc(qCols)
-	}
 	return s, nil
 }
 
@@ -142,19 +120,19 @@ func (s *SharedTable) Absorb(t tuple.Tuple, st *SharedStats) {
 	st.Dividend++
 	var de *hashtab.Element
 	var qh uint64
-	if s.fastU64 {
-		dk := binary.LittleEndian.Uint64(t[s.divOff:])
+	if s.k.fastU64 {
+		dk := binary.LittleEndian.Uint64(t[s.k.divOff:])
 		de = s.divisor.LookupU64(tuple.HashUint64LE(dk), dk, &st.Table)
 		if de == nil {
 			return
 		}
-		qh = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[s.quotOff:]))
+		qh = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[s.k.quotOff:]))
 	} else {
-		de = s.divisor.LookupPre(s.divHash(t), t, s.divEq, &st.Table)
+		de = s.divisor.LookupPre(s.k.divHash(t), t, s.k.divEq, &st.Table)
 		if de == nil {
 			return
 		}
-		qh = s.quoHash(t)
+		qh = s.k.quotHash(t)
 	}
 	e := s.candidate(qh, t, st)
 	e.Bits.AtomicSet(int(de.Num))
@@ -171,10 +149,10 @@ func (s *SharedTable) AbsorbBatch(b *exec.Batch, st *SharedStats) {
 // equalsCandidate reports whether stored (a candidate's key) matches t's
 // quotient projection.
 func (s *SharedTable) equalsCandidate(t tuple.Tuple, stored tuple.Tuple) bool {
-	if s.fastU64 {
-		return binary.LittleEndian.Uint64(t[s.quotOff:]) == binary.LittleEndian.Uint64(stored)
+	if s.k.fastU64 {
+		return binary.LittleEndian.Uint64(t[s.k.quotOff:]) == binary.LittleEndian.Uint64(stored)
 	}
-	return s.quoEq(t, stored)
+	return s.k.quotEq(t, stored)
 }
 
 // candidate returns the (unique) SharedElem for t's quotient projection,

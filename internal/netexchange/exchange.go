@@ -557,12 +557,13 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	if strategy == strategyDivisor {
 		routeCols = nil
 	}
+	rt := division.NewRouter(sp.Dividend.Schema(), sp.DivisorCols, routeCols, bv, nw)
 	var filtered int64
 	var shipErr error
 	if cfg.Ship == ShipPhased {
-		filtered, shipErr = shipDividendPhased(ctx, sp, cfg, links, bv, filterBits, routeCols, res)
+		filtered, shipErr = shipDividendPhased(ctx, sp, cfg, links, rt, res)
 	} else {
-		filtered, shipErr = shipDividendPipelined(ctx, sp, cfg, links, bv, filterBits, routeCols, res, fe)
+		filtered, shipErr = shipDividendPipelined(ctx, sp, cfg, links, rt, res, fe)
 	}
 	if shipErr != nil {
 		fe.set(shipErr)
@@ -650,29 +651,23 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 
 // shipDividendPhased is the strictly sequential phase C engine: one
 // goroutine scans the dividend, drops filtered tuples before serialization,
-// and write-combines the rest into per-link frames — PR 9's shipper, kept
-// verbatim as the overlap-free baseline. Arenas are released on every exit,
-// error paths included.
+// and write-combines the rest into per-link frames; it is kept as the
+// overlap-free baseline. Arenas are released on every exit, error paths
+// included.
 func shipDividendPhased(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	bv *bitmap.Bitmap, filterBits int, routeCols []int, res *Result) (int64, error) {
+	rt division.Router, res *Result) (int64, error) {
 	ds := sp.Dividend.Schema()
-	nw := len(links)
-	shippers := make([]*frameBatcher, nw)
+	shippers := make([]*frameBatcher, len(links))
 	for i, l := range links {
 		shippers[i] = newFrameBatcher(l.conn, ds, frameDividendBatch, 0, cfg.BatchSize)
 	}
 	var filtered int64
 	shipErr := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-		h := ds.Hash(t, sp.DivisorCols)
-		if bv != nil && !bv.Test(int(h%uint64(filterBits))) {
+		d, ok := rt.Dest(t)
+		if !ok {
 			filtered++
 			return nil
 		}
-		dest := h
-		if len(routeCols) > 0 {
-			dest = ds.Hash(t, routeCols)
-		}
-		d := int(dest % uint64(nw))
 		if err := shippers[d].add(t); err != nil {
 			return links[d].wrap(err)
 		}
@@ -831,26 +826,20 @@ func (s *linkShipper) release() {
 // and the dividendEnd control frames — happen behind the producers+writers
 // barrier, so the accounting stays byte-identical to the phased engine.
 func shipDividendPipelined(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	bv *bitmap.Bitmap, filterBits int, routeCols []int, res *Result, fe *firstErr) (int64, error) {
+	rt division.Router, res *Result, fe *firstErr) (int64, error) {
 	ds := sp.Dividend.Schema()
-	nw := len(links)
-	shippers := make([]*linkShipper, nw)
+	shippers := make([]*linkShipper, len(links))
 	for i, l := range links {
 		shippers[i] = newLinkShipper(l, ds, cfg.BatchSize)
 		shippers[i].start(ctx, fe)
 	}
 
 	perTuple := func(t tuple.Tuple, dropped *int64) {
-		h := ds.Hash(t, sp.DivisorCols)
-		if bv != nil && !bv.Test(int(h%uint64(filterBits))) {
+		if d, ok := rt.Dest(t); ok {
+			shippers[d].add(t)
+		} else {
 			*dropped++
-			return
 		}
-		dest := h
-		if len(routeCols) > 0 {
-			dest = ds.Hash(t, routeCols)
-		}
-		shippers[int(dest%uint64(nw))].add(t)
 	}
 
 	var filtered atomic.Int64

@@ -216,3 +216,55 @@ func TestMatchesInProcessQuotient(t *testing.T) {
 			len(dist.Quotient), len(inproc.Quotient))
 	}
 }
+
+// TestKeyShapeParity divides multi-column and character keys — the worker
+// core's closure kernels and the router's generic hashes — over loopback
+// links for both strategies, with and without the filter and the worker
+// budget, and requires division.Reference's quotient.
+func TestKeyShapeParity(t *testing.T) {
+	inst := noisyInstance(t, 61)
+	for _, shape := range []workload.KeyShape{workload.CompositeKey, workload.CharKey} {
+		rk := inst.Rekey(shape)
+		spec := func() division.Spec {
+			return division.Spec{
+				Dividend:    exec.NewMemScan(rk.DividendSchema, rk.Dividend),
+				Divisor:     exec.NewMemScan(rk.DivisorSchema, rk.Divisor),
+				DivisorCols: rk.DivisorCols,
+			}
+		}
+		ref, err := division.Reference(spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref) == 0 {
+			t.Fatal("reference quotient is empty; the instance tests nothing")
+		}
+		for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
+			for _, filter := range []bool{false, true} {
+				for _, budget := range []int64{0, 16 << 10} {
+					t.Run(fmt.Sprintf("%v/%v/filter=%v/budget=%d", shape, strategy, filter, budget), func(t *testing.T) {
+						cl, err := StartLocalCluster(2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer cl.Close()
+						res, err := Divide(context.Background(), spec(), Config{
+							Strategy:        strategy,
+							BitVectorFilter: filter,
+							WorkerBudget:    budget,
+						}, cl.Conns())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !division.EqualTupleSets(spec().QuotientSchema(), res.Quotient, ref) {
+							t.Fatalf("quotient of %d tuples, reference has %d", len(res.Quotient), len(ref))
+						}
+						if filter && res.Network.TuplesFiltered == 0 {
+							t.Error("filter dropped no noise tuple")
+						}
+					})
+				}
+			}
+		}
+	}
+}

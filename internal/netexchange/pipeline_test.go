@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -274,6 +275,14 @@ func TestWorkerBudgetDepthCapTyped(t *testing.T) {
 	}
 	if !errors.Is(err, division.ErrPartitionDepth) && !errors.Is(err, division.ErrMemoryBudget) {
 		t.Fatalf("error %v does not unwrap to a typed division sentinel", err)
+	}
+	// Divide returns at the first worker's failure while the other worker
+	// may still be dividing its partition. That worker must drop its spill
+	// files when it fails, with its link still open: links outlive jobs, so
+	// nothing else would ever release them.
+	deadline := time.Now().Add(5 * time.Second)
+	for storage.LiveSpillFiles() != spillBefore && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
 	if after := storage.LiveSpillFiles(); after != spillBefore {
 		t.Errorf("spill files leaked on failure: %d before, %d after", spillBefore, after)

@@ -1,6 +1,7 @@
 package netexchange
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -127,8 +128,9 @@ func aliasBatch(b *exec.Batch, schema *tuple.Schema, h FrameHeader, payload []by
 }
 
 // runJob executes one division job: the worker's side of DESIGN.md §14's
-// phase sequence. A positive job budget routes the local division through
-// the recursive out-of-core operator instead of unbounded in-memory tables.
+// phase sequence. The local division is a division.Core fed straight off the
+// wire; a positive job budget routes it through the recursive out-of-core
+// operator instead of unbounded in-memory tables.
 func runJob(conn net.Conn, fr *frameReader, j jobHeader) (err error) {
 	defer exec.RecoverPanic(&err)
 	ds := j.Dividend
@@ -138,14 +140,6 @@ func runJob(conn net.Conn, fr *frameReader, j jobHeader) (err error) {
 		return fmt.Errorf("%w: divisor columns cover the whole dividend", ErrCorruptFrame)
 	}
 	qs := ds.Project(qCols)
-	if j.Budget > 0 {
-		return runBudgetJob(conn, fr, j, qs)
-	}
-
-	// Phase: absorb the divisor into the local table, numbering distinct
-	// tuples, and hash every one into the Babb filter when asked.
-	divisorTable := hashtab.NewForExpected(ss, 256, j.HBS)
-	var divisorCount int64
 	var bv *bitmap.Bitmap
 	if j.BitVector {
 		if j.FilterBits <= 0 {
@@ -153,160 +147,115 @@ func runJob(conn net.Conn, fr *frameReader, j jobHeader) (err error) {
 		}
 		bv = bitmap.New(j.FilterBits)
 	}
-	recv := exec.NewBatch(ss, j.BatchSize)
-divisor:
-	for {
-		h, payload, _, err := fr.next()
-		if err != nil {
-			recv.Release()
-			return err
-		}
-		switch h.Type {
-		case frameDivisorBatch:
-			if err := aliasBatch(recv, ss, h, payload); err != nil {
-				recv.Release()
+	if j.Budget > 0 {
+		return runBudgetJob(conn, fr, j, qs, bv)
+	}
+
+	// Phase: build the core's divisor table, numbering distinct tuples and
+	// hashing every one into the Babb filter when asked.
+	core := division.NewCore(ds, ss, j.DivisorCols, division.CoreOptions{
+		ExpectedDivisor:  256,
+		ExpectedQuotient: 256,
+		HBS:              j.HBS,
+		Filter:           bv,
+	})
+	err = absorbFrames(fr, ss, frameDivisorBatch, frameDivisorEnd, j.BatchSize, func(b *exec.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			if err := core.AddDivisor(b.Tuple(i)); err != nil {
 				return err
 			}
-			for i, n := 0, recv.Len(); i < n; i++ {
-				t := recv.Tuple(i)
-				if e, created := divisorTable.GetOrInsert(t); created {
-					e.Num = divisorCount
-					divisorCount++
-					if bv != nil {
-						bv.Set(int(tuple.HashBytes(t) % uint64(j.FilterBits)))
-					}
-				}
-			}
-		case frameDivisorEnd:
-			break divisor
-		case frameError:
-			recv.Release()
-			return errRemote(payload)
-		default:
-			recv.Release()
-			return fmt.Errorf("%w: frame type %d during divisor phase", ErrCorruptFrame, h.Type)
 		}
+		return nil
+	})
+	if err == nil {
+		err = sendFilter(conn, j, bv)
 	}
-	recv.Release()
-
-	// Phase: ship the filter back so the coordinator can drop dividend
-	// tuples before they are ever serialized — the semi-join reduction.
-	if j.SendFilter {
-		if bv == nil {
-			return fmt.Errorf("%w: filter requested without a bit vector", ErrCorruptFrame)
-		}
-		if _, err := writeControlFrame(conn, FrameHeader{Type: frameFilter},
-			appendFilter(nil, j.FilterBits, bv.Words())); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 
 	// Phase: absorb the dividend stream straight off the read buffer — each
-	// frame's payload is aliased into a batch, probed against the divisor
-	// table, and folded into the quotient table before the next read reuses
-	// the buffer.
-	quotientTable := hashtab.NewForExpected(qs, 256, j.HBS)
-	var dividendTuples int64
-	recvD := exec.NewBatch(ds, j.BatchSize)
-dividend:
-	for {
-		h, payload, _, err := fr.next()
-		if err != nil {
-			recvD.Release()
-			return err
-		}
-		switch h.Type {
-		case frameDividendBatch:
-			if err := aliasBatch(recvD, ds, h, payload); err != nil {
-				recvD.Release()
-				return err
-			}
-			n := recvD.Len()
-			dividendTuples += int64(n)
-			for i := 0; i < n; i++ {
-				t := recvD.Tuple(i)
-				de := divisorTable.LookupProjected(t, ds, j.DivisorCols)
-				if de == nil {
-					continue
-				}
-				qe, created := quotientTable.GetOrInsertProjected(t, ds, qCols)
-				if created {
-					qe.Bits = bitmap.New(int(divisorCount))
-				}
-				qe.Bits.Set(int(de.Num))
-			}
-		case frameDividendEnd:
-			break dividend
-		case frameError:
-			recvD.Release()
-			return errRemote(payload)
-		default:
-			recvD.Release()
-			return fmt.Errorf("%w: frame type %d during dividend phase", ErrCorruptFrame, h.Type)
-		}
+	// frame's payload is aliased into a batch and folded into the core
+	// before the next read reuses the buffer.
+	if err := absorbFrames(fr, ds, frameDividendBatch, frameDividendEnd, j.BatchSize, core.AbsorbBatch); err != nil {
+		return err
 	}
-	recvD.Release()
-
-	if j.Strategy == strategyQuotient {
-		return emitQuotient(conn, quotientTable, divisorCount, dividendTuples, j)
-	}
-	return runDivisorCollection(conn, fr, quotientTable, qs, divisorCount, dividendTuples, j)
+	return finishJob(conn, fr, qs, j, core.Stats().DividendTuples, core.DivisorCount(), core.Scan)
 }
 
-// emitQuotient scans the quotient table for complete candidates and ships
-// them, closing the job with a stats-bearing quotientEnd. Used directly by
-// quotient partitioning, where every worker's local result is final.
-func emitQuotient(conn net.Conn, quotientTable *hashtab.Table, divisorCount, dividendTuples int64, j jobHeader) error {
-	fb := newFrameBatcher(conn, quotientTable.Schema(), frameQuotientBatch, 0, j.BatchSize)
-	defer fb.release()
-	if divisorCount > 0 {
-		err := quotientTable.Iterate(func(e *hashtab.Element) error {
-			if e.Bits.AllSet() {
-				return fb.add(e.Tuple)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := fb.flush(); err != nil {
-			return err
-		}
+// sendFilter ships the divisor's bit vector back when this worker was
+// elected a filter sender, so the coordinator can drop dividend tuples
+// before they are ever serialized — the semi-join reduction.
+func sendFilter(conn net.Conn, j jobHeader, bv *bitmap.Bitmap) error {
+	if !j.SendFilter {
+		return nil
 	}
-	_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
-		appendWorkerStats(nil, dividendTuples, divisorCount, fb.tuples))
+	if bv == nil {
+		return fmt.Errorf("%w: filter requested without a bit vector", ErrCorruptFrame)
+	}
+	_, err := writeControlFrame(conn, FrameHeader{Type: frameFilter}, appendFilter(nil, j.FilterBits, bv.Words()))
 	return err
 }
 
-// runDivisorCollection is divisor partitioning's second distributed round.
-// The worker first ships its local candidates (tuples complete against its
-// divisor cluster, tagged with its phase index); the coordinator repartitions
-// all candidates on the quotient attributes and ships them back as collect
-// frames. This worker then acts as a collection site for its share: a
-// candidate belongs to the quotient iff every active phase reported it —
-// "divide the set of all incoming tuples over the set of processor network
-// addresses" (§3.4), with the address set carried as per-frame phase tags.
-func runDivisorCollection(conn net.Conn, fr *frameReader, quotientTable *hashtab.Table,
-	qs *tuple.Schema, divisorCount, dividendTuples int64, j jobHeader) error {
-	phase := uint16(0)
-	if j.Phase >= 0 {
-		phase = uint16(j.Phase)
-	}
-	fb := newFrameBatcher(conn, qs, frameCandidate, phase, j.BatchSize)
-	defer fb.release()
-	if divisorCount > 0 {
-		err := quotientTable.Iterate(func(e *hashtab.Element) error {
-			if e.Bits.AllSet() {
-				return fb.add(e.Tuple)
-			}
-			return nil
-		})
+// absorbFrames feeds one batch phase to absorb, frame by frame, until the
+// matching end frame arrives. Each frame's payload is aliased into the batch
+// without copying, so absorb must not retain the tuples.
+func absorbFrames(fr *frameReader, schema *tuple.Schema, batchType, endType byte, batchSize int,
+	absorb func(*exec.Batch) error) error {
+	recv := exec.NewBatch(schema, batchSize)
+	defer recv.Release()
+	for {
+		h, payload, _, err := fr.next()
 		if err != nil {
 			return err
 		}
-		if err := fb.flush(); err != nil {
-			return err
+		switch h.Type {
+		case batchType:
+			if err := aliasBatch(recv, schema, h, payload); err != nil {
+				return err
+			}
+			if err := absorb(recv); err != nil {
+				return err
+			}
+		case endType:
+			return nil
+		case frameError:
+			return errRemote(payload)
+		default:
+			return fmt.Errorf("%w: frame type %d while absorbing type-%d frames",
+				ErrCorruptFrame, h.Type, batchType)
 		}
+	}
+}
+
+// finishJob ships the worker's local result, produced by scan, and ends the
+// job. Under quotient partitioning the result is final and a stats-bearing
+// quotientEnd closes the job. Under divisor partitioning it is this worker's
+// candidate set — tuples complete against its divisor cluster — shipped
+// tagged with its phase index; the coordinator repartitions all candidates
+// on the quotient attributes, and this worker then acts as a collection site
+// for its share (collectAndEmit).
+func finishJob(conn net.Conn, fr *frameReader, qs *tuple.Schema, j jobHeader, dividendTuples, divisorCount int64,
+	scan func(emit func(tuple.Tuple) error) error) error {
+	typ, phase := byte(frameQuotientBatch), uint16(0)
+	if j.Strategy != strategyQuotient {
+		typ = frameCandidate
+		if j.Phase >= 0 {
+			phase = uint16(j.Phase)
+		}
+	}
+	fb := newFrameBatcher(conn, qs, typ, phase, j.BatchSize)
+	defer fb.release()
+	if err := scan(fb.add); err != nil {
+		return err
+	}
+	if err := fb.flush(); err != nil {
+		return err
+	}
+	if j.Strategy == strategyQuotient {
+		_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
+			appendWorkerStats(nil, dividendTuples, divisorCount, fb.tuples))
+		return err
 	}
 	if _, err := writeControlFrame(conn, FrameHeader{Type: frameCandidateEnd}, nil); err != nil {
 		return err
@@ -316,7 +265,9 @@ func runDivisorCollection(conn net.Conn, fr *frameReader, quotientTable *hashtab
 
 // collectAndEmit is the collection-site half of divisor partitioning's
 // second round: absorb the coordinator's repartitioned, phase-tagged
-// candidates and emit those reported by every active phase. Collection
+// candidates and emit those reported by every active phase — "divide the
+// set of all incoming tuples over the set of processor network addresses"
+// (§3.4), with the address set carried as per-frame phase tags. Collection
 // tables are deliberately outside any job budget — candidate sets are
 // bounded by the quotient, not the dividend the budget exists to govern.
 func collectAndEmit(conn net.Conn, fr *frameReader, qs *tuple.Schema, divisorCount, dividendTuples int64, j jobHeader) error {
@@ -385,44 +336,25 @@ collect:
 // on every exit so no buffered page outlives a failed phase.
 func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 	batchType, endType byte, batchSize int, perTuple func(tuple.Tuple)) (int64, error) {
-	recv := exec.NewBatch(schema, batchSize)
-	defer recv.Release()
 	ap := file.NewAppender()
 	var count int64
-	for {
-		h, payload, _, err := fr.next()
-		if err != nil {
-			ap.Close()
-			return count, err
-		}
-		switch h.Type {
-		case batchType:
-			if err := aliasBatch(recv, schema, h, payload); err != nil {
-				ap.Close()
-				return count, err
+	err := absorbFrames(fr, schema, batchType, endType, batchSize, func(b *exec.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			t := b.Tuple(i)
+			if _, err := ap.Append(t); err != nil {
+				return err
 			}
-			for i, n := 0, recv.Len(); i < n; i++ {
-				t := recv.Tuple(i)
-				if _, err := ap.Append(t); err != nil {
-					ap.Close()
-					return count, err
-				}
-				if perTuple != nil {
-					perTuple(t)
-				}
-				count++
+			if perTuple != nil {
+				perTuple(t)
 			}
-		case endType:
-			return count, ap.Close()
-		case frameError:
-			ap.Close()
-			return count, errRemote(payload)
-		default:
-			ap.Close()
-			return count, fmt.Errorf("%w: frame type %d while spooling type-%d frames",
-				ErrCorruptFrame, h.Type, batchType)
+			count++
 		}
+		return nil
+	})
+	if cerr := ap.Close(); err == nil {
+		err = cerr
 	}
+	return count, err
 }
 
 // runBudgetJob is runJob under a memory grant (jobHeader.Budget): both input
@@ -433,7 +365,7 @@ func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 // larger than the grant re-partitions recursively instead of growing the
 // tables without bound; only past the recursion depth cap does the job fail,
 // with the typed sentinel classified onto the wire for the coordinator.
-func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema) (err error) {
+func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema, bv *bitmap.Bitmap) (err error) {
 	obs.Default.Counter("net.worker.budget_jobs").Inc()
 	ds := j.Dividend
 	ss := j.Divisor
@@ -454,115 +386,64 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema)
 
 	divisorFile := storage.NewSpillFile(pool, dev, ss, "divisor-in")
 	dividendFile := storage.NewSpillFile(pool, dev, ds, "dividend-in")
+	dropInputs := func() error { return errors.Join(dividendFile.Drop(), divisorFile.Drop()) }
 	defer func() {
-		if derr := dividendFile.Drop(); derr != nil && err == nil {
-			err = derr
-		}
-		if derr := divisorFile.Drop(); derr != nil && err == nil {
+		if derr := dropInputs(); err == nil {
 			err = derr
 		}
 	}()
-
-	var bv *bitmap.Bitmap
-	if j.BitVector {
-		if j.FilterBits <= 0 {
-			return fmt.Errorf("%w: bit vector requested with %d bits", ErrCorruptFrame, j.FilterBits)
-		}
-		bv = bitmap.New(j.FilterBits)
-	}
 
 	// The coordinator ships the divisor already distinct (collectDistinct),
 	// so the spooled count is the distinct count the stats report.
 	divisorCount, err := spoolFrames(fr, divisorFile, ss, frameDivisorBatch, frameDivisorEnd,
 		j.BatchSize, func(t tuple.Tuple) {
 			if bv != nil {
-				bv.Set(int(tuple.HashBytes(t) % uint64(j.FilterBits)))
+				division.SetFilterBit(bv, t)
 			}
 		})
+	if err == nil {
+		err = sendFilter(conn, j, bv)
+	}
 	if err != nil {
 		return err
 	}
-
-	if j.SendFilter {
-		if bv == nil {
-			return fmt.Errorf("%w: filter requested without a bit vector", ErrCorruptFrame)
-		}
-		if _, err := writeControlFrame(conn, FrameHeader{Type: frameFilter},
-			appendFilter(nil, j.FilterBits, bv.Words())); err != nil {
-			return err
-		}
-	}
-
 	dividendTuples, err := spoolFrames(fr, dividendFile, ds, frameDividendBatch, frameDividendEnd,
 		j.BatchSize, nil)
 	if err != nil {
 		return err
 	}
 
-	var local []tuple.Tuple
-	if divisorCount > 0 {
-		sp := division.Spec{
-			Dividend:    exec.NewTableScan(dividendFile, false),
-			Divisor:     exec.NewTableScan(divisorFile, false),
-			DivisorCols: j.DivisorCols,
-		}
-		env := division.Env{
-			Pool:            pool,
-			TempDev:         dev,
-			MemoryBudget:    tableBytes,
-			HBS:             j.HBS,
-			BatchSize:       j.BatchSize,
-			ExpectedDivisor: int(divisorCount),
-		}
-		var st division.RecursiveStats
-		local, st, err = division.DivideRecursive(sp, env, division.QuotientPartitioning,
-			division.HashDivisionOptions{MemoryBudget: tableBytes}, division.RecursiveOptions{})
-		if err != nil {
-			return err
-		}
-		obs.Default.Counter("net.worker.budget_spilled_partitions").Add(int64(st.SpilledPartitions))
-		obs.Default.Counter("net.worker.budget_spill_bytes").Add(st.SpillBytes)
+	sp := division.Spec{
+		Dividend:    exec.NewTableScan(dividendFile, false),
+		Divisor:     exec.NewTableScan(divisorFile, false),
+		DivisorCols: j.DivisorCols,
 	}
-
-	if j.Strategy == strategyQuotient {
-		shipped, err := shipTuples(conn, qs, frameQuotientBatch, 0, j.BatchSize, local)
-		if err != nil {
-			return err
-		}
-		_, err = writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
-			appendWorkerStats(nil, dividendTuples, divisorCount, shipped))
+	env := division.Env{
+		Pool:            pool,
+		TempDev:         dev,
+		MemoryBudget:    tableBytes,
+		HBS:             j.HBS,
+		BatchSize:       j.BatchSize,
+		ExpectedDivisor: int(divisorCount),
+	}
+	local, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning,
+		division.HashDivisionOptions{MemoryBudget: tableBytes}, division.RecursiveOptions{})
+	if err != nil {
 		return err
 	}
-
-	// Divisor partitioning: the local quotient against this worker's
-	// cluster is its candidate set; ship it phase-tagged and fall into the
-	// unchanged collection round.
-	phase := uint16(0)
-	if j.Phase >= 0 {
-		phase = uint16(j.Phase)
-	}
-	if _, err := shipTuples(conn, qs, frameCandidate, phase, j.BatchSize, local); err != nil {
+	obs.Default.Counter("net.worker.budget_spilled_partitions").Add(int64(st.SpilledPartitions))
+	obs.Default.Counter("net.worker.budget_spill_bytes").Add(st.SpillBytes)
+	// The local result is in memory: drop the spooled inputs before it
+	// ships, so no spill file outlives the job's last frame.
+	if err := dropInputs(); err != nil {
 		return err
 	}
-	if _, err := writeControlFrame(conn, FrameHeader{Type: frameCandidateEnd}, nil); err != nil {
-		return err
-	}
-	return collectAndEmit(conn, fr, qs, divisorCount, dividendTuples, j)
-}
-
-// shipTuples write-combines a tuple slice into batch frames of the given
-// type, releasing the arena on every exit.
-func shipTuples(conn net.Conn, schema *tuple.Schema, typ byte, phase uint16,
-	batchSize int, tuples []tuple.Tuple) (int64, error) {
-	fb := newFrameBatcher(conn, schema, typ, phase, batchSize)
-	defer fb.release()
-	for _, t := range tuples {
-		if err := fb.add(t); err != nil {
-			return fb.tuples, err
+	return finishJob(conn, fr, qs, j, dividendTuples, divisorCount, func(emit func(tuple.Tuple) error) error {
+		for _, t := range local {
+			if err := emit(t); err != nil {
+				return err
+			}
 		}
-	}
-	if err := fb.flush(); err != nil {
-		return fb.tuples, err
-	}
-	return fb.tuples, nil
+		return nil
+	})
 }

@@ -126,19 +126,18 @@ func runFallbackReader(ctx context.Context, dividend exec.Operator, morselTuples
 // partitioner is one goroutine's software write-combining stage: route each
 // tuple (bit-vector filter, then hash on the partitioning columns), append it
 // to the destination's private exec.Batch buffer, and flush the buffer as one
-// channel send when it reaches batchSize. Network accounting accumulates in
-// private counters and folds into the shared NetworkStats once, in finish —
-// identical totals to the coordinator path, without per-tuple atomics.
+// channel send when it reaches batchSize. Routing is a division.Router, so
+// both hashes are compiled once per partitioner. Network accounting
+// accumulates in private counters and folds into the shared NetworkStats
+// once, in finish — identical totals to the coordinator path, without
+// per-tuple atomics.
 type partitioner struct {
-	ds          *tuple.Schema
-	divisorCols []int
-	cols        []int // routing columns; empty = route on the divisor hash
-	bv          *bitmap.Bitmap
-	k           uint64
-	width       int64
-	workers     []*worker
-	batchSize   int
-	batches     []*exec.Batch
+	ds        *tuple.Schema
+	rt        division.Router
+	width     int64
+	workers   []*worker
+	batchSize int
+	batches   []*exec.Batch
 
 	shipped, bytes, filtered int64
 }
@@ -146,15 +145,12 @@ type partitioner struct {
 func newPartitioner(sp division.Spec, workers []*worker, cols []int, bv *bitmap.Bitmap, batchSize int) *partitioner {
 	ds := sp.Dividend.Schema()
 	p := &partitioner{
-		ds:          ds,
-		divisorCols: sp.DivisorCols,
-		cols:        cols,
-		bv:          bv,
-		k:           uint64(len(workers)),
-		width:       int64(ds.Width()),
-		workers:     workers,
-		batchSize:   batchSize,
-		batches:     make([]*exec.Batch, len(workers)),
+		ds:        ds,
+		rt:        division.NewRouter(ds, sp.DivisorCols, cols, bv, len(workers)),
+		width:     int64(ds.Width()),
+		workers:   workers,
+		batchSize: batchSize,
+		batches:   make([]*exec.Batch, len(workers)),
 	}
 	for i := range p.batches {
 		p.batches[i] = exec.NewBatch(ds, batchSize)
@@ -183,20 +179,13 @@ func (p *partitioner) flush(ctx context.Context, i int) error {
 // interconnect of a shared-nothing system (§6), where self-delivery is not
 // observable to the cost model, and it keeps Stats identical across paths.
 func (p *partitioner) route(ctx context.Context, t tuple.Tuple) error {
-	h := p.ds.Hash(t, p.divisorCols)
-	if p.bv != nil {
-		if !p.bv.Test(int(h % uint64(p.bv.Len()))) {
-			p.filtered++
-			return nil
-		}
-	}
-	dest := h
-	if len(p.cols) > 0 {
-		dest = p.ds.Hash(t, p.cols)
+	d, ok := p.rt.Dest(t)
+	if !ok {
+		p.filtered++
+		return nil
 	}
 	p.shipped++
 	p.bytes += p.width
-	d := int(dest % p.k)
 	p.batches[d].Append(t)
 	if p.batches[d].Len() >= p.batchSize {
 		return p.flush(ctx, d)

@@ -323,7 +323,7 @@ func buildBitVector(divisor []tuple.Tuple, bits int) *bitmap.Bitmap {
 	}
 	bv := bitmap.New(bits)
 	for _, d := range divisor {
-		bv.Set(int(tuple.HashBytes(d) % uint64(bits)))
+		division.SetFilterBit(bv, d)
 	}
 	return bv
 }
@@ -345,10 +345,11 @@ type worker struct {
 	span    *obs.Span // per-worker profile span; nil without a tracer
 }
 
-// run executes the local hash-division: build the divisor table, absorb the
-// dividend stream, scan the quotient table. It returns promptly with ctx.Err()
-// once ctx is cancelled, and converts a panic anywhere in the worker into an
-// *exec.PanicError instead of crashing the process.
+// run executes the local hash-division on a division.Core: build the
+// divisor table, absorb the dividend stream batch by batch, scan the
+// quotient table. It returns promptly with ctx.Err() once ctx is cancelled,
+// and converts a panic anywhere in the worker into an *exec.PanicError
+// instead of crashing the process.
 func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err error) {
 	defer exec.RecoverPanic(&err)
 	if w.span != nil {
@@ -358,62 +359,40 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 			w.span.Notef("dividend=%d divisor=%d", w.stats.DividendTuples, w.stats.DivisorTuples)
 		}()
 	}
-	ds := sp.Dividend.Schema()
-	ss := sp.Divisor.Schema()
-	qCols := sp.QuotientCols()
-	qs := sp.QuotientSchema()
-
 	// The worker's divisor cardinality is known exactly (the coordinator
-	// shipped it), so pre-size the table and skip rehash growth entirely.
-	divisorTable := hashtab.NewWithCapacity(ss, len(w.divisor))
-	var divisorCount int64
+	// shipped it), so the divisor table is pre-sized and never grows.
+	core := division.NewCore(sp.Dividend.Schema(), sp.Divisor.Schema(), sp.DivisorCols, division.CoreOptions{
+		DivisorCapacity:  len(w.divisor),
+		ExpectedQuotient: 256,
+		HBS:              hbs,
+	})
 	for _, d := range w.divisor {
-		if e, created := divisorTable.GetOrInsert(d); created {
-			e.Num = divisorCount
-			divisorCount++
+		if err := core.AddDivisor(d); err != nil {
+			return err
 		}
 	}
-	w.stats.DivisorTuples = divisorCount
-	quotientTable := hashtab.NewForExpected(qs, 256, hbs)
+	w.stats.DivisorTuples = core.DivisorCount()
 
-receive:
 	for {
-		var batch *exec.Batch
-		var ok bool
 		select {
-		case batch, ok = <-w.in:
+		case batch, ok := <-w.in:
 			if !ok {
-				break receive
+				return core.Scan(func(t tuple.Tuple) error {
+					w.out = append(w.out, t)
+					w.stats.QuotientTuples++
+					return nil
+				})
+			}
+			err := core.AbsorbBatch(batch)
+			batch.Release()
+			w.stats.DividendTuples = core.Stats().DividendTuples
+			if err != nil {
+				return err
 			}
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		n := batch.Len()
-		w.stats.DividendTuples += int64(n)
-		for i := 0; i < n; i++ {
-			t := batch.Tuple(i)
-			de := divisorTable.LookupProjected(t, ds, sp.DivisorCols)
-			if de == nil {
-				continue
-			}
-			qe, created := quotientTable.GetOrInsertProjected(t, ds, qCols)
-			if created {
-				qe.Bits = bitmap.New(int(divisorCount))
-			}
-			qe.Bits.Set(int(de.Num))
-		}
-		batch.Release()
 	}
-	if divisorCount == 0 {
-		return nil
-	}
-	return quotientTable.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			w.out = append(w.out, e.Tuple)
-			w.stats.QuotientTuples++
-		}
-		return nil
-	})
 }
 
 // spawnWorkers starts one goroutine per worker; each reports its outcome to

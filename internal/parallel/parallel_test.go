@@ -426,3 +426,52 @@ func TestTraceCollectsWorkerSpans(t *testing.T) {
 		t.Errorf("worker spans account for %d rows, quotient has %d", rows, len(res.Quotient))
 	}
 }
+
+// TestKeyShapeParity divides multi-column and character keys — the core's
+// closure kernels and the partitioner's generic hashes — on every exchange
+// path, both strategies, with and without the bit-vector filter, and
+// requires division.Reference's quotient.
+func TestKeyShapeParity(t *testing.T) {
+	inst := testInstance(t, 51)
+	for _, shape := range []workload.KeyShape{workload.CompositeKey, workload.CharKey} {
+		rk := inst.Rekey(shape)
+		spec := func() division.Spec {
+			return ReadInstance(rk.DividendSchema, rk.Dividend, rk.DivisorSchema, rk.Divisor, rk.DivisorCols)
+		}
+		ref, err := division.Reference(spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref) == 0 {
+			t.Fatal("reference quotient is empty; the instance tests nothing")
+		}
+		for _, path := range []Path{PathMorsel, PathCoordinator, PathSharedTable} {
+			for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
+				if path == PathSharedTable && strategy != division.QuotientPartitioning {
+					continue
+				}
+				for _, filter := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%v/%v/%v/filter=%v", shape, path, strategy, filter), func(t *testing.T) {
+						res, err := Divide(spec(), Config{
+							Workers:         3,
+							Strategy:        strategy,
+							Path:            path,
+							BitVectorFilter: filter,
+							MorselTuples:    64,
+							BatchSize:       16,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !division.EqualTupleSets(spec().QuotientSchema(), res.Quotient, ref) {
+							t.Fatalf("quotient of %d tuples, reference has %d", len(res.Quotient), len(ref))
+						}
+						if filter && path != PathSharedTable && res.Network.TuplesFiltered == 0 {
+							t.Error("filter dropped no noise tuple")
+						}
+					})
+				}
+			}
+		}
+	}
+}

@@ -169,6 +169,77 @@ func Generate(cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
+// KeyShape selects how Rekey lays out an instance's keys.
+type KeyShape int
+
+const (
+	// IntKey is the experiments' layout, TranscriptSchema ÷ CourseSchema:
+	// single 8-byte keys, which hash-division probes as machine words.
+	IntKey KeyShape = iota
+	// CompositeKey gives both keys two INT64 columns: the dividend is
+	// (student_id, campus, course_no, section) and the divisor
+	// (course_no, section).
+	CompositeKey
+	// CharKey stores the student and the course as CHAR(20) strings.
+	CharKey
+)
+
+func (k KeyShape) String() string {
+	switch k {
+	case CompositeKey:
+		return "composite-key"
+	case CharKey:
+		return "char-key"
+	default:
+		return "int-key"
+	}
+}
+
+// Rekeyed is an instance laid out under a KeyShape: the dividend divides by
+// the divisor on the dividend's DivisorCols.
+type Rekeyed struct {
+	DividendSchema, DivisorSchema *tuple.Schema
+	Dividend, Divisor             []tuple.Tuple
+	DivisorCols                   []int
+}
+
+// Rekey lays the instance out under shape. Every added column is a function
+// of the id it extends, so each shape has the same quotient students.
+func (inst *Instance) Rekey(shape KeyShape) Rekeyed {
+	var r Rekeyed
+	var row func(student, course int64) []any
+	var key func(course int64) []any
+	switch shape {
+	case CompositeKey:
+		r = Rekeyed{
+			DividendSchema: tuple.NewSchema(tuple.Int64Field("student_id"), tuple.Int64Field("campus"),
+				tuple.Int64Field("course_no"), tuple.Int64Field("section")),
+			DivisorSchema: tuple.NewSchema(tuple.Int64Field("course_no"), tuple.Int64Field("section")),
+			DivisorCols:   []int{2, 3},
+		}
+		row = func(s, c int64) []any { return []any{s, s % 3, c, c % 5} }
+		key = func(c int64) []any { return []any{c, c % 5} }
+	case CharKey:
+		r = Rekeyed{
+			DividendSchema: tuple.NewSchema(tuple.CharField("student", 20), tuple.CharField("course", 20)),
+			DivisorSchema:  tuple.NewSchema(tuple.CharField("course", 20)),
+			DivisorCols:    []int{1},
+		}
+		row = func(s, c int64) []any { return []any{fmt.Sprintf("s%d", s), fmt.Sprintf("c%d", c)} }
+		key = func(c int64) []any { return []any{fmt.Sprintf("c%d", c)} }
+	default:
+		return Rekeyed{TranscriptSchema, CourseSchema, inst.Dividend, inst.Divisor, []int{1}}
+	}
+	for _, t := range inst.Dividend {
+		r.Dividend = append(r.Dividend,
+			r.DividendSchema.MustMake(row(TranscriptSchema.Int64(t, 0), TranscriptSchema.Int64(t, 1))...))
+	}
+	for _, t := range inst.Divisor {
+		r.Divisor = append(r.Divisor, r.DivisorSchema.MustMake(key(CourseSchema.Int64(t, 0))...))
+	}
+	return r
+}
+
 // Relations is an instance loaded into heap files on its own devices, the
 // form the Table 4 experiments consume.
 type Relations struct {
