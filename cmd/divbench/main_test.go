@@ -239,9 +239,9 @@ func TestParallelScalingSectionPreservesSiblings(t *testing.T) {
 	if section.S != 20 || section.R == 0 || section.SerialNs == 0 || section.GOMAXPROCS == 0 {
 		t.Errorf("section header: %+v", section)
 	}
-	// 5 strategy×path combos × 2 worker counts.
-	if len(section.Points) != 10 {
-		t.Fatalf("got %d points, want 10", len(section.Points))
+	// 3 strategy×path combos × 2 worker counts.
+	if len(section.Points) != 6 {
+		t.Fatalf("got %d points, want 6", len(section.Points))
 	}
 	paths := map[string]bool{}
 	for _, p := range section.Points {
@@ -250,7 +250,7 @@ func TestParallelScalingSectionPreservesSiblings(t *testing.T) {
 			t.Errorf("unpopulated point %+v", p)
 		}
 	}
-	for _, want := range []string{"morsel", "coordinator", "shared-table"} {
+	for _, want := range []string{"morsel", "shared-table"} {
 		if !paths[want] {
 			t.Errorf("no points for path %q", want)
 		}

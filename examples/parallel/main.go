@@ -83,9 +83,6 @@ func main() {
 	run("divisor-part + bitvector", parallel.Config{
 		Workers: 4, Strategy: division.DivisorPartitioning, BitVectorFilter: true,
 	})
-	run("quotient-part, coordinator", parallel.Config{
-		Workers: 4, Strategy: division.QuotientPartitioning, Path: parallel.PathCoordinator,
-	})
 	fmt.Println("\nNotes (§6): quotient partitioning replicates the divisor but needs no")
 	fmt.Println("collection phase; divisor partitioning ships less divisor state but the")
 	fmt.Println("collection site re-divides the tagged quotient clusters. The bit vector")

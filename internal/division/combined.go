@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/obs"
@@ -76,30 +75,21 @@ func (c *CombinedPartitionedHashDivision) run() error {
 
 	// Distinct divisor, partitioned into kd clusters on all attributes.
 	divTab := hashtab.NewForExpected(ss, c.env.expectedDivisor(), c.env.hbs())
-	divClusters := make([][]tuple.Tuple, c.kd)
+	var divisor []tuple.Tuple
 	err := exec.ForEach(c.sp.Divisor, func(t tuple.Tuple) error {
 		if e, created := divTab.GetOrInsert(t); created {
-			i := int(tuple.HashBytes(e.Tuple) % uint64(c.kd))
-			divClusters[i] = append(divClusters[i], e.Tuple)
+			divisor = append(divisor, e.Tuple)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if divTab.Len() == 0 {
+	if len(divisor) == 0 {
 		return nil
 	}
-	phaseOf := make([]int, c.kd)
-	numPhases := 0
-	for i := range divClusters {
-		if len(divClusters[i]) > 0 {
-			phaseOf[i] = numPhases
-			numPhases++
-		} else {
-			phaseOf[i] = -1
-		}
-	}
+	place := PlaceDivisor(divisor, DivisorPartitioning, c.kd)
+	phaseOf := place.Phase
 
 	// Dividend partitioned into the kd × kq grid; every cell is spooled
 	// (the combined strategy exists precisely because memory is scarce).
@@ -139,7 +129,7 @@ func (c *CombinedPartitionedHashDivision) run() error {
 
 	// Phase grid: cell (i, j) ÷ divisor cluster i, collected over divisor
 	// phase numbers.
-	collection := hashtab.NewForExpected(c.qs, c.env.expectedQuotient(), c.env.hbs())
+	collection := NewPhaseCollector(c.qs, place.Phases, c.env.expectedQuotient(), c.env.hbs())
 	parent := c.env.ProfileParent()
 	for i := 0; i < c.kd; i++ {
 		if phaseOf[i] < 0 {
@@ -154,18 +144,14 @@ func (c *CombinedPartitionedHashDivision) run() error {
 			}
 			phase := NewHashDivision(Spec{
 				Dividend:    exec.NewTableScan(cells[i*c.kq+j], false),
-				Divisor:     exec.NewMemScan(ss, divClusters[i]),
+				Divisor:     exec.NewMemScan(ss, place.Clusters[i]),
 				DivisorCols: c.sp.DivisorCols,
 			}, env, c.hdOpts)
 			err := exec.ForEach(obs.Instrument(phase, span, c.env.Counters), func(q tuple.Tuple) error {
-				e, created := collection.GetOrInsert(q)
-				if created {
-					e.Bits = bitmap.New(numPhases)
-				}
 				if c.env.Counters != nil {
 					c.env.Counters.Bit++
 				}
-				e.Bits.Set(phaseOf[i])
+				collection.Add(q, phaseOf[i])
 				return nil
 			})
 			if err != nil {
@@ -173,10 +159,8 @@ func (c *CombinedPartitionedHashDivision) run() error {
 			}
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			c.results = append(c.results, e.Tuple)
-		}
+	err = collection.Scan(func(q tuple.Tuple) error {
+		c.results = append(c.results, q)
 		return nil
 	})
 	if c.env.Counters != nil {

@@ -76,43 +76,6 @@ func SetFilterBit(bv *bitmap.Bitmap, d tuple.Tuple) {
 	bv.Set(int(tuple.HashBytes(d) % uint64(bv.Len())))
 }
 
-// Router sends the dividend tuples of a partitioned division to their sites,
-// with its hashes compiled once (tuple.HashFunc) rather than interpreted per
-// tuple. A tuple first meets the bit-vector filter, when there is one, on
-// its divisor-attribute hash, the bit SetFilterBit set for a matching
-// divisor tuple. A passing tuple then goes to the site its routing columns
-// hash to: the quotient attributes under quotient partitioning, or, with no
-// routing columns, the divisor attributes that clustered the divisor. The
-// kernels are pure, so concurrent producers may share one Router.
-type Router struct {
-	divHash   func(tuple.Tuple) uint64
-	routeHash func(tuple.Tuple) uint64 // nil = route on divHash
-	filter    *bitmap.Bitmap
-	sites     uint64
-}
-
-// NewRouter compiles a Router over sites sites for dividends laid out by ds.
-// filter may be nil.
-func NewRouter(ds *tuple.Schema, divisorCols, routeCols []int, filter *bitmap.Bitmap, sites int) Router {
-	r := Router{divHash: ds.HashFunc(divisorCols), filter: filter, sites: uint64(sites)}
-	if len(routeCols) > 0 {
-		r.routeHash = ds.HashFunc(routeCols)
-	}
-	return r
-}
-
-// Dest returns t's site, or false when the filter drops t.
-func (r *Router) Dest(t tuple.Tuple) (int, bool) {
-	h := r.divHash(t)
-	if r.filter != nil && !r.filter.Test(int(h%uint64(r.filter.Len()))) {
-		return 0, false
-	}
-	if r.routeHash != nil {
-		h = r.routeHash(t)
-	}
-	return int(h % r.sites), true
-}
-
 // DivisorCount returns the number of distinct divisor tuples added so far.
 func (c *Core) DivisorCount() int64 { return c.divisorCount }
 

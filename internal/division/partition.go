@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -251,28 +249,15 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 	}
 
 	// Partition the divisor on all its attributes with the same function
-	// used for the dividend's divisor attributes.
-	clusters := make([][]tuple.Tuple, p.k)
-	for _, d := range divisor {
-		if p.env.Counters != nil {
-			p.env.Counters.Hash++
-		}
-		c := int(tuple.HashBytes(d) % uint64(p.k))
-		clusters[c] = append(clusters[c], d)
+	// used for the dividend's divisor attributes. Phases exist only for
+	// clusters with divisor tuples: a dividend tuple hashing to an empty
+	// divisor cluster can match nothing and is discarded during
+	// partitioning.
+	if p.env.Counters != nil {
+		p.env.Counters.Hash += int64(len(divisor))
 	}
-	// Phases exist only for clusters with divisor tuples: a dividend tuple
-	// hashing to an empty divisor cluster can match nothing and is
-	// discarded during partitioning.
-	phaseOf := make([]int, p.k)
-	numPhases := 0
-	for c := range clusters {
-		if len(clusters[c]) > 0 {
-			phaseOf[c] = numPhases
-			numPhases++
-		} else {
-			phaseOf[c] = -1
-		}
-	}
+	place := PlaceDivisor(divisor, DivisorPartitioning, p.k)
+	phaseOf := place.Phase
 
 	mem, files, err := p.partitionDividend(p.sp.DivisorCols, func(t tuple.Tuple) bool {
 		c := int(ds.Hash(t, p.sp.DivisorCols) % uint64(p.k))
@@ -284,31 +269,24 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 	p.spilled = files
 
 	// The collection phase divides the union of the quotient clusters,
-	// tagged with phase numbers, over the set of phase numbers. As §3.4
-	// notes, the phase number replaces the divisor-table lookup, so the
-	// collection skips step 1 of hash-division.
-	collection := hashtab.NewForExpected(p.qs, p.env.expectedQuotient(), p.env.hbs())
+	// tagged with phase numbers, over the set of phase numbers.
+	collection := NewPhaseCollector(p.qs, place.Phases, p.env.expectedQuotient(), p.env.hbs())
 	parent := p.env.ProfileParent()
 	for c := 0; c < p.k; c++ {
 		if phaseOf[c] < 0 {
 			continue
 		}
-		env, span := p.phaseEnv(parent, phaseOf[c], numPhases)
+		env, span := p.phaseEnv(parent, phaseOf[c], place.Phases)
 		phase := NewHashDivision(Spec{
 			Dividend:    clusterOperand(c, mem, files, ds),
-			Divisor:     exec.NewMemScan(ss, clusters[c]),
+			Divisor:     exec.NewMemScan(ss, place.Clusters[c]),
 			DivisorCols: p.sp.DivisorCols,
 		}, env, p.hdOpts)
 		err := exec.ForEach(obs.Instrument(phase, span, p.env.Counters), func(q tuple.Tuple) error {
-			e, created := collection.GetOrInsert(q)
-			if created {
-				e.Bits = bitmap.New(numPhases)
-				collection.AddMemBytes(e.Bits.SizeBytes())
-			}
 			if p.env.Counters != nil {
 				p.env.Counters.Bit++
 			}
-			e.Bits.Set(phaseOf[c])
+			collection.Add(q, phaseOf[c])
 			return nil
 		})
 		if err != nil {
@@ -316,25 +294,14 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 		}
 		if p.env.Progress != nil {
 			// A candidate still on track for the quotient has a bit from
-			// every phase processed so far: PopCount equals the phase
-			// ordinal. Word-level population counts keep this cheap enough
-			// for per-phase reporting.
+			// every phase processed so far.
 			done := phaseOf[c] + 1
-			onTrack := 0
-			_ = collection.Iterate(func(e *hashtab.Element) error {
-				if e.Bits.PopCount() == done {
-					onTrack++
-				}
-				return nil
-			})
 			p.env.progressf("divisor-partitioned phase %d/%d: %d candidates, %d on track for the quotient",
-				done, numPhases, collection.Len(), onTrack)
+				done, place.Phases, collection.Len(), collection.Reported(done))
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			p.results = append(p.results, e.Tuple)
-		}
+	err = collection.Scan(func(q tuple.Tuple) error {
+		p.results = append(p.results, q)
 		return nil
 	})
 	if p.env.Counters != nil {

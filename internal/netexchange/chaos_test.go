@@ -17,24 +17,11 @@ import (
 
 	"repro/internal/division"
 	"repro/internal/exec"
+	"repro/internal/leakcheck"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
-
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // hookScan wraps an operator and fires hook once, just before tuple `at` is
 // returned — the deterministic way to injure the exchange exactly mid-
@@ -116,7 +103,7 @@ func TestConnCloseMidDividend(t *testing.T) {
 			t.Fatalf("%v: error %v (%T) is not a WorkerError", strategy, err, err)
 		}
 		cl.Close()
-		waitGoroutines(t, goroutinesBefore)
+		leakcheck.Goroutines(t, goroutinesBefore)
 		if after := storage.LiveSpillFiles(); after != spillBefore {
 			t.Fatalf("%v: spill files leaked: %d before, %d after", strategy, spillBefore, after)
 		}
@@ -154,7 +141,7 @@ func TestCancelMidDividend(t *testing.T) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 	cl.Close()
-	waitGoroutines(t, goroutinesBefore)
+	leakcheck.Goroutines(t, goroutinesBefore)
 }
 
 // TestHelperServeWorker is not a test: it is the forked worker process body,
@@ -253,5 +240,5 @@ func TestForkedWorkerKillMidQuery(t *testing.T) {
 	if !errors.As(err, &we) {
 		t.Fatalf("error %v (%T) is not a WorkerError", err, err)
 	}
-	waitGoroutines(t, goroutinesBefore)
+	leakcheck.Goroutines(t, goroutinesBefore)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/division"
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/tuple"
@@ -25,31 +24,8 @@ const (
 	strategyDivisor  = byte(1)
 )
 
-// ShipMode selects the dividend shipping engine for phase C.
-type ShipMode int
-
-const (
-	// ShipPipelined (the default) overlaps the dividend scan, frame
-	// serialization, and the wire: morsel-driven producers feed per-link
-	// double-buffered shipper goroutines, so worker absorption runs
-	// concurrently with the coordinator's scan (DESIGN.md §15).
-	ShipPipelined ShipMode = iota
-	// ShipPhased is the strictly sequential single-goroutine shipper: one
-	// scan serializes and writes every link in turn. Kept as the measured
-	// baseline the latency sweep compares against.
-	ShipPhased
-)
-
-func (m ShipMode) String() string {
-	if m == ShipPhased {
-		return "phased"
-	}
-	return "pipelined"
-}
-
 // Config tunes a distributed division. The zero value of every field is
-// "use the default"; Strategy defaults to quotient partitioning and Ship to
-// pipelined shipping.
+// "use the default"; Strategy defaults to quotient partitioning.
 type Config struct {
 	Strategy division.PartitionStrategy
 	// BitVectorFilter ships the divisor-probe bit vector back from the
@@ -63,14 +39,7 @@ type Config struct {
 	BatchSize int
 	// HBS sizes worker hash tables (default 2).
 	HBS float64
-	// Ship selects the phase C engine; both modes produce identical
-	// per-link frame and byte totals (asserted by TestPipelinedMatchesPhased),
-	// only the overlap differs.
-	Ship ShipMode
-	// Producers bounds the morsel-scan goroutines of pipelined shipping;
-	// 0 picks GOMAXPROCS capped at 8.
-	Producers int
-	// MorselTuples is the work-queue grain of pipelined shipping; 0 picks
+	// MorselTuples is the work-queue grain of the dividend shuffle; 0 picks
 	// 4× the batch size.
 	MorselTuples int
 	// WorkerBudget, when positive, is shipped in every job header: each
@@ -123,33 +92,6 @@ func (e *WorkerError) Error() string {
 
 func (e *WorkerError) Unwrap() error { return e.Err }
 
-// firstErr implements first-error-wins propagation (the parallel package's
-// pattern): the first failure cancels the shared context so every other
-// participant unwinds, and their secondary errors are discarded.
-type firstErr struct {
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	err    error
-}
-
-func (f *firstErr) set(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-		f.cancel()
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
 // link is the coordinator's view of one worker connection. Each protocol
 // phase has exactly one goroutine touching a link, with barriers between
 // phases, so the plain stats fields need no synchronization.
@@ -161,7 +103,6 @@ type link struct {
 	stats       LinkStats
 	filterWords []uint64
 	filterWire  int64 // wire bytes of the filter frame
-	divBytes    int64 // wire bytes of dividend batch frames
 
 	tuplesOut int64 // divisor + dividend + collect tuples sent
 	tuplesIn  int64 // candidate + quotient tuples received
@@ -358,20 +299,6 @@ func (l *link) readQuotient(qs *tuple.Schema) error {
 	}
 }
 
-// collectDistinct reads the divisor once at the coordinator, eliminating
-// duplicates.
-func collectDistinct(ctx context.Context, sp division.Spec) ([]tuple.Tuple, error) {
-	tab := hashtab.NewForExpected(sp.Divisor.Schema(), 256, 2)
-	var out []tuple.Tuple
-	err := exec.ForEach(exec.NewContextScan(ctx, sp.Divisor), func(t tuple.Tuple) error {
-		if e, created := tab.GetOrInsert(t); created {
-			out = append(out, e.Tuple)
-		}
-		return nil
-	})
-	return out, err
-}
-
 // Divide runs one distributed division over the given worker links, one
 // worker per connection (each peer must be running ServeWorker). On success
 // the connections stay open for the next job; on failure — including
@@ -408,12 +335,6 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	if cfg.MorselTuples <= 0 {
 		cfg.MorselTuples = 4 * cfg.BatchSize
 	}
-	if cfg.Producers <= 0 {
-		cfg.Producers = runtime.GOMAXPROCS(0)
-		if cfg.Producers > 8 {
-			cfg.Producers = 8
-		}
-	}
 	if cfg.WorkerBudget < 0 {
 		cfg.WorkerBudget = 0
 	}
@@ -421,7 +342,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fe := &firstErr{cancel: cancel}
+	fe := parallel.NewFirstError(cancel)
 
 	// The watchdog is the no-hang guarantee: any failure (or caller
 	// cancellation) poisons every connection's blocked I/O with an already-
@@ -438,7 +359,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		}
 	}()
 
-	divisor, err := collectDistinct(ctx, sp)
+	divisor, err := parallel.DistinctDivisor(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -457,37 +378,13 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	ss := sp.Divisor.Schema()
 	qs := sp.QuotientSchema()
 
-	// Partition (or replicate) the divisor. Divisor partitioning numbers the
-	// non-empty clusters as phases, exactly like the in-process package: a
-	// candidate is in the quotient iff every phase reported it.
-	clusters := make([][]tuple.Tuple, nw)
-	phaseOf := make([]int, nw)
-	numPhases := 0
-	if strategy == strategyDivisor {
-		for _, d := range divisor {
-			c := int(tuple.HashBytes(d) % uint64(nw))
-			clusters[c] = append(clusters[c], d)
-		}
-		for i := range clusters {
-			if len(clusters[i]) > 0 {
-				phaseOf[i] = numPhases
-				numPhases++
-			} else {
-				phaseOf[i] = -1
-			}
-		}
-	} else {
-		for i := range clusters {
-			clusters[i] = divisor
-			phaseOf[i] = -1
-		}
-	}
+	// Replicate or cluster the divisor exactly like the in-process package:
+	// under divisor partitioning a candidate is in the quotient iff every
+	// phase reported it.
+	place := division.PlaceDivisor(divisor, cfg.Strategy, nw)
 	filterBits := 0
 	if cfg.BitVectorFilter {
-		filterBits = cfg.BitVectorBits
-		if filterBits <= 0 {
-			filterBits = 8*len(divisor) + 1
-		}
+		filterBits = division.FilterBits(cfg.BitVectorBits, len(divisor))
 	}
 
 	links := make([]*link, nw)
@@ -508,8 +405,8 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 			SendFilter:  cfg.BitVectorFilter && (strategy == strategyDivisor || i == 0),
 			WorkerID:    i,
 			Workers:     nw,
-			Phase:       phaseOf[i],
-			NumPhases:   numPhases,
+			Phase:       place.Phase[i],
+			NumPhases:   place.Phases,
 			FilterBits:  filterBits,
 			BatchSize:   cfg.BatchSize,
 			HBS:         cfg.HBS,
@@ -521,11 +418,11 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		wg.Add(1)
 		go func(l *link, j jobHeader, cluster []tuple.Tuple) {
 			defer wg.Done()
-			fe.set(l.wrap(l.openAndSeed(j, cluster, cfg.BatchSize)))
-		}(l, j, clusters[i])
+			fe.Set(l.wrap(l.openAndSeed(j, cluster, cfg.BatchSize)))
+		}(l, j, place.Clusters[i])
 	}
 	wg.Wait()
-	if ferr := fe.get(); ferr != nil {
+	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
 	}
 
@@ -545,29 +442,10 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		}
 	}
 
-	// Phase C: ship the dividend. Routing matches the in-process
-	// partitioner in both engines: quotient partitioning routes on the
-	// quotient attributes, divisor partitioning reuses the divisor hash
-	// that clustered the divisor. Pipelined shipping (the default)
-	// overlaps scan, serialization, and the wire; the phased engine keeps
-	// the strictly sequential shipper as the measured baseline. Per-link
-	// stats folding happens behind the engine's barrier either way, so
-	// LinkStats and NetworkStats are identical across the two.
-	routeCols := sp.QuotientCols()
-	if strategy == strategyDivisor {
-		routeCols = nil
-	}
-	rt := division.NewRouter(sp.Dividend.Schema(), sp.DivisorCols, routeCols, bv, nw)
-	var filtered int64
-	var shipErr error
-	if cfg.Ship == ShipPhased {
-		filtered, shipErr = shipDividendPhased(ctx, sp, cfg, links, rt, res)
-	} else {
-		filtered, shipErr = shipDividendPipelined(ctx, sp, cfg, links, rt, res, fe)
-	}
-	if shipErr != nil {
-		fe.set(shipErr)
-		return nil, fe.get()
+	// Phase C: ship the dividend through the in-process package's shuffle.
+	if err := shipDividend(ctx, sp, cfg, links, bv, res, fe); err != nil {
+		fe.Set(err)
+		return nil, fe.Err()
 	}
 
 	// Phase D, divisor partitioning only: gather every worker's phase-tagged
@@ -577,28 +455,28 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	if strategy == strategyDivisor {
 		pending := make([][][]tuple.Tuple, nw)
 		for d := range pending {
-			pending[d] = make([][]tuple.Tuple, numPhases)
+			pending[d] = make([][]tuple.Tuple, place.Phases)
 		}
 		for _, l := range links {
 			wg.Add(1)
 			go func(l *link) {
 				defer wg.Done()
-				fe.set(l.wrap(l.readCandidates(qs, phaseOf[l.id], pending)))
+				fe.Set(l.wrap(l.readCandidates(qs, place.Phase[l.id], pending)))
 			}(l)
 		}
 		wg.Wait()
-		if ferr := fe.get(); ferr != nil {
+		if ferr := fe.Err(); ferr != nil {
 			return nil, ferr
 		}
 		for i, l := range links {
 			wg.Add(1)
 			go func(l *link, byPhase [][]tuple.Tuple) {
 				defer wg.Done()
-				fe.set(l.wrap(l.shipCollect(qs, byPhase, cfg.BatchSize)))
+				fe.Set(l.wrap(l.shipCollect(qs, byPhase, cfg.BatchSize)))
 			}(l, pending[i])
 		}
 		wg.Wait()
-		if ferr := fe.get(); ferr != nil {
+		if ferr := fe.Err(); ferr != nil {
 			return nil, ferr
 		}
 	}
@@ -608,11 +486,11 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		wg.Add(1)
 		go func(l *link) {
 			defer wg.Done()
-			fe.set(l.wrap(l.readQuotient(qs)))
+			fe.Set(l.wrap(l.readQuotient(qs)))
 		}(l)
 	}
 	wg.Wait()
-	if ferr := fe.get(); ferr != nil {
+	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
 	}
 
@@ -623,7 +501,6 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		res.Network.TuplesShipped += l.tuplesOut + l.tuplesIn
 		res.Network.BytesShipped += l.stats.BytesOut + l.stats.BytesIn
 	}
-	res.Network.TuplesFiltered = filtered
 
 	var bytesOut, frames int64
 	for _, l := range links {
@@ -632,11 +509,11 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	}
 	obs.Default.Counter("net.bytes_out").Add(bytesOut)
 	obs.Default.Counter("net.frames").Add(frames)
-	obs.Default.Counter("net.filter_drops").Add(filtered)
+	obs.Default.Counter("net.filter_drops").Add(res.Network.TuplesFiltered)
 
 	if cfg.Progress != nil {
 		cfg.Progress("netexchange %s: %d workers, %d tuples / %d bytes on the wire, %d filtered",
-			cfg.Strategy, nw, res.Network.TuplesShipped, res.Network.BytesShipped, filtered)
+			cfg.Strategy, nw, res.Network.TuplesShipped, res.Network.BytesShipped, res.Network.TuplesFiltered)
 		for i, l := range links {
 			cfg.Progress("link %d: out %dB/%df in %dB/%df round-trips %d quotient %d",
 				i, l.stats.BytesOut, l.stats.FramesOut, l.stats.BytesIn, l.stats.FramesIn,
@@ -649,298 +526,125 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	return res, nil
 }
 
-// shipDividendPhased is the strictly sequential phase C engine: one
-// goroutine scans the dividend, drops filtered tuples before serialization,
-// and write-combines the rest into per-link frames; it is kept as the
-// overlap-free baseline. Arenas are released on every exit, error paths
-// included.
-func shipDividendPhased(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	rt division.Router, res *Result) (int64, error) {
-	ds := sp.Dividend.Schema()
-	shippers := make([]*frameBatcher, len(links))
-	for i, l := range links {
-		shippers[i] = newFrameBatcher(l.conn, ds, frameDividendBatch, 0, cfg.BatchSize)
-	}
-	var filtered int64
-	shipErr := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-		d, ok := rt.Dest(t)
-		if !ok {
-			filtered++
-			return nil
-		}
-		if err := shippers[d].add(t); err != nil {
-			return links[d].wrap(err)
-		}
-		return nil
+// linkDepth is how many full dividend batches may queue for one link writer:
+// enough to keep the writer busy while the producers route, few enough to
+// bound coordinator memory per link.
+const linkDepth = 4
+
+// shipDividend is phase C. The parallel package's Shuffle routes the
+// dividend — bit-vector filter first, then the partitioning hash — from
+// morsel producers (or its single fallback reader, for sources that hide
+// splitting) to one linkWriter per link, so the scan, serialization and the
+// wire overlap. Each writer is the only goroutine touching its connection;
+// its totals fold into the link once it has been joined, and the
+// dividendEnd frames follow that barrier.
+func shipDividend(ctx context.Context, sp division.Spec, cfg Config, links []*link,
+	bv *bitmap.Bitmap, res *Result, fe *parallel.FirstError) error {
+	sh := parallel.NewShuffle(sp, cfg.Strategy, bv, parallel.ShuffleOptions{
+		Sites:        len(links),
+		Depth:        linkDepth,
+		Producers:    min(runtime.GOMAXPROCS(0), 8),
+		BatchSize:    cfg.BatchSize,
+		MorselTuples: cfg.MorselTuples,
 	})
+	writers := make([]*linkWriter, len(links))
+	var wg sync.WaitGroup
 	for i, l := range links {
-		if shipErr == nil {
-			if err := shippers[i].flush(); err != nil {
-				shipErr = l.wrap(err)
-			}
-		}
-		l.foldBatcher(shippers[i])
-		l.divBytes = shippers[i].bytes
-		res.DividendBytes += shippers[i].bytes
-		shippers[i].release()
-		if shipErr == nil {
-			if err := l.control(FrameHeader{Type: frameDividendEnd}, nil); err != nil {
-				shipErr = l.wrap(err)
-			}
-		}
-	}
-	return filtered, shipErr
-}
-
-// linkShipper is one link's write pipeline in pipelined shipping: producers
-// append routed tuples into the current arena under a short lock; a full
-// arena is handed to the writer goroutine through a depth-1 channel while
-// the spare arena (double buffering) takes over, so serialization of the
-// next frame overlaps the wire write of the previous one. The writer is the
-// only goroutine touching the connection, preserving the single-writer
-// discipline of the phased protocol; its byte/frame/tuple totals fold into
-// the link only after it has been joined. Exactly like the phased batcher,
-// a full arena carries BatchSize tuples and the trailing partial ships
-// last, so frames-per-link and bytes-per-link are identical across engines.
-type linkShipper struct {
-	l    *link
-	size int
-
-	mu     sync.Mutex
-	cur    *exec.Batch
-	stalls int64 // arena hand-offs that blocked on the writer (backpressure)
-
-	full chan *exec.Batch
-	free chan *exec.Batch
-	wg   sync.WaitGroup
-
-	failed atomic.Bool
-	bytes  int64 // writer-goroutine private until wg.Wait
-	frames int64
-	tuples int64
-}
-
-func newLinkShipper(l *link, schema *tuple.Schema, size int) *linkShipper {
-	s := &linkShipper{
-		l:    l,
-		size: size,
-		cur:  exec.NewBatch(schema, size),
-		full: make(chan *exec.Batch, 1),
-		// Capacity 2 so the writer can always recycle both arenas without
-		// blocking, even after finish() has pushed the trailing partial.
-		free: make(chan *exec.Batch, 2),
-	}
-	s.free <- exec.NewBatch(schema, size)
-	return s
-}
-
-// start launches the writer goroutine. After a write error the writer keeps
-// draining and recycling arenas — producers must never hang on the free
-// channel — but stops touching the broken connection. A write failure after
-// the shared context was cancelled reports the cancellation, not the
-// poisoned-deadline noise the watchdog induced.
-func (s *linkShipper) start(ctx context.Context, fe *firstErr) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for b := range s.full {
-			if !s.failed.Load() && b.Len() > 0 {
-				n, err := writeRawFrame(s.l.conn, FrameHeader{
-					Type: frameDividendBatch, Count: uint32(b.Len()),
-				}, b.Raw())
-				if err != nil {
-					s.failed.Store(true)
-					if cerr := ctx.Err(); cerr != nil {
-						fe.set(cerr)
-					} else {
-						fe.set(s.l.wrap(err))
-					}
-				} else {
-					s.bytes += n
-					s.frames++
-					s.tuples += int64(b.Len())
-				}
-			}
-			b.Reset()
-			s.free <- b
-		}
-	}()
-}
-
-// add appends one routed tuple, handing the arena to the writer when full.
-// Safe for concurrent producers; a hand-off blocks only while both arenas
-// are ahead of the writer, which is the backpressure bounding coordinator
-// memory at two arenas per link.
-func (s *linkShipper) add(t tuple.Tuple) {
-	s.mu.Lock()
-	s.cur.Append(t)
-	if s.cur.Len() >= s.size {
-		b := s.cur
-		select {
-		case s.full <- b:
-		default:
-			s.stalls++
-			s.full <- b
-		}
-		s.cur = <-s.free
-	}
-	s.mu.Unlock()
-}
-
-// finish pushes the trailing partial arena and closes the pipeline. Call
-// only after every producer has stopped.
-func (s *linkShipper) finish() {
-	s.mu.Lock()
-	b := s.cur
-	s.cur = nil
-	s.mu.Unlock()
-	if b != nil {
-		s.full <- b
-	}
-	close(s.full)
-}
-
-// wait joins the writer; the shipper's totals are stable afterwards.
-func (s *linkShipper) wait() { s.wg.Wait() }
-
-// release returns the arenas to the batch pool. Call after wait.
-func (s *linkShipper) release() {
-	if s.cur != nil {
-		s.cur.Release()
-		s.cur = nil
-	}
-	for {
-		select {
-		case b := <-s.free:
-			b.Release()
-		default:
-			return
-		}
-	}
-}
-
-// shipDividendPipelined is the overlapped phase C engine: morsel producers
-// (exec.SplitMorsels over the dividend, with a single-scanner fallback for
-// sources that hide splitting) route tuples into per-link linkShippers whose
-// writer goroutines overlap serialization with the wire. Stats folding —
-// and the dividendEnd control frames — happen behind the producers+writers
-// barrier, so the accounting stays byte-identical to the phased engine.
-func shipDividendPipelined(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	rt division.Router, res *Result, fe *firstErr) (int64, error) {
-	ds := sp.Dividend.Schema()
-	shippers := make([]*linkShipper, len(links))
-	for i, l := range links {
-		shippers[i] = newLinkShipper(l, ds, cfg.BatchSize)
-		shippers[i].start(ctx, fe)
-	}
-
-	perTuple := func(t tuple.Tuple, dropped *int64) {
-		if d, ok := rt.Dest(t); ok {
-			shippers[d].add(t)
-		} else {
-			*dropped++
-		}
-	}
-
-	var filtered atomic.Int64
-	var producers sync.WaitGroup
-	nProducers := 1
-	morsels, splittable := exec.SplitMorsels(sp.Dividend, cfg.MorselTuples)
-	if splittable {
-		nProducers = cfg.Producers
-		if nProducers > len(morsels) {
-			nProducers = len(morsels)
-		}
-		if nProducers < 1 {
-			nProducers = 1
-		}
-		var next atomic.Int64
-		for p := 0; p < nProducers; p++ {
-			producers.Add(1)
-			go func() {
-				defer producers.Done()
-				scratch := exec.NewBatch(ds, cfg.BatchSize)
-				defer scratch.Release()
-				var dropped int64
-				defer func() { filtered.Add(dropped) }()
-				for {
-					if err := ctx.Err(); err != nil {
-						fe.set(err)
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(morsels) {
-						return
-					}
-					if i+1 < len(morsels) {
-						if pf, ok := morsels[i+1].(exec.Prefetchable); ok {
-							pf.Prefetch()
-						}
-					}
-					err := exec.DrainMorsel(morsels[i], scratch, func(b *exec.Batch) error {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						for k, bn := 0, b.Len(); k < bn; k++ {
-							perTuple(b.Tuple(k), &dropped)
-						}
-						return nil
-					})
-					if err != nil {
-						fe.set(err)
-						return
-					}
-				}
-			}()
-		}
-	} else {
-		// Wrappers that hide operator capabilities (instrumentation probes,
-		// fault injectors) fall back to one scanning producer; the per-link
-		// writers still overlap serialization with the wire.
-		producers.Add(1)
+		w := &linkWriter{l: l, size: cfg.BatchSize}
+		writers[i] = w
+		wg.Add(1)
 		go func() {
-			defer producers.Done()
-			var dropped int64
-			defer func() { filtered.Add(dropped) }()
-			err := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-				perTuple(t, &dropped)
-				return nil
-			})
-			fe.set(err)
+			defer wg.Done()
+			w.run(ctx, fe, sh, i)
 		}()
 	}
-	producers.Wait()
-
-	// Barrier: producers are done. Push the trailing partials, join every
-	// writer, then fold each shipper into its link — single-goroutine stats
-	// arithmetic, exactly like the phased engine's fold.
-	for _, s := range shippers {
-		s.finish()
+	st := sh.Run(ctx, fe)
+	wg.Wait()
+	sh.Release()
+	for _, w := range writers {
+		w.l.stats.BytesOut += w.bytes
+		w.l.stats.FramesOut += w.frames
+		w.l.tuplesOut += w.tuples
+		res.DividendBytes += w.bytes
 	}
-	var stalls int64
-	for i, s := range shippers {
-		s.wait()
-		l := links[i]
-		l.stats.BytesOut += s.bytes
-		l.stats.FramesOut += s.frames
-		l.tuplesOut += s.tuples
-		l.divBytes = s.bytes
-		res.DividendBytes += s.bytes
-		stalls += s.stalls
-		s.release()
-	}
-	if err := fe.get(); err != nil {
-		return filtered.Load(), err
+	res.Network.TuplesFiltered = st.Filtered
+	if err := fe.Err(); err != nil {
+		return err
 	}
 	for _, l := range links {
 		if err := l.control(FrameHeader{Type: frameDividendEnd}, nil); err != nil {
-			return filtered.Load(), l.wrap(err)
+			return l.wrap(err)
 		}
 	}
-	obs.Default.Counter("net.pipeline.producers").Add(int64(nProducers))
-	obs.Default.Counter("net.pipeline.morsels").Add(int64(len(morsels)))
-	obs.Default.Counter("net.pipeline.stalls").Add(stalls)
-	return filtered.Load(), nil
+	obs.Default.Counter("net.pipeline.producers").Add(int64(st.Producers))
+	obs.Default.Counter("net.pipeline.morsels").Add(int64(st.Morsels))
+	obs.Default.Counter("net.pipeline.stalls").Add(st.Stalls)
+	return nil
+}
+
+// linkWriter writes one link's share of the shuffled dividend. A full batch
+// goes out as one zero-copy frame. Each producer's trailing partial batch is
+// merged with the others into full frames first, so the link carries
+// ceil(tuples/BatchSize) dividend frames however many producers routed to
+// it. After a write error the writer keeps draining and recycling batches —
+// a producer must never block on a dead link — but stops touching the
+// connection.
+type linkWriter struct {
+	l      *link
+	size   int
+	failed bool
+
+	bytes, frames, tuples int64 // writer-private until joined
+}
+
+func (w *linkWriter) run(ctx context.Context, fe *parallel.FirstError, sh *parallel.Shuffle, dest int) {
+	var pend *exec.Batch // merged partial batches, short of a full frame
+	for b := range sh.Dest(dest) {
+		switch {
+		case b.Len() == w.size:
+			w.write(ctx, fe, b)
+		case pend == nil:
+			pend = b
+			continue
+		default:
+			for i, n := 0, b.Len(); i < n; i++ {
+				pend.Append(b.Tuple(i))
+				if pend.Len() == w.size {
+					w.write(ctx, fe, pend)
+					pend.Reset()
+				}
+			}
+		}
+		sh.Recycle(b)
+	}
+	if pend != nil {
+		if pend.Len() > 0 {
+			w.write(ctx, fe, pend)
+		}
+		sh.Recycle(pend)
+	}
+}
+
+// write sends b as one dividend frame. A failure after the shared context
+// was cancelled reports the cancellation, not the poisoned-deadline noise
+// the watchdog induced.
+func (w *linkWriter) write(ctx context.Context, fe *parallel.FirstError, b *exec.Batch) {
+	if w.failed {
+		return
+	}
+	n, err := writeRawFrame(w.l.conn, FrameHeader{Type: frameDividendBatch, Count: uint32(b.Len())}, b.Raw())
+	if err != nil {
+		w.failed = true
+		if cerr := ctx.Err(); cerr != nil {
+			fe.Set(cerr)
+		} else {
+			fe.Set(w.l.wrap(err))
+		}
+		return
+	}
+	w.bytes += n
+	w.frames++
+	w.tuples += int64(b.Len())
 }
 
 // Cluster is a set of goroutine-hosted workers reachable over TCP loopback —

@@ -11,7 +11,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/division"
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -41,8 +40,9 @@ func (e *RemoteError) Unwrap() error {
 }
 
 // frameBatcher packs tuples into exec.Batch arenas and flushes each full
-// arena as one zero-copy frame — the write-combining stage of both the
-// coordinator's dividend shuffle and the worker's result emission.
+// arena as one zero-copy frame — the write-combining stage of the
+// coordinator's divisor and collect rounds and of the worker's result
+// emission.
 type frameBatcher struct {
 	w     io.Writer
 	b     *exec.Batch
@@ -274,7 +274,7 @@ func collectAndEmit(conn net.Conn, fr *frameReader, qs *tuple.Schema, divisorCou
 	if j.NumPhases <= 0 {
 		return fmt.Errorf("%w: divisor partitioning with %d phases", ErrCorruptFrame, j.NumPhases)
 	}
-	collection := hashtab.NewForExpected(qs, 256, j.HBS)
+	collection := division.NewPhaseCollector(qs, j.NumPhases, 256, j.HBS)
 	recv := exec.NewBatch(qs, j.BatchSize)
 collect:
 	for {
@@ -294,11 +294,7 @@ collect:
 				return err
 			}
 			for i, n := 0, recv.Len(); i < n; i++ {
-				e, created := collection.GetOrInsert(recv.Tuple(i))
-				if created {
-					e.Bits = bitmap.New(j.NumPhases)
-				}
-				e.Bits.Set(int(h.Phase))
+				collection.Add(recv.Tuple(i), int(h.Phase))
 			}
 		case frameCollectEnd:
 			break collect
@@ -314,19 +310,13 @@ collect:
 
 	out := newFrameBatcher(conn, qs, frameQuotientBatch, 0, j.BatchSize)
 	defer out.release()
-	err := collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			return out.add(e.Tuple)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := collection.Scan(out.add); err != nil {
 		return err
 	}
 	if err := out.flush(); err != nil {
 		return err
 	}
-	_, err = writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
+	_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
 		appendWorkerStats(nil, dividendTuples, divisorCount, out.tuples))
 	return err
 }
@@ -393,8 +383,9 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 		}
 	}()
 
-	// The coordinator ships the divisor already distinct (collectDistinct),
-	// so the spooled count is the distinct count the stats report.
+	// The coordinator ships the divisor already distinct
+	// (parallel.DistinctDivisor), so the spooled count is the distinct count
+	// the stats report.
 	divisorCount, err := spoolFrames(fr, divisorFile, ss, frameDivisorBatch, frameDivisorEnd,
 		j.BatchSize, func(t tuple.Tuple) {
 			if bv != nil {

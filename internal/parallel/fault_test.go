@@ -10,6 +10,7 @@ import (
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -17,23 +18,6 @@ import (
 var strategies = []division.PartitionStrategy{
 	division.QuotientPartitioning,
 	division.DivisorPartitioning,
-}
-
-// assertNoLeakedGoroutines waits for the goroutine count to return to the
-// baseline; workers unwinding after a failure need a moment to observe the
-// cancelled context.
-func assertNoLeakedGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // TestFaultInDividendPropagates injects a failure mid-dividend for both
@@ -50,7 +34,7 @@ func TestFaultInDividendPropagates(t *testing.T) {
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("injected dividend fault not propagated: %v", err)
 			}
-			assertNoLeakedGoroutines(t, before)
+			leakcheck.Goroutines(t, before)
 		})
 	}
 }
@@ -68,7 +52,7 @@ func TestFaultInDivisorPropagates(t *testing.T) {
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("injected divisor fault not propagated: %v", err)
 			}
-			assertNoLeakedGoroutines(t, before)
+			leakcheck.Goroutines(t, before)
 		})
 	}
 }
@@ -122,7 +106,7 @@ func TestDivideContextCancellation(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Fatal("cancelled division did not terminate promptly")
 			}
-			assertNoLeakedGoroutines(t, before)
+			leakcheck.Goroutines(t, before)
 		})
 	}
 }
@@ -137,7 +121,7 @@ func TestDivideContextTimeout(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out division returned %v", err)
 	}
-	assertNoLeakedGoroutines(t, before)
+	leakcheck.Goroutines(t, before)
 }
 
 // panicScan panics after emitting `after` tuples, exercising panic recovery
@@ -176,7 +160,7 @@ func TestPanicInDividendBecomesError(t *testing.T) {
 			if len(pe.Stack) == 0 {
 				t.Error("panic error lost its stack trace")
 			}
-			assertNoLeakedGoroutines(t, before)
+			leakcheck.Goroutines(t, before)
 		})
 	}
 }

@@ -1,14 +1,13 @@
-// Morsel-driven dividend absorption (DESIGN.md §9). The legacy data path
-// routes the whole dividend through one coordinator goroutine — scan, filter,
-// partition, pack — so adding workers only parallelizes the absorb half of
-// the pipeline. Here the dividend is split into morsels (page ranges for
-// table scans, tuple-slice chunks for memory scans) that producer goroutines
-// pull from a shared work-stealing queue; each producer partitions its
-// morsels locally into per-destination write-combining exec.Batch buffers and
-// ships them worker-to-worker, so no single goroutine ever touches every
-// tuple. A second, shared-memory path skips the exchange entirely: all
-// workers absorb morsels into one division.SharedTable whose bitmap bits are
-// set with atomic CAS.
+// Morsel-driven dividend exchange (DESIGN.md §9). The dividend is split into
+// morsels (page ranges for table scans, tuple-slice chunks for memory scans)
+// that producer goroutines pull from a shared work-stealing queue; each
+// producer partitions its morsels locally into per-destination
+// write-combining exec.Batch buffers and ships them to the destinations, so
+// no single goroutine ever touches every tuple. This Shuffle is the one
+// dividend exchange of the repository: the in-process workers below and
+// netexchange's per-link frame writers both consume it. A second,
+// shared-memory path skips the exchange entirely: all workers absorb morsels
+// into one division.SharedTable whose bitmap bits are set with atomic CAS.
 //
 // (Package documentation lives in parallel.go.)
 
@@ -46,27 +45,26 @@ type morselSource struct {
 }
 
 // newMorselSource splits the dividend, falling back to a reader goroutine
-// (registered on wg, reporting into fe) for non-splittable sources. root
+// (registered on wg, reporting into fe) for non-splittable sources. span
 // gets a note either way so EXPLAIN ANALYZE shows which input path ran.
 func newMorselSource(ctx context.Context, dividend exec.Operator, morselTuples, channelDepth int,
-	wg *sync.WaitGroup, fe *firstError, root *obs.Span) *morselSource {
+	wg *sync.WaitGroup, fe *FirstError, span *obs.Span) *morselSource {
 	src := &morselSource{}
 	if ops, ok := exec.SplitMorsels(dividend, morselTuples); ok {
 		src.ops = ops
-		if root != nil {
-			root.Notef("morsels=%d grain=%d", len(ops), morselTuples)
+		if span != nil {
+			span.Notef("morsels=%d grain=%d", len(ops), morselTuples)
 		}
-		obs.Default.Counter("parallel.morsels").Add(int64(len(ops)))
 		return src
 	}
-	if root != nil {
-		root.Notef("morsels=fallback-reader (dividend not splittable)")
+	if span != nil {
+		span.Notef("morsels=fallback-reader (dividend not splittable)")
 	}
 	src.ch = make(chan *exec.Batch, channelDepth)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		fe.set(runFallbackReader(ctx, dividend, morselTuples, src.ch))
+		fe.Set(runFallbackReader(ctx, dividend, morselTuples, src.ch))
 	}()
 	return src
 }
@@ -86,6 +84,38 @@ func (s *morselSource) take() exec.BatchOperator {
 		}
 	}
 	return s.ops[i]
+}
+
+// drain feeds sink every batch this goroutine claims: whole morsels from the
+// queue, then, for a non-splittable dividend, the fallback reader's batches
+// until it closes its channel. sink must not retain a batch.
+func (s *morselSource) drain(ctx context.Context, scratch *exec.Batch, sink func(*exec.Batch) error) error {
+	for op := s.take(); op != nil; op = s.take() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := exec.DrainMorsel(op, scratch, sink); err != nil {
+			return err
+		}
+	}
+	if s.ch == nil {
+		return nil
+	}
+	for {
+		select {
+		case b, ok := <-s.ch:
+			if !ok {
+				return nil
+			}
+			err := sink(b)
+			b.Release()
+			if err != nil {
+				return err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // runFallbackReader streams a non-splittable dividend onto ch as owned
@@ -123,165 +153,226 @@ func runFallbackReader(ctx context.Context, dividend exec.Operator, morselTuples
 	}
 }
 
-// partitioner is one goroutine's software write-combining stage: route each
-// tuple (bit-vector filter, then hash on the partitioning columns), append it
-// to the destination's private exec.Batch buffer, and flush the buffer as one
-// channel send when it reaches batchSize. Routing is a division.Router, so
-// both hashes are compiled once per partitioner. Network accounting
-// accumulates in private counters and folds into the shared NetworkStats
-// once, in finish — identical totals to the coordinator path, without
-// per-tuple atomics.
-type partitioner struct {
-	ds        *tuple.Schema
-	rt        division.Router
-	width     int64
-	workers   []*worker
-	batchSize int
-	batches   []*exec.Batch
-
-	shipped, bytes, filtered int64
+// ShuffleOptions size a Shuffle; every count must be positive.
+type ShuffleOptions struct {
+	Sites        int // destinations
+	Depth        int // batches each destination channel (and the fallback reader's) buffers
+	Producers    int // producer goroutines; never more than there are morsels
+	BatchSize    int // tuples per shipped batch
+	MorselTuples int // morsel grain, and the fallback reader's batch size
+	// Span, when set, gets a note naming the input path that ran.
+	Span *obs.Span
 }
 
-func newPartitioner(sp division.Spec, workers []*worker, cols []int, bv *bitmap.Bitmap, batchSize int) *partitioner {
-	ds := sp.Dividend.Schema()
-	p := &partitioner{
-		ds:        ds,
-		rt:        division.NewRouter(ds, sp.DivisorCols, cols, bv, len(workers)),
-		width:     int64(ds.Width()),
-		workers:   workers,
-		batchSize: batchSize,
-		batches:   make([]*exec.Batch, len(workers)),
-	}
-	for i := range p.batches {
-		p.batches[i] = exec.NewBatch(ds, batchSize)
-	}
-	return p
+// ShuffleStats is a finished shuffle's traffic.
+type ShuffleStats struct {
+	Shipped   int64 // dividend tuples sent to a destination
+	Filtered  int64 // dividend tuples the bit-vector filter dropped
+	Morsels   int   // morsels the dividend split into; 0 on the fallback reader
+	Producers int   // producer goroutines that ran
+	Stalls    int64 // sends that found their destination's channel full
 }
 
-// flush sends destination i's buffer. Every send selects against ctx.Done():
-// if a worker dies its channel stops draining, and an unconditional send
-// would deadlock the sender.
-func (p *partitioner) flush(ctx context.Context, i int) error {
-	if p.batches[i].Len() == 0 {
-		return nil
+// Shuffle ships a dividend to the sites of a partitioned division. Producer
+// goroutines pull morsels (or the fallback reader's batches), route every
+// tuple through a division.Router — bit-vector filter first, then the
+// partitioning hash — and write-combine it into a private exec.Batch per
+// destination; a batch that reaches BatchSize goes to its destination's
+// channel in one send, and each producer's trailing partial batches follow
+// when its input runs dry. A consumer drains Dest(i) and hands every
+// batch back through Recycle, so batches circulate through a free list
+// instead of being allocated per send.
+type Shuffle struct {
+	ds       *tuple.Schema
+	dividend exec.Operator
+	rt       division.Router
+	opts     ShuffleOptions
+	dests    []chan *exec.Batch
+	free     chan *exec.Batch
+}
+
+// NewShuffle prepares the shuffle of sp's dividend under strategy; filter
+// may be nil.
+func NewShuffle(sp division.Spec, strategy division.PartitionStrategy, filter *bitmap.Bitmap, opts ShuffleOptions) *Shuffle {
+	s := &Shuffle{
+		ds:       sp.Dividend.Schema(),
+		dividend: sp.Dividend,
+		rt:       division.NewRouter(sp, strategy, filter, opts.Sites),
+		opts:     opts,
+		dests:    make([]chan *exec.Batch, opts.Sites),
+		// Room for every batch that can be in flight at once: one buffer
+		// per producer and destination, a full channel, and the one each
+		// consumer holds.
+		free: make(chan *exec.Batch, opts.Sites*(opts.Producers+opts.Depth+1)),
 	}
+	for i := range s.dests {
+		s.dests[i] = make(chan *exec.Batch, opts.Depth)
+	}
+	return s
+}
+
+// Dest is destination i's batch stream; Run closes it once every producer
+// has finished.
+func (s *Shuffle) Dest(i int) <-chan *exec.Batch { return s.dests[i] }
+
+// Recycle hands a consumed batch back for reuse.
+func (s *Shuffle) Recycle(b *exec.Batch) {
+	b.Reset()
 	select {
-	case p.workers[i].in <- p.batches[i]:
-		p.batches[i] = exec.NewBatch(p.ds, p.batchSize)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case s.free <- b:
+	default:
+		b.Release()
 	}
 }
 
-// route processes one dividend tuple. Tuples this goroutine ships to its own
-// consumer count as shipped all the same: the accounting models the
-// interconnect of a shared-nothing system (§6), where self-delivery is not
-// observable to the cost model, and it keeps Stats identical across paths.
-func (p *partitioner) route(ctx context.Context, t tuple.Tuple) error {
-	d, ok := p.rt.Dest(t)
-	if !ok {
-		p.filtered++
-		return nil
+// batch returns an empty batch, recycled when one is free.
+func (s *Shuffle) batch() *exec.Batch {
+	select {
+	case b := <-s.free:
+		return b
+	default:
+		return exec.NewBatch(s.ds, s.opts.BatchSize)
 	}
-	p.shipped++
-	p.bytes += p.width
-	p.batches[d].Append(t)
-	if p.batches[d].Len() >= p.batchSize {
-		return p.flush(ctx, d)
-	}
-	return nil
 }
 
-// finish flushes every non-empty buffer (even after an upstream error —
-// cancellation makes the flush fail fast rather than deadlock), releases the
-// arenas, and folds the local traffic counters into net. It returns the
-// first error among err and the flushes.
-func (p *partitioner) finish(ctx context.Context, err error, net *NetworkStats) error {
-	for i := range p.batches {
-		if ferr := p.flush(ctx, i); err == nil {
-			err = ferr
+// Run ships the whole dividend and closes every destination channel. It
+// returns once every producer (and the fallback reader, if any) has
+// finished; failures go to fe, which cancels ctx and unwinds the rest, so
+// the consumers must stop at ctx.Done as well. The stats are exact only when
+// fe holds no error.
+func (s *Shuffle) Run(ctx context.Context, fe *FirstError) ShuffleStats {
+	var wg sync.WaitGroup
+	src := newMorselSource(ctx, s.dividend, s.opts.MorselTuples, s.opts.Depth, &wg, fe, s.opts.Span)
+	producers := s.opts.Producers
+	if src.ch == nil {
+		producers = max(1, min(producers, len(src.ops)))
+	}
+	parts := make([]*partitioner, producers)
+	for i := range parts {
+		p := &partitioner{s: s, batches: make([]*exec.Batch, len(s.dests))}
+		for d := range p.batches {
+			p.batches[d] = s.batch()
 		}
-		// Either freshly emptied by flush or never sent (cancellation): in
-		// both cases this goroutine still owns the batch.
-		p.batches[i].Release()
+		parts[i] = p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fe.Set(p.run(ctx, src))
+		}()
 	}
-	atomic.AddInt64(&net.TuplesShipped, p.shipped)
-	atomic.AddInt64(&net.BytesShipped, p.bytes)
-	atomic.AddInt64(&net.TuplesFiltered, p.filtered)
-	return err
+	wg.Wait()
+	for _, d := range s.dests {
+		close(d)
+	}
+	st := ShuffleStats{Morsels: len(src.ops), Producers: producers}
+	for _, p := range parts {
+		st.Shipped += p.shipped
+		st.Filtered += p.filtered
+		st.Stalls += p.stalls
+	}
+	return st
 }
 
-// runProducer is one worker's producing half: pull morsels (or fallback
-// batches) until the source is dry, partitioning every tuple through the
-// write-combining buffers.
-func runProducer(ctx context.Context, src *morselSource, p *partitioner, net *NetworkStats, morselTuples int) (err error) {
+// Release returns every batch still parked in a destination channel or on
+// the free list to the batch pool. Call it after Run, once the consumers
+// have stopped.
+func (s *Shuffle) Release() {
+	for _, d := range s.dests {
+		for b := range d {
+			b.Release()
+		}
+	}
+	for {
+		select {
+		case b := <-s.free:
+			b.Release()
+		default:
+			return
+		}
+	}
+}
+
+// partitioner is one producer's software write-combining stage. Its traffic
+// counters are private and fold into ShuffleStats after the producers are
+// joined, so routing needs no per-tuple atomics.
+type partitioner struct {
+	s       *Shuffle
+	batches []*exec.Batch
+
+	shipped, filtered, stalls int64
+}
+
+// run routes every batch the producer claims, then ships its trailing
+// partial batches.
+func (p *partitioner) run(ctx context.Context, src *morselSource) (err error) {
 	defer exec.RecoverPanic(&err)
-	scratch := exec.NewBatch(p.ds, morselTuples)
+	scratch := exec.NewBatch(p.s.ds, p.s.opts.MorselTuples)
 	defer scratch.Release()
-	routeBatch := func(b *exec.Batch) error {
+	err = src.drain(ctx, scratch, func(b *exec.Batch) error {
 		for i, n := 0, b.Len(); i < n; i++ {
 			if err := p.route(ctx, b.Tuple(i)); err != nil {
 				return err
 			}
 		}
 		return ctx.Err()
-	}
-	err = func() error {
-		for {
-			op := src.take()
-			if op == nil {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := exec.DrainMorsel(op, scratch, routeBatch); err != nil {
-				return err
-			}
-		}
-		if src.ch == nil {
-			return nil
-		}
-		for {
-			select {
-			case b, ok := <-src.ch:
-				if !ok {
-					return nil
-				}
-				rerr := routeBatch(b)
-				b.Release()
-				if rerr != nil {
-					return rerr
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-	}()
-	return p.finish(ctx, err, net)
+	})
+	return p.finish(ctx, err)
 }
 
-// shipDividendMorsels is the morsel-driven replacement for shipDividend: one
-// producer goroutine per worker, all pulling from a shared morsel queue. It
-// returns once every producer (and the fallback reader, if any) has finished;
-// errors propagate through fe, which cancels ctx and unwinds the rest.
-func shipDividendMorsels(ctx context.Context, sp division.Spec, workers []*worker, cols []int,
-	bv *bitmap.Bitmap, cfg Config, net *NetworkStats, root *obs.Span, fe *firstError) {
-	morselTuples := cfg.MorselTuples
-	if morselTuples <= 0 {
-		morselTuples = defaultMorselTuples
+// route processes one dividend tuple. Tuples a producer ships to its own
+// consumer count as shipped all the same: the accounting models the
+// interconnect of a shared-nothing system (§6), where self-delivery is not
+// observable to the cost model.
+func (p *partitioner) route(ctx context.Context, t tuple.Tuple) error {
+	d, ok := p.s.rt.Dest(t)
+	if !ok {
+		p.filtered++
+		return nil
 	}
-	var wg sync.WaitGroup
-	src := newMorselSource(ctx, sp.Dividend, morselTuples, cfg.ChannelDepth, &wg, fe, root)
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fe.set(runProducer(ctx, src, newPartitioner(sp, workers, cols, bv, cfg.BatchSize), net, morselTuples))
-		}()
+	p.shipped++
+	b := p.batches[d]
+	b.Append(t)
+	if b.Len() < p.s.opts.BatchSize {
+		return nil
 	}
-	wg.Wait()
+	if err := p.send(ctx, d, b); err != nil {
+		return err
+	}
+	p.batches[d] = p.s.batch()
+	return nil
+}
+
+// send hands b to destination d, counting a stall when the channel is full.
+// The blocking send selects against ctx.Done(): a consumer that died stops
+// draining, and an unconditional send would deadlock the producer.
+func (p *partitioner) send(ctx context.Context, d int, b *exec.Batch) error {
+	select {
+	case p.s.dests[d] <- b:
+		return nil
+	default:
+	}
+	p.stalls++
+	select {
+	case p.s.dests[d] <- b:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// finish ships the non-empty buffers unless the producer already failed,
+// and gives back every buffer it still owns. It returns the first error
+// among err and the sends.
+func (p *partitioner) finish(ctx context.Context, err error) error {
+	for d, b := range p.batches {
+		if err == nil && b.Len() > 0 {
+			if err = p.send(ctx, d, b); err == nil {
+				continue
+			}
+		}
+		p.s.Recycle(b)
+	}
+	return err
 }
 
 // runSharedAbsorb is a worker's absorb phase on the shared-table path: pull
@@ -301,40 +392,10 @@ func (w *worker) runSharedAbsorb(ctx context.Context, ds *tuple.Schema, st *divi
 	}()
 	scratch := exec.NewBatch(ds, morselTuples)
 	defer scratch.Release()
-	absorb := func(b *exec.Batch) error {
+	return src.drain(ctx, scratch, func(b *exec.Batch) error {
 		st.AbsorbBatch(b, &stats)
 		return ctx.Err()
-	}
-	for {
-		op := src.take()
-		if op == nil {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := exec.DrainMorsel(op, scratch, absorb); err != nil {
-			return err
-		}
-	}
-	if src.ch == nil {
-		return nil
-	}
-	for {
-		select {
-		case b, ok := <-src.ch:
-			if !ok {
-				return nil
-			}
-			aerr := absorb(b)
-			b.Release()
-			if aerr != nil {
-				return aerr
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	})
 }
 
 // scanSharedQuotient is a worker's share of step 3: scan buckets [lo, hi) of
@@ -366,9 +427,9 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config) (*Resu
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fe := &firstError{cancel: cancel}
+	fe := NewFirstError(cancel)
 
-	divisor, err := collectDistinctDivisor(ctx, sp)
+	divisor, err := DistinctDivisor(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -382,10 +443,6 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config) (*Resu
 		return nil, err
 	}
 
-	morselTuples := cfg.MorselTuples
-	if morselTuples <= 0 {
-		morselTuples = defaultMorselTuples
-	}
 	root := strategySpan(cfg)
 	if root != nil {
 		root.Notef("path=shared-table divisor=%d buckets=%d", st.DivisorCount(), st.NumBuckets())
@@ -400,16 +457,17 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config) (*Resu
 	}
 
 	var wg sync.WaitGroup
-	src := newMorselSource(ctx, sp.Dividend, morselTuples, cfg.ChannelDepth, &wg, fe, root)
+	src := newMorselSource(ctx, sp.Dividend, cfg.MorselTuples, cfg.ChannelDepth, &wg, fe, root)
+	obs.Default.Counter("parallel.morsels").Add(int64(len(src.ops)))
 	for _, w := range workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			fe.set(w.runSharedAbsorb(ctx, ds, st, src, morselTuples))
+			fe.Set(w.runSharedAbsorb(ctx, ds, st, src, cfg.MorselTuples))
 		}(w)
 	}
 	wg.Wait() // the happens-before edge making plain bitmap reads safe below
-	if ferr := fe.get(); ferr != nil {
+	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
 	}
 
@@ -425,11 +483,11 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config) (*Resu
 		scanWG.Add(1)
 		go func(w *worker, lo, hi int) {
 			defer scanWG.Done()
-			fe.set(w.scanSharedQuotient(ctx, st, lo, hi))
+			fe.Set(w.scanSharedQuotient(ctx, st, lo, hi))
 		}(w, lo, hi)
 	}
 	scanWG.Wait()
-	if ferr := fe.get(); ferr != nil {
+	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
 	}
 

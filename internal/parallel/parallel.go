@@ -25,12 +25,11 @@
 // is morsel-driven: the dividend splits into independently scannable morsels
 // that per-worker producer goroutines pull from a shared queue, partition
 // through write-combining buffers, and ship worker-to-worker — no single
-// goroutine touches every tuple (see morsel.go). PathCoordinator keeps the
-// legacy single-coordinator shuffle for comparison, and PathSharedTable
-// replaces the exchange entirely with one shared quotient table updated by
-// atomic CAS (single-node fast path). All paths produce identical quotients
-// and identical NetworkStats for the same Config (PathSharedTable ships
-// nothing, by construction).
+// goroutine touches every tuple (see morsel.go). That Shuffle is also the
+// dividend exchange of package netexchange, whose link writers consume it
+// instead of workers. PathSharedTable replaces the exchange entirely with one
+// shared quotient table updated by atomic CAS (single-node fast path); it
+// ships nothing, by construction.
 package parallel
 
 import (
@@ -56,9 +55,6 @@ const (
 	// partitioned through write-combining buffers and shipped
 	// worker-to-worker with no central coordinator on the data path.
 	PathMorsel Path = iota
-	// PathCoordinator is the legacy data path: a single coordinator
-	// goroutine scans, filters, partitions, and ships every dividend tuple.
-	PathCoordinator
 	// PathSharedTable is the single-node fast path: workers absorb morsels
 	// into one shared quotient table (atomic-CAS chains and bitmap bits)
 	// instead of exchanging tuples. Requires quotient partitioning — the
@@ -71,8 +67,6 @@ func (p Path) String() string {
 	switch p {
 	case PathMorsel:
 		return "morsel"
-	case PathCoordinator:
-		return "coordinator"
 	case PathSharedTable:
 		return "shared-table"
 	default:
@@ -111,8 +105,7 @@ type Config struct {
 	// sender packs a destination's tuples into one exec.Batch arena per
 	// send. Per-tuple and per-byte network statistics are unaffected.
 	BatchSize int
-	// MorselTuples is the morsel grain for PathMorsel and PathSharedTable
-	// (default 4096 tuples); ignored by PathCoordinator.
+	// MorselTuples is the morsel grain (default 4096 tuples).
 	MorselTuples int
 	// ExpectedQuotient sizes the shared quotient table for PathSharedTable
 	// (default 4096 buckets when 0); a wrong estimate costs chain length,
@@ -174,7 +167,7 @@ func (cfg Config) Validate() error {
 		return &ConfigError{Field: "Strategy", Value: cfg.Strategy, Reason: "unknown partitioning strategy"}
 	}
 	switch cfg.Path {
-	case PathMorsel, PathCoordinator, PathSharedTable:
+	case PathMorsel, PathSharedTable:
 	default:
 		return &ConfigError{Field: "Path", Value: cfg.Path, Reason: "unknown data path"}
 	}
@@ -204,7 +197,7 @@ func (cfg Config) Validate() error {
 }
 
 // DivideContext is Divide under a context: cancellation (or a timeout on
-// ctx) stops the coordinator and every worker promptly, the first error wins
+// ctx) stops the producers and every worker promptly, the first error wins
 // — later cancellation-induced errors never mask the root cause — and no
 // goroutine or quotient memory outlives the call. A panic in a worker is
 // recovered into an *exec.PanicError and treated like any other failure.
@@ -230,13 +223,10 @@ func DivideContext(ctx context.Context, sp division.Spec, cfg Config) (*Result, 
 	cfg.Progress = obs.SerializeProgress(cfg.Progress)
 	var res *Result
 	var err error
-	switch {
-	case cfg.Path == PathSharedTable:
+	if cfg.Path == PathSharedTable {
 		res, err = divideSharedTable(ctx, sp, cfg)
-	case cfg.Strategy == division.QuotientPartitioning:
-		res, err = divideQuotientPartitioned(ctx, sp, cfg)
-	default:
-		res, err = divideDivisorPartitioned(ctx, sp, cfg)
+	} else {
+		res, err = divideExchange(ctx, sp, cfg)
 	}
 	obs.Default.Counter("parallel.divisions").Inc()
 	if err != nil {
@@ -274,16 +264,22 @@ func report(cfg Config, res *Result, workers []*worker) {
 	}
 }
 
-// firstError implements first-error-wins propagation: the first failure is
+// FirstError implements first-error-wins propagation: the first failure is
 // recorded and cancels the shared context so every other participant unwinds;
 // their secondary errors (usually context.Canceled) are discarded.
-type firstError struct {
+type FirstError struct {
 	cancel context.CancelFunc
 	mu     sync.Mutex
 	err    error
 }
 
-func (f *firstError) set(err error) {
+// NewFirstError records the first failure and calls cancel on it.
+func NewFirstError(cancel context.CancelFunc) *FirstError {
+	return &FirstError{cancel: cancel}
+}
+
+// Set records err unless it is nil or a failure was already recorded.
+func (f *FirstError) Set(err error) {
 	if err == nil {
 		return
 	}
@@ -295,15 +291,16 @@ func (f *firstError) set(err error) {
 	f.mu.Unlock()
 }
 
-func (f *firstError) get() error {
+// Err returns the first recorded failure, or nil.
+func (f *FirstError) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.err
 }
 
-// collectDistinctDivisor reads the divisor once at the coordinator,
-// eliminating duplicates.
-func collectDistinctDivisor(ctx context.Context, sp division.Spec) ([]tuple.Tuple, error) {
+// DistinctDivisor reads the divisor once at the coordinator, eliminating
+// duplicates.
+func DistinctDivisor(ctx context.Context, sp division.Spec) ([]tuple.Tuple, error) {
 	ss := sp.Divisor.Schema()
 	tab := hashtab.NewForExpected(ss, 256, 2)
 	var out []tuple.Tuple
@@ -318,10 +315,7 @@ func collectDistinctDivisor(ctx context.Context, sp division.Spec) ([]tuple.Tupl
 
 // buildBitVector hashes every divisor tuple into a Babb filter.
 func buildBitVector(divisor []tuple.Tuple, bits int) *bitmap.Bitmap {
-	if bits <= 0 {
-		bits = 8*len(divisor) + 1
-	}
-	bv := bitmap.New(bits)
+	bv := bitmap.New(division.FilterBits(bits, len(divisor)))
 	for _, d := range divisor {
 		division.SetFilterBit(bv, d)
 	}
@@ -333,12 +327,11 @@ func buildBitVector(divisor []tuple.Tuple, bits int) *bitmap.Bitmap {
 // statistics are still exact). Config.BatchSize overrides it.
 const shuffleBatch = 128
 
-// worker consumes dividend batches from its channel, runs local
-// hash-division, and appends its quotient to out. Received batches are
-// Released after absorption so their arenas recycle through the shared pool.
+// worker consumes dividend batches from its shuffle destination, runs local
+// hash-division, and appends its quotient to out. Absorbed batches go back
+// to the shuffle for reuse.
 type worker struct {
 	id      int
-	in      chan *exec.Batch
 	stats   WorkerStats
 	out     []tuple.Tuple
 	divisor []tuple.Tuple
@@ -350,7 +343,7 @@ type worker struct {
 // quotient table. It returns promptly with ctx.Err() once ctx is cancelled,
 // and converts a panic anywhere in the worker into an *exec.PanicError
 // instead of crashing the process.
-func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err error) {
+func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64, sh *Shuffle) (err error) {
 	defer exec.RecoverPanic(&err)
 	if w.span != nil {
 		start := time.Now()
@@ -373,9 +366,10 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 	}
 	w.stats.DivisorTuples = core.DivisorCount()
 
+	in := sh.Dest(w.id)
 	for {
 		select {
-		case batch, ok := <-w.in:
+		case batch, ok := <-in:
 			if !ok {
 				return core.Scan(func(t tuple.Tuple) error {
 					w.out = append(w.out, t)
@@ -384,7 +378,7 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 				})
 			}
 			err := core.AbsorbBatch(batch)
-			batch.Release()
+			sh.Recycle(batch)
 			w.stats.DividendTuples = core.Stats().DividendTuples
 			if err != nil {
 				return err
@@ -395,204 +389,98 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 	}
 }
 
-// spawnWorkers starts one goroutine per worker; each reports its outcome to
-// fe so the first failure cancels the rest.
-func spawnWorkers(ctx context.Context, workers []*worker, sp division.Spec, hbs float64, wg *sync.WaitGroup, fe *firstError) {
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			fe.set(w.run(ctx, sp, hbs))
-		}(w)
-	}
-}
+// divideExchange is §6's shared-nothing division. The coordinator places the
+// divisor on the workers — replicated under quotient partitioning, clustered
+// under divisor partitioning — and shuffles the dividend to them; each
+// worker divides its share. The quotient is the concatenation of the
+// workers' outputs, or, under divisor partitioning, the collection over
+// their phase-tagged candidates.
+func divideExchange(ctx context.Context, sp division.Spec, cfg Config) (*Result, error) {
+	start := time.Now()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	fe := NewFirstError(cancel)
 
-// shipDividend is the PathCoordinator data path: one goroutine partitions the
-// whole dividend stream over the workers' channels through a partitioner (see
-// morsel.go for the routing, buffering, and accounting contract shared with
-// the morsel path).
-func shipDividend(ctx context.Context, sp division.Spec, workers []*worker, cols []int, bv *bitmap.Bitmap, batchSize int, net *NetworkStats) error {
-	if batchSize <= 0 {
-		batchSize = shuffleBatch
+	divisor, err := DistinctDivisor(ctx, sp)
+	if err != nil {
+		return nil, err
 	}
-	p := newPartitioner(sp, workers, cols, bv, batchSize)
-	err := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-		return p.route(ctx, t)
+	res := &Result{Workers: make([]WorkerStats, cfg.Workers)}
+	if len(divisor) == 0 {
+		res.Elapsed = time.Since(start)
+		return res, nil
+	}
+	var bv *bitmap.Bitmap
+	if cfg.BitVectorFilter {
+		bv = buildBitVector(divisor, cfg.BitVectorBits)
+	}
+	place := division.PlaceDivisor(divisor, cfg.Strategy, cfg.Workers)
+
+	root := strategySpan(cfg)
+	sh := NewShuffle(sp, cfg.Strategy, bv, ShuffleOptions{
+		Sites:        cfg.Workers,
+		Depth:        cfg.ChannelDepth,
+		Producers:    cfg.Workers,
+		BatchSize:    cfg.BatchSize,
+		MorselTuples: cfg.MorselTuples,
+		Span:         root,
 	})
-	return p.finish(ctx, err, net)
-}
-
-// shipDividendByPath dispatches between the coordinator and morsel data
-// paths. It blocks until the dividend is fully shipped (or the division
-// failed); morsel-path errors propagate through fe.
-func shipDividendByPath(ctx context.Context, sp division.Spec, workers []*worker, cols []int,
-	bv *bitmap.Bitmap, cfg Config, net *NetworkStats, root *obs.Span, fe *firstError) {
-	if cfg.Path == PathCoordinator {
-		fe.set(shipDividend(ctx, sp, workers, cols, bv, cfg.BatchSize, net))
-		return
-	}
-	shipDividendMorsels(ctx, sp, workers, cols, bv, cfg, net, root, fe)
-}
-
-func divideQuotientPartitioned(ctx context.Context, sp division.Spec, cfg Config) (*Result, error) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fe := &firstError{cancel: cancel}
-
-	divisor, err := collectDistinctDivisor(ctx, sp)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Workers: make([]WorkerStats, cfg.Workers)}
-	if len(divisor) == 0 {
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-
-	var bv *bitmap.Bitmap
-	if cfg.BitVectorFilter {
-		bv = buildBitVector(divisor, cfg.BitVectorBits)
-	}
-
 	sWidth := int64(sp.Divisor.Schema().Width())
-	root := strategySpan(cfg)
 	workers := make([]*worker, cfg.Workers)
 	var wg sync.WaitGroup
 	for i := range workers {
-		// Replicate the divisor to every processor's main memory.
-		res.Network.TuplesShipped += int64(len(divisor))
-		res.Network.BytesShipped += int64(len(divisor)) * sWidth
-		workers[i] = &worker{
-			id:      i,
-			in:      make(chan *exec.Batch, cfg.ChannelDepth),
-			divisor: divisor,
-		}
+		// Ship each processor its divisor share.
+		res.Network.TuplesShipped += int64(len(place.Clusters[i]))
+		res.Network.BytesShipped += int64(len(place.Clusters[i])) * sWidth
+		w := &worker{id: i, divisor: place.Clusters[i]}
 		if root != nil {
-			workers[i].span = root.Child(workerSpanName(i), "worker")
+			w.span = root.Child(workerSpanName(i), "worker")
 		}
+		workers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fe.Set(w.run(ctx, sp, cfg.HBS, sh))
+		}()
 	}
-	spawnWorkers(ctx, workers, sp, cfg.HBS, &wg, fe)
-
-	// Partition the dividend on the QUOTIENT attributes.
-	shipDividendByPath(ctx, sp, workers, sp.QuotientCols(), bv, cfg, &res.Network, root, fe)
-	for _, w := range workers {
-		close(w.in)
-	}
+	st := sh.Run(ctx, fe)
 	wg.Wait()
-	if ferr := fe.get(); ferr != nil {
+	sh.Release()
+	obs.Default.Counter("parallel.morsels").Add(int64(st.Morsels))
+	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
 	}
+	res.Network.TuplesShipped += st.Shipped
+	res.Network.BytesShipped += st.Shipped * int64(sp.Dividend.Schema().Width())
+	res.Network.TuplesFiltered = st.Filtered
 
-	qWidth := int64(sp.QuotientSchema().Width())
-	for i, w := range workers {
-		res.Workers[i] = w.stats
-		// Quotient clusters are concatenated; shipping them to the
-		// coordinator is network traffic too.
-		res.Network.TuplesShipped += int64(len(w.out))
-		res.Network.BytesShipped += int64(len(w.out)) * qWidth
-		res.Quotient = append(res.Quotient, w.out...)
-	}
-	report(cfg, res, workers)
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func divideDivisorPartitioned(ctx context.Context, sp division.Spec, cfg Config) (*Result, error) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fe := &firstError{cancel: cancel}
-
-	divisor, err := collectDistinctDivisor(ctx, sp)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Workers: make([]WorkerStats, cfg.Workers)}
-	if len(divisor) == 0 {
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-
-	// Partition the divisor over the processors on the divisor attributes.
-	k := uint64(cfg.Workers)
-	clusters := make([][]tuple.Tuple, cfg.Workers)
-	for _, d := range divisor {
-		c := int(tuple.HashBytes(d) % k)
-		clusters[c] = append(clusters[c], d)
-	}
-	sWidth := int64(sp.Divisor.Schema().Width())
-
-	var bv *bitmap.Bitmap
-	if cfg.BitVectorFilter {
-		bv = buildBitVector(divisor, cfg.BitVectorBits)
-	}
-
-	// Only processors holding divisor tuples participate; a dividend tuple
-	// routed to an idle processor could match nothing.
-	active := make([]int, 0, cfg.Workers) // worker -> phase index
-	phaseOf := make([]int, cfg.Workers)
-	for i := range clusters {
-		if len(clusters[i]) > 0 {
-			phaseOf[i] = len(active)
-			active = append(active, i)
-		} else {
-			phaseOf[i] = -1
-		}
-	}
-
-	root := strategySpan(cfg)
-	workers := make([]*worker, cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range workers {
-		workers[i] = &worker{
-			id:      i,
-			in:      make(chan *exec.Batch, cfg.ChannelDepth),
-			divisor: clusters[i],
-		}
-		if root != nil {
-			workers[i].span = root.Child(workerSpanName(i), "worker")
-		}
-		res.Network.TuplesShipped += int64(len(clusters[i]))
-		res.Network.BytesShipped += int64(len(clusters[i])) * sWidth
-	}
-	spawnWorkers(ctx, workers, sp, cfg.HBS, &wg, fe)
-
-	// Dividend partitioned on the DIVISOR attributes with the same function.
-	shipDividendByPath(ctx, sp, workers, nil, bv, cfg, &res.Network, root, fe)
-	for _, w := range workers {
-		close(w.in)
-	}
-	wg.Wait()
-	if ferr := fe.get(); ferr != nil {
-		return nil, ferr
-	}
-
-	// Collection site: divide the incoming tagged tuples over the set of
-	// processor network addresses (bit index = phase number).
+	// The workers' outputs travel to the coordinator: network traffic too.
 	qs := sp.QuotientSchema()
 	qWidth := int64(qs.Width())
-	collection := hashtab.NewForExpected(qs, 256, cfg.HBS)
+	var collection *division.PhaseCollector
+	if cfg.Strategy == division.DivisorPartitioning {
+		collection = division.NewPhaseCollector(qs, place.Phases, 256, cfg.HBS)
+	}
 	for i, w := range workers {
 		res.Workers[i] = w.stats
 		res.Network.TuplesShipped += int64(len(w.out))
 		res.Network.BytesShipped += int64(len(w.out)) * qWidth
+		if collection == nil {
+			res.Quotient = append(res.Quotient, w.out...)
+			continue
+		}
 		for _, q := range w.out {
-			e, created := collection.GetOrInsert(q)
-			if created {
-				e.Bits = bitmap.New(len(active))
-			}
-			e.Bits.Set(phaseOf[i])
+			collection.Add(q, place.Phase[i])
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			res.Quotient = append(res.Quotient, e.Tuple)
+	if collection != nil {
+		err = collection.Scan(func(q tuple.Tuple) error {
+			res.Quotient = append(res.Quotient, q)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	report(cfg, res, workers)
 	res.Elapsed = time.Since(start)

@@ -445,7 +445,7 @@ func TestKeyShapeParity(t *testing.T) {
 		if len(ref) == 0 {
 			t.Fatal("reference quotient is empty; the instance tests nothing")
 		}
-		for _, path := range []Path{PathMorsel, PathCoordinator, PathSharedTable} {
+		for _, path := range []Path{PathMorsel, PathSharedTable} {
 			for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
 				if path == PathSharedTable && strategy != division.QuotientPartitioning {
 					continue

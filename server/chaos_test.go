@@ -18,22 +18,9 @@ import (
 	reldiv "repro"
 	"repro/internal/disk"
 	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
 	"repro/internal/storage"
 )
-
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // chaosFault reports whether err is an outcome a session is allowed to see
 // under the storm: a killed connection (transport error on the client side),
@@ -120,7 +107,7 @@ func TestServerChaos(t *testing.T) {
 	}
 
 	s.Close()
-	waitGoroutines(t, goroutinesBefore)
+	leakcheck.Goroutines(t, goroutinesBefore)
 	if live := storage.LiveSpillFiles(); live != liveBefore {
 		t.Fatalf("spill files leaked: %d before storm, %d after", liveBefore, live)
 	}

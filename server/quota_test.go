@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/leakcheck"
 	"repro/internal/storage"
 )
 
@@ -106,7 +107,7 @@ func TestSessionSpillQuotaTyped(t *testing.T) {
 
 	c.Close()
 	s.Close()
-	waitGoroutines(t, goroutinesBefore)
+	leakcheck.Goroutines(t, goroutinesBefore)
 	if live := storage.LiveSpillFiles(); live != liveBefore {
 		t.Fatalf("spill files leaked: %d before, %d after", liveBefore, live)
 	}

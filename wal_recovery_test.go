@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
 )
 
 // recoveryAlgorithms are the paper's four division algorithms, all of which
@@ -471,5 +472,5 @@ func TestDurableStoreReopen(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	leakcheck.Goroutines(t, before)
 }
