@@ -284,7 +284,7 @@ func BenchmarkPartitioning(b *testing.B) {
 					Pool:    buffer.New(1 << 20),
 					TempDev: disk.NewDevice("temp", disk.PaperRunPageSize),
 				}
-				op := division.NewPartitionedHashDivision(benchSpec(b, inst), env, strat, 4, division.HashDivisionOptions{})
+				op := division.NewPartitionedHashDivision(benchSpec(b, inst), env, strat, 4)
 				n, err := exec.Drain(op)
 				if err != nil {
 					b.Fatal(err)

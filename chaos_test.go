@@ -171,8 +171,12 @@ func TestChaosSuite(t *testing.T) {
 					checkSpill(alg.String())
 				}
 
-				// Partitioned hash-division (spill files under fault injection).
-				got, _, _, err := division.DivideAdaptive(storageSpec(), env, 24*1024, 64)
+				// Recursive divisor partitioning (spill files under fault
+				// injection).
+				budgetEnv := env
+				budgetEnv.MemoryBudget = 24 * 1024
+				got, _, err := division.DivideRecursive(storageSpec(), budgetEnv,
+					division.DivisorPartitioning, division.RecursiveOptions{})
 				check(t, "adaptive", got, err)
 				if n := fixedFrames(); n != 0 {
 					t.Fatalf("adaptive left %d frames fixed", n)
@@ -182,10 +186,9 @@ func TestChaosSuite(t *testing.T) {
 				// Recursive out-of-core division at a budget tight enough to
 				// force spilling: the full spill-file lifecycle (create,
 				// append, scan, drop) runs under fault injection.
-				rq, _, err := division.DivideRecursive(storageSpec(), env,
-					division.QuotientPartitioning,
-					division.HashDivisionOptions{MemoryBudget: 4 * 1024},
-					division.RecursiveOptions{})
+				budgetEnv.MemoryBudget = 4 * 1024
+				rq, _, err := division.DivideRecursive(storageSpec(), budgetEnv,
+					division.QuotientPartitioning, division.RecursiveOptions{})
 				check(t, "recursive", rq, err)
 				if n := fixedFrames(); n != 0 {
 					t.Fatalf("recursive left %d frames fixed", n)

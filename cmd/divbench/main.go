@@ -8,7 +8,7 @@
 //	divbench table3                  # Table 3: experimental cost parameters
 //	divbench table4 [flags]          # Table 4: measured grid
 //	divbench sweep  [flags]          # §4.6 dilution speculation
-//	divbench overflow [flags]        # §3.4 hash table overflow escalation
+//	divbench overflow [flags]        # §3.4 hash table overflow, recursive partitioning
 //	divbench parallel [flags]        # §6 multi-processor scaling
 //	divbench distributed [flags]     # §6 shared-nothing division over real transport
 //	divbench spill [flags]           # out-of-core memory-pressure sweep
@@ -147,7 +147,7 @@ commands:
   sweep     dilution sweep: hash-division when R != QxS
   duplicates duplicate-handling sweep: preprocessing costs vs hash-division
   crossover analytic cost-vs-|R| series and overflow cost model
-  overflow  hash table overflow / partition escalation
+  overflow  hash table overflow / recursive partitioning
   parallel  multi-processor scaling (-workers, -reps, -json, -check)
   distributed shared-nothing division over real TCP transport with bit-vector
             wire filtering (-sizes, -workers, -zipf, -noise, -forked, -json, -check)
@@ -462,7 +462,7 @@ func runCrossover(args []string) error {
 		fmt.Printf("  %7.0fp %14.0f %14.0f %8.2f\n", b, rec, restart, restart/rec)
 	}
 	fmt.Println("(each budget halving costs the restart loop another abandoned full scan;")
-	fmt.Println(" divbench spill measures the same comparison on real tables)")
+	fmt.Println(" DESIGN.md §12 records the same comparison measured on real tables)")
 	return nil
 }
 
@@ -486,12 +486,19 @@ func runOverflow(args []string) error {
 	}
 	fmt.Printf("Hash table overflow: |S|=%d, |Q|=%d, |R|=%d, budget=%d KB\n",
 		*s, *candidates, len(inst.Dividend), *budgetKB)
-	qts, k, err := division.DivideWithBudget(sp, env, *budgetKB*1024, 0)
+	env.MemoryBudget = *budgetKB * 1024
+	if _, err := exec.Collect(division.NewHashDivision(sp, env, division.HashDivisionOptions{})); err != nil {
+		fmt.Printf("plain hash-division: %v\n", err)
+	} else {
+		fmt.Println("plain hash-division: fits the budget")
+	}
+	qts, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("quotient tuples: %d (expected %d)\n", len(qts), len(inst.QuotientIDs))
-	fmt.Printf("partitions needed: %d (quotient partitioning, first cluster in memory per §3.4)\n", k)
+	fmt.Printf("recursive quotient partitioning: %d cells, depth %d, %d spilled partitions (§3.4)\n",
+		st.Cells, st.MaxDepth, st.SpilledPartitions)
 	return nil
 }
 

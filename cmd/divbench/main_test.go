@@ -451,7 +451,6 @@ func TestMemoryPressureSectionPreservesSiblings(t *testing.T) {
 			Attempts     int   `json:"attempts"`
 			MaxDepth     int   `json:"max_depth"`
 			SpillBytes   int64 `json:"spill_bytes"`
-			RestartOK    bool  `json:"restart_ok"`
 		} `json:"points"`
 	}
 	if err := json.Unmarshal(raw, &section); err != nil {

@@ -12,8 +12,8 @@ package main
 //     partitions stage through buffer-pool-backed spill files;
 //   - at 1% the recursion is several levels deep, yet the runtime should
 //     grow by a bounded constant factor per budget halving — the smooth
-//     degradation the restart-on-overflow loop (also measured, as the
-//     baseline) cannot deliver.
+//     degradation a restart-on-overflow loop cannot deliver (DESIGN.md §12
+//     records the measured comparison).
 //
 // Every point verifies the quotient exactly against the generator's ground
 // truth, so the sweep is a correctness harness as much as a benchmark.
@@ -53,12 +53,6 @@ type spillPoint struct {
 	MemResidentCells int   `json:"mem_resident_cells"`
 	SpilledParts     int   `json:"spilled_partitions"`
 	SpillBytes       int64 `json:"spill_bytes"`
-
-	// The restart-on-overflow baseline at the same budget. RestartOK is
-	// false when the legacy loop could not meet the budget at all.
-	RestartNs int64 `json:"restart_ns"`
-	RestartK  int   `json:"restart_k"`
-	RestartOK bool  `json:"restart_ok"`
 }
 
 // spillCheckMaxStepRatio bounds the runtime growth per sweep step (the
@@ -146,8 +140,8 @@ func runSpill(args []string) error {
 
 	fmt.Printf("Memory-pressure sweep (%s partitioning): |S|=%d, candidates=%d, |R|=%d, input=%d bytes\n",
 		*strategyFlag, *s, *q, len(inst.Dividend), inputBytes)
-	fmt.Printf("%5s %10s %10s %6s %5s %6s %6s %10s %10s %10s\n",
-		"pct", "budget", "elapsed", "depth", "cells", "spill", "resid", "spill B", "restart", "k")
+	fmt.Printf("%5s %10s %10s %6s %5s %6s %6s %10s\n",
+		"pct", "budget", "elapsed", "depth", "cells", "spill", "resid", "spill B")
 
 	spillBase := storage.LiveSpillFiles()
 	var points []spillPoint
@@ -157,10 +151,10 @@ func runSpill(args []string) error {
 			budget = 1
 		}
 		p := spillPoint{Pct: pct, BudgetBytes: budget}
+		env.MemoryBudget = budget
 		for r := 0; r < *reps; r++ {
 			start := time.Now()
-			qts, st, err := division.DivideRecursive(spec(), env, strategy,
-				division.HashDivisionOptions{MemoryBudget: budget}, division.RecursiveOptions{})
+			qts, st, err := division.DivideRecursive(spec(), env, strategy, division.RecursiveOptions{})
 			ns := time.Since(start).Nanoseconds()
 			if err != nil {
 				return fmt.Errorf("spill: budget %d%% (%d bytes): %w", pct, budget, err)
@@ -186,38 +180,9 @@ func runSpill(args []string) error {
 			return fmt.Errorf("spill: budget %d%%: %d spill files leaked", pct, live-spillBase)
 		}
 
-		// The restart-on-overflow baseline: rerun the whole division with
-		// k = 1, 2, 4, … quotient partitions until the tables fit. At tight
-		// budgets it may fail outright — that is part of the result.
-		for r := 0; r < *reps; r++ {
-			start := time.Now()
-			qts, k, err := division.DivideWithBudget(spec(), env,
-				budget, 0)
-			ns := time.Since(start).Nanoseconds()
-			if err != nil {
-				p.RestartOK = false
-				p.RestartNs = 0
-				p.RestartK = k
-				break
-			}
-			if err := verifyQuotient(spec().QuotientSchema(), qts, inst.QuotientIDs); err != nil {
-				return fmt.Errorf("spill: restart baseline at %d%%: %w", pct, err)
-			}
-			p.RestartOK = true
-			p.RestartK = k
-			if r == 0 || ns < p.RestartNs {
-				p.RestartNs = ns
-			}
-		}
-
-		restart := "failed"
-		if p.RestartOK {
-			restart = time.Duration(p.RestartNs).Round(time.Microsecond).String()
-		}
-		fmt.Printf("%4d%% %10d %10s %6d %5d %6d %6d %10d %10s %10d\n",
+		fmt.Printf("%4d%% %10d %10s %6d %5d %6d %6d %10d\n",
 			pct, budget, time.Duration(p.Ns).Round(time.Microsecond),
-			p.MaxDepth, p.Cells, p.SpilledParts, p.MemResidentCells, p.SpillBytes,
-			restart, p.RestartK)
+			p.MaxDepth, p.Cells, p.SpilledParts, p.MemResidentCells, p.SpillBytes)
 		points = append(points, p)
 	}
 

@@ -78,6 +78,25 @@ func TestDivideContextCancelMidParallel(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeTimeout: ExplainAnalyze plans like Divide, so an
+// already expired Timeout aborts it on every path.
+func TestExplainAnalyzeTimeout(t *testing.T) {
+	dividend, divisor := bigRelations(50, 8)
+	for _, opts := range []*Options{
+		{Timeout: time.Nanosecond},
+		{Timeout: time.Nanosecond, MemoryBudget: 4 << 10},
+		{Timeout: time.Nanosecond, Workers: 2},
+	} {
+		q, prof, err := ExplainAnalyze(dividend, divisor, nil, opts)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%+v: err = %v, want context.DeadlineExceeded", *opts, err)
+		}
+		if q != nil || prof != nil {
+			t.Fatalf("%+v: expired query returned a result", *opts)
+		}
+	}
+}
+
 // TestOptionsTimeout: Timeout is enforced on the serial path.
 func TestOptionsTimeout(t *testing.T) {
 	dividend, divisor := bigRelations(400, 50)

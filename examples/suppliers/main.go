@@ -90,8 +90,8 @@ func main() {
 		fmt.Printf("  %-20s -> %d certified suppliers\n", alg, q.NumRows())
 	}
 
-	// And under a tight memory budget, division transparently escalates to
-	// quotient partitioning (§3.4).
+	// And under a tight memory budget, division re-partitions the overflowing
+	// input on the quotient attributes (§3.4).
 	budgeted, err := reldiv.Divide(supplies, critical, []string{"part"},
 		&reldiv.Options{MemoryBudget: 8 * 1024})
 	if err != nil {

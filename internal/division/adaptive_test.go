@@ -4,13 +4,16 @@ import (
 	"testing"
 )
 
+// adaptiveCheck divides under budget with recursive divisor partitioning and
+// returns the effective grid: the divisor-side leaves and the largest
+// quotient-side leaf count within any of them.
 func adaptiveCheck(t *testing.T, dividend [][2]int64, divisor []int64, budget int) (kd, kq int) {
 	t.Helper()
 	ref, err := Reference(makeSpec(dividend, divisor))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qts, kd, kq, err := DivideAdaptive(makeSpec(dividend, divisor), testEnv(), budget, 64)
+	qts, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(budget), DivisorPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +21,7 @@ func adaptiveCheck(t *testing.T, dividend [][2]int64, divisor []int64, budget in
 	if !EqualTupleSets(qs, qts, ref) {
 		t.Fatalf("adaptive quotient wrong: %d vs %d tuples", len(qts), len(ref))
 	}
-	return kd, kq
+	return st.DivisorLeaves, st.MaxQuotientCells
 }
 
 func TestAdaptiveNoBudgetStaysUnpartitioned(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -24,7 +23,6 @@ type CombinedPartitionedHashDivision struct {
 	sp     Spec
 	env    Env
 	kd, kq int
-	hdOpts HashDivisionOptions
 
 	qs      *tuple.Schema
 	qCols   []int
@@ -38,7 +36,7 @@ type CombinedPartitionedHashDivision struct {
 // Both factors must be at least 1; (1, 1) degenerates to plain
 // hash-division, (kd, 1) to divisor partitioning, and (1, kq) to quotient
 // partitioning.
-func NewCombinedPartitionedHashDivision(sp Spec, env Env, kd, kq int, hdOpts HashDivisionOptions) *CombinedPartitionedHashDivision {
+func NewCombinedPartitionedHashDivision(sp Spec, env Env, kd, kq int) *CombinedPartitionedHashDivision {
 	if kd < 1 {
 		kd = 1
 	}
@@ -46,7 +44,7 @@ func NewCombinedPartitionedHashDivision(sp Spec, env Env, kd, kq int, hdOpts Has
 		kq = 1
 	}
 	return &CombinedPartitionedHashDivision{
-		sp: sp, env: env, kd: kd, kq: kq, hdOpts: hdOpts,
+		sp: sp, env: env, kd: kd, kq: kq,
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -74,14 +72,7 @@ func (c *CombinedPartitionedHashDivision) run() error {
 	ss := c.sp.Divisor.Schema()
 
 	// Distinct divisor, partitioned into kd clusters on all attributes.
-	divTab := hashtab.NewForExpected(ss, c.env.expectedDivisor(), c.env.hbs())
-	var divisor []tuple.Tuple
-	err := exec.ForEach(c.sp.Divisor, func(t tuple.Tuple) error {
-		if e, created := divTab.GetOrInsert(t); created {
-			divisor = append(divisor, e.Tuple)
-		}
-		return nil
-	})
+	divisor, err := DistinctDivisor(c.sp.Divisor, c.env)
 	if err != nil {
 		return err
 	}
@@ -146,7 +137,7 @@ func (c *CombinedPartitionedHashDivision) run() error {
 				Dividend:    exec.NewTableScan(cells[i*c.kq+j], false),
 				Divisor:     exec.NewMemScan(ss, place.Clusters[i]),
 				DivisorCols: c.sp.DivisorCols,
-			}, env, c.hdOpts)
+			}, env, HashDivisionOptions{})
 			err := exec.ForEach(obs.Instrument(phase, span, c.env.Counters), func(q tuple.Tuple) error {
 				if c.env.Counters != nil {
 					c.env.Counters.Bit++

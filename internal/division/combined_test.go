@@ -31,7 +31,7 @@ func TestCombinedPartitioningMatchesReference(t *testing.T) {
 
 	for _, grid := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {3, 3}, {5, 2}} {
 		op := NewCombinedPartitionedHashDivision(
-			makeSpec(dividend, divisor), testEnv(), grid[0], grid[1], HashDivisionOptions{})
+			makeSpec(dividend, divisor), testEnv(), grid[0], grid[1])
 		got, err := exec.Collect(op)
 		if err != nil {
 			t.Fatalf("grid %v: %v", grid, err)
@@ -43,7 +43,7 @@ func TestCombinedPartitioningMatchesReference(t *testing.T) {
 }
 
 func TestCombinedPartitioningEmptyInputs(t *testing.T) {
-	op := NewCombinedPartitionedHashDivision(makeSpec(nil, nil), testEnv(), 2, 2, HashDivisionOptions{})
+	op := NewCombinedPartitionedHashDivision(makeSpec(nil, nil), testEnv(), 2, 2)
 	got, err := exec.Collect(op)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCombinedPartitioningEmptyInputs(t *testing.T) {
 
 func TestCombinedPartitioningNeedsTempDev(t *testing.T) {
 	sp := makeSpec([][2]int64{{1, 101}}, []int64{101})
-	op := NewCombinedPartitionedHashDivision(sp, Env{}, 2, 2, HashDivisionOptions{})
+	op := NewCombinedPartitionedHashDivision(sp, Env{}, 2, 2)
 	if err := op.Open(); err == nil {
 		op.Close()
 		t.Fatal("expected error without temp device")
@@ -81,12 +81,11 @@ func TestCombinedBoundsTableMemory(t *testing.T) {
 	// quotient table (300 candidates with 200-bit maps) cannot fit, but a
 	// 4×4 grid cell (≈50 divisor, ≈75 candidates) can.
 	const budget = 16 * 1024
-	plain := NewHashDivision(makeSpec(dividend, divisor), Env{}, HashDivisionOptions{MemoryBudget: budget})
+	plain := NewHashDivision(makeSpec(dividend, divisor), Env{MemoryBudget: budget}, HashDivisionOptions{})
 	if _, err := exec.Collect(plain); err == nil {
 		t.Fatal("plain hash-division should exceed the budget")
 	}
-	combined := NewCombinedPartitionedHashDivision(
-		makeSpec(dividend, divisor), testEnv(), 4, 4, HashDivisionOptions{MemoryBudget: budget})
+	combined := NewCombinedPartitionedHashDivision(makeSpec(dividend, divisor), budgetEnv(budget), 4, 4)
 	got, err := exec.Collect(combined)
 	if err != nil {
 		t.Fatalf("combined grid should fit the budget: %v", err)
@@ -107,7 +106,7 @@ func TestQuickCombinedEquivalence(t *testing.T) {
 			return false
 		}
 		op := NewCombinedPartitionedHashDivision(
-			makeSpec(dividend, divisor), testEnv(), kd, kq, HashDivisionOptions{})
+			makeSpec(dividend, divisor), testEnv(), kd, kq)
 		got, err := exec.Collect(op)
 		if err != nil {
 			return false

@@ -36,6 +36,10 @@ type Core struct {
 // CoreOptions configure a Core.
 type CoreOptions struct {
 	HashDivisionOptions
+	// MemoryBudget, when positive, bounds the combined footprint of the
+	// divisor and quotient tables in bytes; exceeding it fails the run with
+	// ErrMemoryBudget.
+	MemoryBudget int
 	// ExpectedDivisor and ExpectedQuotient size the two tables at HBS
 	// tuples per bucket; a wrong guess costs growth, never correctness.
 	ExpectedDivisor  int

@@ -197,7 +197,7 @@ func TestCoreMemoryBudget(t *testing.T) {
 			for _, budget := range []int{64, peak / 2} {
 				for _, batched := range []bool{true, false} {
 					_, c, err := runCore(t, rk, CoreOptions{
-						HashDivisionOptions: HashDivisionOptions{MemoryBudget: budget}, HBS: 2,
+						MemoryBudget: budget, HBS: 2,
 					}, batched)
 					if !errors.Is(err, ErrMemoryBudget) {
 						t.Fatalf("budget %d batched=%v: err = %v, want ErrMemoryBudget", budget, batched, err)

@@ -94,13 +94,13 @@ type Env struct {
 	Pool      *buffer.Pool
 	TempDev   disk.Dev
 	SortBytes int // external sort budget; 0 = paper default (100 KB)
-	// MemoryBudget is the query's governed memory grant in bytes (an
-	// admission controller's, or Options.MemoryBudget's). When set it caps
-	// any default that would otherwise exceed the grant — notably the
-	// external-sort space, which used to fall back to the fixed
-	// buffer.PaperSortBytes regardless of the budget, letting sort-based
-	// division exceed its admission grant under pressure. Zero leaves the
-	// paper defaults untouched.
+	// MemoryBudget is the query's memory budget in bytes (the table share
+	// of an admission grant, see SplitGrant, or Options.MemoryBudget). When
+	// positive it bounds hash-division's divisor and quotient tables, which
+	// fail with ErrMemoryBudget once they outgrow it (RecursiveHashDivision
+	// re-partitions instead), and it caps any default that would otherwise
+	// exceed it, notably the external-sort space. Zero leaves the tables
+	// unbounded and the paper defaults untouched.
 	MemoryBudget int
 	HBS          float64 // target average hash bucket size; 0 = 2 (§4.6)
 	// ExpectedDivisor/ExpectedQuotient size the hash tables; 0 picks
@@ -146,6 +146,17 @@ func (e Env) sortBytes() int {
 		return e.MemoryBudget
 	}
 	return buffer.PaperSortBytes
+}
+
+// SplitGrant divides a query's memory grant between the buffer pool that
+// stages spill I/O — a quarter of the grant, at least eight spill pages —
+// and the hash-table budget (Env.MemoryBudget), which gets the rest but at
+// least one byte. A grant below the pool floor therefore leaves a table
+// budget no cell fits, and recursive division reports ErrPartitionDepth.
+func SplitGrant(grant int64) (poolBytes, tableBytes int) {
+	poolBytes = max(int(grant/4), 8*disk.PaperRunPageSize)
+	tableBytes = max(int(grant)-poolBytes, 1)
+	return poolBytes, tableBytes
 }
 
 func (e Env) hbs() float64 {

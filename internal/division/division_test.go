@@ -41,6 +41,13 @@ func testEnv() Env {
 	}
 }
 
+// budgetEnv is testEnv with a hash-table budget.
+func budgetEnv(budget int) Env {
+	env := testEnv()
+	env.MemoryBudget = budget
+	return env
+}
+
 func quotientIDs(t *testing.T, s *tuple.Schema, ts []tuple.Tuple) []int64 {
 	t.Helper()
 	sorted := SortTuples(s, ts)
@@ -446,7 +453,7 @@ func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 		for _, k := range []int{1, 2, 3, 7} {
 			sp := makeSpec(dividend, divisor)
-			op := NewPartitionedHashDivision(sp, testEnv(), strategy, k, HashDivisionOptions{})
+			op := NewPartitionedHashDivision(sp, testEnv(), strategy, k)
 			got, err := exec.Collect(op)
 			if err != nil {
 				t.Fatalf("%v k=%d: %v", strategy, k, err)
@@ -462,7 +469,7 @@ func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 func TestPartitionedEmptyDivisor(t *testing.T) {
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 		sp := makeSpec([][2]int64{{1, 101}}, nil)
-		op := NewPartitionedHashDivision(sp, testEnv(), strategy, 4, HashDivisionOptions{})
+		op := NewPartitionedHashDivision(sp, testEnv(), strategy, 4)
 		got, err := exec.Collect(op)
 		if err != nil {
 			t.Fatalf("%v: %v", strategy, err)
@@ -483,39 +490,10 @@ func TestMemoryBudgetTriggersError(t *testing.T) {
 		}
 	}
 	sp := makeSpec(dividend, divisor)
-	hd := NewHashDivision(sp, Env{}, HashDivisionOptions{MemoryBudget: 2048})
+	hd := NewHashDivision(sp, Env{MemoryBudget: 2048}, HashDivisionOptions{})
 	_, err := exec.Collect(hd)
 	if err == nil {
 		t.Fatal("expected budget error")
-	}
-}
-
-func TestDivideWithBudgetEscalates(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var dividend [][2]int64
-	divisor := []int64{1, 2, 3}
-	for q := 0; q < 400; q++ {
-		for _, c := range divisor {
-			if rng.Float64() < 0.9 {
-				dividend = append(dividend, [2]int64{int64(q), c})
-			}
-		}
-	}
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget too small for one phase but large enough when split.
-	qts, k, err := DivideWithBudget(makeSpec(dividend, divisor), testEnv(), 16*1024, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 2 {
-		t.Errorf("expected escalation beyond k=1, got k=%d", k)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-	if !EqualTupleSets(qs, qts, ref) {
-		t.Error("budgeted division returned a wrong quotient")
 	}
 }
 

@@ -70,7 +70,7 @@ func TestFaultInPartitionedDivision(t *testing.T) {
 			tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
 			env := Env{Pool: pool, TempDev: tempDev}
 			sp := faultSpec(30, -1)
-			op := NewPartitionedHashDivision(sp, env, strategy, 4, HashDivisionOptions{})
+			op := NewPartitionedHashDivision(sp, env, strategy, 4)
 			_, err := exec.Collect(op)
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("error not propagated: %v", err)
@@ -90,7 +90,7 @@ func TestFaultInCombinedDivision(t *testing.T) {
 	tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
 	env := Env{Pool: pool, TempDev: tempDev}
 	sp := faultSpec(30, -1)
-	op := NewCombinedPartitionedHashDivision(sp, env, 2, 2, HashDivisionOptions{})
+	op := NewCombinedPartitionedHashDivision(sp, env, 2, 2)
 	_, err := exec.Collect(op)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("error not propagated: %v", err)

@@ -74,8 +74,7 @@ func FuzzRecursiveDivision(f *testing.F) {
 		qs := makeSpec(dividend, divisor).QuotientSchema()
 		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 			live := storage.LiveSpillFiles()
-			got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
-				HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{})
+			got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(budget), strat, RecursiveOptions{})
 			if err != nil {
 				if !errors.Is(err, ErrPartitionDepth) && !errors.Is(err, ErrMemoryBudget) {
 					t.Fatalf("%v budget %d: %v", strat, budget, err)
@@ -95,8 +94,7 @@ func FuzzRecursiveDivision(f *testing.F) {
 // must actually drive the recursion to depth >= 2 (and still succeed).
 func TestFuzzSeedForcesDepth2(t *testing.T) {
 	dividend, divisor := quickInstance(depth2Seed, 0)
-	got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: 256}, RecursiveOptions{})
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(256), QuotientPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func FuzzPartitionedDivision(f *testing.F) {
 			t.Fatal(err)
 		}
 		qs := makeSpec(dividend, divisor).QuotientSchema()
-		op := NewCombinedPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), kd, kq, HashDivisionOptions{})
+		op := NewCombinedPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), kd, kq)
 		got, err := exec.Collect(op)
 		if err != nil {
 			t.Fatal(err)

@@ -30,6 +30,29 @@ func TestGovernedBudgetCapsSortSpace(t *testing.T) {
 	}
 }
 
+// TestSplitGrant pins the one grant split the server and the wire workers
+// share: a quarter of the grant (at least eight spill pages) buffers spill
+// I/O, the rest — at least one byte — bounds the hash tables.
+func TestSplitGrant(t *testing.T) {
+	cases := []struct {
+		grant             int64
+		wantPool, wantTab int
+	}{
+		{1, 8 << 10, 1},
+		{8<<10 - 1, 8 << 10, 1},
+		{8 << 10, 8 << 10, 1},
+		{32 << 10, 8 << 10, 24 << 10},
+		{64 << 10, 16 << 10, 48 << 10},
+		{1 << 20, 256 << 10, 768 << 10},
+	}
+	for _, c := range cases {
+		pool, tables := SplitGrant(c.grant)
+		if pool != c.wantPool || tables != c.wantTab {
+			t.Errorf("SplitGrant(%d) = (%d, %d), want (%d, %d)", c.grant, pool, tables, c.wantPool, c.wantTab)
+		}
+	}
+}
+
 // TestSortDivisionWithinGrant runs every sort-using algorithm under a grant
 // far below the paper sort space and far below the input size: the quotient
 // must stay exact (runs spill instead of overflowing) — the end-to-end half

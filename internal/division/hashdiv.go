@@ -9,9 +9,9 @@ import (
 	"repro/internal/tuple"
 )
 
-// ErrMemoryBudget is returned when the divisor and quotient tables exceed a
-// configured memory budget; callers resolve it with quotient or divisor
-// partitioning (§3.4) via NewPartitionedHashDivision.
+// ErrMemoryBudget is returned when the divisor and quotient tables exceed
+// Env.MemoryBudget; RecursiveHashDivision resolves it by re-partitioning the
+// overflowing cell (§3.4).
 var ErrMemoryBudget = errors.New("division: hash tables exceed memory budget")
 
 // HashDivisionOptions tune the §3 algorithm.
@@ -26,10 +26,6 @@ type HashDivisionOptions struct {
 	// per candidate (§3.3, sixth observation): correct only when the
 	// dividend is duplicate-free, but cheaper in memory.
 	CountersOnly bool
-	// MemoryBudget, when positive, bounds the combined footprint of the
-	// divisor and quotient tables in bytes; exceeding it fails the
-	// operator with ErrMemoryBudget.
-	MemoryBudget int
 }
 
 // HashDivisionStats describe one hash-division run, exposed for EXPLAIN
@@ -133,6 +129,7 @@ func (h *HashDivision) Schema() *tuple.Schema { return h.qs }
 func (h *HashDivision) buildDivisorTable() error {
 	h.core = NewCore(h.sp.Dividend.Schema(), h.sp.Divisor.Schema(), h.sp.DivisorCols, CoreOptions{
 		HashDivisionOptions: h.opts,
+		MemoryBudget:        h.env.MemoryBudget,
 		ExpectedDivisor:     h.env.expectedDivisor(),
 		ExpectedQuotient:    h.env.expectedQuotient(),
 		HBS:                 h.env.hbs(),

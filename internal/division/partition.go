@@ -1,7 +1,6 @@
 package division
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -48,7 +47,6 @@ type PartitionedHashDivision struct {
 	env      Env
 	strategy PartitionStrategy
 	k        int
-	hdOpts   HashDivisionOptions
 
 	qs      *tuple.Schema
 	qCols   []int
@@ -61,12 +59,12 @@ type PartitionedHashDivision struct {
 // NewPartitionedHashDivision divides in k phases using the given strategy.
 // k must be at least 1; k == 1 degenerates to plain hash-division. Spilling
 // needs env.Pool and env.TempDev when k > 1.
-func NewPartitionedHashDivision(sp Spec, env Env, strategy PartitionStrategy, k int, hdOpts HashDivisionOptions) *PartitionedHashDivision {
+func NewPartitionedHashDivision(sp Spec, env Env, strategy PartitionStrategy, k int) *PartitionedHashDivision {
 	if k < 1 {
 		k = 1
 	}
 	return &PartitionedHashDivision{
-		sp: sp, env: env, strategy: strategy, k: k, hdOpts: hdOpts,
+		sp: sp, env: env, strategy: strategy, k: k,
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -147,12 +145,6 @@ func (p *PartitionedHashDivision) partitionDividend(cols []int, keep func(tuple.
 	return mem, files, nil
 }
 
-// collectDivisor reads the divisor once, eliminating duplicates, and returns
-// the distinct tuples.
-func (p *PartitionedHashDivision) collectDivisor() ([]tuple.Tuple, error) {
-	return collectDistinctDivisor(p.sp, p.env)
-}
-
 // phaseEnv derives the Env for partition phase i of n: with tracing on, the
 // phase gets its own span (returned so the phase operator can be probed
 // against it — the probe makes the span's inclusive counters cover its
@@ -201,7 +193,7 @@ func (p *PartitionedHashDivision) Open() error {
 
 func (p *PartitionedHashDivision) runQuotientPartitioned() error {
 	ds := p.sp.Dividend.Schema()
-	divisor, err := p.collectDivisor()
+	divisor, err := DistinctDivisor(p.sp.Divisor, p.env)
 	if err != nil {
 		return err
 	}
@@ -225,7 +217,7 @@ func (p *PartitionedHashDivision) runQuotientPartitioned() error {
 			Dividend:    clusterOperand(i, mem, files, ds),
 			Divisor:     exec.NewMemScan(ss, divisor),
 			DivisorCols: p.sp.DivisorCols,
-		}, env, p.hdOpts)
+		}, env, HashDivisionOptions{})
 		qts, err := exec.Collect(obs.Instrument(phase, span, p.env.Counters))
 		if err != nil {
 			return err
@@ -240,7 +232,7 @@ func (p *PartitionedHashDivision) runQuotientPartitioned() error {
 func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 	ds := p.sp.Dividend.Schema()
 	ss := p.sp.Divisor.Schema()
-	divisor, err := p.collectDivisor()
+	divisor, err := DistinctDivisor(p.sp.Divisor, p.env)
 	if err != nil {
 		return err
 	}
@@ -281,7 +273,7 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 			Dividend:    clusterOperand(c, mem, files, ds),
 			Divisor:     exec.NewMemScan(ss, place.Clusters[c]),
 			DivisorCols: p.sp.DivisorCols,
-		}, env, p.hdOpts)
+		}, env, HashDivisionOptions{})
 		err := exec.ForEach(obs.Instrument(phase, span, p.env.Counters), func(q tuple.Tuple) error {
 			if p.env.Counters != nil {
 				p.env.Counters.Bit++
@@ -340,96 +332,4 @@ func (p *PartitionedHashDivision) Close() error {
 	p.results = nil
 	p.dropSpilled()
 	return nil
-}
-
-// AdaptiveStats report what adaptive overflow resolution actually did — in
-// particular how much work abandoned in-memory attempts burned, which the
-// old restart loop silently threw away.
-type AdaptiveStats struct {
-	Attempts     int   // in-memory division attempts, including abandoned ones
-	Overflowed   int   // attempts abandoned on ErrMemoryBudget
-	WastedTuples int64 // dividend tuples absorbed by abandoned attempts
-	Kd, Kq       int   // effective grid: divisor leaves × max quotient cells per leaf
-	Recursive    RecursiveStats
-}
-
-// DivideAdaptiveStats resolves hash table overflow by recursive grace
-// partitioning (divisor-side first, quotient-side within each divisor leaf),
-// re-partitioning only the cells that actually overflow instead of
-// restarting the whole division with a larger grid. It returns the quotient
-// plus the resolution statistics, and publishes the attempt/waste totals on
-// obs.Default so long-running processes can watch for mis-sized budgets.
-func DivideAdaptiveStats(sp Spec, env Env, budget int, maxGrid int) ([]tuple.Tuple, AdaptiveStats, error) {
-	if maxGrid < 1 {
-		maxGrid = 64
-	}
-	if env.MemoryBudget == 0 {
-		env.MemoryBudget = budget // the grant governs sorts too, not just tables
-	}
-	op := NewRecursiveHashDivision(sp, env, DivisorPartitioning,
-		HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{MaxFanOut: maxGrid})
-	qts, err := exec.Collect(op)
-	st := op.Stats()
-	as := AdaptiveStats{
-		Attempts:     st.Attempts,
-		Overflowed:   st.Overflowed,
-		WastedTuples: st.WastedTuples,
-		Kd:           st.DivisorLeaves,
-		Kq:           st.MaxQuotientCells,
-		Recursive:    st,
-	}
-	if as.Kd < 1 {
-		as.Kd = 1
-	}
-	if as.Kq < 1 {
-		as.Kq = 1
-	}
-	obs.Default.Counter("division.adaptive.attempts").Add(int64(st.Attempts))
-	obs.Default.Counter("division.adaptive.wasted_tuples").Add(st.WastedTuples)
-	if err != nil {
-		return nil, as, err
-	}
-	return qts, as, nil
-}
-
-// DivideAdaptive is the historical entry point for adaptive overflow
-// resolution; it is now a thin compatibility shim over the recursive path
-// (DivideAdaptiveStats). The returned pair reports the effective grid: the
-// number of divisor-side leaves and the largest quotient-side leaf count
-// within any of them.
-func DivideAdaptive(sp Spec, env Env, budget int, maxGrid int) ([]tuple.Tuple, int, int, error) {
-	qts, st, err := DivideAdaptiveStats(sp, env, budget, maxGrid)
-	return qts, st.Kd, st.Kq, err
-}
-
-// DivideWithBudget runs hash-division under a hard memory budget for the two
-// hash tables, escalating the number of quotient partitions until the
-// per-phase tables fit — the overflow resolution loop a system would run
-// when a selectivity estimate proved wrong. It returns the quotient and the
-// number of partitions that succeeded.
-func DivideWithBudget(sp Spec, env Env, budget int, maxPartitions int) ([]tuple.Tuple, int, error) {
-	if maxPartitions < 1 {
-		maxPartitions = 64
-	}
-	if env.MemoryBudget == 0 {
-		env.MemoryBudget = budget // the grant governs sorts too, not just tables
-	}
-	for k := 1; k <= maxPartitions; k *= 2 {
-		var op exec.Operator
-		if k == 1 {
-			op = NewHashDivision(sp, env, HashDivisionOptions{MemoryBudget: budget})
-		} else {
-			op = NewPartitionedHashDivision(sp, env, QuotientPartitioning, k,
-				HashDivisionOptions{MemoryBudget: budget})
-		}
-		qts, err := exec.Collect(op)
-		if err == nil {
-			return qts, k, nil
-		}
-		if !errors.Is(err, ErrMemoryBudget) {
-			return nil, k, err
-		}
-	}
-	return nil, maxPartitions, fmt.Errorf("division: budget of %d bytes not met with %d partitions: %w",
-		budget, maxPartitions, ErrMemoryBudget)
 }

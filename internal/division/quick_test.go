@@ -87,7 +87,7 @@ func TestQuickPartitioningEquivalence(t *testing.T) {
 		}
 		qs := makeSpec(dividend, divisor).QuotientSchema()
 		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-			op := NewPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), strat, k, HashDivisionOptions{})
+			op := NewPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), strat, k)
 			got, err := exec.Collect(op)
 			if err != nil {
 				return false

@@ -19,13 +19,15 @@ import (
 // of the offending cell; test with errors.Is.
 var ErrPartitionDepth = errors.New("division: partition recursion depth cap exceeded")
 
-// DefaultMaxRecursionDepth bounds how many times one cell may be
-// re-partitioned. Each level divides cell sizes by at least the fan-out, so
-// 8 levels cover any input ~64^8 times the budget — a cap only skew can hit.
-const DefaultMaxRecursionDepth = 8
+// maxRecursionDepth bounds how many times one cell may be re-partitioned.
+// Each level divides cell sizes by at least the fan-out, so 8 levels cover
+// any input ~64^8 times the budget — a cap only skew can hit.
+const maxRecursionDepth = 8
 
-// defaultMaxFanOut bounds the children one re-partitioning step creates.
-const defaultMaxFanOut = 64
+// maxFanOut bounds the children one re-partitioning step creates; the
+// actual fan-out of each step derives from the overflowing cell's estimated
+// table footprint versus the budget.
+const maxFanOut = 64
 
 // defaultUnknownFanOut is the fan-out used when a cell's size is unknown
 // (the root operator, before anything has been counted).
@@ -33,8 +35,7 @@ const defaultUnknownFanOut = 8
 
 // hashElemOverhead approximates the per-element hash table footprint beyond
 // the tuple bytes (element struct, chain pointer, bucket share) for sizing
-// estimates. It intentionally matches the 48-byte figure the adaptive
-// heuristics have always used.
+// estimates.
 const hashElemOverhead = 48
 
 // prefetchStagePages is how many head pages of the NEXT spilled partition
@@ -43,16 +44,9 @@ const hashElemOverhead = 48
 // with the current scan's own read-ahead.
 const prefetchStagePages = 4
 
-// RecursiveOptions tune recursive partitioning; the zero value is the
-// recommended configuration (depth and fan-out derive from the memory
-// budget).
+// RecursiveOptions carry a plan cache's statistics from a previous
+// execution of the same plan; the zero value runs unseeded.
 type RecursiveOptions struct {
-	// MaxDepth caps the recursion; 0 picks DefaultMaxRecursionDepth.
-	MaxDepth int
-	// MaxFanOut caps the children per re-partitioning step; 0 picks
-	// defaultMaxFanOut. The actual fan-out of each step is derived from the
-	// overflowing cell's estimated table footprint versus the budget.
-	MaxFanOut int
 	// SeedCandidates seeds the root partitioning decision with the candidate
 	// count a previous execution of the same plan observed (a plan cache's
 	// historical statistics). When the seed projects a table footprint over
@@ -91,14 +85,14 @@ type RecursiveStats struct {
 
 // RecursiveHashDivision resolves hash table overflow with grace-style
 // recursive partitioning: when a cell's tables exceed the per-query memory
-// budget (HashDivisionOptions.MemoryBudget), only that cell is re-partitioned
+// budget (Env.MemoryBudget), only that cell is re-partitioned
 // — with a fresh hash salt per depth so correlated skew cannot survive a
 // level — and child partitions that no longer fit the partitioning buffer
 // are spilled to temp-device files through the buffer pool, where the
 // read-ahead prefetcher stages them back in as the recursion descends.
 // Cells that fit stay memory-resident and never touch disk (the hybrid
-// policy). Depth is capped (RecursiveOptions.MaxDepth) and exceeding the cap
-// returns ErrPartitionDepth instead of looping on pathological skew.
+// policy). Depth is capped (maxRecursionDepth) and exceeding the cap returns
+// ErrPartitionDepth instead of looping on pathological skew.
 //
 // Under QuotientPartitioning the recursion runs on the quotient attributes
 // and cell quotients concatenate. Under DivisorPartitioning the divisor is
@@ -113,7 +107,6 @@ type RecursiveHashDivision struct {
 	sp       Spec
 	env      Env
 	strategy PartitionStrategy
-	hdOpts   HashDivisionOptions
 	ropts    RecursiveOptions
 
 	qs      *tuple.Schema
@@ -127,17 +120,12 @@ type RecursiveHashDivision struct {
 	spillSeq int
 }
 
-// NewRecursiveHashDivision builds the operator. hdOpts.MemoryBudget drives
+// NewRecursiveHashDivision builds the operator. env.MemoryBudget drives
 // everything: 0 (or negative) disables partitioning entirely and the
 // operator degenerates to plain hash-division.
-func NewRecursiveHashDivision(sp Spec, env Env, strategy PartitionStrategy, hdOpts HashDivisionOptions, ropts RecursiveOptions) *RecursiveHashDivision {
-	if env.MemoryBudget == 0 {
-		// The table budget is the query's grant: any sort the plan runs must
-		// stay within it too (see Env.MemoryBudget).
-		env.MemoryBudget = hdOpts.MemoryBudget
-	}
+func NewRecursiveHashDivision(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) *RecursiveHashDivision {
 	return &RecursiveHashDivision{
-		sp: sp, env: env, strategy: strategy, hdOpts: hdOpts, ropts: ropts,
+		sp: sp, env: env, strategy: strategy, ropts: ropts,
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -148,26 +136,7 @@ func (r *RecursiveHashDivision) Schema() *tuple.Schema { return r.qs }
 // Stats returns the run statistics (complete once Open has returned).
 func (r *RecursiveHashDivision) Stats() RecursiveStats { return r.stats }
 
-func (r *RecursiveHashDivision) budget() int {
-	if r.hdOpts.MemoryBudget > 0 {
-		return r.hdOpts.MemoryBudget
-	}
-	return 0
-}
-
-func (r *RecursiveHashDivision) maxDepth() int {
-	if r.ropts.MaxDepth > 0 {
-		return r.ropts.MaxDepth
-	}
-	return DefaultMaxRecursionDepth
-}
-
-func (r *RecursiveHashDivision) maxFanOut() int {
-	if r.ropts.MaxFanOut > 1 {
-		return r.ropts.MaxFanOut
-	}
-	return defaultMaxFanOut
-}
+func (r *RecursiveHashDivision) budget() int { return max(r.env.MemoryBudget, 0) }
 
 // mix64 is the splitmix64 finalizer: applied to baseHash^salt it yields an
 // independent partitioning function per recursion depth, so skew that
@@ -241,7 +210,6 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 	counts := make([]int, fanOut)
 	memBytes := 0
 
-	created := 0 // files created by THIS call, for the error path
 	fail := func(err error) ([]rcell, error) {
 		for _, a := range appenders {
 			if a != nil {
@@ -253,7 +221,6 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 				r.dropCell(rcell{file: f})
 			}
 		}
-		_ = created
 		return nil, err
 	}
 
@@ -278,7 +245,6 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 		f := storage.NewSpillFile(r.env.Pool, r.env.TempDev, ds, fmt.Sprintf("divspill-%d", r.spillSeq))
 		r.spillSeq++
 		r.live = append(r.live, f)
-		created++
 		ap := f.NewAppender()
 		for _, t := range mem[best] {
 			if _, err := ap.Append(t); err != nil {
@@ -374,16 +340,11 @@ func stageNextSpilled(cells []rcell, i int) {
 
 // quotientFanOut derives the fan-out for re-partitioning an overflowing cell
 // from the candidate density the abandoned attempt observed: the projected
-// table footprint over the budget, clamped to [2, MaxFanOut].
+// table footprint over the budget, clamped to [2, maxFanOut].
 func (r *RecursiveHashDivision) quotientFanOut(c rcell, divisorCount int, st HashDivisionStats) int {
-	maxF := r.maxFanOut()
 	budget := r.budget()
 	if c.n < 0 || budget <= 0 || st.DividendTuples == 0 {
-		f := defaultUnknownFanOut
-		if f > maxF {
-			f = maxF
-		}
-		return f
+		return defaultUnknownFanOut
 	}
 	projected := st.Candidates
 	if st.DividendTuples < int64(c.n) {
@@ -392,14 +353,7 @@ func (r *RecursiveHashDivision) quotientFanOut(c rcell, divisorCount int, st Has
 	perCand := int64(r.qs.Width() + hashElemOverhead + (divisorCount+63)/64*8)
 	divBytes := int64(divisorCount) * int64(r.sp.Divisor.Schema().Width()+hashElemOverhead)
 	est := projected*perCand + divBytes
-	f := int(est/int64(budget)) + 1
-	if f < 2 {
-		f = 2
-	}
-	if f > maxF {
-		f = maxF
-	}
-	return f
+	return min(max(int(est/int64(budget))+1, 2), maxFanOut)
 }
 
 // seedProjection estimates the root cell's table footprint from the
@@ -435,13 +389,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 			// whose cells land at the budget's edge would overflow on any
 			// model error or skew and re-pay exactly the attempt the seed
 			// exists to avoid.
-			fanOut := int(2*est/int64(r.budget())) + 1
-			if fanOut < 2 {
-				fanOut = 2
-			}
-			if maxF := r.maxFanOut(); fanOut > maxF {
-				fanOut = maxF
-			}
+			fanOut := min(max(int(2*est/int64(r.budget()))+1, 2), maxFanOut)
 			r.stats.SkippedAttempts++
 			obs.Default.Counter("division.attempts.seed_skipped").Inc()
 			r.env.progressf("recursive: seed (%d candidates) projects %d bytes over budget %d; skipping root attempt, partitioning into %d",
@@ -459,7 +407,9 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 	// divisor count is exact, and no fitting quotient table can hold more
 	// candidates than the budget allows, so the default expectations (and
 	// their bucket arrays) would charge small cells for tables they never
-	// build.
+	// build. The quotient expectation is only ever lowered: raised above
+	// what plain hash-division uses, the attempt's bucket array alone could
+	// overflow a budget the plain tables fit.
 	env.ExpectedDivisor = len(divisor)
 	if budget := r.budget(); budget > 0 {
 		perCand := r.qs.Width() + hashElemOverhead + (len(divisor)+63)/64*8
@@ -467,7 +417,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 		if c.n >= 0 && c.n+1 < maxCand {
 			maxCand = c.n + 1
 		}
-		if env.ExpectedQuotient <= 0 || maxCand < env.ExpectedQuotient {
+		if maxCand < env.expectedQuotient() {
 			env.ExpectedQuotient = maxCand
 		}
 	}
@@ -480,7 +430,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 		Dividend:    c.operator(ds),
 		Divisor:     exec.NewMemScan(ss, divisor),
 		DivisorCols: r.sp.DivisorCols,
-	}, env, r.hdOpts)
+	}, env, HashDivisionOptions{})
 	r.stats.Attempts++
 	qts, err := exec.Collect(obs.Instrument(hd, span, r.env.Counters))
 	if err == nil {
@@ -518,7 +468,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 // this depth, and divides the children recursively.
 func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple.Tuple, depth int, parent *obs.Span, fanOut int, emit func(tuple.Tuple) error) (leaves int, err error) {
 	ds := r.sp.Dividend.Schema()
-	if depth >= r.maxDepth() {
+	if depth >= maxRecursionDepth {
 		return 0, fmt.Errorf("division: cell of %d tuples still exceeds budget %d at depth %d (quotient skew): %w",
 			c.n, r.budget(), depth, ErrPartitionDepth)
 	}
@@ -531,6 +481,9 @@ func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple
 	if parent != nil {
 		pspan = parent.Child(fmt.Sprintf("repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
 	}
+	// The window makes the span inclusive of the partitioning pass and of
+	// every child cell, so no span's self counters go negative.
+	defer pspan.Start(r.env.Counters).End(0)
 	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
 	if err != nil {
 		return 0, err
@@ -565,14 +518,7 @@ func (r *RecursiveHashDivision) divisorFanOut(divBytes int) int {
 	if budget < 1 {
 		budget = 1
 	}
-	f := divBytes/budget + 1
-	if f < 2 {
-		f = 2
-	}
-	if maxF := r.maxFanOut(); f > maxF {
-		f = maxF
-	}
-	return f
+	return min(max(divBytes/budget+1, 2), maxFanOut)
 }
 
 // divisorFits reports whether a divisor cluster's table fits its half of the
@@ -594,7 +540,7 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 	if r.divisorFits(len(divisor)) {
 		return leaf(divisor, c, depth, parent)
 	}
-	if depth >= r.maxDepth() {
+	if depth >= maxRecursionDepth {
 		return fmt.Errorf("division: divisor cluster of %d tuples still exceeds budget %d at depth %d (divisor skew): %w",
 			len(divisor), r.budget(), depth, ErrPartitionDepth)
 	}
@@ -621,6 +567,7 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 	if parent != nil {
 		span = parent.Child(fmt.Sprintf("divisor-repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
 	}
+	defer span.Start(r.env.Counters).End(0)
 	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
 		len(divisor), r.budget(), depth, fanOut)
 	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
@@ -684,7 +631,7 @@ func (r *RecursiveHashDivision) run() error {
 			span = parent.Child("hash-division", "hash-division")
 			env.ProfileSpan = span
 		}
-		hd := NewHashDivision(r.sp, env, r.hdOpts)
+		hd := NewHashDivision(r.sp, env, HashDivisionOptions{})
 		qts, err := exec.Collect(obs.Instrument(hd, span, r.env.Counters))
 		if err != nil {
 			return err
@@ -698,7 +645,7 @@ func (r *RecursiveHashDivision) run() error {
 		return nil
 	}
 
-	divisor, err := collectDistinctDivisor(r.sp, r.env)
+	divisor, err := DistinctDivisor(r.sp.Divisor, r.env)
 	if err != nil {
 		return err
 	}
@@ -809,20 +756,20 @@ func (r *RecursiveHashDivision) Close() error {
 
 // DivideRecursive runs recursive out-of-core hash-division under the given
 // strategy and returns the quotient plus run statistics.
-func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, hdOpts HashDivisionOptions, ropts RecursiveOptions) ([]tuple.Tuple, RecursiveStats, error) {
-	op := NewRecursiveHashDivision(sp, env, strategy, hdOpts, ropts)
+func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) ([]tuple.Tuple, RecursiveStats, error) {
+	op := NewRecursiveHashDivision(sp, env, strategy, ropts)
 	qts, err := exec.Collect(op)
 	return qts, op.Stats(), err
 }
 
-// collectDistinctDivisor reads the divisor once, eliminating duplicates, and
-// returns the distinct tuples (shared by the partitioned and recursive
-// divisions).
-func collectDistinctDivisor(sp Spec, env Env) ([]tuple.Tuple, error) {
-	ss := sp.Divisor.Schema()
-	tab := hashtab.NewForExpected(ss, env.expectedDivisor(), env.hbs())
+// DistinctDivisor reads the divisor once, eliminating duplicates, and
+// returns the distinct tuples in first-seen order — the divisor every
+// partitioned, recursive and parallel division places or clusters. The probe
+// work is charged to env.Counters.
+func DistinctDivisor(divisor exec.Operator, env Env) ([]tuple.Tuple, error) {
+	tab := hashtab.NewForExpected(divisor.Schema(), env.expectedDivisor(), env.hbs())
 	var out []tuple.Tuple
-	err := exec.ForEach(sp.Divisor, func(t tuple.Tuple) error {
+	err := exec.ForEach(divisor, func(t tuple.Tuple) error {
 		if e, created := tab.GetOrInsert(t); created {
 			out = append(out, e.Tuple)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -63,8 +64,7 @@ func TestRecursiveMatchesReferenceUnderPressure(t *testing.T) {
 		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 			t.Run(fmt.Sprintf("budget=%d%%/%v", pct, strat), func(t *testing.T) {
 				live := storage.LiveSpillFiles()
-				got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
-					HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{})
+				got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(budget), strat, RecursiveOptions{})
 				if err != nil {
 					t.Fatalf("budget %d: %v", budget, err)
 				}
@@ -100,8 +100,7 @@ func TestRecursiveHybridResidency(t *testing.T) {
 			dividend = append(dividend, [2]int64{int64(s), 1})
 		}
 	}
-	got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: 8 << 10}, RecursiveOptions{})
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(8<<10), QuotientPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +137,7 @@ func TestRecursiveDepthCapTypedError(t *testing.T) {
 	live := storage.LiveSpillFiles()
 	// Budget above the raw divisor bytes (so the hopeless-divisor precheck
 	// passes) but below the divisor table's footprint: every cell overflows.
-	_, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: 300}, RecursiveOptions{MaxDepth: 3})
+	_, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(300), QuotientPartitioning, RecursiveOptions{})
 	if !errors.Is(err, ErrPartitionDepth) {
 		t.Fatalf("want ErrPartitionDepth, got %v (stats %+v)", err, st)
 	}
@@ -152,8 +150,7 @@ func TestRecursiveDepthCapTypedError(t *testing.T) {
 // budget the operator is plain hash-division — one attempt, no partitioning.
 func TestRecursiveNoBudgetIsPlainDivision(t *testing.T) {
 	dividend, divisor := skewedWorkload(50, 5, 6, 2, 3)
-	got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), DivisorPartitioning,
-		HashDivisionOptions{}, RecursiveOptions{})
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), DivisorPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +166,56 @@ func TestRecursiveNoBudgetIsPlainDivision(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReportsWaste pins the satellite contract for the adaptive
-// shim: abandoned attempts are counted, their absorbed tuples reported, and
-// the totals land on the obs registry.
+// TestRecursiveAttemptFitsWherePlainFits pins the attempt sizing: a cell's
+// quotient table is pre-sized for at most the candidates the budget can
+// hold, but never above plain hash-division's expectation. With more than
+// the default 1024 candidates and a budget equal to plain hash-division's
+// peak, pre-sizing to the budget would give the attempt a larger bucket
+// array than the plain run and overflow where the plain tables fit.
+func TestRecursiveAttemptFitsWherePlainFits(t *testing.T) {
+	divisor := make([]int64, 16)
+	for i := range divisor {
+		divisor[i] = int64(i)
+	}
+	var dividend [][2]int64
+	for q := 0; q < 2000; q++ {
+		for _, c := range divisor {
+			if q%2 == 0 || c != 0 { // odd candidates miss course 0
+				dividend = append(dividend, [2]int64{int64(q), c})
+			}
+		}
+	}
+	env := testEnv()
+	env.ExpectedDivisor = len(divisor)
+	plain := NewHashDivision(makeSpec(dividend, divisor), env, HashDivisionOptions{})
+	want, err := exec.Collect(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.MemoryBudget = plain.Stats().PeakTableBytes
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), env, QuotientPartitioning, RecursiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EqualTupleSets(makeSpec(dividend, divisor).QuotientSchema(), got, want) {
+		t.Fatalf("quotient mismatch: %d vs %d tuples", len(got), len(want))
+	}
+	if st.Attempts != 1 || st.Overflowed != 0 || st.SpilledPartitions != 0 {
+		t.Fatalf("budget of %d bytes fits plain hash-division but the recursive attempt overflowed: %+v",
+			env.MemoryBudget, st)
+	}
+}
+
+// TestAdaptiveReportsWaste pins the overflow accounting of recursive
+// divisor partitioning: abandoned attempts are counted, their absorbed
+// tuples reported, and the totals land on the obs registry.
 func TestAdaptiveReportsWaste(t *testing.T) {
 	dividend, divisor := skewedWorkload(400, 25, 10, 3, 11)
 	inputBytes := len(dividend) * transcriptSchema.Width()
-	before := obs.Default.Get("division.adaptive.attempts")
-	beforeWaste := obs.Default.Get("division.adaptive.wasted_tuples")
+	before := obs.Default.Get("division.attempts.overflowed")
+	beforeWaste := obs.Default.Get("division.attempts.wasted_tuples")
 
-	got, st, err := DivideAdaptiveStats(makeSpec(dividend, divisor), testEnv(), inputBytes*5/100, 64)
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(inputBytes*5/100), DivisorPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,35 +232,14 @@ func TestAdaptiveReportsWaste(t *testing.T) {
 	if st.Attempts <= st.Overflowed {
 		t.Fatalf("attempts must include the successful ones: %+v", st)
 	}
-	if st.Kd < 1 || st.Kq < 1 {
+	if st.DivisorLeaves < 1 || st.MaxQuotientCells < 1 {
 		t.Fatalf("grid must be at least 1x1: %+v", st)
 	}
-	if obs.Default.Get("division.adaptive.attempts") <= before {
-		t.Fatal("division.adaptive.attempts not published")
+	if got := obs.Default.Get("division.attempts.overflowed") - before; got < int64(st.Overflowed) {
+		t.Fatalf("division.attempts.overflowed grew by %d, want at least %d", got, st.Overflowed)
 	}
-	if obs.Default.Get("division.adaptive.wasted_tuples") <= beforeWaste {
-		t.Fatal("division.adaptive.wasted_tuples not published")
-	}
-}
-
-// TestAdaptiveShimMatchesStats pins the compatibility shim's return values
-// against the stats entry point.
-func TestAdaptiveShimMatchesStats(t *testing.T) {
-	dividend, divisor := skewedWorkload(100, 10, 6, 2, 5)
-	qts, kd, kq, err := DivideAdaptive(makeSpec(dividend, divisor), testEnv(), 2048, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qts2, st, err := DivideAdaptiveStats(makeSpec(dividend, divisor), testEnv(), 2048, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kd != st.Kd || kq != st.Kq {
-		t.Fatalf("shim grid (%d,%d) != stats grid (%d,%d)", kd, kq, st.Kd, st.Kq)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-	if !EqualTupleSets(qs, qts, qts2) {
-		t.Fatal("shim and stats quotients differ")
+	if got := obs.Default.Get("division.attempts.wasted_tuples") - beforeWaste; got < st.WastedTuples {
+		t.Fatalf("division.attempts.wasted_tuples grew by %d, want at least %d", got, st.WastedTuples)
 	}
 }
 
@@ -242,8 +258,7 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 	}
 	qs := sp().QuotientSchema()
 
-	cold, st1, err := DivideRecursive(sp(), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{})
+	cold, st1, err := DivideRecursive(sp(), budgetEnv(budget), QuotientPartitioning, RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +272,7 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 		t.Fatalf("cold run recorded no feedback statistics: %+v", st1)
 	}
 
-	warm, st2, err := DivideRecursive(sp(), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: budget},
+	warm, st2, err := DivideRecursive(sp(), budgetEnv(budget), QuotientPartitioning,
 		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +288,7 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 	}
 
 	// A seed that predicts a comfortable fit must leave the run untouched.
-	fit, st3, err := DivideRecursive(sp(), testEnv(), QuotientPartitioning,
-		HashDivisionOptions{MemoryBudget: 64 << 20},
+	fit, st3, err := DivideRecursive(sp(), budgetEnv(64<<20), QuotientPartitioning,
 		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
 	if err != nil {
 		t.Fatal(err)

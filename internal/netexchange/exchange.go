@@ -359,7 +359,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		}
 	}()
 
-	divisor, err := parallel.DistinctDivisor(ctx, sp)
+	divisor, err := division.DistinctDivisor(exec.NewContextScan(ctx, sp.Divisor), division.Env{})
 	if err != nil {
 		return nil, err
 	}

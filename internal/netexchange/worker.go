@@ -350,8 +350,8 @@ func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 // runBudgetJob is runJob under a memory grant (jobHeader.Budget): both input
 // streams are spooled to spill files on a per-job temp device as they arrive,
 // and the local division runs through division.DivideRecursive with the
-// grant split exactly like server/executor.go splits a session grant — a
-// quarter buffers spill I/O, the rest bounds the hash tables. A partition
+// grant split by division.SplitGrant, as the server splits a session grant —
+// a quarter buffers spill I/O, the rest bounds the hash tables. A partition
 // larger than the grant re-partitions recursively instead of growing the
 // tables without bound; only past the recursion depth cap does the job fail,
 // with the typed sentinel classified onto the wire for the coordinator.
@@ -360,17 +360,10 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 	ds := j.Dividend
 	ss := j.Divisor
 
-	poolBytes := int(j.Budget / 4)
-	if min := 8 * disk.PaperRunPageSize; poolBytes < min {
-		poolBytes = min
-	}
-	tableBytes := int(j.Budget) - poolBytes
-	if tableBytes < 1 {
-		// A grant below the pool floor: every in-memory attempt overflows
-		// immediately and the recursion's depth cap converts the impossible
-		// budget into the typed ErrPartitionDepth.
-		tableBytes = 1
-	}
+	// A grant below the pool floor leaves a 1-byte table budget: every
+	// in-memory attempt overflows immediately and the recursion's depth cap
+	// converts the impossible budget into the typed ErrPartitionDepth.
+	poolBytes, tableBytes := division.SplitGrant(j.Budget)
 	dev := disk.NewDevice(fmt.Sprintf("netexchange-w%d-temp", j.WorkerID), disk.PaperRunPageSize)
 	pool := buffer.New(poolBytes)
 
@@ -384,7 +377,7 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 	}()
 
 	// The coordinator ships the divisor already distinct
-	// (parallel.DistinctDivisor), so the spooled count is the distinct count
+	// (division.DistinctDivisor), so the spooled count is the distinct count
 	// the stats report.
 	divisorCount, err := spoolFrames(fr, divisorFile, ss, frameDivisorBatch, frameDivisorEnd,
 		j.BatchSize, func(t tuple.Tuple) {
@@ -417,8 +410,7 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 		BatchSize:       j.BatchSize,
 		ExpectedDivisor: int(divisorCount),
 	}
-	local, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning,
-		division.HashDivisionOptions{MemoryBudget: tableBytes}, division.RecursiveOptions{})
+	local, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
 	if err != nil {
 		return err
 	}

@@ -429,7 +429,7 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config) (*Resu
 	defer cancel()
 	fe := NewFirstError(cancel)
 
-	divisor, err := DistinctDivisor(ctx, sp)
+	divisor, err := division.DistinctDivisor(exec.NewContextScan(ctx, sp.Divisor), division.Env{})
 	if err != nil {
 		return nil, err
 	}

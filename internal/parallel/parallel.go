@@ -41,7 +41,6 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/division"
 	"repro/internal/exec"
-	"repro/internal/hashtab"
 	"repro/internal/obs"
 	"repro/internal/tuple"
 )
@@ -298,21 +297,6 @@ func (f *FirstError) Err() error {
 	return f.err
 }
 
-// DistinctDivisor reads the divisor once at the coordinator, eliminating
-// duplicates.
-func DistinctDivisor(ctx context.Context, sp division.Spec) ([]tuple.Tuple, error) {
-	ss := sp.Divisor.Schema()
-	tab := hashtab.NewForExpected(ss, 256, 2)
-	var out []tuple.Tuple
-	err := exec.ForEach(exec.NewContextScan(ctx, sp.Divisor), func(t tuple.Tuple) error {
-		if e, created := tab.GetOrInsert(t); created {
-			out = append(out, e.Tuple)
-		}
-		return nil
-	})
-	return out, err
-}
-
 // buildBitVector hashes every divisor tuple into a Babb filter.
 func buildBitVector(divisor []tuple.Tuple, bits int) *bitmap.Bitmap {
 	bv := bitmap.New(division.FilterBits(bits, len(divisor)))
@@ -401,7 +385,7 @@ func divideExchange(ctx context.Context, sp division.Spec, cfg Config) (*Result,
 	defer cancel()
 	fe := NewFirstError(cancel)
 
-	divisor, err := DistinctDivisor(ctx, sp)
+	divisor, err := division.DistinctDivisor(exec.NewContextScan(ctx, sp.Divisor), division.Env{})
 	if err != nil {
 		return nil, err
 	}

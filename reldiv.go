@@ -243,9 +243,10 @@ type Options struct {
 	// AssumeUniqueInputs skips duplicate handling in the sort- and
 	// aggregation-based algorithms (hash-division never needs it).
 	AssumeUniqueInputs bool
-	// MemoryBudget bounds hash-division's table memory in bytes; when the
-	// tables outgrow it the division transparently escalates to quotient
-	// partitioning (§3.4).
+	// MemoryBudget bounds hash-division's table memory in bytes. A positive
+	// budget runs recursive hash-division, which re-partitions on the
+	// quotient attributes (§3.4) only the cells whose tables outgrow it,
+	// spilling through a buffer pool of buffer.PaperPoolBytes.
 	MemoryBudget int
 	// Workers > 1 runs hash-division on a simulated shared-nothing
 	// multi-processor (§6).
@@ -316,7 +317,7 @@ func wrapCancel(ctx context.Context, sp *division.Spec) {
 // calls, "reldiv.division_errors" failures, "reldiv.quotient_rows" result
 // rows — an expvar-style snapshot of library activity.
 func DivideContext(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options) (*Relation, error) {
-	rel, err := divideContext(ctx, dividend, divisor, on, opts)
+	rel, err := divide(ctx, dividend, divisor, on, opts, nil, nil)
 	obs.Default.Counter("reldiv.divisions").Inc()
 	if err != nil {
 		obs.Default.Counter("reldiv.division_errors").Inc()
@@ -326,7 +327,27 @@ func DivideContext(ctx context.Context, dividend, divisor *Relation, on []string
 	return rel, nil
 }
 
-func divideContext(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options) (*Relation, error) {
+// ExplainAnalyze executes the division with full instrumentation and returns
+// the quotient alongside the executed profile: a span tree annotated with
+// rows, wall time, and per-operator exec.Counters deltas whose selves sum to
+// the query total. The plan and every option, Timeout included, are those of
+// Divide. Parallel runs (Workers > 1) profile per-worker spans with rows and
+// wall time only — worker counters would race.
+func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*Relation, *obs.Profile, error) {
+	counters := &exec.Counters{}
+	tracer := obs.NewTracer()
+	rel, err := divide(context.Background(), dividend, divisor, on, opts, tracer, counters)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, tracer.Profile(counters), nil
+}
+
+// divide plans and runs one division: parallel workers when Workers > 1,
+// recursive hash-division under a MemoryBudget, the chosen serial algorithm
+// otherwise. A non-nil tracer and counters record an EXPLAIN ANALYZE
+// profile; DivideContext passes nil for both.
+func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options, tracer *obs.Tracer, counters *exec.Counters) (*Relation, error) {
 	o := opts.orDefault()
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -359,6 +380,7 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 			Workers:         o.Workers,
 			Strategy:        strategy,
 			BitVectorFilter: o.BitVectorFilter,
+			Trace:           tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -373,10 +395,13 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
 		AssumeUniqueInputs: o.AssumeUniqueInputs,
 		ExpectedDivisor:    divisor.NumRows(),
+		Counters:           counters,
+		Trace:              tracer,
 	}
 
 	if o.MemoryBudget > 0 {
-		qts, _, err := division.DivideWithBudget(sp, env, o.MemoryBudget, 0)
+		env.MemoryBudget = o.MemoryBudget
+		qts, _, err := division.DivideRecursive(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -402,88 +427,6 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 	}
 	result.tuples = qts
 	return result, nil
-}
-
-// ExplainAnalyze executes the division with full instrumentation and returns
-// the quotient alongside the executed profile: a span tree annotated with
-// rows, wall time, and per-operator exec.Counters deltas whose selves sum to
-// the query total. Parallel runs (Workers > 1) profile per-worker spans with
-// rows and wall time only — worker counters would race.
-func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*Relation, *obs.Profile, error) {
-	o := opts.orDefault()
-	cols, err := matchColumns(dividend, divisor, on)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp := division.Spec{
-		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
-		Divisor:     exec.NewMemScan(divisor.schema, divisor.tuples),
-		DivisorCols: cols,
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, nil, err
-	}
-	counters := &exec.Counters{}
-	tracer := obs.NewTracer()
-	result := &Relation{
-		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
-		schema: sp.QuotientSchema(),
-	}
-
-	if o.Workers > 1 {
-		strategy := division.QuotientPartitioning
-		if o.DivisorPartitioned {
-			strategy = division.DivisorPartitioning
-		}
-		res, err := parallel.Divide(sp, parallel.Config{
-			Workers:         o.Workers,
-			Strategy:        strategy,
-			BitVectorFilter: o.BitVectorFilter,
-			Trace:           tracer,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		result.tuples = res.Quotient
-		return result, tracer.Profile(counters), nil
-	}
-
-	env := division.Env{
-		Pool:               buffer.New(buffer.PaperPoolBytes),
-		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
-		AssumeUniqueInputs: o.AssumeUniqueInputs,
-		ExpectedDivisor:    divisor.NumRows(),
-		Counters:           counters,
-		Trace:              tracer,
-	}
-
-	if o.MemoryBudget > 0 {
-		qts, _, err := division.DivideWithBudget(sp, env, o.MemoryBudget, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		result.tuples = qts
-		return result, tracer.Profile(counters), nil
-	}
-
-	alg := o.Algorithm
-	if alg == Auto {
-		alg = choose(dividend, divisor)
-	}
-	ialg, err := alg.internal()
-	if err != nil {
-		return nil, nil, err
-	}
-	op, err := division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
-	if err != nil {
-		return nil, nil, err
-	}
-	qts, err := exec.Collect(op)
-	if err != nil {
-		return nil, nil, err
-	}
-	result.tuples = qts
-	return result, tracer.Profile(counters), nil
 }
 
 // ExplainPlan renders the logical plans the optimizer rule compares for this
@@ -550,12 +493,10 @@ func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*
 	env := division.Env{
 		Pool:            buffer.New(buffer.PaperPoolBytes),
 		TempDev:         disk.NewDevice("temp", disk.PaperRunPageSize),
+		MemoryBudget:    o.MemoryBudget,
 		ExpectedDivisor: divisor.NumRows(),
 	}
-	hd := division.NewHashDivision(sp, env, division.HashDivisionOptions{
-		EarlyEmit:    o.EarlyEmit,
-		MemoryBudget: o.MemoryBudget,
-	})
+	hd := division.NewHashDivision(sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
 	qts, err := exec.Collect(hd)
 	if err != nil {
 		return nil, RunStats{}, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func ordersProducts() (*Relation, *Relation) {
@@ -120,6 +122,51 @@ func TestDivideWithMemoryBudget(t *testing.T) {
 	}
 	if q.NumRows() != 500 {
 		t.Errorf("quotient = %d rows, want 500", q.NumRows())
+	}
+}
+
+// TestDivideMemoryBudgetRepartitions: a budget below the table footprint
+// runs recursive hash-division, which re-partitions the overflowing input
+// (counted in division.repartitions) and still returns the exact quotient.
+func TestDivideMemoryBudgetRepartitions(t *testing.T) {
+	orders := NewRelation("orders", Int64Col("customer"), Int64Col("product"))
+	products := NewRelation("products", Int64Col("product"))
+	for p := 0; p < 8; p++ {
+		products.MustInsert(p)
+	}
+	want := map[int64]bool{}
+	for c := 0; c < 600; c++ {
+		full := c%3 == 0
+		if full {
+			want[int64(c)] = true
+		}
+		for p := 0; p < 8; p++ {
+			if full || p != c%8 {
+				orders.MustInsert(c, p)
+			}
+		}
+	}
+	_, st, err := DivideWithStats(orders, products, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := st.PeakTableBytes / 4
+	before := obs.Default.Get("division.repartitions")
+	q, err := Divide(orders, products, nil, &Options{MemoryBudget: budget})
+	if err != nil {
+		t.Fatalf("budget %d of %d table bytes: %v", budget, st.PeakTableBytes, err)
+	}
+	got := quotientCustomers(t, q)
+	if len(got) != len(want) {
+		t.Fatalf("quotient = %d rows, want %d", len(got), len(want))
+	}
+	for c := range want {
+		if !got[c] {
+			t.Fatalf("customer %d missing from the quotient", c)
+		}
+	}
+	if obs.Default.Get("division.repartitions") <= before {
+		t.Fatalf("budget %d of %d table bytes divided without re-partitioning", budget, st.PeakTableBytes)
 	}
 }
 

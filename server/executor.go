@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/disk"
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/rewrite"
@@ -98,14 +97,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	// Split the grant: a quarter buffers spill I/O, the rest is the hash
 	// table budget — which also caps the sort space of any sort the plan
 	// runs (division.Env.MemoryBudget).
-	poolBytes := int(need / 4)
-	if min := 8 * disk.PaperRunPageSize; poolBytes < min {
-		poolBytes = min
-	}
-	tableBytes := int(need) - poolBytes
-	if tableBytes < poolBytes {
-		tableBytes = poolBytes
-	}
+	poolBytes, tableBytes := division.SplitGrant(need)
 
 	// The session spill quota wraps the query's temp device: the first
 	// write to each page charges the session ceiling, Free credits it, and
@@ -120,6 +112,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	env := division.Env{
 		Pool:            buffer.New(poolBytes),
 		TempDev:         tempDev,
+		MemoryBudget:    tableBytes,
 		ExpectedDivisor: len(svRows),
 	}
 	sp := division.Spec{
@@ -132,7 +125,6 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	}
 
 	qts, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning,
-		division.HashDivisionOptions{MemoryBudget: tableBytes},
 		division.RecursiveOptions{SeedCandidates: seedCandidates, SeedDividend: seedDividend})
 	if err != nil {
 		code := CodeInternal

@@ -10,6 +10,7 @@ import (
 
 	reldiv "repro"
 	"repro/internal/disk"
+	"repro/internal/division"
 	"repro/internal/obs"
 )
 
@@ -273,5 +274,21 @@ func TestAdmissionQueueingUnderOversubscription(t *testing.T) {
 	}
 	if s.Governor().InUse() != 0 {
 		t.Fatalf("grants leaked: %d bytes still in use", s.Governor().InUse())
+	}
+}
+
+// TestSplitGrantAdmittedGrants: every grant admission hands out is at least
+// MinQueryBytes, and for those the table share never falls below the pool
+// share — so division.SplitGrant's 1-byte table floor is the only floor the
+// server needs.
+func TestSplitGrantAdmittedGrants(t *testing.T) {
+	for _, grant := range []int64{MinQueryBytes, MinQueryBytes + 1, 3 * MinQueryBytes, DefaultQueryBytes, DefaultMemoryBytes} {
+		pool, tables := division.SplitGrant(grant)
+		if tables < pool {
+			t.Errorf("SplitGrant(%d) = pool %d, tables %d: tables below pool", grant, pool, tables)
+		}
+		if int64(pool+tables) != grant {
+			t.Errorf("SplitGrant(%d) = pool %d + tables %d, want the whole grant", grant, pool, tables)
+		}
 	}
 }

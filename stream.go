@@ -196,10 +196,8 @@ func DivideStreamContext(ctx context.Context, dividend, divisor StreamInput, on 
 		alg = HashDivision
 	}
 	if alg == HashDivision {
-		op = division.NewHashDivision(sp, env, division.HashDivisionOptions{
-			EarlyEmit:    o.EarlyEmit,
-			MemoryBudget: o.MemoryBudget,
-		})
+		env.MemoryBudget = o.MemoryBudget
+		op = division.NewHashDivision(sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
 	} else {
 		ialg, err := alg.internal()
 		if err != nil {

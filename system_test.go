@@ -130,13 +130,16 @@ func TestFullSystem(t *testing.T) {
 	}
 	assertNoFixed("indexed naive division")
 
-	// 3. Partitioned, adaptive, and combined hash-division under a budget.
-	qts, kd, kq, err := division.DivideAdaptive(storageSpec(), env, 24*1024, 64)
+	// 3. Recursive divisor-partitioned hash-division under a budget.
+	budgetEnv := env
+	budgetEnv.MemoryBudget = 24 * 1024
+	qts, st, err := division.DivideRecursive(storageSpec(), budgetEnv,
+		division.DivisorPartitioning, division.RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !division.EqualTupleSets(qs, qts, ref) {
-		t.Errorf("adaptive (%d,%d): wrong quotient", kd, kq)
+		t.Errorf("adaptive (%d,%d): wrong quotient", st.DivisorLeaves, st.MaxQuotientCells)
 	}
 	assertNoFixed("adaptive partitioned hash-division")
 
