@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/buffer"
@@ -513,6 +514,68 @@ func BenchmarkPublicAPI(b *testing.B) {
 			b.Fatalf("quotient = %d", q.NumRows())
 		}
 	}
+}
+
+// BenchmarkSnapshotDivide is durable-mixed's read without its writer: a
+// consistent Snapshot of the Table 4 |S|=100, |Q|=400 transcript (40 k rows,
+// a 640 KB heap over the store's 256 KB pool, so most pages miss) and then
+// hash-division of the snapshot relations. Each step reports its wall time
+// per dividend row.
+func BenchmarkSnapshotDivide(b *testing.B) {
+	inst, err := workload.Generate(workload.PaperCase(100, 400, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := OpenDurableStore(disk.NewDevice("wal", disk.PaperPageSize), disk.NewDevice("data", disk.PaperPageSize), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	for _, tab := range []struct {
+		name string
+		cols []Column
+		s    *tuple.Schema
+		rows []tuple.Tuple
+	}{
+		{"transcript", []Column{Int64Col("student_id"), Int64Col("course_no")}, workload.TranscriptSchema, inst.Dividend},
+		{"courses", []Column{Int64Col("course_no")}, workload.CourseSchema, inst.Divisor},
+	} {
+		rows := make([][]any, len(tab.rows))
+		for i, tp := range tab.rows {
+			rows[i] = tab.s.Row(tp)
+		}
+		t, err := store.CreateTable(tab.name, tab.cols...)
+		if err == nil {
+			err = t.InsertRows(rows)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := &Options{Algorithm: HashDivision}
+	var snap, div time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		rels, err := store.Snapshot("transcript", "courses")
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		q, err := Divide(rels["transcript"], rels["courses"], nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap += t1.Sub(t0)
+		div += time.Since(t1)
+		if q.NumRows() != 400 {
+			b.Fatalf("quotient = %d", q.NumRows())
+		}
+	}
+	perRow := float64(b.N) * float64(len(inst.Dividend))
+	b.ReportMetric(float64(snap.Nanoseconds())/perRow, "snapshot-ns/row")
+	b.ReportMetric(float64(div.Nanoseconds())/perRow, "divide-ns/row")
 }
 
 // BenchmarkBatchVsTuple is the PR's headline ablation: hash-division over

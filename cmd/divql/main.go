@@ -173,6 +173,9 @@ func parseColumns(spec string) ([]reldiv.Column, error) {
 				if _, err := fmt.Sscanf(nt[2], "%d", &width); err != nil {
 					return nil, fmt.Errorf("bad width in %q", part)
 				}
+				if width < 1 {
+					return nil, fmt.Errorf("width in %q must be at least 1", part)
+				}
 			}
 			cols = append(cols, reldiv.StringCol(nt[0], width))
 		default:

@@ -25,8 +25,10 @@ func TestParseColumns(t *testing.T) {
 	if _, err := parseColumns("x:float"); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if _, err := parseColumns("x:str:abc"); err == nil {
-		t.Error("bad width accepted")
+	for _, spec := range []string{"x:str:abc", "x:str:0", "x:str:-3"} {
+		if _, err := parseColumns(spec); err == nil {
+			t.Errorf("bad width accepted: %s", spec)
+		}
 	}
 }
 

@@ -320,13 +320,15 @@ func (t *DurableTable) Relation() (*Relation, error) {
 	return t.relationLocked()
 }
 
-// relationLocked materializes the table; caller holds t.mu.
+// relationLocked materializes the table; caller holds t.mu. The relation's
+// arena is one bulk copy of the heap file's record areas, one append per
+// page, so later inserts never show through.
 func (t *DurableTable) relationLocked() (*Relation, error) {
-	tuples, err := t.file.ReadAll()
+	rows, err := t.file.ReadArena()
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{name: t.name, schema: t.schema, tuples: tuples}, nil
+	return &Relation{name: t.name, schema: t.schema, rows: rows}, nil
 }
 
 // Snapshot materializes the named tables at one consistent cut: every

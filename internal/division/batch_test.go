@@ -1,6 +1,7 @@
 package division
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -181,6 +182,53 @@ func TestBatchScanFaultInjection(t *testing.T) {
 		if err := run(n+1, forceTuple); err != nil {
 			t.Errorf("forceTuple=%v: fault beyond input: %v", forceTuple, err)
 		}
+	}
+}
+
+// cancelAfterBatch is a batch-native dividend that cancels its context once
+// it has handed out its first batch.
+type cancelAfterBatch struct {
+	*exec.MemScan
+	cancel  context.CancelFunc
+	batches int
+	tuples  int
+}
+
+func (c *cancelAfterBatch) NextBatch(b *exec.Batch) error {
+	err := c.MemScan.NextBatch(b)
+	if err == nil {
+		c.batches++
+		c.tuples += b.Len()
+		c.cancel()
+	}
+	return err
+}
+
+// TestContextScanStopsAbsorbWithinOneBatch: hash-division keeps its batch
+// absorb under a cancellable context, and a context cancelled during a
+// batch stops the absorb before the next one is read — every tuple read was
+// absorbed, and no more.
+func TestContextScanStopsAbsorbWithinOneBatch(t *testing.T) {
+	inst, err := workload.Generate(workload.PaperCase(20, 1000, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfterBatch{MemScan: exec.NewMemScan(workload.TranscriptSchema, inst.Dividend), cancel: cancel}
+	sp := instSpec(inst)
+	sp.Dividend = exec.NewContextScan(ctx, src)
+	env := testEnv()
+	env.BatchSize = 256
+	hd := NewHashDivision(sp, env, HashDivisionOptions{})
+	if _, err := exec.Collect(hd); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.batches != 1 || src.tuples >= len(inst.Dividend) {
+		t.Fatalf("read %d batches (%d of %d tuples) after cancelling in the first", src.batches, src.tuples, len(inst.Dividend))
+	}
+	if got := hd.Stats().DividendTuples; got != int64(src.tuples) {
+		t.Errorf("absorbed %d dividend tuples, read %d", got, src.tuples)
 	}
 }
 

@@ -158,8 +158,9 @@ func (c *Core) Absorb(t tuple.Tuple) (tuple.Tuple, error) {
 
 // AbsorbBatch is step 2 over one dividend batch in stop-and-go mode (not
 // EarlyEmit), with the same probes, bit sets, statistics and counter
-// increments as Absorb. The batch may alias foreign memory: candidates
-// store owned copies.
+// increments as Absorb — also when the budget fails mid-batch: only the
+// tuples up to and including the one that overflowed count as read. The
+// batch may alias foreign memory: candidates store owned copies.
 func (c *Core) AbsorbBatch(b *exec.Batch) error {
 	if c.k.fastU64 {
 		return c.absorbBatchU64(b)
@@ -168,7 +169,6 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 	countersOnly := c.opts.CountersOnly
 	k := &c.k
 	n := b.Len()
-	c.stats.DividendTuples += int64(n)
 	var bits int64
 	for i := 0; i < n; i++ {
 		t := b.Tuple(i)
@@ -182,7 +182,7 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 			c.stats.Candidates++
 			if !countersOnly {
 				if err := c.newCandidate(qe); err != nil {
-					c.chargeBits(bits)
+					c.endBatch(i+1, bits)
 					return err
 				}
 			}
@@ -194,7 +194,7 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 		bits++
 		qe.Bits.Set(int(de.Num))
 	}
-	c.chargeBits(bits)
+	c.endBatch(n, bits)
 	return nil
 }
 
@@ -260,7 +260,6 @@ func (c *Core) absorbBatchU64(b *exec.Batch) error {
 	countersOnly := c.opts.CountersOnly
 	divOff, quotOff := c.k.divOff, c.k.quotOff
 	n := b.Len()
-	c.stats.DividendTuples += int64(n)
 	var bits int64
 	for i := 0; i < n; i++ {
 		t := b.Tuple(i)
@@ -276,7 +275,7 @@ func (c *Core) absorbBatchU64(b *exec.Batch) error {
 			c.stats.Candidates++
 			if !countersOnly {
 				if err := c.newCandidate(qe); err != nil {
-					c.chargeBits(bits)
+					c.endBatch(i+1, bits)
 					return err
 				}
 			}
@@ -288,11 +287,14 @@ func (c *Core) absorbBatchU64(b *exec.Batch) error {
 		bits++
 		qe.Bits.Set(int(de.Num))
 	}
-	c.chargeBits(bits)
+	c.endBatch(n, bits)
 	return nil
 }
 
-func (c *Core) chargeBits(bits int64) {
+// endBatch charges a batch loop's work once: read dividend tuples to the
+// statistics and bit sets to the counters.
+func (c *Core) endBatch(read int, bits int64) {
+	c.stats.DividendTuples += int64(read)
 	if c.opts.Counters != nil {
 		c.opts.Counters.Bit += bits
 	}

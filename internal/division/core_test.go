@@ -180,7 +180,9 @@ func TestCoreDivisorValuesAbsent(t *testing.T) {
 // TestCoreMemoryBudget checks the budget against MemBytes: a budget the
 // divisor table alone exceeds fails step 1, one the candidates exceed fails
 // step 2, and each failure leaves MemBytes above the budget and within the
-// recorded peak.
+// recorded peak. At the error, batch and tuple absorb report identical
+// statistics and counters: a batch counts only the tuples up to the one
+// that overflowed.
 func TestCoreMemoryBudget(t *testing.T) {
 	inst := generate(t, workload.PaperCase(20, 200, 5))
 	for _, shape := range keyShapes {
@@ -195,9 +197,15 @@ func TestCoreMemoryBudget(t *testing.T) {
 				t.Fatalf("unbudgeted run: peak %d, final MemBytes %d", peak, full.MemBytes())
 			}
 			for _, budget := range []int{64, peak / 2} {
-				for _, batched := range []bool{true, false} {
+				type outcome struct {
+					st HashDivisionStats
+					c  exec.Counters
+				}
+				var at [2]outcome
+				for i, batched := range []bool{true, false} {
+					var ctr exec.Counters
 					_, c, err := runCore(t, rk, CoreOptions{
-						MemoryBudget: budget, HBS: 2,
+						MemoryBudget: budget, HBS: 2, Counters: &ctr,
 					}, batched)
 					if !errors.Is(err, ErrMemoryBudget) {
 						t.Fatalf("budget %d batched=%v: err = %v, want ErrMemoryBudget", budget, batched, err)
@@ -208,6 +216,11 @@ func TestCoreMemoryBudget(t *testing.T) {
 					if absorbed := c.Stats().DividendTuples; (budget == 64) != (absorbed == 0) {
 						t.Errorf("budget %d: failed after %d dividend tuples", budget, absorbed)
 					}
+					c.Release()
+					at[i] = outcome{c.Stats(), ctr}
+				}
+				if at[0] != at[1] {
+					t.Errorf("budget %d: batch and tuple absorb diverge at the error:\n batch %+v\n tuple %+v", budget, at[0], at[1])
 				}
 			}
 		})

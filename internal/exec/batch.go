@@ -8,9 +8,10 @@
 // The two protocols compose: any Operator can be lifted to batches with
 // Lift (copying tuples into an arena) and any BatchOperator lowered back
 // with Lower, so every existing algorithm keeps working unchanged. Operators
-// with a natural batch form (TableScan, MemScan, Filter, Project,
-// hash-division) additionally implement NextBatch natively; NativeBatch
-// discovers that capability and Opaque hides it (the ablation lever).
+// with a natural batch form (TableScan, ArenaScan, MemScan, Filter, Project,
+// ContextScan, hash-division) additionally implement NextBatch natively;
+// NativeBatch discovers that capability and Opaque hides it (the ablation
+// lever).
 package exec
 
 import (

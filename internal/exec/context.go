@@ -20,7 +20,10 @@ type ContextScan struct {
 	input Operator
 }
 
-var _ Operator = (*ContextScan)(nil)
+var (
+	_ Operator      = (*ContextScan)(nil)
+	_ BatchOperator = (*ContextScan)(nil)
+)
 
 // NewContextScan wraps input so the stream fails once ctx is done.
 func NewContextScan(ctx context.Context, input Operator) *ContextScan {
@@ -45,6 +48,20 @@ func (c *ContextScan) Next() (tuple.Tuple, error) {
 		return nil, err
 	}
 	return c.input.Next()
+}
+
+// NextBatch implements BatchOperator with one ctx.Err() check per batch,
+// then the input's native NextBatch (zero copy where the input aliases) or,
+// for a tuple-only input, a FillBatch copy from its Next. Wrapping a scan
+// for cancellation thus never drops its consumer to tuple-at-a-time.
+func (c *ContextScan) NextBatch(b *Batch) error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	if bop, ok := NativeBatch(c.input); ok {
+		return bop.NextBatch(b)
+	}
+	return FillBatch(c.input, b)
 }
 
 // Close implements Operator. Close always reaches the input, cancelled or

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/storage"
@@ -143,6 +144,75 @@ func (m *MemScan) Next() (tuple.Tuple, error) {
 // Close implements Operator.
 func (m *MemScan) Close() error {
 	m.open = false
+	return nil
+}
+
+// ArenaScan streams fixed-width tuples stored back to back in one byte
+// slice — tuple i at [i*w, (i+1)*w), the layout of Batch and of a heap
+// page's record area. Both protocols hand out views of the arena, never
+// copies: Next returns a capped subslice, NextBatch aliases the batch at
+// the next run of tuples (the zero-copy contract of TableScan's pinned
+// pages, with the arena as the pinned memory). The arena must not change
+// while a scan is open.
+type ArenaScan struct {
+	schema *tuple.Schema
+	rows   []byte
+	off    int // byte offset of the next tuple
+	open   bool
+}
+
+// NewArenaScan scans rows, which must hold whole tuples of schema.
+func NewArenaScan(schema *tuple.Schema, rows []byte) *ArenaScan {
+	if len(rows)%schema.Width() != 0 {
+		panic(fmt.Sprintf("exec: arena of %d bytes is not whole %d-byte tuples", len(rows), schema.Width()))
+	}
+	return &ArenaScan{schema: schema, rows: rows}
+}
+
+// Schema implements Operator.
+func (a *ArenaScan) Schema() *tuple.Schema { return a.schema }
+
+// Open implements Operator.
+func (a *ArenaScan) Open() error {
+	a.off = 0
+	a.open = true
+	return nil
+}
+
+// Next implements Operator. The tuple aliases the arena, capped so an
+// append cannot clobber its neighbor.
+func (a *ArenaScan) Next() (tuple.Tuple, error) {
+	if !a.open {
+		return nil, errNotOpen("ArenaScan")
+	}
+	if a.off >= len(a.rows) {
+		return nil, io.EOF
+	}
+	end := a.off + a.schema.Width()
+	t := tuple.Tuple(a.rows[a.off:end:end])
+	a.off = end
+	return t, nil
+}
+
+// NextBatch implements BatchOperator: the batch aliases the next b.Cap()
+// tuples of the arena (fewer at its end) without copying a byte.
+func (a *ArenaScan) NextBatch(b *Batch) error {
+	if !a.open {
+		return errNotOpen("ArenaScan")
+	}
+	if a.off >= len(a.rows) {
+		return io.EOF
+	}
+	w := a.schema.Width()
+	n := min(b.Cap(), (len(a.rows)-a.off)/w)
+	b.SetAlias(a.rows[a.off:], n)
+	a.off += n * w
+	return nil
+}
+
+// Close implements Operator.
+func (a *ArenaScan) Close() error {
+	a.open = false
 	return nil
 }
 

@@ -66,6 +66,22 @@ func (m *MemScan) Morsels(tuplesPerMorsel int) []BatchOperator {
 	return out
 }
 
+// Morsels implements Splittable for ArenaScan: chunks are sub-arenas of
+// the backing slice, shared read-only across morsels, so every morsel keeps
+// the zero-copy batch scan.
+func (a *ArenaScan) Morsels(tuplesPerMorsel int) []BatchOperator {
+	if tuplesPerMorsel < 1 {
+		tuplesPerMorsel = DefaultBatchSize
+	}
+	step := tuplesPerMorsel * a.schema.Width()
+	var out []BatchOperator
+	for lo := 0; lo < len(a.rows); lo += step {
+		hi := min(lo+step, len(a.rows))
+		out = append(out, NewArenaScan(a.schema, a.rows[lo:hi:hi]))
+	}
+	return out
+}
+
 // Morsels implements Splittable for TableScan: chunks are page-index ranges
 // of the heap file, scanned through storage.File.ScanPageRange. Whole pages
 // are the split grain, so every morsel keeps the one-buffer-fix-per-batch

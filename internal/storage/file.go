@@ -2,7 +2,8 @@
 // substrate: extent-based heap files of fixed-width records on a simulated
 // device, accessed through the buffer manager. Scans hand out record
 // addresses inside fixed buffer frames, so no bytes are copied on the read
-// path.
+// path; a reader that must outlive the frames takes one copy per page with
+// ReadArena.
 package storage
 
 import (
@@ -532,19 +533,47 @@ func (f *File) Load(tuples []tuple.Tuple) error {
 	return ap.Close()
 }
 
-// ReadAll returns copies of every record, for tests and small relations.
-func (f *File) ReadAll() ([]tuple.Tuple, error) {
-	out := make([]tuple.Tuple, 0, f.numRecs)
-	sc := f.Scan(true)
-	defer sc.Close()
+// ReadArena copies every live record, in storage order, into one new slice:
+// record i at bytes [i*w, (i+1)*w) for the schema width w, the layout of a
+// page's record area and of exec.Batch. A page without deleted records is
+// copied with one append of its record area; only pages with deleted slots
+// are copied record by record. Scanned pages stay cached (Scan(true)).
+func (f *File) ReadArena() ([]byte, error) {
+	w := f.schema.Width()
+	out := make([]byte, 0, f.numRecs*w)
+	ps := f.ScanPages(true)
+	defer ps.Close()
 	for {
-		t, _, err := sc.Next()
+		data, n, pristine, err := ps.Next()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t.Clone())
+		if pristine {
+			out = append(out, data...)
+			continue
+		}
+		for slot := 0; slot < n; slot++ {
+			if !ps.Deleted(slot) {
+				out = append(out, data[slot*w:(slot+1)*w]...)
+			}
+		}
 	}
+}
+
+// ReadAll returns every live record as a tuple. The tuples are slices of
+// one ReadArena copy, so they outlive the buffer frames they were read from.
+func (f *File) ReadAll() ([]tuple.Tuple, error) {
+	arena, err := f.ReadArena()
+	if err != nil {
+		return nil, err
+	}
+	w := f.schema.Width()
+	out := make([]tuple.Tuple, len(arena)/w)
+	for i := range out {
+		out[i] = tuple.Tuple(arena[i*w : (i+1)*w : (i+1)*w])
+	}
+	return out, nil
 }

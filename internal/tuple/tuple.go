@@ -53,35 +53,45 @@ func (s *Schema) SetChar(t Tuple, i int, v string) {
 // Make builds a tuple from one Go value per column: int/int64 for KindInt64,
 // string for KindChar.
 func (s *Schema) Make(values ...any) (Tuple, error) {
-	if len(values) != len(s.fields) {
-		return nil, fmt.Errorf("tuple: schema %s has %d fields, got %d values", s, len(s.fields), len(values))
-	}
 	t := s.New()
+	if err := s.MakeInto(t, values...); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// MakeInto is Make encoding into caller-provided storage of exactly the
+// schema width, such as the next row of a flat arena. Every byte of dst is
+// written on success; on error dst holds a partial row.
+func (s *Schema) MakeInto(dst Tuple, values ...any) error {
+	if len(values) != len(s.fields) {
+		return fmt.Errorf("tuple: schema %s has %d fields, got %d values", s, len(s.fields), len(values))
+	}
 	for i, v := range values {
 		switch s.fields[i].Kind {
 		case KindInt64:
 			switch x := v.(type) {
 			case int:
-				s.SetInt64(t, i, int64(x))
+				s.SetInt64(dst, i, int64(x))
 			case int64:
-				s.SetInt64(t, i, x)
+				s.SetInt64(dst, i, x)
 			case uint64:
-				s.SetInt64(t, i, int64(x))
+				s.SetInt64(dst, i, int64(x))
 			default:
-				return nil, fmt.Errorf("tuple: field %q wants an integer, got %T", s.fields[i].Name, v)
+				return fmt.Errorf("tuple: field %q wants an integer, got %T", s.fields[i].Name, v)
 			}
 		case KindChar:
 			x, ok := v.(string)
 			if !ok {
-				return nil, fmt.Errorf("tuple: field %q wants a string, got %T", s.fields[i].Name, v)
+				return fmt.Errorf("tuple: field %q wants a string, got %T", s.fields[i].Name, v)
 			}
 			if len(x) > s.fields[i].Width {
-				return nil, fmt.Errorf("tuple: value %q overflows CHAR(%d) field %q", x, s.fields[i].Width, s.fields[i].Name)
+				return fmt.Errorf("tuple: value %q overflows CHAR(%d) field %q", x, s.fields[i].Width, s.fields[i].Name)
 			}
-			s.SetChar(t, i, x)
+			s.SetChar(dst, i, x)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // MustMake is Make for program constants; it panics on error.

@@ -44,6 +44,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
@@ -73,11 +74,15 @@ func StringCol(name string, width int) Column {
 	return Column{Name: name, kind: tuple.KindChar, width: width}
 }
 
-// Relation is an in-memory relation with a fixed schema.
+// Relation is an in-memory relation with a fixed schema. Its rows live in
+// one flat byte arena — row i at [i*w, (i+1)*w) for the schema width w, the
+// layout of an execution batch and of a heap page's record area — so a
+// durable snapshot is one copy per page and division scans the rows in
+// place.
 type Relation struct {
 	name   string
 	schema *tuple.Schema
-	tuples []tuple.Tuple
+	rows   []byte
 }
 
 // NewRelation creates an empty relation.
@@ -99,16 +104,18 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Columns() []string { return r.schema.Columns() }
 
 // NumRows returns the tuple count.
-func (r *Relation) NumRows() int { return len(r.tuples) }
+func (r *Relation) NumRows() int { return len(r.rows) / r.schema.Width() }
 
 // Insert appends one row; values must match the schema (int/int64 for
-// integer columns, string for string columns).
+// integer columns, string for string columns). A rejected row leaves the
+// relation unchanged.
 func (r *Relation) Insert(values ...any) error {
-	t, err := r.schema.Make(values...)
-	if err != nil {
+	n, w := len(r.rows), r.schema.Width()
+	r.rows = slices.Grow(r.rows, w)[:n+w]
+	if err := r.schema.MakeInto(r.rows[n:], values...); err != nil {
+		r.rows = r.rows[:n]
 		return err
 	}
-	r.tuples = append(r.tuples, t)
 	return nil
 }
 
@@ -119,24 +126,32 @@ func (r *Relation) MustInsert(values ...any) {
 	}
 }
 
+// row returns row i as a tuple aliasing the arena. Like indexing a slice,
+// it panics when i is out of range.
+func (r *Relation) row(i int) tuple.Tuple {
+	w := r.schema.Width()
+	rows := r.rows[:len(r.rows):len(r.rows)]
+	return tuple.Tuple(rows[i*w : (i+1)*w : (i+1)*w])
+}
+
 // Rows returns every row as Go values.
 func (r *Relation) Rows() [][]any {
-	out := make([][]any, len(r.tuples))
-	for i, t := range r.tuples {
-		out[i] = r.schema.Row(t)
+	out := make([][]any, r.NumRows())
+	for i := range out {
+		out[i] = r.schema.Row(r.row(i))
 	}
 	return out
 }
 
 // Row returns row i.
-func (r *Relation) Row(i int) []any { return r.schema.Row(r.tuples[i]) }
+func (r *Relation) Row(i int) []any { return r.schema.Row(r.row(i)) }
 
 // Filter returns a new relation with the rows for which pred is true.
 func (r *Relation) Filter(pred func(row []any) bool) *Relation {
 	out := &Relation{name: r.name, schema: r.schema}
-	for _, t := range r.tuples {
-		if pred(r.schema.Row(t)) {
-			out.tuples = append(out.tuples, t)
+	for i := range r.NumRows() {
+		if t := r.row(i); pred(r.schema.Row(t)) {
+			out.rows = append(out.rows, t...)
 		}
 	}
 	return out
@@ -150,11 +165,16 @@ func (r *Relation) Project(cols ...string) (*Relation, error) {
 		return nil, err
 	}
 	out := &Relation{name: r.name, schema: r.schema.Project(idx)}
-	for _, t := range r.tuples {
-		out.tuples = append(out.tuples, r.schema.ProjectTuple(t, idx))
+	pw := out.schema.Width()
+	out.rows = make([]byte, r.NumRows()*pw)
+	for i := range r.NumRows() {
+		r.schema.ProjectInto(out.rows[i*pw:(i+1)*pw], r.row(i), idx)
 	}
 	return out, nil
 }
+
+// scan returns a zero-copy scan of the relation's arena.
+func (r *Relation) scan() *exec.ArenaScan { return exec.NewArenaScan(r.schema, r.rows) }
 
 func (r *Relation) columnIndexes(cols []string) ([]int, error) {
 	idx := make([]int, len(cols))
@@ -170,8 +190,7 @@ func (r *Relation) columnIndexes(cols []string) ([]int, error) {
 
 // String renders the relation like a small table.
 func (r *Relation) String() string {
-	s := fmt.Sprintf("%s%s: %d rows", r.name, r.schema, len(r.tuples))
-	return s
+	return fmt.Sprintf("%s%s: %d rows", r.name, r.schema, r.NumRows())
 }
 
 // Algorithm selects a division algorithm in Options.
@@ -359,16 +378,12 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 		return nil, err
 	}
 	sp := division.Spec{
-		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
-		Divisor:     exec.NewMemScan(divisor.schema, divisor.tuples),
+		Dividend:    dividend.scan(),
+		Divisor:     divisor.scan(),
 		DivisorCols: cols,
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	result := &Relation{
-		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
-		schema: sp.QuotientSchema(),
 	}
 
 	if o.Workers > 1 {
@@ -385,8 +400,7 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 		if err != nil {
 			return nil, err
 		}
-		result.tuples = res.Quotient
-		return result, nil
+		return quotientRelation(dividend, divisor, sp, res.Quotient), nil
 	}
 	wrapCancel(ctx, &sp)
 
@@ -405,8 +419,7 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 		if err != nil {
 			return nil, err
 		}
-		result.tuples = qts
-		return result, nil
+		return quotientRelation(dividend, divisor, sp, qts), nil
 	}
 
 	alg := o.Algorithm
@@ -425,8 +438,18 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 	if err != nil {
 		return nil, err
 	}
-	result.tuples = qts
-	return result, nil
+	return quotientRelation(dividend, divisor, sp, qts), nil
+}
+
+// quotientRelation copies an operator's quotient tuples into the arena of
+// the result relation dividend÷divisor — at most one row per candidate.
+func quotientRelation(dividend, divisor *Relation, sp division.Spec, qts []tuple.Tuple) *Relation {
+	qs := sp.QuotientSchema()
+	rows := make([]byte, 0, len(qts)*qs.Width())
+	for _, q := range qts {
+		rows = append(rows, q...)
+	}
+	return &Relation{name: fmt.Sprintf("%s÷%s", dividend.name, divisor.name), schema: qs, rows: rows}
 }
 
 // ExplainPlan renders the logical plans the optimizer rule compares for this
@@ -439,13 +462,13 @@ func ExplainPlan(dividend, divisor *Relation, on []string) (original, rewritten 
 		return "", "", err
 	}
 	dividendRel := rewrite.NewRel(dividend.name, dividend.schema, func() exec.Operator {
-		return exec.NewMemScan(dividend.schema, dividend.tuples)
+		return dividend.scan()
 	})
 	// The same *Rel must appear as the semi-join's right input and as the
 	// scalar count's relation — the rule requires the subplans to be
 	// identical, which it checks by pointer.
 	divisorRel := rewrite.NewRel(divisor.name, divisor.schema, func() exec.Operator {
-		return exec.NewMemScan(divisor.schema, divisor.tuples)
+		return divisor.scan()
 	})
 	plan := &rewrite.CountEqCard{
 		Input: &rewrite.GroupCount{
@@ -483,8 +506,8 @@ func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*
 		return nil, RunStats{}, err
 	}
 	sp := division.Spec{
-		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
-		Divisor:     exec.NewMemScan(divisor.schema, divisor.tuples),
+		Dividend:    dividend.scan(),
+		Divisor:     divisor.scan(),
 		DivisorCols: cols,
 	}
 	if err := sp.Validate(); err != nil {
@@ -502,12 +525,7 @@ func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*
 		return nil, RunStats{}, err
 	}
 	st := hd.Stats()
-	result := &Relation{
-		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
-		schema: sp.QuotientSchema(),
-		tuples: qts,
-	}
-	return result, RunStats{
+	return quotientRelation(dividend, divisor, sp, qts), RunStats{
 		DivisorTuples:    st.DivisorTuples,
 		DivisorDistinct:  st.DivisorDistinct,
 		DividendTuples:   st.DividendTuples,
@@ -615,8 +633,8 @@ func FromCSV(r io.Reader, name string, cols ...Column) (*Relation, error) {
 // WriteCSV writes the relation as CSV (no header row).
 func (r *Relation) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	for _, t := range r.tuples {
-		row := r.schema.Row(t)
+	for i := range r.NumRows() {
+		row := r.Row(i)
 		rec := make([]string, len(row))
 		for i, v := range row {
 			switch x := v.(type) {

@@ -2,6 +2,7 @@ package reldiv
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,10 +248,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.NumRows() != orders.NumRows() {
 		t.Errorf("round trip: %d vs %d rows", back.NumRows(), orders.NumRows())
 	}
-	for i := range orders.tuples {
-		if orders.schema.CompareAll(orders.tuples[i], back.tuples[i]) != 0 {
-			t.Fatalf("row %d differs", i)
-		}
+	if !bytes.Equal(orders.rows, back.rows) {
+		t.Fatalf("round trip changed the rows: %v vs %v", back.Rows(), orders.Rows())
 	}
 }
 
@@ -388,5 +387,15 @@ func TestInsertErrors(t *testing.T) {
 	}
 	if err := r.Insert(1, 2); err == nil {
 		t.Error("wrong arity accepted")
+	}
+	// A row rejected after its first value was encoded leaves nothing behind.
+	w := NewRelation("w", Int64Col("a"), StringCol("s", 2))
+	w.MustInsert(1, "x")
+	if err := w.Insert(2, "too long"); err == nil {
+		t.Error("overflowing string accepted")
+	}
+	w.MustInsert(3, "y")
+	if got := fmt.Sprint(w.Rows()); w.NumRows() != 2 || got != "[[1 x] [3 y]]" {
+		t.Errorf("after a rejected insert: %d rows %s", w.NumRows(), got)
 	}
 }

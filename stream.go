@@ -63,12 +63,21 @@ func (t *DurableTable) StreamInput() StreamInput {
 		Columns: cols,
 		Open: func() (RowReader, error) {
 			// Snapshot under the table lock: readers must not race the
-			// appender writing into the same buffer frames.
+			// appender writing into the same buffer frames. The snapshot
+			// is one arena copy; rows are decoded one per Next.
 			rel, err := t.Relation()
 			if err != nil {
 				return nil, err
 			}
-			return SliceReader(rel.Rows()), nil
+			i := 0
+			return RowReaderFunc(func() ([]any, error) {
+				if i >= rel.NumRows() {
+					return nil, io.EOF
+				}
+				row := rel.Row(i)
+				i++
+				return row, nil
+			}), nil
 		},
 	}
 }
@@ -115,11 +124,9 @@ func (r *rowSourceOp) Next() (tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.schema.Make(row...)
-	if err != nil {
+	if err := r.schema.MakeInto(r.buf, row...); err != nil {
 		return nil, err
 	}
-	copy(r.buf, t)
 	return r.buf, nil
 }
 
