@@ -55,6 +55,8 @@ var (
 	ErrEvicted = errors.New("buffer: virtual page was evicted")
 	// ErrNotFixed is returned when releasing a handle twice.
 	ErrNotFixed = errors.New("buffer: page not fixed")
+	// ErrFixed is returned by DropPages for a page that was still fixed.
+	ErrFixed = errors.New("buffer: dropped page still fixed")
 )
 
 // Policy selects the replacement policy.
@@ -153,6 +155,7 @@ type frame struct {
 	dirty      bool
 	virtual    bool
 	prefetched bool          // loaded by the prefetcher, not yet fixed
+	dropped    bool          // detached by DropPages while fixed; the last Unfix frees it
 	loading    bool          // a reader owns this frame; data not yet valid
 	ready      chan struct{} // closed when loading completes (or fails)
 	ref        bool          // Clock reference bit
@@ -221,6 +224,8 @@ type Pool struct {
 	pfHits    atomic.Int64
 	pfWasted  atomic.Int64
 	pfDropped atomic.Int64
+
+	detached atomic.Int64 // frames DropPages detached while fixed, not yet unfixed
 }
 
 // New creates an LRU pool limited to maxBytes of frame memory. The pool
@@ -342,6 +347,11 @@ func (h *Handle) Unfix(keepLRU bool) error {
 	}
 	f.fixCount--
 	if f.fixCount == 0 {
+		if f.dropped {
+			p.release(len(f.data))
+			p.detached.Add(-1)
+			return nil
+		}
 		switch p.policy {
 		case Clock:
 			f.ref = keepLRU // second chance iff the caller wants it kept
@@ -712,6 +722,26 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
+// FlushPages writes the dirty frames of the given pages of dev back to the
+// device, in the order given; the frames stay resident, clean.
+func (p *Pool) FlushPages(dev disk.Dev, pages []disk.PageID) error {
+	for _, pg := range pages {
+		key := frameKey{dev: dev, page: pg}
+		s := p.shardFor(key)
+		s.mu.Lock()
+		if f, ok := s.frames[key]; ok && f.dirty && !f.loading {
+			if err := p.writePageLocked(s, key, f.data); err != nil {
+				s.mu.Unlock()
+				return fmt.Errorf("buffer: flush: %w", err)
+			}
+			f.dirty = false
+			s.stats.WriteBacks++
+		}
+		s.mu.Unlock()
+	}
+	return nil
+}
+
 // DropClean discards every unfixed frame without write-back accounting
 // changes (dirty unfixed frames are written back first). Used between
 // experiment runs to cold-start the cache.
@@ -742,6 +772,48 @@ func (p *Pool) DropClean() error {
 		for i := 0; i < droppedPrefetched; i++ {
 			p.notePrefetchWasted()
 		}
+	}
+	return nil
+}
+
+// DropPages discards the frames of the given pages of dev without writing
+// them back and forgets their checksums: the pages are about to be freed, so
+// their bytes are garbage, and a later owner of the same page ids starts
+// clean. Frames of every other page stay resident. A prefetch of one of the
+// pages still in flight is waited for first, so its frame cannot land on a
+// freed page. A page still fixed is detached all the same (its memory returns
+// at its last Unfix) and reported with ErrFixed.
+func (p *Pool) DropPages(dev disk.Dev, pages []disk.PageID) error {
+	p.ReadAhead().settle(dev, pages)
+	fixed := 0
+	for _, pg := range pages {
+		key := frameKey{dev: dev, page: pg}
+		s := p.shardFor(key)
+		s.mu.Lock()
+		f, ok := s.frames[key]
+		delete(s.checksums, key)
+		if !ok {
+			s.mu.Unlock()
+			continue
+		}
+		delete(s.frames, key)
+		wasPrefetched := f.prefetched
+		if f.fixCount > 0 {
+			f.dropped = true
+			p.detached.Add(1)
+			fixed++
+		} else {
+			s.lru.Remove(f.lruElem)
+			f.lruElem = nil
+			p.release(len(f.data))
+		}
+		s.mu.Unlock()
+		if wasPrefetched {
+			p.notePrefetchWasted()
+		}
+	}
+	if fixed > 0 {
+		return fmt.Errorf("%w: %d pages of %s", ErrFixed, fixed, dev.Name())
 	}
 	return nil
 }
@@ -796,10 +868,11 @@ func (p *Pool) ResetStats() {
 }
 
 // FixedFrames reports how many frames are currently pinned, for leak checks
-// in tests. In-flight prefetch loads count as pinned until they publish;
-// call (*Prefetcher).Drain first for a quiescent count.
+// in tests, frames DropPages detached while fixed included. In-flight
+// prefetch loads count as pinned until they publish; call
+// (*Prefetcher).Drain first for a quiescent count.
 func (p *Pool) FixedFrames() int {
-	n := 0
+	n := int(p.detached.Load())
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {

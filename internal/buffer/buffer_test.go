@@ -278,6 +278,94 @@ func TestDropClean(t *testing.T) {
 	}
 }
 
+// TestDropPagesDiscardsOnlyThosePages: DropPages writes nothing back, keeps
+// every other page resident, and forgets the dropped pages' checksums, so a
+// page id reused with new device contents reads back clean.
+func TestDropPagesDiscardsOnlyThosePages(t *testing.T) {
+	dev := newDev(16, 4)
+	p := New(1024)
+	for pg := disk.PageID(0); pg < 4; pg++ {
+		h, err := p.Fix(dev, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Bytes()[0] = byte(pg + 1)
+		h.MarkDirty()
+		if err := h.Unfix(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.FlushPages(dev, []disk.PageID{1}); err != nil { // records page 1's checksum
+		t.Fatal(err)
+	}
+	writes := dev.Stats().Writes
+	if err := p.DropPages(dev, []disk.PageID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats().Writes - writes; got != 0 {
+		t.Errorf("DropPages wrote %d pages, want 0", got)
+	}
+	if got := p.Stats().LiveBytes; got != 2*16 {
+		t.Errorf("LiveBytes = %d, want the two undropped frames (32)", got)
+	}
+	misses := p.Stats().Misses
+	for pg := disk.PageID(2); pg < 4; pg++ {
+		h, err := p.Fix(dev, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Bytes()[0] != byte(pg+1) {
+			t.Errorf("page %d lost its dirty bytes", pg)
+		}
+		h.Unfix(true)
+	}
+	if got := p.Stats().Misses - misses; got != 0 {
+		t.Errorf("undropped pages missed %d times", got)
+	}
+	if err := dev.Write(1, make([]byte, 16)); err != nil { // a new owner's bytes
+		t.Fatal(err)
+	}
+	h, err := p.Fix(dev, 1)
+	if err != nil {
+		t.Fatalf("fix of a reused page: %v", err)
+	}
+	h.Unfix(true)
+}
+
+// TestDropPagesDetachesFixedPage: a page still fixed is reported with
+// ErrFixed but leaves the pool all the same; its memory returns when the
+// holder unfixes it.
+func TestDropPagesDetachesFixedPage(t *testing.T) {
+	dev := newDev(16, 1)
+	p := New(1024)
+	h, err := p.Fix(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DropPages(dev, []disk.PageID{0}); !errors.Is(err, ErrFixed) {
+		t.Fatalf("DropPages of a fixed page = %v, want ErrFixed", err)
+	}
+	if got := p.FixedFrames(); got != 1 {
+		t.Errorf("FixedFrames = %d, want the detached frame its holder still fixes (1)", got)
+	}
+	h2, err := p.Fix(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2.Bytes() == nil || &h2.Bytes()[0] == &h.Bytes()[0] {
+		t.Error("a fix after the drop reused the detached frame")
+	}
+	if err := errors.Join(h.Unfix(true), h2.Unfix(true)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().LiveBytes; got != 16 {
+		t.Errorf("LiveBytes = %d, want one frame (16) once the detached one is unfixed", got)
+	}
+	if got := p.FixedFrames(); got != 0 {
+		t.Errorf("FixedFrames = %d after every handle was unfixed", got)
+	}
+}
+
 func TestPeakBytesTracksHighWater(t *testing.T) {
 	dev := newDev(16, 4)
 	p := New(64)

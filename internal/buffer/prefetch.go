@@ -79,6 +79,7 @@ type Prefetcher struct {
 	sem   chan struct{} // in-flight window tokens
 
 	mu       sync.Mutex
+	settled  sync.Cond // broadcast whenever a load leaves inflight
 	inflight map[frameKey]struct{}
 	wg       sync.WaitGroup
 }
@@ -102,6 +103,7 @@ func (p *Pool) EnableReadAhead(window, depth int) *Prefetcher {
 		sem:      make(chan struct{}, window),
 		inflight: make(map[frameKey]struct{}),
 	}
+	pf.settled.L = &pf.mu
 	p.prefetcher.Store(pf)
 	return pf
 }
@@ -178,6 +180,24 @@ func (pf *Prefetcher) Drain() {
 	pf.wg.Wait()
 }
 
+// settle blocks until no load of the given pages is in flight. A load that
+// has left inflight has either published its frame or discarded it.
+func (pf *Prefetcher) settle(dev disk.Dev, pages []disk.PageID) {
+	if pf == nil {
+		return
+	}
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	for _, pg := range pages {
+		for {
+			if _, busy := pf.inflight[frameKey{dev: dev, page: pg}]; !busy {
+				break
+			}
+			pf.settled.Wait()
+		}
+	}
+}
+
 // load performs one asynchronous page read and publishes the frame unpinned
 // at the warm end of its shard's victim list. Any failure deletes the
 // placeholder so the next synchronous Fix retries from scratch.
@@ -186,6 +206,7 @@ func (pf *Prefetcher) load(key frameKey) {
 	defer func() {
 		pf.mu.Lock()
 		delete(pf.inflight, key)
+		pf.settled.Broadcast()
 		pf.mu.Unlock()
 		<-pf.sem
 		pf.wg.Done()

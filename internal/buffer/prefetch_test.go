@@ -210,6 +210,51 @@ func TestPrefetchWastedOnDrop(t *testing.T) {
 	}
 }
 
+// gateDev blocks every read until open is closed.
+type gateDev struct {
+	*disk.Device
+	open chan struct{}
+}
+
+func (d *gateDev) Read(p disk.PageID, buf []byte) error {
+	<-d.open
+	return d.Device.Read(p, buf)
+}
+
+// TestDropPagesWaitsForLoadingPrefetch: a page whose prefetch is still
+// loading is dropped only once the load settles, so no frame lands on the
+// freed page afterwards.
+func TestDropPagesWaitsForLoadingPrefetch(t *testing.T) {
+	dev := &gateDev{Device: newDev(64, 2), open: make(chan struct{})}
+	p := New(64 * 1024)
+	pf := p.EnableReadAhead(4, 4)
+	pf.Prefetch(dev, 0, 1)
+	dropped := make(chan error)
+	go func() { dropped <- p.DropPages(dev, []disk.PageID{0}) }()
+	select {
+	case err := <-dropped:
+		t.Fatalf("DropPages returned (%v) while page 0 was still loading", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(dev.open)
+	if err := <-dropped; err != nil {
+		t.Fatal(err)
+	}
+	pf.Drain()
+	if got := p.Stats().LiveBytes; got != 64 {
+		t.Errorf("LiveBytes = %d, want only page 1's frame (64)", got)
+	}
+	reads := dev.Stats().Reads
+	h, err := p.Fix(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Unfix(true)
+	if got := dev.Stats().Reads - reads; got != 1 {
+		t.Errorf("fix of the dropped page read %d pages, want 1 (it must not be resident)", got)
+	}
+}
+
 // TestPrefetchRacesSyncFix: concurrent prefetches and fixes of the same
 // pages must agree on one read per page at a time and leak nothing; run
 // with -race.

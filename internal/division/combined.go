@@ -2,10 +2,8 @@ package division
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -20,16 +18,12 @@ import (
 // divisor phases a collection division over phase numbers intersects, just
 // as in plain divisor partitioning.
 type CombinedPartitionedHashDivision struct {
+	quotientOut
 	sp     Spec
 	env    Env
 	kd, kq int
-
-	qs      *tuple.Schema
-	qCols   []int
-	results []tuple.Tuple
-	pos     int
-	spilled []*storage.File
-	opened  bool
+	qs     *tuple.Schema
+	qCols  []int
 }
 
 // NewCombinedPartitionedHashDivision divides with a kd × kq partition grid.
@@ -37,14 +31,9 @@ type CombinedPartitionedHashDivision struct {
 // hash-division, (kd, 1) to divisor partitioning, and (1, kq) to quotient
 // partitioning.
 func NewCombinedPartitionedHashDivision(sp Spec, env Env, kd, kq int) *CombinedPartitionedHashDivision {
-	if kd < 1 {
-		kd = 1
-	}
-	if kq < 1 {
-		kq = 1
-	}
 	return &CombinedPartitionedHashDivision{
-		sp: sp, env: env, kd: kd, kq: kq,
+		quotientOut: quotientOut{name: "CombinedPartitionedHashDivision"},
+		sp:          sp, env: env, kd: max(kd, 1), kq: max(kq, 1),
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -53,19 +42,7 @@ func NewCombinedPartitionedHashDivision(sp Spec, env Env, kd, kq int) *CombinedP
 func (c *CombinedPartitionedHashDivision) Schema() *tuple.Schema { return c.qs }
 
 // Open implements Operator: runs the full phase grid.
-func (c *CombinedPartitionedHashDivision) Open() error {
-	if err := c.sp.Validate(); err != nil {
-		return err
-	}
-	c.results = nil
-	c.pos = 0
-	if err := c.run(); err != nil {
-		c.dropSpilled()
-		return err
-	}
-	c.opened = true
-	return nil
-}
+func (c *CombinedPartitionedHashDivision) Open() error { return c.open(c.sp, c.run) }
 
 func (c *CombinedPartitionedHashDivision) run() error {
 	ds := c.sp.Dividend.Schema()
@@ -87,35 +64,25 @@ func (c *CombinedPartitionedHashDivision) run() error {
 	if c.env.Pool == nil || c.env.TempDev == nil {
 		return fmt.Errorf("division: combined partitioning needs Pool and TempDev")
 	}
-	cells := make([]*storage.File, c.kd*c.kq)
-	appenders := make([]*storage.Appender, len(cells))
-	for i := range cells {
-		cells[i] = storage.NewSpillFile(c.env.Pool, c.env.TempDev, ds, fmt.Sprintf("divcell-%d", i))
-		appenders[i] = cells[i].NewAppender()
+	c.spilled = make([]*storage.File, c.kd*c.kq)
+	for i := range c.spilled {
+		c.spilled[i] = storage.NewSpillFile(c.env.Pool, c.env.TempDev, ds, fmt.Sprintf("divcell-%d", i))
 	}
-	c.spilled = cells
-	closeAll := func() {
-		for _, a := range appenders {
-			if a != nil {
-				a.Close()
+	divHash, quotHash := ds.HashFunc(c.sp.DivisorCols), ds.HashFunc(c.qCols)
+	pass := partitionPass{env: c.env, schema: ds, fanOut: len(c.spilled), spilled: c.spilled,
+		route: func(t tuple.Tuple) int {
+			i := int(divHash(t) % uint64(c.kd))
+			if phaseOf[i] < 0 {
+				return -1 // no divisor tuples in this cluster: discard early
 			}
-		}
-	}
-	err = exec.ForEach(c.sp.Dividend, func(t tuple.Tuple) error {
-		if c.env.Counters != nil {
-			c.env.Counters.Hash += 2
-		}
-		i := int(ds.Hash(t, c.sp.DivisorCols) % uint64(c.kd))
-		if phaseOf[i] < 0 {
-			return nil // no divisor tuples in this cluster: discard early
-		}
-		j := int(ds.Hash(t, c.qCols) % uint64(c.kq))
-		_, err := appenders[i*c.kq+j].Append(t)
-		return err
-	})
-	closeAll()
+			return i*c.kq + int(quotHash(t)%uint64(c.kq))
+		}}
+	cells, read, err := pass.run(c.sp.Dividend)
 	if err != nil {
 		return err
+	}
+	if c.env.Counters != nil {
+		c.env.Counters.Hash += 2 * int64(read) // both hashes, discarded tuples included
 	}
 
 	// Phase grid: cell (i, j) ÷ divisor cluster i, collected over divisor
@@ -127,67 +94,21 @@ func (c *CombinedPartitionedHashDivision) run() error {
 			continue
 		}
 		for j := 0; j < c.kq; j++ {
-			env := c.env
-			var span *obs.Span
-			if parent != nil {
-				span = parent.Child(fmt.Sprintf("cell (%d,%d)", i, j), "hash-division")
-				env.ProfileSpan = span
-			}
-			phase := NewHashDivision(Spec{
-				Dividend:    exec.NewTableScan(cells[i*c.kq+j], false),
+			op, _ := divideOp(c.env, parent, fmt.Sprintf("cell (%d,%d)", i, j), Spec{
+				Dividend:    cells[i*c.kq+j].scan(ds),
 				Divisor:     exec.NewMemScan(ss, place.Clusters[i]),
 				DivisorCols: c.sp.DivisorCols,
-			}, env, HashDivisionOptions{})
-			err := exec.ForEach(obs.Instrument(phase, span, c.env.Counters), func(q tuple.Tuple) error {
+			})
+			err := eachTuple(op, c.env.batchSize(), func(q tuple.Tuple) {
 				if c.env.Counters != nil {
 					c.env.Counters.Bit++
 				}
 				collection.Add(q, phaseOf[i])
-				return nil
 			})
 			if err != nil {
 				return err
 			}
 		}
 	}
-	err = collection.Scan(func(q tuple.Tuple) error {
-		c.results = append(c.results, q)
-		return nil
-	})
-	if c.env.Counters != nil {
-		st := collection.Stats()
-		c.env.Counters.Hash += st.Hashes
-		c.env.Counters.Comp += st.Comparisons
-	}
-	return err
-}
-
-// Next implements Operator.
-func (c *CombinedPartitionedHashDivision) Next() (tuple.Tuple, error) {
-	if !c.opened {
-		return nil, errNotOpen("CombinedPartitionedHashDivision")
-	}
-	if c.pos >= len(c.results) {
-		return nil, io.EOF
-	}
-	t := c.results[c.pos]
-	c.pos++
-	return t, nil
-}
-
-func (c *CombinedPartitionedHashDivision) dropSpilled() {
-	for _, f := range c.spilled {
-		if f != nil {
-			f.Drop()
-		}
-	}
-	c.spilled = nil
-}
-
-// Close implements Operator.
-func (c *CombinedPartitionedHashDivision) Close() error {
-	c.opened = false
-	c.results = nil
-	c.dropSpilled()
-	return nil
+	return c.collect(collection, c.env.Counters)
 }

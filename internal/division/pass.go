@@ -1,0 +1,286 @@
+package division
+
+import (
+	"io"
+
+	"repro/internal/exec"
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/tuple"
+)
+
+// part is one partition of a dividend: a partitioning pass's child, with
+// its rows resident in a flat arena (row i at [i*w, (i+1)*w), the layout of
+// exec.Batch and of a heap page's record area) or in a spill file, or the
+// caller's re-openable input itself (the recursion's root).
+type part struct {
+	rows []byte
+	file *storage.File
+	op   exec.Operator
+	n    int // rows in the partition; -1 when unknown (the root)
+}
+
+// scan reads the partition: the input itself, a zero-copy ArenaScan of
+// resident rows, or a table scan of a spill file.
+func (c part) scan(ds *tuple.Schema) exec.Operator {
+	switch {
+	case c.op != nil:
+		return c.op
+	case c.file != nil:
+		return exec.NewTableScan(c.file, false)
+	default:
+		return exec.NewArenaScan(ds, c.rows)
+	}
+}
+
+// quotientOut is the output side of the stop-and-go partitioned divisions:
+// Open computes the whole quotient into results, Next hands it out, and
+// Close, like a failed Open, drops the spill files the run still holds.
+type quotientOut struct {
+	name    string
+	results []tuple.Tuple
+	pos     int
+	opened  bool
+	spilled []*storage.File
+}
+
+// open validates sp and runs the division.
+func (o *quotientOut) open(sp Spec, run func() error) error {
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	o.results, o.pos = nil, 0
+	if err := run(); err != nil {
+		o.dropSpilled()
+		return err
+	}
+	o.opened = true
+	return nil
+}
+
+// Next implements Operator.
+func (o *quotientOut) Next() (tuple.Tuple, error) {
+	if !o.opened {
+		return nil, errNotOpen(o.name)
+	}
+	if o.pos >= len(o.results) {
+		return nil, io.EOF
+	}
+	o.pos++
+	return o.results[o.pos-1], nil
+}
+
+// Close implements Operator.
+func (o *quotientOut) Close() error {
+	o.opened, o.results = false, nil
+	o.dropSpilled()
+	return nil
+}
+
+// collect appends the candidates every phase reported to the results and
+// charges the collection table's probes.
+func (o *quotientOut) collect(c *PhaseCollector, counters *exec.Counters) error {
+	err := c.Scan(func(q tuple.Tuple) error {
+		o.results = append(o.results, q)
+		return nil
+	})
+	if counters != nil {
+		st := c.Stats()
+		counters.Hash += st.Hashes
+		counters.Comp += st.Comparisons
+	}
+	return err
+}
+
+func (o *quotientOut) dropSpilled() {
+	for _, f := range o.spilled {
+		if f != nil {
+			f.Drop()
+		}
+	}
+	o.spilled = nil
+}
+
+// partitionPass is the one partitioning loop of partitioned, combined and
+// recursive division (§3.4). It reads its input a batch at a time, routes
+// every row, keeps resident children as flat row arenas, and writes spilled
+// children a page at a time: the rows a batch sends to spilled children are
+// gathered per child and appended once per batch, so the memory outside the
+// budget stays below one batch. The callers differ only in their route and
+// in residency. Residency decisions are made per row in input order, so each
+// spill file holds the rows routed to its child in input order.
+type partitionPass struct {
+	env    Env
+	schema *tuple.Schema
+	fanOut int
+	// route returns a row's child, or -1 to discard the row.
+	route func(row tuple.Tuple) int
+	// spilled[i], when non-nil, is the spill file child i starts in.
+	spilled []*storage.File
+	// budget, when positive, bounds the resident bytes: past it the largest
+	// resident child moves to a file from newSpill (hybrid residency).
+	budget   int
+	newSpill func() (*storage.File, error)
+}
+
+// run partitions src into fanOut children and reports how many rows it read;
+// each caller charges the hashes its route computed. The caller owns every
+// spill file, given or created, on every path.
+func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err error) {
+	w := p.schema.Width()
+	parts = make([]part, p.fanOut)
+	aps := make([]*storage.Appender, p.fanOut)
+	pending := make([][]byte, p.fanOut) // this batch's rows for spilled children
+	// Buffers start at twice a child's even share — of a batch for rows bound
+	// for disk, of the budget for resident rows — so they rarely grow.
+	share := max(2*p.env.batchSize()/p.fanOut, 1) * w
+	spillTo := func(i int, f *storage.File) {
+		parts[i].file, aps[i], pending[i] = f, f.NewAppender(), make([]byte, 0, share)
+	}
+	for i := range parts {
+		if i < len(p.spilled) && p.spilled[i] != nil {
+			spillTo(i, p.spilled[i])
+		} else if p.budget > 0 {
+			parts[i].rows = make([]byte, 0, 2*p.budget/p.fanOut/w*w)
+		}
+	}
+	closeAll := func() (err error) {
+		for i, a := range aps {
+			if a != nil {
+				if cerr := a.Close(); err == nil {
+					err = cerr
+				}
+				aps[i] = nil
+			}
+		}
+		return err
+	}
+	resident := 0
+
+	// spillLargest stages the largest resident child out to a new spill file
+	// and reports whether it made progress.
+	spillLargest := func() (bool, error) {
+		best, bestBytes := -1, -1
+		for i := range parts {
+			if aps[i] == nil && len(parts[i].rows) > bestBytes {
+				best, bestBytes = i, len(parts[i].rows)
+			}
+		}
+		if bestBytes <= 0 {
+			return false, nil
+		}
+		f, err := p.newSpill()
+		if err != nil {
+			return false, err
+		}
+		spillTo(best, f)
+		if err := aps[best].AppendRows(parts[best].rows); err != nil {
+			return false, err
+		}
+		resident -= bestBytes
+		parts[best].rows = nil
+		return true, nil
+	}
+
+	err = eachBatch(src, p.env.batchSize(), func(b *exec.Batch) error {
+		raw := b.Raw()
+		read += b.Len()
+		for off := 0; off < len(raw); off += w {
+			row := raw[off : off+w : off+w]
+			c := p.route(row)
+			if c < 0 {
+				continue
+			}
+			if aps[c] != nil {
+				pending[c] = append(pending[c], row...)
+				continue
+			}
+			parts[c].rows = append(parts[c].rows, row...)
+			resident += w
+			for p.budget > 0 && resident > p.budget {
+				progress, err := spillLargest()
+				if err != nil {
+					return err
+				}
+				if !progress {
+					break
+				}
+			}
+		}
+		for c, rows := range pending {
+			if len(rows) > 0 {
+				if err := aps[c].AppendRows(rows); err != nil {
+					return err
+				}
+				pending[c] = rows[:0]
+			}
+		}
+		return nil
+	})
+	if cerr := closeAll(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	for i := range parts {
+		parts[i].n = len(parts[i].rows) / w
+		if parts[i].file != nil {
+			parts[i].n = parts[i].file.NumRecords()
+		}
+	}
+	return parts, read, nil
+}
+
+// divideOp is hash-division of sp under env, probed against a child span of
+// parent named name when tracing is on: the probe makes the span's inclusive
+// counters cover its children, keeping every self non-negative.
+func divideOp(env Env, parent *obs.Span, name string, sp Spec) (exec.Operator, *HashDivision) {
+	var span *obs.Span
+	if parent != nil {
+		span = parent.Child(name, "hash-division")
+		env.ProfileSpan = span
+	}
+	hd := NewHashDivision(sp, env, HashDivisionOptions{})
+	return obs.Instrument(hd, span, env.Counters), hd
+}
+
+// eachBatch runs op to completion a batch at a time, through its native
+// batch protocol or a lifting copy for a tuple-only input, and calls fn on
+// every batch; the batch's rows are valid until fn returns. Like
+// exec.ForEach it closes op on every path and turns a panic in the tree
+// into an error.
+func eachBatch(op exec.Operator, size int, fn func(*exec.Batch) error) (err error) {
+	defer exec.RecoverPanic(&err)
+	bop := exec.ToBatch(op)
+	if err := bop.Open(); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := bop.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	b := exec.NewBatch(op.Schema(), size)
+	defer b.Release()
+	for {
+		if err := bop.NextBatch(b); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+}
+
+// eachTuple is eachBatch handing fn one row at a time.
+func eachTuple(op exec.Operator, size int, fn func(tuple.Tuple)) error {
+	return eachBatch(op, size, func(b *exec.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			fn(b.Tuple(i))
+		}
+		return nil
+	})
+}

@@ -3,7 +3,6 @@ package division
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/exec"
 	"repro/internal/hashtab"
@@ -59,10 +58,6 @@ type RecursiveOptions struct {
 	// scale. Zero disables seeding; a stale seed costs at most one extra
 	// recursion level, never correctness.
 	SeedCandidates int64
-	// SeedDividend is the dividend cardinality the same previous execution
-	// saw; it refines per-cell projections after the seeded root split.
-	// Zero leaves child projections to the observed-density heuristic.
-	SeedDividend int64
 }
 
 // RecursiveStats describe one recursive division run.
@@ -72,7 +67,7 @@ type RecursiveStats struct {
 	WastedTuples      int64 // dividend tuples absorbed by abandoned attempts
 	SkippedAttempts   int   // doomed attempts skipped thanks to seeded statistics
 	Candidates        int64 // quotient candidates across completed cells (feed back as RecursiveOptions.SeedCandidates)
-	DividendTuples    int64 // dividend tuples across completed cells (feed back as RecursiveOptions.SeedDividend)
+	DividendTuples    int64 // dividend tuples across completed cells
 	Repartitions      int   // cells that had to be re-partitioned
 	MaxDepth          int   // deepest recursion level reached (0 = nothing re-partitioned)
 	Cells             int   // leaf cells divided in memory
@@ -104,20 +99,15 @@ type RecursiveStats struct {
 // space, so a counter replaces the §3.4 phase bit map.) A divisor that fits
 // degenerates to the pure quotient-side recursion with no collection pass.
 type RecursiveHashDivision struct {
-	sp       Spec
-	env      Env
-	strategy PartitionStrategy
-	ropts    RecursiveOptions
-
-	qs      *tuple.Schema
-	qCols   []int
-	results []tuple.Tuple
-	pos     int
-	opened  bool
-	stats   RecursiveStats
-
-	live     []*storage.File // spill files not yet dropped
-	spillSeq int
+	quotientOut // spilled: spill files not yet dropped
+	sp          Spec
+	env         Env
+	strategy    PartitionStrategy
+	ropts       RecursiveOptions
+	qs          *tuple.Schema
+	qCols       []int
+	stats       RecursiveStats
+	spillSeq    int
 }
 
 // NewRecursiveHashDivision builds the operator. env.MemoryBudget drives
@@ -125,7 +115,8 @@ type RecursiveHashDivision struct {
 // operator degenerates to plain hash-division.
 func NewRecursiveHashDivision(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) *RecursiveHashDivision {
 	return &RecursiveHashDivision{
-		sp: sp, env: env, strategy: strategy, ropts: ropts,
+		quotientOut: quotientOut{name: "RecursiveHashDivision"},
+		sp:          sp, env: env, strategy: strategy, ropts: ropts,
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -153,195 +144,97 @@ func mix64(x uint64) uint64 {
 // depthSalt is the fresh hash salt for the given recursion depth.
 func depthSalt(depth int) uint64 { return uint64(depth+1) * 0x9e3779b97f4a7c15 }
 
-// rcell is one partition cell of the dividend: memory-resident tuples, a
-// spill file, or (at the root only) the caller's re-openable operator.
-type rcell struct {
-	mem  []tuple.Tuple
-	file *storage.File
-	op   exec.Operator
-	n    int // tuple count; -1 when unknown (root operator)
-}
-
-func (c rcell) operator(ds *tuple.Schema) exec.Operator {
-	switch {
-	case c.op != nil:
-		return c.op
-	case c.file != nil:
-		return exec.NewTableScan(c.file, false)
-	default:
-		return exec.NewMemScan(ds, c.mem)
-	}
-}
-
 // dropCell releases a consumed cell's spill file (if any) and retires it
 // from the live list.
-func (r *RecursiveHashDivision) dropCell(c rcell) {
+func (r *RecursiveHashDivision) dropCell(c part) {
 	if c.file == nil {
 		return
 	}
 	c.file.Drop()
-	for i, f := range r.live {
+	for i, f := range r.spilled {
 		if f == c.file {
-			r.live = append(r.live[:i], r.live[i+1:]...)
+			r.spilled = append(r.spilled[:i], r.spilled[i+1:]...)
 			break
 		}
 	}
 }
 
-// dropLive releases every spill file still live — the error/Close path.
-func (r *RecursiveHashDivision) dropLive() {
-	for _, f := range r.live {
-		f.Drop()
+// repartition re-partitions THIS cell only, on route (salted for this
+// depth), with hybrid residency: children stay resident until the resident
+// rows exceed the budget, at which point the largest resident child is
+// staged out to a spill file and grows on disk from then on; children that
+// fit never touch disk. It then drops the spent cell and hands every child
+// that keep accepts to divide (dropping the rest), staging the next spilled
+// sibling while each one divides. The span named name covers the pass and
+// every child, so no span's self counters go negative.
+func (r *RecursiveHashDivision) repartition(c part, depth, fanOut int, parent *obs.Span, name string, route func(tuple.Tuple) int,
+	keep func(i int, child part) bool, divide func(i int, child part, span *obs.Span) error) error {
+	var span *obs.Span
+	if parent != nil {
+		span = parent.Child(fmt.Sprintf("%s depth=%d fan=%d", name, depth+1, fanOut), "recursive-partition")
 	}
-	r.live = nil
-}
-
-// partitionCell streams src through route (which returns a child index, or
-// -1 to discard) into fanOut child cells with hybrid residency: children
-// accumulate in memory until the partition buffer exceeds the budget, at
-// which point the largest memory-resident child is staged out to a spill
-// file and grows on disk from then on. Cells that fit never touch disk.
-func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schema, route func(tuple.Tuple) int, fanOut int) ([]rcell, error) {
-	width := ds.Width()
-	budget := r.budget()
-	mem := make([][]tuple.Tuple, fanOut)
-	files := make([]*storage.File, fanOut)
-	appenders := make([]*storage.Appender, fanOut)
-	counts := make([]int, fanOut)
-	memBytes := 0
-
-	fail := func(err error) ([]rcell, error) {
-		for _, a := range appenders {
-			if a != nil {
-				a.Close()
+	defer span.Start(r.env.Counters).End(0)
+	ds := r.sp.Dividend.Schema()
+	pass := partitionPass{env: r.env, schema: ds, fanOut: fanOut, route: route, budget: r.budget(),
+		newSpill: func() (*storage.File, error) {
+			if r.env.Pool == nil || r.env.TempDev == nil {
+				return nil, fmt.Errorf("division: recursive partitioning must spill but has no Pool/TempDev: %w", ErrMemoryBudget)
 			}
-		}
-		for _, f := range files {
-			if f != nil {
-				r.dropCell(rcell{file: f})
-			}
-		}
-		return nil, err
+			f := storage.NewSpillFile(r.env.Pool, r.env.TempDev, ds, fmt.Sprintf("divspill-%d", r.spillSeq))
+			r.spillSeq++
+			r.spilled = append(r.spilled, f)
+			return f, nil
+		}}
+	children, _, err := pass.run(c.scan(ds))
+	if err != nil {
+		return err
 	}
-
-	// spillLargest stages the biggest memory-resident child out to disk and
-	// reports whether it made progress.
-	spillLargest := func() (bool, error) {
-		best, bestBytes := -1, -1
-		for i := range mem {
-			if files[i] != nil {
-				continue
-			}
-			if b := len(mem[i]) * width; b > bestBytes {
-				best, bestBytes = i, b
-			}
+	r.dropCell(c)
+	var routed, spilled, spillBytes int64
+	for _, child := range children {
+		routed += int64(child.n) // one Hash per routed row
+		if child.file != nil {
+			spilled++
+			spillBytes += child.file.BytesOnDevice()
 		}
-		if best < 0 || bestBytes <= 0 {
-			return false, nil
-		}
-		if r.env.Pool == nil || r.env.TempDev == nil {
-			return false, fmt.Errorf("division: recursive partitioning must spill but has no Pool/TempDev: %w", ErrMemoryBudget)
-		}
-		f := storage.NewSpillFile(r.env.Pool, r.env.TempDev, ds, fmt.Sprintf("divspill-%d", r.spillSeq))
-		r.spillSeq++
-		r.live = append(r.live, f)
-		ap := f.NewAppender()
-		for _, t := range mem[best] {
-			if _, err := ap.Append(t); err != nil {
-				ap.Close()
-				return false, err
-			}
-		}
-		files[best], appenders[best] = f, ap
-		memBytes -= bestBytes
-		mem[best] = nil
-		return true, nil
+	}
+	if r.env.Counters != nil {
+		r.env.Counters.Hash += routed
+	}
+	r.stats.Repartitions++
+	r.stats.MaxDepth = max(r.stats.MaxDepth, depth+1)
+	r.stats.SpilledPartitions += int(spilled)
+	r.stats.SpillBytes += spillBytes
+	obs.Default.Counter("division.repartitions").Inc()
+	obs.Default.Counter("division.spill.depth.max").SetMax(int64(depth + 1))
+	if spilled > 0 {
+		obs.Default.Counter("division.spill.partitions").Add(spilled)
+		obs.Default.Counter("division.spill.bytes").Add(spillBytes)
 	}
 
-	err := exec.ForEach(src, func(t tuple.Tuple) error {
-		c := route(t)
-		if c < 0 {
-			return nil
+	for i, child := range children {
+		if !keep(i, child) {
+			r.dropCell(child)
+			continue
 		}
-		if r.env.Counters != nil {
-			r.env.Counters.Hash++
-		}
-		counts[c]++
-		if appenders[c] != nil {
-			_, err := appenders[c].Append(t)
-			return err
-		}
-		mem[c] = append(mem[c], t.Clone())
-		memBytes += width
-		for budget > 0 && memBytes > budget {
-			progress, err := spillLargest()
-			if err != nil {
-				return err
-			}
-			if !progress {
+		// Stage the next spilled sibling's head pages while this one divides.
+		for _, next := range children[i+1:] {
+			if next.file != nil {
+				next.file.PrefetchPages(0, prefetchStagePages)
 				break
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return fail(err)
-	}
-	for i, a := range appenders {
-		if a == nil {
-			continue
-		}
-		if err := a.Close(); err != nil {
-			appenders[i] = nil
-			return fail(err)
-		}
-		appenders[i] = nil
-	}
-
-	cells := make([]rcell, fanOut)
-	var spilled int64
-	for i := range cells {
-		cells[i] = rcell{mem: mem[i], file: files[i], n: counts[i]}
-		if files[i] != nil {
-			r.stats.SpilledPartitions++
-			b := files[i].BytesOnDevice()
-			r.stats.SpillBytes += b
-			spilled += b
+		if err := divide(i, child, span); err != nil {
+			return err
 		}
 	}
-	if spilled > 0 {
-		obs.Default.Counter("division.spill.partitions").Add(int64(countSpilled(files)))
-		obs.Default.Counter("division.spill.bytes").Add(spilled)
-	}
-	return cells, nil
-}
-
-func countSpilled(files []*storage.File) int {
-	n := 0
-	for _, f := range files {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// stageNextSpilled asks the prefetcher to load the head pages of the next
-// spilled sibling after index i, overlapping its device reads with the
-// division of the current cell.
-func stageNextSpilled(cells []rcell, i int) {
-	for j := i + 1; j < len(cells); j++ {
-		if cells[j].file != nil {
-			cells[j].file.PrefetchPages(0, prefetchStagePages)
-			return
-		}
-	}
+	return nil
 }
 
 // quotientFanOut derives the fan-out for re-partitioning an overflowing cell
 // from the candidate density the abandoned attempt observed: the projected
 // table footprint over the budget, clamped to [2, maxFanOut].
-func (r *RecursiveHashDivision) quotientFanOut(c rcell, divisorCount int, st HashDivisionStats) int {
+func (r *RecursiveHashDivision) quotientFanOut(c part, divisorCount int, st HashDivisionStats) int {
 	budget := r.budget()
 	if c.n < 0 || budget <= 0 || st.DividendTuples == 0 {
 		return defaultUnknownFanOut
@@ -375,10 +268,7 @@ func (r *RecursiveHashDivision) seedProjection(divisorCount int) (int64, bool) {
 // divisor, re-partitioning on the quotient attributes whenever the tables
 // overflow the budget. Completed quotient tuples go to emit; the return
 // value is the number of leaf cells the subtree divided in memory.
-func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tuple, depth int, parent *obs.Span, emit func(tuple.Tuple) error) (leaves int, err error) {
-	ds := r.sp.Dividend.Schema()
-	ss := r.sp.Divisor.Schema()
-
+func (r *RecursiveHashDivision) divideQuotientCell(c part, divisor []tuple.Tuple, depth int, parent *obs.Span, emit func(tuple.Tuple) error) (leaves int, err error) {
 	// The root cell with a historical seed predicting overflow skips the
 	// in-memory attempt: it would only re-learn the candidate density the
 	// seed already records, at the cost of a full scan plus a budget's worth
@@ -421,18 +311,13 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 			env.ExpectedQuotient = maxCand
 		}
 	}
-	var span *obs.Span
-	if parent != nil {
-		span = parent.Child(fmt.Sprintf("cell depth=%d", depth), "hash-division")
-		env.ProfileSpan = span
-	}
-	hd := NewHashDivision(Spec{
-		Dividend:    c.operator(ds),
-		Divisor:     exec.NewMemScan(ss, divisor),
+	op, hd := divideOp(env, parent, fmt.Sprintf("cell depth=%d", depth), Spec{
+		Dividend:    c.scan(r.sp.Dividend.Schema()),
+		Divisor:     exec.NewMemScan(r.sp.Divisor.Schema(), divisor),
 		DivisorCols: r.sp.DivisorCols,
-	}, env, HashDivisionOptions{})
+	})
 	r.stats.Attempts++
-	qts, err := exec.Collect(obs.Instrument(hd, span, r.env.Counters))
+	qts, err := exec.Collect(op)
 	if err == nil {
 		st := hd.Stats()
 		r.stats.Cells++
@@ -464,52 +349,23 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 	return r.repartitionQuotientCell(c, divisor, depth, parent, fanOut, emit)
 }
 
-// repartitionQuotientCell re-partitions THIS cell only, with a fresh salt for
-// this depth, and divides the children recursively.
-func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple.Tuple, depth int, parent *obs.Span, fanOut int, emit func(tuple.Tuple) error) (leaves int, err error) {
-	ds := r.sp.Dividend.Schema()
+// repartitionQuotientCell re-partitions the cell on its quotient attributes
+// and divides the non-empty children recursively.
+func (r *RecursiveHashDivision) repartitionQuotientCell(c part, divisor []tuple.Tuple, depth int, parent *obs.Span, fanOut int, emit func(tuple.Tuple) error) (leaves int, err error) {
 	if depth >= maxRecursionDepth {
 		return 0, fmt.Errorf("division: cell of %d tuples still exceeds budget %d at depth %d (quotient skew): %w",
 			c.n, r.budget(), depth, ErrPartitionDepth)
 	}
-	salt := depthSalt(depth)
-	qCols := r.qCols
-	route := func(t tuple.Tuple) int {
-		return int(mix64(ds.Hash(t, qCols)^salt) % uint64(fanOut))
-	}
-	var pspan *obs.Span
-	if parent != nil {
-		pspan = parent.Child(fmt.Sprintf("repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
-	}
-	// The window makes the span inclusive of the partitioning pass and of
-	// every child cell, so no span's self counters go negative.
-	defer pspan.Start(r.env.Counters).End(0)
-	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
-	if err != nil {
-		return 0, err
-	}
-	r.dropCell(c) // the source cell is fully re-distributed
-	r.stats.Repartitions++
-	if depth+1 > r.stats.MaxDepth {
-		r.stats.MaxDepth = depth + 1
-	}
-	obs.Default.Counter("division.repartitions").Inc()
-	obs.Default.Counter("division.spill.depth.max").SetMax(int64(depth + 1))
-
-	for i := range children {
-		if children[i].n == 0 {
-			r.dropCell(children[i])
-			continue
-		}
-		// Stage the next spilled sibling while this one divides.
-		stageNextSpilled(children, i)
-		n, err := r.divideQuotientCell(children[i], divisor, depth+1, pspan, emit)
-		if err != nil {
-			return 0, err
-		}
-		leaves += n
-	}
-	return leaves, nil
+	salt, hash := depthSalt(depth), r.sp.Dividend.Schema().HashFunc(r.qCols)
+	route := func(t tuple.Tuple) int { return int(mix64(hash(t)^salt) % uint64(fanOut)) }
+	err = r.repartition(c, depth, fanOut, parent, "repartition", route,
+		func(_ int, child part) bool { return child.n > 0 },
+		func(_ int, child part, span *obs.Span) error {
+			n, err := r.divideQuotientCell(child, divisor, depth+1, span, emit)
+			leaves += n
+			return err
+		})
+	return leaves, err
 }
 
 // divisorFanOut sizes one divisor-side re-partitioning step.
@@ -536,7 +392,7 @@ func (r *RecursiveHashDivision) divisorFits(n int) bool {
 // then hands the (cluster, cell) leaf to leaf. Dividend tuples whose divisor
 // attributes hash to a cluster without divisor tuples are discarded during
 // partitioning, exactly as in single-level divisor partitioning.
-func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell, depth int, parent *obs.Span, leaf func([]tuple.Tuple, rcell, int, *obs.Span) error) error {
+func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c part, depth int, parent *obs.Span, leaf func([]tuple.Tuple, part, int, *obs.Span) error) error {
 	if r.divisorFits(len(divisor)) {
 		return leaf(divisor, c, depth, parent)
 	}
@@ -544,7 +400,6 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 		return fmt.Errorf("division: divisor cluster of %d tuples still exceeds budget %d at depth %d (divisor skew): %w",
 			len(divisor), r.budget(), depth, ErrPartitionDepth)
 	}
-	ds := r.sp.Dividend.Schema()
 	fanOut := r.divisorFanOut(len(divisor) * (r.sp.Divisor.Schema().Width() + hashElemOverhead))
 	salt := depthSalt(depth)
 	clusters := make([][]tuple.Tuple, fanOut)
@@ -555,84 +410,48 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 		i := int(mix64(tuple.HashBytes(d)^salt) % uint64(fanOut))
 		clusters[i] = append(clusters[i], d)
 	}
-	dCols := r.sp.DivisorCols
+	hash := r.sp.Dividend.Schema().HashFunc(r.sp.DivisorCols)
 	route := func(t tuple.Tuple) int {
-		i := int(mix64(ds.Hash(t, dCols)^salt) % uint64(fanOut))
+		i := int(mix64(hash(t)^salt) % uint64(fanOut))
 		if len(clusters[i]) == 0 {
 			return -1 // no divisor tuples there: the tuple can match nothing
 		}
 		return i
 	}
-	var span *obs.Span
-	if parent != nil {
-		span = parent.Child(fmt.Sprintf("divisor-repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
-	}
-	defer span.Start(r.env.Counters).End(0)
 	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
 		len(divisor), r.budget(), depth, fanOut)
-	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
-	if err != nil {
-		return err
-	}
-	r.dropCell(c)
-	r.stats.Repartitions++
-	if depth+1 > r.stats.MaxDepth {
-		r.stats.MaxDepth = depth + 1
-	}
-	obs.Default.Counter("division.repartitions").Inc()
-	obs.Default.Counter("division.spill.depth.max").SetMax(int64(depth + 1))
-
-	for i := range children {
-		if len(clusters[i]) == 0 {
-			r.dropCell(children[i])
-			continue
-		}
-		stageNextSpilled(children, i)
-		if err := r.divideDivisorNode(clusters[i], children[i], depth+1, span, leaf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.repartition(c, depth, fanOut, parent, "divisor-repartition", route,
+		func(i int, _ part) bool { return len(clusters[i]) > 0 },
+		func(i int, child part, span *obs.Span) error {
+			return r.divideDivisorNode(clusters[i], child, depth+1, span, leaf)
+		})
 }
 
 // Open implements Operator: the whole recursion runs here (the operator is
 // stop-and-go, like plain hash-division without early emit).
 func (r *RecursiveHashDivision) Open() error {
-	if err := r.sp.Validate(); err != nil {
-		return err
-	}
-	r.results = nil
-	r.pos = 0
-	r.stats = RecursiveStats{}
-	err := r.run()
-	if err != nil {
-		r.dropLive()
-		return err
-	}
-	if n := len(r.live); n != 0 {
-		// Every consumed cell drops its file eagerly; anything left is a bug.
-		r.dropLive()
-		return fmt.Errorf("division: recursive division leaked %d spill files", n)
-	}
-	r.opened = true
-	return nil
+	return r.open(r.sp, func() error {
+		r.stats = RecursiveStats{}
+		if err := r.run(); err != nil {
+			return err
+		}
+		if n := len(r.spilled); n != 0 {
+			// Every consumed cell drops its file eagerly; anything left is a bug.
+			return fmt.Errorf("division: recursive division leaked %d spill files", n)
+		}
+		return nil
+	})
 }
 
 func (r *RecursiveHashDivision) run() error {
 	budget := r.budget()
 	parent := r.env.ProfileParent()
-	root := rcell{op: r.sp.Dividend, n: -1}
+	root := part{op: r.sp.Dividend, n: -1}
 
 	if budget <= 0 {
 		// No budget: plain hash-division, no partitioning machinery at all.
-		env := r.env
-		var span *obs.Span
-		if parent != nil {
-			span = parent.Child("hash-division", "hash-division")
-			env.ProfileSpan = span
-		}
-		hd := NewHashDivision(r.sp, env, HashDivisionOptions{})
-		qts, err := exec.Collect(obs.Instrument(hd, span, r.env.Counters))
+		op, hd := divideOp(r.env, parent, "hash-division", r.sp)
+		qts, err := exec.Collect(op)
 		if err != nil {
 			return err
 		}
@@ -687,7 +506,7 @@ func (r *RecursiveHashDivision) run() error {
 	// Divisor-side recursion with a counting collection phase.
 	collection := hashtab.NewForExpected(r.qs, r.env.expectedQuotient(), r.env.hbs())
 	totalLeaves := 0
-	leaf := func(cluster []tuple.Tuple, c rcell, depth int, span *obs.Span) error {
+	leaf := func(cluster []tuple.Tuple, c part, depth int, span *obs.Span) error {
 		totalLeaves++
 		r.stats.DivisorLeaves++
 		if c.n == 0 {
@@ -708,9 +527,7 @@ func (r *RecursiveHashDivision) run() error {
 		if err != nil {
 			return err
 		}
-		if leaves > r.stats.MaxQuotientCells {
-			r.stats.MaxQuotientCells = leaves
-		}
+		r.stats.MaxQuotientCells = max(r.stats.MaxQuotientCells, leaves)
 		return nil
 	}
 	if err := r.divideDivisorNode(divisor, root, 0, parent, leaf); err != nil {
@@ -733,27 +550,6 @@ func (r *RecursiveHashDivision) run() error {
 	return err
 }
 
-// Next implements Operator.
-func (r *RecursiveHashDivision) Next() (tuple.Tuple, error) {
-	if !r.opened {
-		return nil, errNotOpen("RecursiveHashDivision")
-	}
-	if r.pos >= len(r.results) {
-		return nil, io.EOF
-	}
-	t := r.results[r.pos]
-	r.pos++
-	return t, nil
-}
-
-// Close implements Operator.
-func (r *RecursiveHashDivision) Close() error {
-	r.opened = false
-	r.results = nil
-	r.dropLive()
-	return nil
-}
-
 // DivideRecursive runs recursive out-of-core hash-division under the given
 // strategy and returns the quotient plus run statistics.
 func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) ([]tuple.Tuple, RecursiveStats, error) {
@@ -769,11 +565,10 @@ func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, ropts Recursi
 func DistinctDivisor(divisor exec.Operator, env Env) ([]tuple.Tuple, error) {
 	tab := hashtab.NewForExpected(divisor.Schema(), env.expectedDivisor(), env.hbs())
 	var out []tuple.Tuple
-	err := exec.ForEach(divisor, func(t tuple.Tuple) error {
+	err := eachTuple(divisor, env.batchSize(), func(t tuple.Tuple) {
 		if e, created := tab.GetOrInsert(t); created {
 			out = append(out, e.Tuple)
 		}
-		return nil
 	})
 	if env.Counters != nil {
 		st := tab.Stats()

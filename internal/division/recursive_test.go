@@ -273,7 +273,7 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 	}
 
 	warm, st2, err := DivideRecursive(sp(), budgetEnv(budget), QuotientPartitioning,
-		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
+		RecursiveOptions{SeedCandidates: st1.Candidates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 
 	// A seed that predicts a comfortable fit must leave the run untouched.
 	fit, st3, err := DivideRecursive(sp(), budgetEnv(64<<20), QuotientPartitioning,
-		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
+		RecursiveOptions{SeedCandidates: st1.Candidates})
 	if err != nil {
 		t.Fatal(err)
 	}

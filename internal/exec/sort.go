@@ -131,7 +131,11 @@ func (s *Sort) spillRun(ts []tuple.Tuple) error {
 	}
 	f := storage.NewSpillFile(s.cfg.Pool, s.cfg.TempDev, s.schema, fmt.Sprintf("sortrun-%d", s.runSeq))
 	s.runSeq++
-	if err := f.Load(ts); err != nil {
+	err := f.Load(ts)
+	if err == nil {
+		err = f.Flush()
+	}
+	if err != nil {
 		f.Drop() // not yet in s.runs; Close would never reclaim it
 		return err
 	}
@@ -271,6 +275,9 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 		a := ap
 		ap = nil
 		if err := a.Close(); err != nil {
+			return err
+		}
+		if err := out.Flush(); err != nil {
 			return err
 		}
 		if s.cfg.Counters != nil {
@@ -425,6 +432,9 @@ func (s *Sort) mergeToFile(runs []*storage.File) (*storage.File, error) {
 		}
 	}
 	if err := ap.Close(); err != nil {
+		return fail(err)
+	}
+	if err := out.Flush(); err != nil {
 		return fail(err)
 	}
 	if s.cfg.Counters != nil {

@@ -321,25 +321,20 @@ collect:
 	return err
 }
 
-// spoolFrames absorbs one batch phase into a spill file, calling perTuple on
-// every tuple, until the matching end frame arrives. The appender is closed
-// on every exit so no buffered page outlives a failed phase.
+// spoolFrames absorbs one batch phase into a spill file a page at a time,
+// calling perTuple on every tuple, until the matching end frame arrives. The
+// appender is closed on every exit so no buffered page outlives a failed
+// phase.
 func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 	batchType, endType byte, batchSize int, perTuple func(tuple.Tuple)) (int64, error) {
 	ap := file.NewAppender()
 	var count int64
 	err := absorbFrames(fr, schema, batchType, endType, batchSize, func(b *exec.Batch) error {
-		for i, n := 0, b.Len(); i < n; i++ {
-			t := b.Tuple(i)
-			if _, err := ap.Append(t); err != nil {
-				return err
-			}
-			if perTuple != nil {
-				perTuple(t)
-			}
-			count++
+		for i := 0; perTuple != nil && i < b.Len(); i++ {
+			perTuple(b.Tuple(i))
 		}
-		return nil
+		count += int64(b.Len())
+		return ap.AppendRows(b.Raw())
 	})
 	if cerr := ap.Close(); err == nil {
 		err = cerr

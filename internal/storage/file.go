@@ -116,32 +116,51 @@ func (f *File) NewAppender() *Appender {
 }
 
 // Append writes one record, allocating a new tail page when the current one
-// is full.
+// is full. It is AppendRows of a single row.
 func (a *Appender) Append(t tuple.Tuple) (RID, error) {
+	if len(t) != a.f.schema.Width() {
+		return RID{}, fmt.Errorf("storage: record width %d, schema wants %d", len(t), a.f.schema.Width())
+	}
+	if err := a.AppendRows(t); err != nil {
+		return RID{}, err
+	}
+	return RID{Page: a.page, Slot: pageCount(a.handle.Bytes()) - 1}, nil
+}
+
+// AppendRows writes whole records stored back to back in rows (record i at
+// [i*w, (i+1)*w), the layout of exec.Batch), in order. It copies as many as
+// fit into the tail page with one copy and one MarkDirty per page touched,
+// allocating a new tail page only when a record is left over, so the file
+// ends up with exactly the pages and slots per-record Append would give it.
+func (a *Appender) AppendRows(rows []byte) error {
 	f := a.f
-	if len(t) != f.schema.Width() {
-		return RID{}, fmt.Errorf("storage: record width %d, schema wants %d", len(t), f.schema.Width())
+	w := f.schema.Width()
+	if len(rows)%w != 0 {
+		return fmt.Errorf("storage: %d bytes are not whole %d-byte records", len(rows), w)
 	}
-	if a.handle == nil {
-		if err := a.openTail(); err != nil {
-			return RID{}, err
+	for len(rows) > 0 {
+		if a.handle == nil {
+			if err := a.openTail(); err != nil {
+				return err
+			}
 		}
-	}
-	data := a.handle.Bytes()
-	n := pageCount(data)
-	if n >= f.perPage {
-		if err := a.rotate(); err != nil {
-			return RID{}, err
+		data := a.handle.Bytes()
+		n := pageCount(data)
+		if n >= f.perPage {
+			if err := a.rotate(); err != nil {
+				return err
+			}
+			data = a.handle.Bytes()
+			n = 0
 		}
-		data = a.handle.Bytes()
-		n = 0
+		k := min(f.perPage-n, len(rows)/w)
+		copy(data[f.recordOffset(n):], rows[:k*w])
+		setPageCount(data, n+k)
+		a.handle.MarkDirty()
+		f.numRecs += k
+		rows = rows[k*w:]
 	}
-	off := f.recordOffset(n)
-	copy(data[off:off+f.schema.Width()], t)
-	setPageCount(data, n+1)
-	a.handle.MarkDirty()
-	f.numRecs++
-	return RID{Page: a.page, Slot: n}, nil
+	return nil
 }
 
 func (a *Appender) openTail() error {
@@ -500,25 +519,28 @@ func (ps *PageScanner) Close() error {
 	return nil
 }
 
-// Drop flushes nothing and frees every page of the file back to its device.
-// The file is empty and reusable afterwards.
+// Flush writes the file's dirty pages back to its device, in file order.
+func (f *File) Flush() error { return f.pool.FlushPages(f.dev, f.pages) }
+
+// Drop writes nothing back: it discards the file's own buffer frames, leaves
+// every other file's frames resident, and frees every page of the file back
+// to its device. The file is empty and reusable afterwards. A page still
+// fixed by a scanner is reported (buffer.ErrFixed) but freed all the same.
 func (f *File) Drop() error {
 	if f.spill {
 		f.spill = false
 		liveSpillFiles.Add(-1)
 	}
-	if err := f.pool.DropClean(); err != nil {
-		return err
-	}
+	err := f.pool.DropPages(f.dev, f.pages)
 	for _, p := range f.pages {
-		if err := f.dev.Free(p); err != nil {
-			return err
+		if ferr := f.dev.Free(p); ferr != nil && err == nil {
+			err = ferr
 		}
 	}
 	f.pages = nil
 	f.numRecs = 0
 	f.deleted = nil
-	return nil
+	return err
 }
 
 // Load bulk-appends all tuples.

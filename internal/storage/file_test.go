@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -824,5 +825,143 @@ func TestScanReadAhead(t *testing.T) {
 	}
 	if fixed := f.Pool().FixedFrames(); fixed != 0 {
 		t.Errorf("%d frames still fixed after read-ahead scans", fixed)
+	}
+}
+
+// pageImages flushes f and returns the device bytes of each of its pages.
+func pageImages(t *testing.T, f *File) [][]byte {
+	t.Helper()
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, f.NumPages())
+	for i, p := range f.pages {
+		out[i] = make([]byte, f.Device().PageSize())
+		if err := f.Device().Read(p, out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// scanRIDs returns every record id of f in scan order.
+func scanRIDs(t *testing.T, f *File) []RID {
+	t.Helper()
+	sc := f.Scan(true)
+	defer sc.Close()
+	var out []RID
+	for {
+		_, rid, err := sc.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rid)
+	}
+}
+
+// TestAppendRowsMatchesAppend: bulk appends leave a file identical to
+// per-record Append of the same rows — page images, scanned record ids,
+// NumRecords and NumPages — across runs that end mid-page, an empty call,
+// and a second appender opened on the non-empty file.
+func TestAppendRowsMatchesAppend(t *testing.T) {
+	bulk, single := testFile(t, 68, 4096), testFile(t, 68, 4096) // 4 records per page
+	s := bulk.Schema()
+	var rows []byte
+	for i := 0; i < 14; i++ {
+		rows = append(rows, s.MustMake(i, -i)...)
+	}
+	w := s.Width()
+	for _, runs := range [][]int{{3, 0, 5, 2}, {4}} { // records per AppendRows call, per appender
+		ap, sp := bulk.NewAppender(), single.NewAppender()
+		for _, n := range runs {
+			if err := ap.AppendRows(rows[:n*w]); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := sp.Append(tuple.Tuple(rows[i*w : (i+1)*w])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows = rows[n*w:]
+		}
+		if err := errors.Join(ap.Close(), sp.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bulk.NumRecords() != 14 || bulk.NumRecords() != single.NumRecords() || bulk.NumPages() != single.NumPages() {
+		t.Fatalf("bulk: %d records on %d pages; per record: %d on %d",
+			bulk.NumRecords(), bulk.NumPages(), single.NumRecords(), single.NumPages())
+	}
+	bi, si := pageImages(t, bulk), pageImages(t, single)
+	for i := range bi {
+		if !bytes.Equal(bi[i], si[i]) {
+			t.Errorf("page %d differs:\nbulk   %x\nsingle %x", i, bi[i], si[i])
+		}
+	}
+	if br, sr := scanRIDs(t, bulk), scanRIDs(t, single); fmt.Sprint(br) != fmt.Sprint(sr) {
+		t.Errorf("record ids differ:\nbulk   %v\nsingle %v", br, sr)
+	}
+	if bulk.Pool().FixedFrames() != 0 {
+		t.Error("appender leaked fixed frames")
+	}
+}
+
+// TestAppendRowsEdges: an empty call allocates no page, and a run of partial
+// records is rejected without writing anything.
+func TestAppendRowsEdges(t *testing.T) {
+	f := testFile(t, 68, 1024)
+	ap := f.NewAppender()
+	defer ap.Close()
+	if err := ap.AppendRows(nil); err != nil || f.NumPages() != 0 {
+		t.Fatalf("empty AppendRows: err %v, %d pages", err, f.NumPages())
+	}
+	if err := ap.AppendRows(make([]byte, 20)); err == nil {
+		t.Fatal("AppendRows of 20 bytes of 16-byte records succeeded")
+	}
+	if f.NumRecords() != 0 || f.NumPages() != 0 {
+		t.Fatalf("rejected AppendRows left %d records on %d pages", f.NumRecords(), f.NumPages())
+	}
+}
+
+// TestDropDiscardsOnlyOwnFrames: dropping one of two spill files that share
+// a pool writes nothing to the device — the dropped pages are garbage — and
+// leaves the other file's frames resident.
+func TestDropDiscardsOnlyOwnFrames(t *testing.T) {
+	pool := buffer.New(64 << 10)
+	dev := disk.NewDevice("spill", disk.PaperRunPageSize)
+	schema := tuple.NewSchema(tuple.Int64Field("a"), tuple.Int64Field("b"))
+	a, b := NewSpillFile(pool, dev, schema, "a"), NewSpillFile(pool, dev, schema, "b")
+	for _, f := range []*File{a, b} {
+		rows := make([]byte, 4*f.RecordsPerPage()*schema.Width())
+		ap := f.NewAppender()
+		if err := errors.Join(ap.AppendRows(rows), ap.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if f.NumPages() != 4 {
+			t.Fatalf("%s has %d pages, want 4", f.Name(), f.NumPages())
+		}
+	}
+	writes := dev.Stats().Writes
+	if err := a.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats().Writes - writes; got != 0 {
+		t.Errorf("dropping a wrote %d pages, want 0", got)
+	}
+	misses := pool.Stats().Misses
+	if got := len(scanRecords(t, b)) / schema.Width(); got != b.NumRecords() {
+		t.Fatalf("scan of b saw %d records, want %d", got, b.NumRecords())
+	}
+	if got := pool.Stats().Misses - misses; got != 0 {
+		t.Errorf("scan of b after dropping a missed %d pages, want 0", got)
+	}
+	if err := b.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.LiveBytes != 0 {
+		t.Errorf("pool holds %d bytes after both drops", st.LiveBytes)
 	}
 }

@@ -9,19 +9,18 @@ import (
 
 // DefaultPlanCacheEntries caps the plan cache when Options does not choose a
 // size. Entries are a few hundred bytes (a shape string, a generation map,
-// two seeds), so the default bounds the cache to roughly 100 KB while still
+// a seed), so the default bounds the cache to roughly 100 KB while still
 // covering far more distinct query shapes than any workload in the repo.
 const DefaultPlanCacheEntries = 256
 
 // prepared is one cached plan: which table generations it was prepared
-// against, and the statistics its executions observed — fed back into the
-// next execution as partitioning seeds, so a repeat query whose tables
-// overflow the memory grant skips the doomed first in-memory attempt.
+// against, and the candidate count its last execution observed — fed back
+// into the next execution as the partitioning seed, so a repeat query whose
+// tables overflow the memory grant skips the doomed first in-memory attempt.
 type prepared struct {
 	key            string
 	gens           map[string]uint64
 	seedCandidates int64
-	seedDividend   int64
 	elem           *list.Element // position in the cache's recency list
 }
 
@@ -59,10 +58,10 @@ func (c *planCache) removeLocked(p *prepared) {
 	c.order.Remove(p.elem)
 }
 
-// lookup returns the cached seeds for key when the entry exists and was
+// lookup returns the cached seed for key when the entry exists and was
 // prepared against the same table generations, marking it most recently
 // used. A generation mismatch deletes the stale entry and misses.
-func (c *planCache) lookup(key string, gens map[string]uint64) (seedCandidates, seedDividend int64, hit bool) {
+func (c *planCache) lookup(key string, gens map[string]uint64) (seedCandidates int64, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.plans[key]
@@ -78,12 +77,12 @@ func (c *planCache) lookup(key string, gens map[string]uint64) (seedCandidates, 
 	if !ok {
 		c.misses++
 		obs.Default.Counter("server.cache_misses").Inc()
-		return 0, 0, false
+		return 0, false
 	}
 	c.order.MoveToFront(p.elem)
 	c.hits++
 	obs.Default.Counter("server.cache_hits").Inc()
-	return p.seedCandidates, p.seedDividend, true
+	return p.seedCandidates, true
 }
 
 // store records a freshly prepared plan at the front of the recency list,
@@ -105,9 +104,10 @@ func (c *planCache) store(key string, gens map[string]uint64) {
 	}
 }
 
-// updateSeeds feeds one execution's observed statistics back into the entry
-// (if it still exists — a concurrent drop or eviction may have removed it).
-func (c *planCache) updateSeeds(key string, candidates, dividend int64) {
+// updateSeed feeds one execution's observed candidate count back into the
+// entry (if it still exists — a concurrent drop or eviction may have removed
+// it).
+func (c *planCache) updateSeed(key string, candidates int64) {
 	if candidates <= 0 {
 		return
 	}
@@ -115,7 +115,6 @@ func (c *planCache) updateSeeds(key string, candidates, dividend int64) {
 	defer c.mu.Unlock()
 	if p, ok := c.plans[key]; ok {
 		p.seedCandidates = candidates
-		p.seedDividend = dividend
 	}
 }
 

@@ -25,9 +25,10 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 		return badRequest("divide needs dividend and divisor tables")
 	}
 
-	// Snapshot the inputs. Rows are append-only under the catalog lock and
-	// tuples are immutable, so full slices (capacity clamped to length)
-	// stay stable after the lock is released.
+	// Snapshot the inputs. Arenas are append-only under the catalog lock, so
+	// full slices (capacity clamped to length) stay stable after the lock is
+	// released: an insert appends past them, a rejected one truncates back to
+	// at least their length.
 	s.mu.RLock()
 	dv, dok := s.tables[req.Dividend]
 	sv, sok := s.tables[req.Divisor]
@@ -86,7 +87,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	// counter); misses pay one compile to validate the lowering, then every
 	// execution — first or repeat — binds fresh operators below.
 	key, node := planShape(req.Dividend, ds, dvRows, req.Divisor, ss, svRows, cols)
-	seedCandidates, seedDividend, hit := s.cache.lookup(key, gens)
+	seed, hit := s.cache.lookup(key, gens)
 	if !hit {
 		if _, err := rewrite.Compile(node, division.Env{}); err != nil {
 			return badRequest("plan does not lower: %v", err)
@@ -113,11 +114,11 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 		Pool:            buffer.New(poolBytes),
 		TempDev:         tempDev,
 		MemoryBudget:    tableBytes,
-		ExpectedDivisor: len(svRows),
+		ExpectedDivisor: len(svRows) / ss.Width(),
 	}
 	sp := division.Spec{
-		Dividend:    exec.NewContextScan(ctx, exec.NewMemScan(ds, dvRows)),
-		Divisor:     exec.NewContextScan(ctx, exec.NewMemScan(ss, svRows)),
+		Dividend:    exec.NewContextScan(ctx, exec.NewArenaScan(ds, dvRows)),
+		Divisor:     exec.NewContextScan(ctx, exec.NewArenaScan(ss, svRows)),
 		DivisorCols: cols,
 	}
 	if err := sp.Validate(); err != nil {
@@ -125,7 +126,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	}
 
 	qts, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning,
-		division.RecursiveOptions{SeedCandidates: seedCandidates, SeedDividend: seedDividend})
+		division.RecursiveOptions{SeedCandidates: seed})
 	if err != nil {
 		code := CodeInternal
 		var sqe *SpillQuotaError
@@ -137,7 +138,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 		}
 		return &Response{Error: err.Error(), Code: code}
 	}
-	s.cache.updateSeeds(key, st.Candidates, st.DividendTuples)
+	s.cache.updateSeed(key, st.Candidates)
 
 	qs := sp.QuotientSchema()
 	rows := make([][]int64, len(qts))
@@ -163,15 +164,15 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 // plus the rewritten node. The shape depends on table names, schemas, and
 // matched columns — never on row contents — so repeat traffic over growing
 // tables keeps hitting the same entry.
-func planShape(dividendName string, ds *tuple.Schema, dvRows []tuple.Tuple,
-	divisorName string, ss *tuple.Schema, svRows []tuple.Tuple, cols []int) (string, rewrite.Node) {
+func planShape(dividendName string, ds *tuple.Schema, dvRows []byte,
+	divisorName string, ss *tuple.Schema, svRows []byte, cols []int) (string, rewrite.Node) {
 	dividendRel := rewrite.NewRel(dividendName, ds, func() exec.Operator {
-		return exec.NewMemScan(ds, dvRows)
+		return exec.NewArenaScan(ds, dvRows)
 	})
 	// The same *Rel must be the semi-join's right input and the scalar
 	// count's relation: the rewrite rule matches the subplans by pointer.
 	divisorRel := rewrite.NewRel(divisorName, ss, func() exec.Operator {
-		return exec.NewMemScan(ss, svRows)
+		return exec.NewArenaScan(ss, svRows)
 	})
 	plan := &rewrite.CountEqCard{
 		Input: &rewrite.GroupCount{

@@ -42,13 +42,15 @@ const (
 	MinQueryBytes      = 64 << 10
 )
 
-// table is one shared catalog table: an append-only tuple log under the
-// catalog lock. gen distinguishes lives of the same name — a table dropped
-// and re-created is a different table, and prepared plans keyed on the old
-// life must not survive into the new one.
+// table is one shared catalog table: an append-only row arena under the
+// catalog lock, row i at [i*w, (i+1)*w) for the schema width w (the layout
+// of exec.Batch, which exec.ArenaScan scans without copying). gen
+// distinguishes lives of the same name — a table dropped and re-created is a
+// different table, and prepared plans keyed on the old life must not survive
+// into the new one.
 type table struct {
 	schema *tuple.Schema
-	rows   []tuple.Tuple
+	rows   []byte
 	gen    uint64
 }
 
@@ -308,6 +310,8 @@ func (s *Server) dropTable(req Request) *Response {
 	return &Response{OK: true}
 }
 
+// insert appends every row of the request or none: a rejected row truncates
+// the arena back to its length at the start of the request.
 func (s *Server) insert(req Request) *Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,21 +319,23 @@ func (s *Server) insert(req Request) *Response {
 	if !ok {
 		return badRequest("no table %q", req.Table)
 	}
-	n := t.schema.NumFields()
+	n, w, start := t.schema.NumFields(), t.schema.Width(), len(t.rows)
+	vals := make([]any, n)
 	for _, row := range req.Rows {
 		if len(row) != n {
+			t.rows = t.rows[:start]
 			return badRequest("insert %s: row has %d values, schema has %d columns",
 				req.Table, len(row), n)
 		}
-		vals := make([]any, len(row))
 		for i, v := range row {
 			vals[i] = v
 		}
-		tup, err := t.schema.Make(vals...)
-		if err != nil {
+		off := len(t.rows)
+		t.rows = append(t.rows, make([]byte, w)...)
+		if err := t.schema.MakeInto(t.rows[off:], vals...); err != nil {
+			t.rows = t.rows[:start]
 			return badRequest("insert %s: %v", req.Table, err)
 		}
-		t.rows = append(t.rows, tup)
 	}
 	return &Response{OK: true}
 }

@@ -292,3 +292,42 @@ func TestSplitGrantAdmittedGrants(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedInsertLeavesTableUnchanged: an insert request is atomic — a
+// bad row anywhere in it rejects the whole request, and the rows before it
+// never become visible to a divide.
+func TestRejectedInsertLeavesTableUnchanged(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	c := startPipeSession(t, s)
+	for _, err := range []error{
+		c.CreateTable("t", "a", "b"),
+		c.CreateTable("d", "b"),
+		c.Insert("d", [][]int64{{2}}),
+		c.Insert("t", [][]int64{{5, 2}}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Insert("t", [][]int64{{1, 2}, {3}}); err == nil {
+		t.Fatal("insert of a short row succeeded")
+	}
+	resp, err := c.Divide("t", "d", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := quotientSet(resp.Rows); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("quotient after a rejected insert = %v, want [5]", got)
+	}
+	if err := c.Insert("t", [][]int64{{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = c.Divide("t", "d", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := quotientSet(resp.Rows); len(got) != 2 || got[0] != 1 || got[1] != 5 {
+		t.Fatalf("quotient after a good insert = %v, want [1 5]", got)
+	}
+}
