@@ -13,8 +13,8 @@ import (
 // distinct divisor tuples, the quotient table whose candidates carry a bit
 // map indexed by those numbers, and the scan for bit maps without a zero.
 // Every in-memory hash-division runs through it: the HashDivision operator
-// (and with it partitioned, combined and recursive division), the parallel
-// package's workers, and the netexchange wire workers. Only SharedTable
+// (and with it partitioned, combined and recursive division) and the
+// exchange workers, in process and behind a wire. Only SharedTable
 // keeps its own loop, because its quotient table is shared between
 // goroutines.
 //
@@ -50,9 +50,6 @@ type CoreOptions struct {
 	// (hashtab.NewWithCapacity), so it never grows, and ExpectedDivisor is
 	// ignored.
 	DivisorCapacity int
-	// Filter, when set, receives the Babb bit of every distinct divisor
-	// tuple (SetFilterBit).
-	Filter *bitmap.Bitmap
 	// Counters, when set, is charged the Table 1 cost units of the run.
 	Counters *exec.Counters
 }
@@ -113,7 +110,7 @@ func (c *Core) checkBudget() error {
 
 // AddDivisor is step 1 for one divisor tuple: duplicates are eliminated on
 // the fly ("while building the divisor table"), and each distinct tuple gets
-// the next divisor number and its filter bit. It fails with ErrMemoryBudget
+// the next divisor number. It fails with ErrMemoryBudget
 // once the tables outgrow the budget. All divisor tuples must be added
 // before the first absorb.
 func (c *Core) AddDivisor(t tuple.Tuple) error {
@@ -122,9 +119,6 @@ func (c *Core) AddDivisor(t tuple.Tuple) error {
 		e.Num = c.divisorCount
 		c.divisorCount++
 		c.stats.DivisorDistinct = c.divisorCount
-		if c.opts.Filter != nil {
-			SetFilterBit(c.opts.Filter, t)
-		}
 	}
 	return c.checkBudget()
 }

@@ -1,20 +1,20 @@
 package netexchange
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/tuple"
 )
 
@@ -48,8 +48,89 @@ type Config struct {
 	// unbounded in-memory tables. Budget and depth-cap failures come back
 	// as WorkerError wrapping the typed division sentinels.
 	WorkerBudget int64
-	// Progress, when set, receives human-readable summary lines.
-	Progress func(format string, args ...any)
+}
+
+// ConfigError reports a configuration field that fails validation.
+type ConfigError struct {
+	Field  string // the Config field name
+	Value  any    // the rejected value
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("invalid Config.%s = %v: %s", e.Field, e.Value, e.Reason)
+}
+
+// The bounds the configuration and the job header share: a table needs an
+// HBS of at least 1/64 (64 buckets per expected tuple), and a filter and a
+// full batch must each fit one frame.
+const (
+	minHBS        = 1.0 / 64
+	maxFilterBits = maxFrameBytes * 8
+)
+
+// hbsProblem says why hbs cannot size a hash table, or "" when it can.
+func hbsProblem(hbs float64) string {
+	switch {
+	case math.IsNaN(hbs) || math.IsInf(hbs, 0):
+		return "must be finite"
+	case hbs < minHBS:
+		return "must be at least 1/64 to size a hash table"
+	}
+	return ""
+}
+
+// fitsFrame reports whether batch tuples of width bytes fit one frame.
+func fitsFrame(batch, width int) bool {
+	return batch <= (maxFrameBytes-bodyHeaderLen)/width
+}
+
+// Validate rejects, with a *ConfigError naming the field, a configuration
+// that cannot divide dividends laid out by ds: an unknown strategy, a
+// negative count, a non-finite HBS or one too small to size a table, or a
+// filter or dividend batch larger than one frame. Zero values remain "use
+// the default". Both exchanges run it, over pipes and over TCP.
+func (cfg Config) Validate(ds *tuple.Schema) error {
+	hbs := ""
+	if cfg.HBS != 0 {
+		hbs = hbsProblem(cfg.HBS)
+	}
+	const negative, overFrame = "must not be negative", "exceeds one frame"
+	for _, c := range []struct {
+		field, reason string
+		value         any
+		bad           bool
+	}{
+		{"Strategy", "unknown partitioning strategy", cfg.Strategy,
+			cfg.Strategy != division.QuotientPartitioning && cfg.Strategy != division.DivisorPartitioning},
+		{"BitVectorBits", negative, cfg.BitVectorBits, cfg.BitVectorBits < 0},
+		{"BitVectorBits", overFrame, cfg.BitVectorBits, cfg.BitVectorBits > maxFilterBits},
+		{"HBS", hbs, cfg.HBS, hbs != ""},
+		{"BatchSize", negative, cfg.BatchSize, cfg.BatchSize < 0},
+		{"BatchSize", overFrame, cfg.BatchSize, !fitsFrame(cfg.BatchSize, ds.Width())},
+		{"MorselTuples", negative, cfg.MorselTuples, cfg.MorselTuples < 0},
+		{"WorkerBudget", negative, cfg.WorkerBudget, cfg.WorkerBudget < 0},
+	} {
+		if c.bad {
+			return &ConfigError{Field: c.field, Value: c.value, Reason: c.reason}
+		}
+	}
+	return nil
+}
+
+// NetworkStats count interconnect traffic: the frames a wire carries, on
+// either transport.
+type NetworkStats struct {
+	TuplesShipped  int64 // divisor, dividend, candidate, collect and quotient tuples sent
+	BytesShipped   int64 // frame bytes both ways, overhead and control frames included
+	TuplesFiltered int64 // dividend tuples dropped by the bit vector filter
+}
+
+// WorkerStats describe one processor's share of the work.
+type WorkerStats struct {
+	DividendTuples int64 // dividend tuples received
+	DivisorTuples  int64 // divisor tuples in the local divisor table
+	QuotientTuples int64 // quotient tuples produced locally (collected, under divisor partitioning)
 }
 
 // LinkStats account one coordinator↔worker connection.
@@ -61,14 +142,13 @@ type LinkStats struct {
 	RoundTrips int64 // write-phase→read-phase turns completed on the link
 }
 
-// Result is the outcome of a distributed division. Network mirrors the
-// in-process parallel package's accounting so the two exchanges compare cell
-// for cell; the byte counts here are real frames on a real transport, not a
-// model.
+// Result is the outcome of an exchange division. Every count is what the
+// frames occupy on a wire, so a division over pipes and the same division
+// over TCP report the same numbers.
 type Result struct {
 	Quotient []tuple.Tuple
-	Network  parallel.NetworkStats
-	Workers  []parallel.WorkerStats
+	Network  NetworkStats
+	Workers  []WorkerStats
 	Links    []LinkStats
 	// DividendBytes is the wire cost of dividend batch frames alone — the
 	// quantity bit-vector filtering exists to reduce.
@@ -76,7 +156,10 @@ type Result struct {
 	// FilterBytes is the wire cost of shipping the bit vectors back, the
 	// price paid for that reduction.
 	FilterBytes int64
-	Elapsed     time.Duration
+	// Shuffle is the dividend shuffle's own account: morsels, producers
+	// and stalls.
+	Shuffle ShuffleStats
+	Elapsed time.Duration
 }
 
 // WorkerError attributes a distributed failure to the link (worker index)
@@ -92,13 +175,12 @@ func (e *WorkerError) Error() string {
 
 func (e *WorkerError) Unwrap() error { return e.Err }
 
-// link is the coordinator's view of one worker connection. Each protocol
+// link is the coordinator's view of one worker transport. Each protocol
 // phase has exactly one goroutine touching a link, with barriers between
 // phases, so the plain stats fields need no synchronization.
 type link struct {
-	id   int
-	conn net.Conn
-	fr   *frameReader
+	id int
+	t  transport
 
 	stats       LinkStats
 	filterWords []uint64
@@ -108,79 +190,81 @@ type link struct {
 	tuplesIn  int64 // candidate + quotient tuples received
 
 	out    []tuple.Tuple
-	wstats parallel.WorkerStats
+	wstats WorkerStats
+	span   *obs.Span     // the worker's span; nil without a trace
+	wall   time.Duration // from the job's start to its quotientEnd
 }
 
-// wrap attributes err to this link's worker unless it is nil, already
-// attributed, or a bare cancellation.
-func (l *link) wrap(err error) error {
-	if err == nil {
-		return nil
-	}
+// record files err from link l as the division's failure, attributed to
+// l's worker unless it already is. An error after ctx was cancelled reports
+// the cancellation, not the poisoned-link noise the cancellation induced.
+func record(ctx context.Context, fe *exec.FirstError, l *link, err error) {
 	var we *WorkerError
-	if errors.As(err, &we) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
+	switch {
+	case err == nil:
+		return
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	case !errors.As(err, &we):
+		err = &WorkerError{Worker: l.id, Err: err}
 	}
-	return &WorkerError{Worker: l.id, Err: err}
+	fe.Set(err)
 }
 
-// control sends one control frame, counting it.
-func (l *link) control(h FrameHeader, payload []byte) error {
-	n, err := writeControlFrame(l.conn, h, payload)
-	if err != nil {
-		return err
+// send and next make a link the counted transport of its worker: every
+// frame that crosses it, either way, lands in the link's stats.
+func (l *link) send(h FrameHeader, payload []byte) (int64, error) {
+	n, err := l.t.send(h, payload)
+	if err == nil {
+		l.stats.BytesOut += n
+		l.stats.FramesOut++
 	}
-	l.stats.BytesOut += n
-	l.stats.FramesOut++
-	return nil
+	return n, err
 }
 
-// read pulls one frame, counting it, and converts a peer-reported error.
-func (l *link) read() (FrameHeader, []byte, int64, error) {
-	h, payload, wire, err := l.fr.next()
-	if err != nil {
-		return h, nil, 0, err
+func (l *link) next() (FrameHeader, []byte, int64, error) {
+	h, payload, wire, err := l.t.next()
+	if err == nil {
+		l.stats.BytesIn += wire
+		l.stats.FramesIn++
 	}
-	l.stats.BytesIn += wire
-	l.stats.FramesIn++
-	if h.Type == frameError {
-		return h, nil, 0, errRemote(payload)
-	}
-	return h, payload, wire, nil
+	return h, payload, wire, err
 }
 
-// foldBatcher folds a frameBatcher's outbound traffic into the link stats.
-func (l *link) foldBatcher(fb *frameBatcher) {
-	l.stats.BytesOut += fb.bytes
-	l.stats.FramesOut += fb.frames
-	l.tuplesOut += fb.tuples
+func (l *link) fail(err error) { l.t.fail(err) }
+func (l *link) poison()        { l.t.poison() }
+
+// sendRows ships rows as frames of type typ tagged phase, batchSize tuples
+// to a frame.
+func (l *link) sendRows(schema *tuple.Schema, typ byte, phase uint16, rows []tuple.Tuple, batchSize int) error {
+	fb := newFrameBatcher(l, schema, typ, phase, batchSize)
+	defer fb.release()
+	for _, t := range rows {
+		if err := fb.add(t); err != nil {
+			return err
+		}
+	}
+	l.tuplesOut += int64(len(rows))
+	return fb.flush()
 }
 
 // openAndSeed runs phases A and B on this link: send the job header and the
 // divisor share, then (when the worker was elected a filter sender) read the
 // bit vector back.
 func (l *link) openAndSeed(j jobHeader, cluster []tuple.Tuple, batchSize int) error {
-	if err := l.control(FrameHeader{Type: frameOpen}, appendJobHeader(nil, j)); err != nil {
+	if _, err := l.send(FrameHeader{Type: frameOpen}, appendJobHeader(nil, j)); err != nil {
 		return err
 	}
-	fb := newFrameBatcher(l.conn, j.Divisor, frameDivisorBatch, 0, batchSize)
-	defer fb.release()
-	for _, d := range cluster {
-		if err := fb.add(d); err != nil {
-			return err
-		}
-	}
-	if err := fb.flush(); err != nil {
+	if err := l.sendRows(j.Divisor, frameDivisorBatch, 0, cluster, batchSize); err != nil {
 		return err
 	}
-	l.foldBatcher(fb)
-	if err := l.control(FrameHeader{Type: frameDivisorEnd}, nil); err != nil {
+	if _, err := l.send(FrameHeader{Type: frameDivisorEnd}, nil); err != nil {
 		return err
 	}
 	if !j.SendFilter {
 		return nil
 	}
-	h, payload, wire, err := l.read()
+	h, payload, wire, err := l.next()
 	if err != nil {
 		return err
 	}
@@ -206,97 +290,63 @@ func (l *link) openAndSeed(j jobHeader, cluster []tuple.Tuple, batchSize int) er
 // phase tag, which is what makes the concurrent per-link readers write
 // disjoint cells of pending.
 func (l *link) readCandidates(qs *tuple.Schema, myPhase int, pending [][][]tuple.Tuple) error {
-	recv := exec.NewBatch(qs, exec.DefaultBatchSize)
-	defer recv.Release()
 	k := uint64(len(pending))
-	for {
-		h, payload, _, err := l.read()
-		if err != nil {
-			return err
+	_, err := absorbFrames(l, qs, frameCandidate, frameCandidateEnd, func(h FrameHeader, b *exec.Batch) error {
+		if int(h.Phase) != myPhase {
+			return fmt.Errorf("%w: candidate tagged phase %d from the phase-%d worker",
+				ErrCorruptFrame, h.Phase, myPhase)
 		}
-		switch h.Type {
-		case frameCandidate:
-			if int(h.Phase) != myPhase {
-				return fmt.Errorf("%w: candidate tagged phase %d from the phase-%d worker",
-					ErrCorruptFrame, h.Phase, myPhase)
-			}
-			if err := aliasBatch(recv, qs, h, payload); err != nil {
-				return err
-			}
-			for i, n := 0, recv.Len(); i < n; i++ {
-				t := append(tuple.Tuple(nil), recv.Tuple(i)...)
-				dest := int(qs.HashAll(t) % k)
-				pending[dest][myPhase] = append(pending[dest][myPhase], t)
-				l.tuplesIn++
-			}
-		case frameCandidateEnd:
-			l.stats.RoundTrips++
-			return nil
-		default:
-			return fmt.Errorf("%w: frame type %d during candidate phase", ErrCorruptFrame, h.Type)
+		for _, t := range appendRows(nil, b) {
+			dest := int(qs.HashAll(t) % k)
+			pending[dest][myPhase] = append(pending[dest][myPhase], t)
 		}
+		l.tuplesIn += int64(b.Len())
+		return nil
+	})
+	if err == nil {
+		l.stats.RoundTrips++
 	}
+	return err
 }
 
 // shipCollect runs the second half of phase D on this link: re-ship this
 // destination's slice of the candidate set, phase tags preserved.
 func (l *link) shipCollect(qs *tuple.Schema, byPhase [][]tuple.Tuple, batchSize int) error {
-	for p, tuples := range byPhase {
-		if len(tuples) == 0 {
-			continue
-		}
-		fb := newFrameBatcher(l.conn, qs, frameCollectBatch, uint16(p), batchSize)
-		for _, t := range tuples {
-			if err := fb.add(t); err != nil {
-				fb.release()
-				return err
-			}
-		}
-		if err := fb.flush(); err != nil {
-			fb.release()
+	for p, rows := range byPhase {
+		if err := l.sendRows(qs, frameCollectBatch, uint16(p), rows, batchSize); err != nil {
 			return err
 		}
-		l.foldBatcher(fb)
-		fb.release()
 	}
-	return l.control(FrameHeader{Type: frameCollectEnd}, nil)
+	_, err := l.send(FrameHeader{Type: frameCollectEnd}, nil)
+	return err
+}
+
+// appendRows appends b's tuples to dst, copied out of the transport's
+// buffer into one arena.
+func appendRows(dst []tuple.Tuple, b *exec.Batch) []tuple.Tuple {
+	raw := bytes.Clone(b.Raw())
+	w := b.Schema().Width()
+	for off := 0; off < len(raw); off += w {
+		dst = append(dst, raw[off:off+w:off+w])
+	}
+	return dst
 }
 
 // readQuotient runs phase E on this link: collect the worker's final
 // quotient share and its stats.
 func (l *link) readQuotient(qs *tuple.Schema) error {
-	recv := exec.NewBatch(qs, exec.DefaultBatchSize)
-	defer recv.Release()
-	for {
-		h, payload, _, err := l.read()
-		if err != nil {
-			return err
-		}
-		switch h.Type {
-		case frameQuotientBatch:
-			if err := aliasBatch(recv, qs, h, payload); err != nil {
-				return err
-			}
-			for i, n := 0, recv.Len(); i < n; i++ {
-				l.out = append(l.out, append(tuple.Tuple(nil), recv.Tuple(i)...))
-				l.tuplesIn++
-			}
-		case frameQuotientEnd:
-			dividend, divisor, quotient, err := decodeWorkerStats(payload)
-			if err != nil {
-				return err
-			}
-			l.wstats = parallel.WorkerStats{
-				DividendTuples: dividend,
-				DivisorTuples:  divisor,
-				QuotientTuples: quotient,
-			}
-			l.stats.RoundTrips++
-			return nil
-		default:
-			return fmt.Errorf("%w: frame type %d during quotient phase", ErrCorruptFrame, h.Type)
-		}
+	end, err := absorbFrames(l, qs, frameQuotientBatch, frameQuotientEnd, func(_ FrameHeader, b *exec.Batch) error {
+		l.out = appendRows(l.out, b)
+		l.tuplesIn += int64(b.Len())
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	w := &l.wstats
+	w.DividendTuples, w.DivisorTuples, w.QuotientTuples, err = decodeWorkerStats(end)
+	l.stats.RoundTrips++
+	return err
 }
 
 // Divide runs one distributed division over the given worker links, one
@@ -307,69 +357,115 @@ func (l *link) readQuotient(qs *tuple.Schema) error {
 // error and no goroutine of its own left behind. The connections are NOT
 // usable after a failure.
 func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn) (*Result, error) {
+	links := make([]transport, len(conns))
+	for i, c := range conns {
+		links[i] = &connTransport{c: c, fr: frameReader{r: c}}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	res, err := divide(ctx, exec.NewFirstError(cancel), sp, cfg, links, nil)
+	if err != nil {
+		return nil, err
+	}
+	var bytesOut, frames int64
+	for _, l := range res.Links {
+		bytesOut += l.BytesOut
+		frames += l.FramesOut + l.FramesIn
+	}
+	obs.Default.Counter("net.bytes_out").Add(bytesOut)
+	obs.Default.Counter("net.frames").Add(frames)
+	obs.Default.Counter("net.filter_drops").Add(res.Network.TuplesFiltered)
+	obs.Default.Counter("net.pipeline.producers").Add(int64(res.Shuffle.Producers))
+	obs.Default.Counter("net.pipeline.morsels").Add(int64(res.Shuffle.Morsels))
+	obs.Default.Counter("net.pipeline.stalls").Add(res.Shuffle.Stalls)
+	return res, nil
+}
+
+// DividePipes runs Divide's protocol in process: as many goroutines as
+// workers run the worker loop on one end of a pipe each, and Divide's
+// coordinator drives the other ends. A worker's failure crosses as its Go
+// error value; the pipes close and every worker goroutine has exited before
+// DividePipes returns. span, when set, gets the shuffle's input-path note
+// and one "worker i" span per worker with its quotient rows and wall time.
+func DividePipes(ctx context.Context, sp division.Spec, cfg Config, workers int, span *obs.Span) (*Result, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	fe := exec.NewFirstError(cancel)
+	links := make([]transport, workers)
+	var wg sync.WaitGroup
+	for i := range links {
+		coord, worker := newPipe()
+		links[i] = coord
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// After a cancellation the worker's error is its echo.
+			if err := serve(worker); err != nil && ctx.Err() == nil {
+				fe.Set(&WorkerError{Worker: i, Err: err})
+			}
+		}()
+	}
+	res, err := divide(ctx, fe, sp, cfg, links, span)
+	for _, l := range links {
+		l.(*pipeEnd).close()
+	}
+	wg.Wait()
+	return res, err
+}
+
+// divide is the one coordinator, over any transport: place the divisor on
+// the workers and read their filters back (phases A and B), ship the
+// dividend (C), run divisor partitioning's collection round (D) and collect
+// the quotient (E). Failures go to fe, whose cancellation of ctx poisons
+// every link, so each phase's blocked reads and writes fail promptly.
+func divide(ctx context.Context, fe *exec.FirstError, sp division.Spec, cfg Config,
+	ts []transport, span *obs.Span) (*Result, error) {
 	start := time.Now()
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	nw := len(conns)
+	if err := cfg.Validate(sp.Dividend.Schema()); err != nil {
+		return nil, err
+	}
+	nw := len(ts)
 	if nw == 0 {
-		return nil, fmt.Errorf("netexchange: no worker connections")
+		return nil, fmt.Errorf("netexchange: no worker links")
 	}
 	if nw > 1<<16-1 {
 		return nil, fmt.Errorf("netexchange: %d workers exceed the wire limit", nw)
 	}
 	strategy := strategyQuotient
-	switch cfg.Strategy {
-	case division.QuotientPartitioning:
-	case division.DivisorPartitioning:
+	if cfg.Strategy == division.DivisorPartitioning {
 		strategy = strategyDivisor
-	default:
-		return nil, fmt.Errorf("netexchange: unknown partitioning strategy %v", cfg.Strategy)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = exec.DefaultBatchSize
+	cfg.BatchSize = cmp.Or(cfg.BatchSize, exec.DefaultBatchSize)
+	cfg.HBS = cmp.Or(cfg.HBS, 2)
+	cfg.MorselTuples = cmp.Or(cfg.MorselTuples, 4*cfg.BatchSize)
+	links := make([]*link, nw)
+	for i, t := range ts {
+		links[i] = &link{id: i, t: t}
 	}
-	if cfg.HBS <= 0 {
-		cfg.HBS = 2
-	}
-	if cfg.MorselTuples <= 0 {
-		cfg.MorselTuples = 4 * cfg.BatchSize
-	}
-	if cfg.WorkerBudget < 0 {
-		cfg.WorkerBudget = 0
-	}
-	cfg.Progress = obs.SerializeProgress(cfg.Progress)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fe := parallel.NewFirstError(cancel)
-
-	// The watchdog is the no-hang guarantee: any failure (or caller
-	// cancellation) poisons every connection's blocked I/O with an already-
-	// expired deadline. finished flips before the success return's deferred
-	// cancel, so completed jobs keep their links clean for reuse.
-	var finished atomic.Bool
-	go func() {
-		<-ctx.Done()
-		if finished.Load() {
-			return
+	// Poisoning is the no-hang guarantee: any failure (or caller
+	// cancellation) fails every link's blocked I/O. A completed job stops
+	// it before the caller's deferred cancel, keeping its links clean for
+	// reuse.
+	stop := context.AfterFunc(ctx, func() {
+		for _, l := range links {
+			l.t.poison()
 		}
-		for _, c := range conns {
-			c.SetDeadline(time.Now()) //nolint:errcheck // poisoning best-effort
-		}
-	}()
+	})
 
 	divisor, err := division.DistinctDivisor(exec.NewContextScan(ctx, sp.Divisor), division.Env{})
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Workers: make([]parallel.WorkerStats, nw),
+		Workers: make([]WorkerStats, nw),
 		Links:   make([]LinkStats, nw),
 	}
 	if len(divisor) == 0 {
 		// An empty divisor yields an empty quotient; nothing crosses the wire.
-		finished.Store(true)
+		stop()
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
@@ -378,18 +474,17 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	ss := sp.Divisor.Schema()
 	qs := sp.QuotientSchema()
 
-	// Replicate or cluster the divisor exactly like the in-process package:
-	// under divisor partitioning a candidate is in the quotient iff every
-	// phase reported it.
+	// Replicate or cluster the divisor: under divisor partitioning a
+	// candidate is in the quotient iff every phase reported it.
 	place := division.PlaceDivisor(divisor, cfg.Strategy, nw)
 	filterBits := 0
 	if cfg.BitVectorFilter {
 		filterBits = division.FilterBits(cfg.BitVectorBits, len(divisor))
 	}
-
-	links := make([]*link, nw)
-	for i, c := range conns {
-		links[i] = &link{id: i, conn: c, fr: &frameReader{r: c}}
+	if span != nil {
+		for _, l := range links {
+			l.span = span.Child(fmt.Sprintf("worker %d", l.id), "worker")
+		}
 	}
 
 	// Phases A+B, one goroutine per link: open, seed the divisor, read the
@@ -418,7 +513,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		wg.Add(1)
 		go func(l *link, j jobHeader, cluster []tuple.Tuple) {
 			defer wg.Done()
-			fe.Set(l.wrap(l.openAndSeed(j, cluster, cfg.BatchSize)))
+			record(ctx, fe, l, l.openAndSeed(j, cluster, cfg.BatchSize))
 		}(l, j, place.Clusters[i])
 	}
 	wg.Wait()
@@ -435,17 +530,20 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 			}
 			part, err := bitmap.FromWords(filterBits, l.filterWords)
 			if err != nil {
-				return nil, l.wrap(err)
+				record(ctx, fe, l, err)
+				return nil, fe.Err()
 			}
 			bv.Or(part)
 			res.FilterBytes += l.filterWire
 		}
 	}
 
-	// Phase C: ship the dividend through the in-process package's shuffle.
-	if err := shipDividend(ctx, sp, cfg, links, bv, res, fe); err != nil {
-		fe.Set(err)
-		return nil, fe.Err()
+	// Phase C: ship the dividend through the shuffle. Its batches are
+	// released once the job is over, when no pipe worker still reads them.
+	sh := newShuffle(sp, cfg.Strategy, bv, nw, cfg.BatchSize, cfg.MorselTuples, span)
+	defer sh.Release()
+	if err := shipDividend(ctx, fe, sh, links, res, cfg.BatchSize, int64(ds.Width())); err != nil {
+		return nil, err
 	}
 
 	// Phase D, divisor partitioning only: gather every worker's phase-tagged
@@ -461,7 +559,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 			wg.Add(1)
 			go func(l *link) {
 				defer wg.Done()
-				fe.Set(l.wrap(l.readCandidates(qs, place.Phase[l.id], pending)))
+				record(ctx, fe, l, l.readCandidates(qs, place.Phase[l.id], pending))
 			}(l)
 		}
 		wg.Wait()
@@ -472,7 +570,7 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 			wg.Add(1)
 			go func(l *link, byPhase [][]tuple.Tuple) {
 				defer wg.Done()
-				fe.Set(l.wrap(l.shipCollect(qs, byPhase, cfg.BatchSize)))
+				record(ctx, fe, l, l.shipCollect(qs, byPhase, cfg.BatchSize))
 			}(l, pending[i])
 		}
 		wg.Wait()
@@ -486,12 +584,18 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		wg.Add(1)
 		go func(l *link) {
 			defer wg.Done()
-			fe.Set(l.wrap(l.readQuotient(qs)))
+			record(ctx, fe, l, l.readQuotient(qs))
+			l.wall = time.Since(start)
 		}(l)
 	}
 	wg.Wait()
 	if ferr := fe.Err(); ferr != nil {
 		return nil, ferr
+	}
+	if !stop() {
+		// The context ended first and its poisoning has begun: the job
+		// did not finish in time to keep the links usable.
+		return nil, ctx.Err()
 	}
 
 	for i, l := range links {
@@ -500,57 +604,37 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		res.Quotient = append(res.Quotient, l.out...)
 		res.Network.TuplesShipped += l.tuplesOut + l.tuplesIn
 		res.Network.BytesShipped += l.stats.BytesOut + l.stats.BytesIn
-	}
-
-	var bytesOut, frames int64
-	for _, l := range links {
-		bytesOut += l.stats.BytesOut
-		frames += l.stats.FramesOut + l.stats.FramesIn
-	}
-	obs.Default.Counter("net.bytes_out").Add(bytesOut)
-	obs.Default.Counter("net.frames").Add(frames)
-	obs.Default.Counter("net.filter_drops").Add(res.Network.TuplesFiltered)
-
-	if cfg.Progress != nil {
-		cfg.Progress("netexchange %s: %d workers, %d tuples / %d bytes on the wire, %d filtered",
-			cfg.Strategy, nw, res.Network.TuplesShipped, res.Network.BytesShipped, res.Network.TuplesFiltered)
-		for i, l := range links {
-			cfg.Progress("link %d: out %dB/%df in %dB/%df round-trips %d quotient %d",
-				i, l.stats.BytesOut, l.stats.FramesOut, l.stats.BytesIn, l.stats.FramesIn,
-				l.stats.RoundTrips, l.wstats.QuotientTuples)
+		if l.span != nil {
+			l.span.Record(1, l.wstats.QuotientTuples, 0, l.wall, exec.Counters{})
+			l.span.Notef("dividend=%d divisor=%d", l.wstats.DividendTuples, l.wstats.DivisorTuples)
 		}
 	}
-
-	finished.Store(true)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// linkDepth is how many full dividend batches may queue for one link writer:
-// enough to keep the writer busy while the producers route, few enough to
+// linkDepth is how many full dividend batches may queue for one link:
+// enough to keep its consumer busy while the producers route, few enough to
 // bound coordinator memory per link.
 const linkDepth = 4
 
-// shipDividend is phase C. The parallel package's Shuffle routes the
-// dividend — bit-vector filter first, then the partitioning hash — from
-// morsel producers (or its single fallback reader, for sources that hide
-// splitting) to one linkWriter per link, so the scan, serialization and the
-// wire overlap. Each writer is the only goroutine touching its connection;
-// its totals fold into the link once it has been joined, and the
-// dividendEnd frames follow that barrier.
-func shipDividend(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	bv *bitmap.Bitmap, res *Result, fe *parallel.FirstError) error {
-	sh := parallel.NewShuffle(sp, cfg.Strategy, bv, parallel.ShuffleOptions{
-		Sites:        len(links),
-		Depth:        linkDepth,
-		Producers:    min(runtime.GOMAXPROCS(0), 8),
-		BatchSize:    cfg.BatchSize,
-		MorselTuples: cfg.MorselTuples,
-	})
+// shipDividend is phase C. The Shuffle routes the dividend — bit-vector
+// filter first, then the partitioning hash — from morsel producers (or its
+// single fallback reader, for sources that hide splitting) to one consumer
+// per link, so the scan, the transfer and the workers' absorb overlap. A
+// TCP link's consumer is a linkWriter goroutine, the only one touching its
+// connection; a pipe's is the worker itself, reading the destination in
+// place. The dividendEnd frames follow the shuffle's barrier.
+func shipDividend(ctx context.Context, fe *exec.FirstError, sh *Shuffle, links []*link, res *Result,
+	batchSize int, width int64) error {
 	writers := make([]*linkWriter, len(links))
 	var wg sync.WaitGroup
 	for i, l := range links {
-		w := &linkWriter{l: l, size: cfg.BatchSize}
+		if p, ok := l.t.(*pipeEnd); ok {
+			record(ctx, fe, l, p.push(pipeFrame{sh: sh, dest: i}))
+			continue
+		}
+		w := &linkWriter{l: l, size: batchSize}
 		writers[i] = w
 		wg.Add(1)
 		go func() {
@@ -560,35 +644,41 @@ func shipDividend(ctx context.Context, sp division.Spec, cfg Config, links []*li
 	}
 	st := sh.Run(ctx, fe)
 	wg.Wait()
-	sh.Release()
-	for _, w := range writers {
-		w.l.stats.BytesOut += w.bytes
-		w.l.stats.FramesOut += w.frames
-		w.l.tuplesOut += w.tuples
+	res.Shuffle = st
+	res.Network.TuplesFiltered = st.Filtered
+	for i, l := range links {
+		w := writers[i]
+		if w == nil {
+			// A pipe carries the batches as the producers cut them; charge
+			// what a link writer puts on the wire: ceil(n/BatchSize) frames.
+			w = &linkWriter{tuples: st.Sent[i]}
+			w.frames = (w.tuples + int64(batchSize) - 1) / int64(batchSize)
+			w.bytes = w.frames*frameBytes(0) + w.tuples*width
+		}
+		l.stats.BytesOut += w.bytes
+		l.stats.FramesOut += w.frames
+		l.tuplesOut += w.tuples
 		res.DividendBytes += w.bytes
 	}
-	res.Network.TuplesFiltered = st.Filtered
 	if err := fe.Err(); err != nil {
 		return err
 	}
 	for _, l := range links {
-		if err := l.control(FrameHeader{Type: frameDividendEnd}, nil); err != nil {
-			return l.wrap(err)
+		if _, err := l.send(FrameHeader{Type: frameDividendEnd}, nil); err != nil {
+			record(ctx, fe, l, err)
+			return fe.Err()
 		}
 	}
-	obs.Default.Counter("net.pipeline.producers").Add(int64(st.Producers))
-	obs.Default.Counter("net.pipeline.morsels").Add(int64(st.Morsels))
-	obs.Default.Counter("net.pipeline.stalls").Add(st.Stalls)
 	return nil
 }
 
-// linkWriter writes one link's share of the shuffled dividend. A full batch
-// goes out as one zero-copy frame. Each producer's trailing partial batch is
-// merged with the others into full frames first, so the link carries
-// ceil(tuples/BatchSize) dividend frames however many producers routed to
-// it. After a write error the writer keeps draining and recycling batches —
-// a producer must never block on a dead link — but stops touching the
-// connection.
+// linkWriter writes one TCP link's share of the shuffled dividend. A full
+// batch goes out as one zero-copy frame. Each producer's trailing partial
+// batch is merged with the others into full frames first, so the link
+// carries ceil(tuples/BatchSize) dividend frames however many producers
+// routed to it. After a write error the writer keeps draining and recycling
+// batches — a producer must never block on a dead link — but stops touching
+// the connection.
 type linkWriter struct {
 	l      *link
 	size   int
@@ -597,7 +687,7 @@ type linkWriter struct {
 	bytes, frames, tuples int64 // writer-private until joined
 }
 
-func (w *linkWriter) run(ctx context.Context, fe *parallel.FirstError, sh *parallel.Shuffle, dest int) {
+func (w *linkWriter) run(ctx context.Context, fe *exec.FirstError, sh *Shuffle, dest int) {
 	var pend *exec.Batch // merged partial batches, short of a full frame
 	for b := range sh.Dest(dest) {
 		switch {
@@ -625,21 +715,15 @@ func (w *linkWriter) run(ctx context.Context, fe *parallel.FirstError, sh *paral
 	}
 }
 
-// write sends b as one dividend frame. A failure after the shared context
-// was cancelled reports the cancellation, not the poisoned-deadline noise
-// the watchdog induced.
-func (w *linkWriter) write(ctx context.Context, fe *parallel.FirstError, b *exec.Batch) {
+// write sends b as one dividend frame.
+func (w *linkWriter) write(ctx context.Context, fe *exec.FirstError, b *exec.Batch) {
 	if w.failed {
 		return
 	}
-	n, err := writeRawFrame(w.l.conn, FrameHeader{Type: frameDividendBatch, Count: uint32(b.Len())}, b.Raw())
+	n, err := w.l.t.send(FrameHeader{Type: frameDividendBatch, Count: uint32(b.Len())}, b.Raw())
 	if err != nil {
 		w.failed = true
-		if cerr := ctx.Err(); cerr != nil {
-			fe.Set(cerr)
-		} else {
-			fe.Set(w.l.wrap(err))
-		}
+		record(ctx, fe, w.l, err)
 		return
 	}
 	w.bytes += n

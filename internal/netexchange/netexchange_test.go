@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/division"
 	"repro/internal/exec"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -186,85 +185,5 @@ func TestLinkReuse(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		checkAgainstReference(t, inst, res)
-	}
-}
-
-// TestMatchesInProcessQuotient cross-checks the distributed result against
-// the in-process parallel package on the same instance and strategy.
-func TestMatchesInProcessQuotient(t *testing.T) {
-	inst := noisyInstance(t, 55)
-	sp := instanceSpec(inst)
-	inproc, err := parallel.Divide(sp, parallel.Config{
-		Workers: 3, Strategy: division.DivisorPartitioning, BitVectorFilter: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := StartLocalCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	dist, err := Divide(context.Background(), sp, Config{
-		Strategy: division.DivisorPartitioning, BitVectorFilter: true,
-	}, cl.Conns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !division.EqualTupleSets(sp.QuotientSchema(), dist.Quotient, inproc.Quotient) {
-		t.Fatalf("distributed quotient (%d) differs from in-process (%d)",
-			len(dist.Quotient), len(inproc.Quotient))
-	}
-}
-
-// TestKeyShapeParity divides multi-column and character keys — the worker
-// core's closure kernels and the router's generic hashes — over loopback
-// links for both strategies, with and without the filter and the worker
-// budget, and requires division.Reference's quotient.
-func TestKeyShapeParity(t *testing.T) {
-	inst := noisyInstance(t, 61)
-	for _, shape := range []workload.KeyShape{workload.CompositeKey, workload.CharKey} {
-		rk := inst.Rekey(shape)
-		spec := func() division.Spec {
-			return division.Spec{
-				Dividend:    exec.NewMemScan(rk.DividendSchema, rk.Dividend),
-				Divisor:     exec.NewMemScan(rk.DivisorSchema, rk.Divisor),
-				DivisorCols: rk.DivisorCols,
-			}
-		}
-		ref, err := division.Reference(spec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ref) == 0 {
-			t.Fatal("reference quotient is empty; the instance tests nothing")
-		}
-		for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
-			for _, filter := range []bool{false, true} {
-				for _, budget := range []int64{0, 16 << 10} {
-					t.Run(fmt.Sprintf("%v/%v/filter=%v/budget=%d", shape, strategy, filter, budget), func(t *testing.T) {
-						cl, err := StartLocalCluster(2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer cl.Close()
-						res, err := Divide(context.Background(), spec(), Config{
-							Strategy:        strategy,
-							BitVectorFilter: filter,
-							WorkerBudget:    budget,
-						}, cl.Conns())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !division.EqualTupleSets(spec().QuotientSchema(), res.Quotient, ref) {
-							t.Fatalf("quotient of %d tuples, reference has %d", len(res.Quotient), len(ref))
-						}
-						if filter && res.Network.TuplesFiltered == 0 {
-							t.Error("filter dropped no noise tuple")
-						}
-					})
-				}
-			}
-		}
 	}
 }

@@ -3,9 +3,7 @@ package netexchange
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,92 +18,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-// TestDividendSourceParity is the parity contract of
-// DESIGN.md §15: how the dividend is produced — morsels of a memory scan,
-// page-range morsels of a heap file, or the shuffle's single fallback reader
-// behind a wrapper that hides splitting — must not change the quotient or
-// any accounting: NetworkStats, per-link LinkStats, worker stats, dividend
-// and filter bytes, across strategies, filtering, and worker counts. The
-// morsel grain is below the frame size, so every producer ends with a
-// partial batch per link; the link writers must still pack each link's
-// share into ceil(tuples/BatchSize) frames.
-func TestDividendSourceParity(t *testing.T) {
-	inst := noisyInstance(t, 77)
-	const batchSize = 32
-	sources := []struct {
-		name string
-		spec func(t *testing.T) division.Spec
-	}{
-		{"memscan", func(*testing.T) division.Spec { return instanceSpec(inst) }},
-		{"tablescan", func(t *testing.T) division.Spec { sp, _ := tableScanSpec(t, inst); return sp }},
-		{"fallback", func(*testing.T) division.Spec {
-			sp := instanceSpec(inst)
-			sp.Dividend = exec.Opaque(sp.Dividend)
-			return sp
-		}},
-	}
-	width := int64(workload.TranscriptSchema.Width())
-	for _, strategy := range []division.PartitionStrategy{
-		division.QuotientPartitioning, division.DivisorPartitioning,
-	} {
-		for _, filter := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%v/filter=%v/workers=%d", strategy, filter, workers)
-				t.Run(name, func(t *testing.T) {
-					cl, err := StartLocalCluster(workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer cl.Close()
-					var want *Result
-					for _, src := range sources {
-						got, err := Divide(context.Background(), src.spec(t), Config{
-							Strategy:        strategy,
-							BitVectorFilter: filter,
-							BatchSize:       batchSize,
-							MorselTuples:    48,
-						}, cl.Conns())
-						if err != nil {
-							t.Fatalf("%s: %v", src.name, err)
-						}
-						checkAgainstReference(t, inst, got)
-						var dividendBytes int64
-						for _, w := range got.Workers {
-							n := w.DividendTuples
-							dividendBytes += (n+batchSize-1)/batchSize*(frameOverhead+bodyHeaderLen) + n*width
-						}
-						if got.DividendBytes != dividendBytes {
-							t.Errorf("%s: DividendBytes %d, want Σ ceil(n_i/%d)×%d + n_i×%d = %d",
-								src.name, got.DividendBytes, batchSize, frameOverhead+bodyHeaderLen, width, dividendBytes)
-						}
-						if want == nil {
-							want = got
-							continue
-						}
-						qs := instanceSpec(inst).QuotientSchema()
-						if !division.EqualTupleSets(qs, got.Quotient, want.Quotient) {
-							t.Fatalf("%s: quotient of %d tuples, memscan %d", src.name, len(got.Quotient), len(want.Quotient))
-						}
-						if got.Network != want.Network {
-							t.Errorf("%s: NetworkStats diverge:\ngot     %+v\nmemscan %+v", src.name, got.Network, want.Network)
-						}
-						if !reflect.DeepEqual(got.Links, want.Links) {
-							t.Errorf("%s: LinkStats diverge:\ngot     %+v\nmemscan %+v", src.name, got.Links, want.Links)
-						}
-						if !reflect.DeepEqual(got.Workers, want.Workers) {
-							t.Errorf("%s: WorkerStats diverge:\ngot     %+v\nmemscan %+v", src.name, got.Workers, want.Workers)
-						}
-						if got.DividendBytes != want.DividendBytes || got.FilterBytes != want.FilterBytes {
-							t.Errorf("%s: dividend/filter bytes %d/%d, memscan %d/%d", src.name,
-								got.DividendBytes, got.FilterBytes, want.DividendBytes, want.FilterBytes)
-						}
-					}
-				})
-			}
-		}
-	}
-}
 
 // tableScanSpec materializes the instance into a pool-backed heap file so the
 // dividend is Splittable into page-range morsels — the multi-producer path —

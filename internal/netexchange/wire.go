@@ -1,13 +1,15 @@
-// Package netexchange takes the paper's §6 shared-nothing design across real
-// process boundaries: morsel producers at the coordinator ship partitioned
-// exec.Batch arenas to peer worker processes (or goroutine-hosted listeners)
-// over net.Conn transports, the divisor-match bit vector is actually
-// transmitted as packed bitmap words and applied before dividend tuples are
-// serialized — the semi-join reduction the paper prescribes to cut wire
-// traffic — and divisor-partitioning's candidate-collection phase runs as a
-// second distributed round. Per-link byte/frame/round-trip accounting folds
-// into the same NetworkStats shape as the in-process parallel package, so
-// the two can be compared cell for cell. See DESIGN.md §14.
+// Package netexchange is the repository's one exchange for the paper's §6
+// shared-nothing design. A coordinator places the divisor on the workers,
+// reads the divisor-match bit vector back as packed bitmap words, ships the
+// dividend from morsel producers as partitioned exec.Batch arenas with that
+// filter applied first — the semi-join reduction the paper prescribes to
+// cut traffic — and, under divisor partitioning, runs the candidate
+// collection as a second round. The coordinator and the worker loop speak
+// over a transport: TCP connections to worker processes (or goroutine-hosted
+// listeners), or in-process pipes, which is how package parallel divides.
+// Per-link byte/frame/round-trip accounting is the wire's on both, so an
+// in-process run and a TCP run of the same division report the same
+// numbers. See DESIGN.md §14 and §15.
 package netexchange
 
 import (
@@ -148,15 +150,22 @@ func DecodeFrame(buf []byte) (h FrameHeader, payload []byte, n int, err error) {
 	if int64(bodyLen) > int64(len(buf)-frameOverhead) {
 		return h, nil, 0, fmt.Errorf("%w: length %d exceeds %d available bytes", ErrCorruptFrame, bodyLen, len(buf)-frameOverhead)
 	}
-	body := buf[frameOverhead : frameOverhead+int(bodyLen)]
-	want := binary.LittleEndian.Uint64(buf[4:12])
-	if got := chainChecksum(fnvOffset64, body); got != want {
-		return h, nil, 0, fmt.Errorf("%w: checksum mismatch (want %#x, got %#x)", ErrCorruptFrame, want, got)
+	h, payload, err = parseBody(buf, buf[frameOverhead:frameOverhead+int(bodyLen)])
+	if err != nil {
+		return h, nil, 0, err
 	}
-	h.Type = body[0]
-	h.Phase = binary.LittleEndian.Uint16(body[2:4])
-	h.Count = binary.LittleEndian.Uint32(body[4:8])
-	return h, body[bodyHeaderLen:], frameOverhead + int(bodyLen), nil
+	return h, payload, frameOverhead + int(bodyLen), nil
+}
+
+// parseBody verifies a frame body against the checksum in the frame's
+// prefix and splits it into the header and the payload, which aliases body.
+func parseBody(prefix, body []byte) (FrameHeader, []byte, error) {
+	want := binary.LittleEndian.Uint64(prefix[4:12])
+	if got := chainChecksum(fnvOffset64, body); got != want {
+		return FrameHeader{}, nil, fmt.Errorf("%w: checksum mismatch (want %#x, got %#x)", ErrCorruptFrame, want, got)
+	}
+	h := FrameHeader{Type: body[0], Phase: binary.LittleEndian.Uint16(body[2:4]), Count: binary.LittleEndian.Uint32(body[4:8])}
+	return h, body[bodyHeaderLen:], nil
 }
 
 // frameReader pulls frames off an io.Reader into one reused buffer. The
@@ -186,29 +195,13 @@ func (fr *frameReader) next() (h FrameHeader, payload []byte, wire int64, err er
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return h, nil, 0, err
 	}
-	want := binary.LittleEndian.Uint64(pre[4:12])
-	if got := chainChecksum(fnvOffset64, body); got != want {
-		return h, nil, 0, fmt.Errorf("%w: checksum mismatch (want %#x, got %#x)", ErrCorruptFrame, want, got)
-	}
-	h.Type = body[0]
-	h.Phase = binary.LittleEndian.Uint16(body[2:4])
-	h.Count = binary.LittleEndian.Uint32(body[4:8])
-	return h, body[bodyHeaderLen:], int64(frameOverhead) + int64(bodyLen), nil
+	h, payload, err = parseBody(pre[:], body)
+	return h, payload, int64(frameOverhead) + int64(bodyLen), err
 }
 
-// writeControlFrame writes a non-batch frame (header + small payload)
-// through the reference codec and returns its wire size.
-func writeControlFrame(w io.Writer, h FrameHeader, payload []byte) (int64, error) {
-	frame := EncodeFrame(nil, h, payload)
-	if _, err := w.Write(frame); err != nil {
-		return 0, err
-	}
-	return int64(len(frame)), nil
-}
-
-// writeRawFrame is the zero-copy fast path: the frame prefix (length,
+// writeRawFrame writes every frame of a TCP link: the frame prefix (length,
 // checksum, body header) is assembled in a 20-byte scratch buffer and the
-// raw bytes — an exec.Batch arena, or packed bitmap words — go to the socket
+// payload — an exec.Batch arena, or a control encoding — goes to the socket
 // via net.Buffers, so tuples are never re-encoded or copied into an
 // intermediate frame buffer. The bytes on the wire are identical to
 // EncodeFrame's.
@@ -253,50 +246,25 @@ type consumer struct {
 	err error
 }
 
+// take consumes n bytes. Past the end of the payload it records the error
+// and returns n zero bytes, so the fixed-width readers need no checks of
+// their own: a decode tests c.err once it is done.
 func (c *consumer) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if len(c.buf) < n {
+	if c.err == nil && len(c.buf) < n {
 		c.err = fmt.Errorf("%w: control payload truncated (%d bytes short)", ErrCorruptFrame, n-len(c.buf))
-		return nil
+	}
+	if c.err != nil {
+		return make([]byte, n)
 	}
 	out := c.buf[:n]
 	c.buf = c.buf[n:]
 	return out
 }
 
-func (c *consumer) u8() byte {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *consumer) u16() uint16 {
-	b := c.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (c *consumer) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (c *consumer) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
+func (c *consumer) u8() byte    { return c.take(1)[0] }
+func (c *consumer) u16() uint16 { return binary.LittleEndian.Uint16(c.take(2)) }
+func (c *consumer) u32() uint32 { return binary.LittleEndian.Uint32(c.take(4)) }
+func (c *consumer) u64() uint64 { return binary.LittleEndian.Uint64(c.take(8)) }
 
 // maxWireFields bounds the declared count of schema fields and divisor
 // columns so a corrupt header cannot drive a giant allocation.
@@ -448,11 +416,16 @@ func decodeJobHeader(payload []byte) (jobHeader, error) {
 		return j, fmt.Errorf("%w: %d divisor columns mapped, divisor has %d fields",
 			ErrCorruptFrame, len(j.DivisorCols), j.Divisor.NumFields())
 	}
-	if j.BatchSize <= 0 {
-		j.BatchSize = 1024
+	// Bound every size the worker allocates by: a receive batch must fit
+	// one frame, and so must the filter.
+	if j.BatchSize < 1 || !fitsFrame(j.BatchSize, j.Dividend.Width()) {
+		return j, fmt.Errorf("%w: batches of %d tuples exceed a frame", ErrCorruptFrame, j.BatchSize)
 	}
-	if j.HBS <= 0 || math.IsNaN(j.HBS) || math.IsInf(j.HBS, 0) {
-		j.HBS = 2
+	if j.FilterBits > maxFilterBits {
+		return j, fmt.Errorf("%w: filter of %d bits", ErrCorruptFrame, j.FilterBits)
+	}
+	if reason := hbsProblem(j.HBS); reason != "" {
+		return j, fmt.Errorf("%w: HBS %v %s", ErrCorruptFrame, j.HBS, reason)
 	}
 	if j.Budget < 0 {
 		j.Budget = 0
@@ -523,7 +496,7 @@ func decodeFilter(payload []byte) (bits int, words []uint64, err error) {
 	if c.err != nil {
 		return 0, nil, c.err
 	}
-	if bits < 0 || bits > maxFrameBytes*8 {
+	if bits < 0 || bits > maxFilterBits {
 		return 0, nil, fmt.Errorf("%w: filter of %d bits", ErrCorruptFrame, bits)
 	}
 	nWords := (bits + 63) / 64

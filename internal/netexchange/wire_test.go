@@ -3,6 +3,7 @@ package netexchange
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/disk"
@@ -215,5 +216,50 @@ func TestSchemaRoundTripChar(t *testing.T) {
 	}
 	if !got.Equal(s) {
 		t.Fatalf("schema %v, want %v", got, s)
+	}
+}
+
+// TestJobHeaderBoundsWorkerAllocations: a job header is corrupt when it
+// announces a receive batch that cannot fit one frame, a filter larger than
+// one filter frame carries, or an HBS that cannot size a hash table. The
+// decode, which both transports share, must reject it before the worker
+// sizes a batch, a bitmap or a table by it.
+func TestJobHeaderBoundsWorkerAllocations(t *testing.T) {
+	base := jobHeader{
+		Strategy:    strategyQuotient,
+		BitVector:   true,
+		SendFilter:  true,
+		Workers:     1,
+		Phase:       -1,
+		FilterBits:  1217,
+		BatchSize:   1024,
+		HBS:         2,
+		Dividend:    workload.TranscriptSchema,
+		Divisor:     workload.CourseSchema,
+		DivisorCols: []int{1},
+	}
+	maxBatch := (maxFrameBytes - bodyHeaderLen) / workload.TranscriptSchema.Width()
+	for _, c := range []struct {
+		name string
+		edit func(*jobHeader)
+	}{
+		{"batch 1<<30", func(j *jobHeader) { j.BatchSize = 1 << 30 }},
+		{"batch 1<<24", func(j *jobHeader) { j.BatchSize = 1 << 24 }},
+		{"batch one past a frame", func(j *jobHeader) { j.BatchSize = maxBatch + 1 }},
+		{"batch 0", func(j *jobHeader) { j.BatchSize = 0 }},
+		{"filter 2^32-1 bits", func(j *jobHeader) { j.FilterBits = 1<<32 - 1 }},
+		{"filter one bit past a frame", func(j *jobHeader) { j.FilterBits = maxFilterBits + 1 }},
+		{"HBS 1e-12", func(j *jobHeader) { j.HBS = 1e-12 }},
+		{"HBS NaN", func(j *jobHeader) { j.HBS = math.NaN() }},
+	} {
+		j := base
+		c.edit(&j)
+		if _, err := decodeJobHeader(appendJobHeader(nil, j)); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: err = %v, want ErrCorruptFrame", c.name, err)
+		}
+	}
+	base.BatchSize, base.FilterBits = maxBatch, maxFilterBits
+	if _, err := decodeJobHeader(appendJobHeader(nil, base)); err != nil {
+		t.Errorf("largest batch and filter one frame carries: %v", err)
 	}
 }

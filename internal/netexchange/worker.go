@@ -40,23 +40,19 @@ func (e *RemoteError) Unwrap() error {
 }
 
 // frameBatcher packs tuples into exec.Batch arenas and flushes each full
-// arena as one zero-copy frame — the write-combining stage of the
-// coordinator's divisor and collect rounds and of the worker's result
-// emission.
+// arena as one frame — the write-combining stage of the coordinator's
+// divisor and collect rounds and of the worker's result emission.
 type frameBatcher struct {
-	w     io.Writer
-	b     *exec.Batch
-	typ   byte
-	phase uint16
-	size  int
-
-	frames int64
+	t      transport
+	b      *exec.Batch
+	typ    byte
+	phase  uint16
+	size   int
 	tuples int64
-	bytes  int64
 }
 
-func newFrameBatcher(w io.Writer, schema *tuple.Schema, typ byte, phase uint16, size int) *frameBatcher {
-	return &frameBatcher{w: w, b: exec.NewBatch(schema, size), typ: typ, phase: phase, size: size}
+func newFrameBatcher(t transport, schema *tuple.Schema, typ byte, phase uint16, size int) *frameBatcher {
+	return &frameBatcher{t: t, b: exec.NewBatch(schema, size), typ: typ, phase: phase, size: size}
 }
 
 func (fb *frameBatcher) add(t tuple.Tuple) error {
@@ -71,13 +67,10 @@ func (fb *frameBatcher) flush() error {
 	if fb.b.Len() == 0 {
 		return nil
 	}
-	n, err := writeRawFrame(fb.w, FrameHeader{Type: fb.typ, Phase: fb.phase, Count: uint32(fb.b.Len())}, fb.b.Raw())
-	if err != nil {
+	if _, err := fb.t.send(FrameHeader{Type: fb.typ, Phase: fb.phase, Count: uint32(fb.b.Len())}, fb.b.Raw()); err != nil {
 		return err
 	}
-	fb.frames++
 	fb.tuples += int64(fb.b.Len())
-	fb.bytes += n
 	fb.b.Reset()
 	return nil
 }
@@ -93,9 +86,14 @@ func (fb *frameBatcher) release() { fb.b.Release() }
 // reported to the peer with a best-effort frameError before returning.
 func ServeWorker(conn net.Conn) error {
 	defer conn.Close()
-	fr := &frameReader{r: conn}
+	return serve(&connTransport{c: conn, fr: frameReader{r: conn}})
+}
+
+// serve is the worker loop over any transport: ServeWorker's on a
+// connection, DividePipes' on the worker end of a pipe.
+func serve(t transport) error {
 	for {
-		h, payload, _, err := fr.next()
+		h, payload, _, err := t.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -109,8 +107,8 @@ func ServeWorker(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		if err := runJob(conn, fr, j); err != nil {
-			writeControlFrame(conn, FrameHeader{Type: frameError}, appendErrorPayload(nil, err)) //nolint:errcheck // already failing
+		if err := runJob(t, j); err != nil {
+			t.fail(err)
 			return err
 		}
 	}
@@ -129,9 +127,9 @@ func aliasBatch(b *exec.Batch, schema *tuple.Schema, h FrameHeader, payload []by
 
 // runJob executes one division job: the worker's side of DESIGN.md §14's
 // phase sequence. The local division is a division.Core fed straight off the
-// wire; a positive job budget routes it through the recursive out-of-core
-// operator instead of unbounded in-memory tables.
-func runJob(conn net.Conn, fr *frameReader, j jobHeader) (err error) {
+// transport; a positive job budget routes it through the recursive
+// out-of-core operator instead of unbounded in-memory tables.
+func runJob(t transport, j jobHeader) (err error) {
 	defer exec.RecoverPanic(&err)
 	ds := j.Dividend
 	ss := j.Divisor
@@ -140,89 +138,99 @@ func runJob(conn net.Conn, fr *frameReader, j jobHeader) (err error) {
 		return fmt.Errorf("%w: divisor columns cover the whole dividend", ErrCorruptFrame)
 	}
 	qs := ds.Project(qCols)
+	// Only an elected filter sender builds the Babb filter: nothing
+	// filters at the workers.
 	var bv *bitmap.Bitmap
-	if j.BitVector {
-		if j.FilterBits <= 0 {
-			return fmt.Errorf("%w: bit vector requested with %d bits", ErrCorruptFrame, j.FilterBits)
+	if j.SendFilter {
+		if !j.BitVector || j.FilterBits <= 0 {
+			return fmt.Errorf("%w: filter requested with %d bits", ErrCorruptFrame, j.FilterBits)
 		}
 		bv = bitmap.New(j.FilterBits)
 	}
 	if j.Budget > 0 {
-		return runBudgetJob(conn, fr, j, qs, bv)
+		return runBudgetJob(t, j, qs, bv)
 	}
 
-	// Phase: build the core's divisor table, numbering distinct tuples and
-	// hashing every one into the Babb filter when asked.
-	core := division.NewCore(ds, ss, j.DivisorCols, division.CoreOptions{
-		ExpectedDivisor:  256,
-		ExpectedQuotient: 256,
-		HBS:              j.HBS,
-		Filter:           bv,
-	})
-	err = absorbFrames(fr, ss, frameDivisorBatch, frameDivisorEnd, j.BatchSize, func(b *exec.Batch) error {
+	// Phase: buffer the divisor share — already distinct, so its row count
+	// is the divisor table's exact size — hash it into the Babb filter and
+	// send the filter first, so the coordinator starts the dividend while
+	// the table is built.
+	divisor := exec.NewBatch(ss, j.BatchSize)
+	defer divisor.Release()
+	_, err = absorbFrames(t, ss, frameDivisorBatch, frameDivisorEnd, func(_ FrameHeader, b *exec.Batch) error {
 		for i, n := 0, b.Len(); i < n; i++ {
-			if err := core.AddDivisor(b.Tuple(i)); err != nil {
-				return err
-			}
+			divisor.Append(b.Tuple(i))
 		}
 		return nil
 	})
-	if err == nil {
-		err = sendFilter(conn, j, bv)
+	if err == nil && bv != nil {
+		for i, n := 0, divisor.Len(); i < n; i++ {
+			division.SetFilterBit(bv, divisor.Tuple(i))
+		}
+		err = sendFilter(t, j, bv)
 	}
 	if err != nil {
 		return err
 	}
+	core := division.NewCore(ds, ss, j.DivisorCols, division.CoreOptions{
+		DivisorCapacity:  divisor.Len(),
+		ExpectedQuotient: 256,
+		HBS:              j.HBS,
+	})
+	for i, n := 0, divisor.Len(); i < n; i++ {
+		if err := core.AddDivisor(divisor.Tuple(i)); err != nil {
+			return err
+		}
+	}
 
-	// Phase: absorb the dividend stream straight off the read buffer — each
-	// frame's payload is aliased into a batch and folded into the core
-	// before the next read reuses the buffer.
-	if err := absorbFrames(fr, ds, frameDividendBatch, frameDividendEnd, j.BatchSize, core.AbsorbBatch); err != nil {
+	// Phase: absorb the dividend stream without a copy — each frame's
+	// payload is aliased into a batch and folded into the core before the
+	// next read reuses it.
+	_, err = absorbFrames(t, ds, frameDividendBatch, frameDividendEnd, func(_ FrameHeader, b *exec.Batch) error {
+		return core.AbsorbBatch(b)
+	})
+	if err != nil {
 		return err
 	}
-	return finishJob(conn, fr, qs, j, core.Stats().DividendTuples, core.DivisorCount(), core.Scan)
+	return finishJob(t, qs, j, core.Stats().DividendTuples, core.DivisorCount(), core.Scan)
 }
 
-// sendFilter ships the divisor's bit vector back when this worker was
-// elected a filter sender, so the coordinator can drop dividend tuples
-// before they are ever serialized — the semi-join reduction.
-func sendFilter(conn net.Conn, j jobHeader, bv *bitmap.Bitmap) error {
-	if !j.SendFilter {
+// sendFilter ships the divisor's bit vector back from an elected filter
+// sender, so the coordinator can drop dividend tuples before they are ever
+// shipped — the semi-join reduction.
+func sendFilter(t transport, j jobHeader, bv *bitmap.Bitmap) error {
+	if bv == nil {
 		return nil
 	}
-	if bv == nil {
-		return fmt.Errorf("%w: filter requested without a bit vector", ErrCorruptFrame)
-	}
-	_, err := writeControlFrame(conn, FrameHeader{Type: frameFilter}, appendFilter(nil, j.FilterBits, bv.Words()))
+	_, err := t.send(FrameHeader{Type: frameFilter}, appendFilter(nil, j.FilterBits, bv.Words()))
 	return err
 }
 
 // absorbFrames feeds one batch phase to absorb, frame by frame, until the
-// matching end frame arrives. Each frame's payload is aliased into the batch
-// without copying, so absorb must not retain the tuples.
-func absorbFrames(fr *frameReader, schema *tuple.Schema, batchType, endType byte, batchSize int,
-	absorb func(*exec.Batch) error) error {
-	recv := exec.NewBatch(schema, batchSize)
+// matching end frame arrives, and returns that frame's payload, valid until
+// the transport's next read. Each batch frame's payload is aliased into the
+// batch without copying, so absorb must not retain the tuples.
+func absorbFrames(t transport, schema *tuple.Schema, batchType, endType byte,
+	absorb func(FrameHeader, *exec.Batch) error) ([]byte, error) {
+	recv := exec.NewBatch(schema, 1)
 	defer recv.Release()
 	for {
-		h, payload, _, err := fr.next()
+		h, payload, _, err := t.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		switch h.Type {
 		case batchType:
 			if err := aliasBatch(recv, schema, h, payload); err != nil {
-				return err
+				return nil, err
 			}
-			if err := absorb(recv); err != nil {
-				return err
+			if err := absorb(h, recv); err != nil {
+				return nil, err
 			}
 		case endType:
-			return nil
-		case frameError:
-			return errRemote(payload)
+			return payload, nil
 		default:
-			return fmt.Errorf("%w: frame type %d while absorbing type-%d frames",
+			return nil, fmt.Errorf("%w: frame type %d while absorbing type-%d frames",
 				ErrCorruptFrame, h.Type, batchType)
 		}
 	}
@@ -235,7 +243,7 @@ func absorbFrames(fr *frameReader, schema *tuple.Schema, batchType, endType byte
 // tagged with its phase index; the coordinator repartitions all candidates
 // on the quotient attributes, and this worker then acts as a collection site
 // for its share (collectAndEmit).
-func finishJob(conn net.Conn, fr *frameReader, qs *tuple.Schema, j jobHeader, dividendTuples, divisorCount int64,
+func finishJob(t transport, qs *tuple.Schema, j jobHeader, dividendTuples, divisorCount int64,
 	scan func(emit func(tuple.Tuple) error) error) error {
 	typ, phase := byte(frameQuotientBatch), uint16(0)
 	if j.Strategy != strategyQuotient {
@@ -244,7 +252,7 @@ func finishJob(conn net.Conn, fr *frameReader, qs *tuple.Schema, j jobHeader, di
 			phase = uint16(j.Phase)
 		}
 	}
-	fb := newFrameBatcher(conn, qs, typ, phase, j.BatchSize)
+	fb := newFrameBatcher(t, qs, typ, phase, j.BatchSize)
 	defer fb.release()
 	if err := scan(fb.add); err != nil {
 		return err
@@ -253,14 +261,14 @@ func finishJob(conn net.Conn, fr *frameReader, qs *tuple.Schema, j jobHeader, di
 		return err
 	}
 	if j.Strategy == strategyQuotient {
-		_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
+		_, err := t.send(FrameHeader{Type: frameQuotientEnd},
 			appendWorkerStats(nil, dividendTuples, divisorCount, fb.tuples))
 		return err
 	}
-	if _, err := writeControlFrame(conn, FrameHeader{Type: frameCandidateEnd}, nil); err != nil {
+	if _, err := t.send(FrameHeader{Type: frameCandidateEnd}, nil); err != nil {
 		return err
 	}
-	return collectAndEmit(conn, fr, qs, divisorCount, dividendTuples, j)
+	return collectAndEmit(t, qs, divisorCount, dividendTuples, j)
 }
 
 // collectAndEmit is the collection-site half of divisor partitioning's
@@ -270,45 +278,24 @@ func finishJob(conn net.Conn, fr *frameReader, qs *tuple.Schema, j jobHeader, di
 // (§3.4), with the address set carried as per-frame phase tags. Collection
 // tables are deliberately outside any job budget — candidate sets are
 // bounded by the quotient, not the dividend the budget exists to govern.
-func collectAndEmit(conn net.Conn, fr *frameReader, qs *tuple.Schema, divisorCount, dividendTuples int64, j jobHeader) error {
+func collectAndEmit(t transport, qs *tuple.Schema, divisorCount, dividendTuples int64, j jobHeader) error {
 	if j.NumPhases <= 0 {
 		return fmt.Errorf("%w: divisor partitioning with %d phases", ErrCorruptFrame, j.NumPhases)
 	}
 	collection := division.NewPhaseCollector(qs, j.NumPhases, 256, j.HBS)
-	recv := exec.NewBatch(qs, j.BatchSize)
-collect:
-	for {
-		h, payload, _, err := fr.next()
-		if err != nil {
-			recv.Release()
-			return err
+	_, err := absorbFrames(t, qs, frameCollectBatch, frameCollectEnd, func(h FrameHeader, b *exec.Batch) error {
+		if int(h.Phase) >= j.NumPhases {
+			return fmt.Errorf("%w: collect phase %d of %d", ErrCorruptFrame, h.Phase, j.NumPhases)
 		}
-		switch h.Type {
-		case frameCollectBatch:
-			if int(h.Phase) >= j.NumPhases {
-				recv.Release()
-				return fmt.Errorf("%w: collect phase %d of %d", ErrCorruptFrame, h.Phase, j.NumPhases)
-			}
-			if err := aliasBatch(recv, qs, h, payload); err != nil {
-				recv.Release()
-				return err
-			}
-			for i, n := 0, recv.Len(); i < n; i++ {
-				collection.Add(recv.Tuple(i), int(h.Phase))
-			}
-		case frameCollectEnd:
-			break collect
-		case frameError:
-			recv.Release()
-			return errRemote(payload)
-		default:
-			recv.Release()
-			return fmt.Errorf("%w: frame type %d during collect phase", ErrCorruptFrame, h.Type)
+		for i, n := 0, b.Len(); i < n; i++ {
+			collection.Add(b.Tuple(i), int(h.Phase))
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	recv.Release()
-
-	out := newFrameBatcher(conn, qs, frameQuotientBatch, 0, j.BatchSize)
+	out := newFrameBatcher(t, qs, frameQuotientBatch, 0, j.BatchSize)
 	defer out.release()
 	if err := collection.Scan(out.add); err != nil {
 		return err
@@ -316,7 +303,7 @@ collect:
 	if err := out.flush(); err != nil {
 		return err
 	}
-	_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
+	_, err = t.send(FrameHeader{Type: frameQuotientEnd},
 		appendWorkerStats(nil, dividendTuples, divisorCount, out.tuples))
 	return err
 }
@@ -325,11 +312,11 @@ collect:
 // calling perTuple on every tuple, until the matching end frame arrives. The
 // appender is closed on every exit so no buffered page outlives a failed
 // phase.
-func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
-	batchType, endType byte, batchSize int, perTuple func(tuple.Tuple)) (int64, error) {
+func spoolFrames(t transport, file *storage.File, schema *tuple.Schema,
+	batchType, endType byte, perTuple func(tuple.Tuple)) (int64, error) {
 	ap := file.NewAppender()
 	var count int64
-	err := absorbFrames(fr, schema, batchType, endType, batchSize, func(b *exec.Batch) error {
+	_, err := absorbFrames(t, schema, batchType, endType, func(_ FrameHeader, b *exec.Batch) error {
 		for i := 0; perTuple != nil && i < b.Len(); i++ {
 			perTuple(b.Tuple(i))
 		}
@@ -350,7 +337,7 @@ func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 // larger than the grant re-partitions recursively instead of growing the
 // tables without bound; only past the recursion depth cap does the job fail,
 // with the typed sentinel classified onto the wire for the coordinator.
-func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema, bv *bitmap.Bitmap) (err error) {
+func runBudgetJob(t transport, j jobHeader, qs *tuple.Schema, bv *bitmap.Bitmap) (err error) {
 	obs.Default.Counter("net.worker.budget_jobs").Inc()
 	ds := j.Dividend
 	ss := j.Divisor
@@ -374,20 +361,19 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 	// The coordinator ships the divisor already distinct
 	// (division.DistinctDivisor), so the spooled count is the distinct count
 	// the stats report.
-	divisorCount, err := spoolFrames(fr, divisorFile, ss, frameDivisorBatch, frameDivisorEnd,
-		j.BatchSize, func(t tuple.Tuple) {
+	divisorCount, err := spoolFrames(t, divisorFile, ss, frameDivisorBatch, frameDivisorEnd,
+		func(d tuple.Tuple) {
 			if bv != nil {
-				division.SetFilterBit(bv, t)
+				division.SetFilterBit(bv, d)
 			}
 		})
 	if err == nil {
-		err = sendFilter(conn, j, bv)
+		err = sendFilter(t, j, bv)
 	}
 	if err != nil {
 		return err
 	}
-	dividendTuples, err := spoolFrames(fr, dividendFile, ds, frameDividendBatch, frameDividendEnd,
-		j.BatchSize, nil)
+	dividendTuples, err := spoolFrames(t, dividendFile, ds, frameDividendBatch, frameDividendEnd, nil)
 	if err != nil {
 		return err
 	}
@@ -416,9 +402,9 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema,
 	if err := dropInputs(); err != nil {
 		return err
 	}
-	return finishJob(conn, fr, qs, j, dividendTuples, divisorCount, func(emit func(tuple.Tuple) error) error {
-		for _, t := range local {
-			if err := emit(t); err != nil {
+	return finishJob(t, qs, j, dividendTuples, divisorCount, func(emit func(tuple.Tuple) error) error {
+		for _, q := range local {
+			if err := emit(q); err != nil {
 				return err
 			}
 		}

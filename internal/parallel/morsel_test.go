@@ -71,60 +71,6 @@ func heapSpec(t *testing.T, inst *workload.Instance) division.Spec {
 	return sp
 }
 
-// TestDividendSourceParity is the accounting property of
-// the shuffle: routing is deterministic and the traffic model counts tuples,
-// not sends, so how the dividend is produced — morsels of a memory scan,
-// page-range morsels of a heap file, or the single fallback reader behind a
-// wrapper that hides splitting — must change neither the quotient nor any
-// number in Result.
-func TestDividendSourceParity(t *testing.T) {
-	inst := testInstance(t, 32)
-	sources := []struct {
-		name string
-		spec func() division.Spec
-	}{
-		{"memscan", func() division.Spec { return instanceSpec(inst) }},
-		{"tablescan", func() division.Spec { return heapSpec(t, inst) }},
-		{"fallback", func() division.Spec { return opaqueSpec(inst) }},
-	}
-	for _, strategy := range []division.PartitionStrategy{
-		division.QuotientPartitioning, division.DivisorPartitioning,
-	} {
-		for _, bv := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				var want *Result
-				for _, src := range sources {
-					got, err := Divide(src.spec(), Config{
-						Workers:         workers,
-						Strategy:        strategy,
-						BitVectorFilter: bv,
-						MorselTuples:    32,
-						BatchSize:       16,
-					})
-					if err != nil {
-						t.Fatalf("%v bv=%t workers=%d %s: %v", strategy, bv, workers, src.name, err)
-					}
-					checkAgainstReference(t, inst, got)
-					if want == nil {
-						want = got
-						continue
-					}
-					if got.Network != want.Network {
-						t.Errorf("%v bv=%t workers=%d: %s network %+v != memscan %+v",
-							strategy, bv, workers, src.name, got.Network, want.Network)
-					}
-					for i := range want.Workers {
-						if got.Workers[i] != want.Workers[i] {
-							t.Errorf("%v bv=%t workers=%d: %s worker %d stats %+v != memscan %+v",
-								strategy, bv, workers, src.name, i, got.Workers[i], want.Workers[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // duplicateHeavyInstance builds a dividend where every tuple occurs several
 // times and candidates overlap across morsels — maximal contention on the
 // shared table's CAS chains and atomic bits. Run with -race.

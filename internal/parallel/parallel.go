@@ -1,8 +1,9 @@
 // Package parallel adapts hash-division to a shared-nothing multi-processor
 // system, following Section 6 of the paper. Processors are goroutines with
-// private hash tables; the interconnection network is a set of channels whose
-// traffic (messages, tuples, bytes) is accounted so the bit-vector-filtering
-// claim can be quantified.
+// private hash tables; the interconnection network is the exchange of package
+// netexchange run over in-process pipes, so its traffic (tuples, frames,
+// bytes) is exactly what the same division puts on a TCP wire, and the
+// bit-vector-filtering claim can be quantified.
 //
 // Two layouts are implemented, mirroring §3.4's partitioning strategies:
 //
@@ -22,25 +23,21 @@
 // Transcript tuples of an optics course.
 //
 // The dividend data path is selected by Config.Path. The default, PathMorsel,
-// is morsel-driven: the dividend splits into independently scannable morsels
-// that per-worker producer goroutines pull from a shared queue, partition
-// through write-combining buffers, and ship worker-to-worker — no single
-// goroutine touches every tuple (see morsel.go). That Shuffle is also the
-// dividend exchange of package netexchange, whose link writers consume it
-// instead of workers. PathSharedTable replaces the exchange entirely with one
-// shared quotient table updated by atomic CAS (single-node fast path); it
-// ships nothing, by construction.
+// is netexchange.DividePipes: the one coordinator and the one worker loop of
+// the distributed exchange, over in-process links. Morsel producers
+// partition the dividend through write-combining buffers and each worker
+// absorbs its destination's batches in place, so no single goroutine touches
+// every tuple. PathSharedTable replaces the exchange entirely with one shared
+// quotient table updated by atomic CAS (single-node fast path, shared.go);
+// it ships nothing, by construction.
 package parallel
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/bitmap"
 	"repro/internal/division"
-	"repro/internal/exec"
+	"repro/internal/netexchange"
 	"repro/internal/obs"
 	"repro/internal/tuple"
 )
@@ -49,10 +46,10 @@ import (
 type Path int
 
 const (
-	// PathMorsel (the default) splits the dividend into morsels pulled by
-	// per-worker producer goroutines from a shared queue; tuples are
-	// partitioned through write-combining buffers and shipped
-	// worker-to-worker with no central coordinator on the data path.
+	// PathMorsel (the default) runs the exchange over in-process links:
+	// morsel producers pulling from a shared queue partition the dividend
+	// through write-combining buffers, and each worker absorbs its share
+	// with no central coordinator on the data path.
 	PathMorsel Path = iota
 	// PathSharedTable is the single-node fast path: workers absorb morsels
 	// into one shared quotient table (atomic-CAS chains and bitmap bits)
@@ -73,16 +70,13 @@ func (p Path) String() string {
 	}
 }
 
-// ConfigError reports a Config field that fails validation.
-type ConfigError struct {
-	Field  string // the Config field name
-	Value  any    // the rejected value
-	Reason string
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("parallel: invalid Config.%s = %v: %s", e.Field, e.Value, e.Reason)
-}
+// The exchange's result and error types, under this package's names.
+type (
+	ConfigError  = netexchange.ConfigError
+	NetworkStats = netexchange.NetworkStats
+	WorkerStats  = netexchange.WorkerStats
+	Result       = netexchange.Result
+)
 
 // Config tunes a parallel division.
 type Config struct {
@@ -96,15 +90,13 @@ type Config struct {
 	BitVectorFilter bool
 	// BitVectorBits sizes the filter; 0 picks 8× the divisor cardinality.
 	BitVectorBits int
-	// ChannelDepth is the per-worker channel buffer (default 64).
-	ChannelDepth int
 	// HBS sizes worker hash tables (default 2).
 	HBS float64
-	// BatchSize is the shuffle packet size in tuples (default 128): each
-	// sender packs a destination's tuples into one exec.Batch arena per
-	// send. Per-tuple and per-byte network statistics are unaffected.
+	// BatchSize is the shuffle packet size in tuples (default
+	// exec.DefaultBatchSize): each sender packs a destination's tuples into
+	// one exec.Batch arena per send, accounted as one frame.
 	BatchSize int
-	// MorselTuples is the morsel grain (default 4096 tuples).
+	// MorselTuples is the morsel grain (default 4× the batch size).
 	MorselTuples int
 	// ExpectedQuotient sizes the shared quotient table for PathSharedTable
 	// (default 4096 buckets when 0); a wrong estimate costs chain length,
@@ -124,26 +116,16 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// NetworkStats count interconnect traffic.
-type NetworkStats struct {
-	TuplesShipped  int64 // dividend + divisor + quotient tuples sent
-	BytesShipped   int64
-	TuplesFiltered int64 // dividend tuples dropped by the bit vector filter
-}
-
-// WorkerStats describe one processor's share of the work.
-type WorkerStats struct {
-	DividendTuples int64 // dividend tuples received
-	DivisorTuples  int64 // divisor tuples in the local divisor table
-	QuotientTuples int64 // quotient tuples produced locally
-}
-
-// Result is the outcome of a parallel division.
-type Result struct {
-	Quotient []tuple.Tuple
-	Network  NetworkStats
-	Workers  []WorkerStats
-	Elapsed  time.Duration
+// exchange is the exchange configuration cfg runs.
+func (cfg Config) exchange() netexchange.Config {
+	return netexchange.Config{
+		Strategy:        cfg.Strategy,
+		BitVectorFilter: cfg.BitVectorFilter,
+		BitVectorBits:   cfg.BitVectorBits,
+		BatchSize:       cfg.BatchSize,
+		HBS:             cfg.HBS,
+		MorselTuples:    cfg.MorselTuples,
+	}
 }
 
 // Divide runs the parallel hash-division described by cfg.
@@ -151,19 +133,18 @@ func Divide(sp division.Spec, cfg Config) (*Result, error) {
 	return DivideContext(context.Background(), sp, cfg)
 }
 
-// Validate rejects malformed configurations with a *ConfigError naming the
-// offending field. Zero values remain "use the default" for the tunables
-// (ChannelDepth, HBS, BatchSize, MorselTuples, BitVectorBits,
-// ExpectedQuotient); negative values and a missing worker count are errors,
-// not silently corrected.
-func (cfg Config) Validate() error {
+// Validate rejects a configuration for dividing dividends laid out by ds
+// with a *ConfigError naming the offending field: the exchange's own
+// validation (netexchange.Config.Validate), plus the worker count, the path
+// and the shared table's size. Zero values remain "use the default" for the
+// tunables; negative values and a missing worker count are errors, not
+// silently corrected.
+func (cfg Config) Validate(ds *tuple.Schema) error {
 	if cfg.Workers < 1 {
 		return &ConfigError{Field: "Workers", Value: cfg.Workers, Reason: "must be at least 1"}
 	}
-	switch cfg.Strategy {
-	case division.QuotientPartitioning, division.DivisorPartitioning:
-	default:
-		return &ConfigError{Field: "Strategy", Value: cfg.Strategy, Reason: "unknown partitioning strategy"}
+	if err := cfg.exchange().Validate(ds); err != nil {
+		return err
 	}
 	switch cfg.Path {
 	case PathMorsel, PathSharedTable:
@@ -173,21 +154,6 @@ func (cfg Config) Validate() error {
 	if cfg.Path == PathSharedTable && cfg.Strategy != division.QuotientPartitioning {
 		return &ConfigError{Field: "Path", Value: cfg.Path,
 			Reason: "shared-table path requires quotient partitioning (the divisor table is global, not partitioned)"}
-	}
-	if cfg.BitVectorBits < 0 {
-		return &ConfigError{Field: "BitVectorBits", Value: cfg.BitVectorBits, Reason: "must not be negative"}
-	}
-	if cfg.ChannelDepth < 0 {
-		return &ConfigError{Field: "ChannelDepth", Value: cfg.ChannelDepth, Reason: "must not be negative"}
-	}
-	if cfg.HBS < 0 {
-		return &ConfigError{Field: "HBS", Value: cfg.HBS, Reason: "must not be negative"}
-	}
-	if cfg.BatchSize < 0 {
-		return &ConfigError{Field: "BatchSize", Value: cfg.BatchSize, Reason: "must not be negative"}
-	}
-	if cfg.MorselTuples < 0 {
-		return &ConfigError{Field: "MorselTuples", Value: cfg.MorselTuples, Reason: "must not be negative"}
 	}
 	if cfg.ExpectedQuotient < 0 {
 		return &ConfigError{Field: "ExpectedQuotient", Value: cfg.ExpectedQuotient, Reason: "must not be negative"}
@@ -204,28 +170,19 @@ func DivideContext(ctx context.Context, sp division.Spec, cfg Config) (*Result, 
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(sp.Dividend.Schema()); err != nil {
 		return nil, err
 	}
-	if cfg.ChannelDepth == 0 {
-		cfg.ChannelDepth = 64
+	var root *obs.Span
+	if cfg.Trace != nil {
+		root = cfg.Trace.Root().Child("parallel "+cfg.Strategy.String(), "parallel")
 	}
-	if cfg.HBS == 0 {
-		cfg.HBS = 2
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = shuffleBatch
-	}
-	if cfg.MorselTuples == 0 {
-		cfg.MorselTuples = defaultMorselTuples
-	}
-	cfg.Progress = obs.SerializeProgress(cfg.Progress)
 	var res *Result
 	var err error
 	if cfg.Path == PathSharedTable {
-		res, err = divideSharedTable(ctx, sp, cfg)
-	} else {
-		res, err = divideExchange(ctx, sp, cfg)
+		res, err = divideSharedTable(ctx, sp, cfg, root)
+	} else if res, err = netexchange.DividePipes(ctx, sp, cfg.exchange(), cfg.Workers, root); err == nil {
+		obs.Default.Counter("parallel.morsels").Add(int64(res.Shuffle.Morsels))
 	}
 	obs.Default.Counter("parallel.divisions").Inc()
 	if err != nil {
@@ -233,251 +190,13 @@ func DivideContext(ctx context.Context, sp division.Spec, cfg Config) (*Result, 
 		return nil, err
 	}
 	obs.Default.Counter("parallel.tuples_shipped").Add(res.Network.TuplesShipped)
+	if progress := obs.SerializeProgress(cfg.Progress); progress != nil {
+		progress("parallel %s: shipped %d tuples (%d bytes), filtered %d",
+			cfg.Strategy, res.Network.TuplesShipped, res.Network.BytesShipped, res.Network.TuplesFiltered)
+		for i, w := range res.Workers {
+			progress("worker %d: dividend=%d divisor=%d quotient=%d",
+				i, w.DividendTuples, w.DivisorTuples, w.QuotientTuples)
+		}
+	}
 	return res, nil
-}
-
-// strategySpan opens the per-division span the worker spans attach under;
-// nil without a tracer. The name formatting stays behind the nil check so
-// untraced divisions allocate nothing.
-func strategySpan(cfg Config) *obs.Span {
-	if cfg.Trace == nil {
-		return nil
-	}
-	return cfg.Trace.Root().Child("parallel "+cfg.Strategy.String(), "parallel")
-}
-
-// workerSpanName names worker i's profile span.
-func workerSpanName(i int) string { return fmt.Sprintf("worker %d", i) }
-
-// report emits the shuffle summary and per-worker outcome lines.
-func report(cfg Config, res *Result, workers []*worker) {
-	if cfg.Progress == nil {
-		return
-	}
-	cfg.Progress("parallel %s: shipped %d tuples (%d bytes), filtered %d",
-		cfg.Strategy, res.Network.TuplesShipped, res.Network.BytesShipped,
-		res.Network.TuplesFiltered)
-	for _, w := range workers {
-		cfg.Progress("worker %d: dividend=%d divisor=%d quotient=%d",
-			w.id, w.stats.DividendTuples, w.stats.DivisorTuples, w.stats.QuotientTuples)
-	}
-}
-
-// FirstError implements first-error-wins propagation: the first failure is
-// recorded and cancels the shared context so every other participant unwinds;
-// their secondary errors (usually context.Canceled) are discarded.
-type FirstError struct {
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	err    error
-}
-
-// NewFirstError records the first failure and calls cancel on it.
-func NewFirstError(cancel context.CancelFunc) *FirstError {
-	return &FirstError{cancel: cancel}
-}
-
-// Set records err unless it is nil or a failure was already recorded.
-func (f *FirstError) Set(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-		f.cancel()
-	}
-	f.mu.Unlock()
-}
-
-// Err returns the first recorded failure, or nil.
-func (f *FirstError) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// buildBitVector hashes every divisor tuple into a Babb filter.
-func buildBitVector(divisor []tuple.Tuple, bits int) *bitmap.Bitmap {
-	bv := bitmap.New(division.FilterBits(bits, len(divisor)))
-	for _, d := range divisor {
-		division.SetFilterBit(bv, d)
-	}
-	return bv
-}
-
-// shuffleBatch is the default unit of interconnect transfer: tuples travel
-// in exec.Batch packets, not one network message each (the per-tuple
-// statistics are still exact). Config.BatchSize overrides it.
-const shuffleBatch = 128
-
-// worker consumes dividend batches from its shuffle destination, runs local
-// hash-division, and appends its quotient to out. Absorbed batches go back
-// to the shuffle for reuse.
-type worker struct {
-	id      int
-	stats   WorkerStats
-	out     []tuple.Tuple
-	divisor []tuple.Tuple
-	span    *obs.Span // per-worker profile span; nil without a tracer
-}
-
-// run executes the local hash-division on a division.Core: build the
-// divisor table, absorb the dividend stream batch by batch, scan the
-// quotient table. It returns promptly with ctx.Err() once ctx is cancelled,
-// and converts a panic anywhere in the worker into an *exec.PanicError
-// instead of crashing the process.
-func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64, sh *Shuffle) (err error) {
-	defer exec.RecoverPanic(&err)
-	if w.span != nil {
-		start := time.Now()
-		defer func() {
-			w.span.Record(1, w.stats.QuotientTuples, 0, time.Since(start), exec.Counters{})
-			w.span.Notef("dividend=%d divisor=%d", w.stats.DividendTuples, w.stats.DivisorTuples)
-		}()
-	}
-	// The worker's divisor cardinality is known exactly (the coordinator
-	// shipped it), so the divisor table is pre-sized and never grows.
-	core := division.NewCore(sp.Dividend.Schema(), sp.Divisor.Schema(), sp.DivisorCols, division.CoreOptions{
-		DivisorCapacity:  len(w.divisor),
-		ExpectedQuotient: 256,
-		HBS:              hbs,
-	})
-	for _, d := range w.divisor {
-		if err := core.AddDivisor(d); err != nil {
-			return err
-		}
-	}
-	w.stats.DivisorTuples = core.DivisorCount()
-
-	in := sh.Dest(w.id)
-	for {
-		select {
-		case batch, ok := <-in:
-			if !ok {
-				return core.Scan(func(t tuple.Tuple) error {
-					w.out = append(w.out, t)
-					w.stats.QuotientTuples++
-					return nil
-				})
-			}
-			err := core.AbsorbBatch(batch)
-			sh.Recycle(batch)
-			w.stats.DividendTuples = core.Stats().DividendTuples
-			if err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// divideExchange is §6's shared-nothing division. The coordinator places the
-// divisor on the workers — replicated under quotient partitioning, clustered
-// under divisor partitioning — and shuffles the dividend to them; each
-// worker divides its share. The quotient is the concatenation of the
-// workers' outputs, or, under divisor partitioning, the collection over
-// their phase-tagged candidates.
-func divideExchange(ctx context.Context, sp division.Spec, cfg Config) (*Result, error) {
-	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fe := NewFirstError(cancel)
-
-	divisor, err := division.DistinctDivisor(exec.NewContextScan(ctx, sp.Divisor), division.Env{})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Workers: make([]WorkerStats, cfg.Workers)}
-	if len(divisor) == 0 {
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-	var bv *bitmap.Bitmap
-	if cfg.BitVectorFilter {
-		bv = buildBitVector(divisor, cfg.BitVectorBits)
-	}
-	place := division.PlaceDivisor(divisor, cfg.Strategy, cfg.Workers)
-
-	root := strategySpan(cfg)
-	sh := NewShuffle(sp, cfg.Strategy, bv, ShuffleOptions{
-		Sites:        cfg.Workers,
-		Depth:        cfg.ChannelDepth,
-		Producers:    cfg.Workers,
-		BatchSize:    cfg.BatchSize,
-		MorselTuples: cfg.MorselTuples,
-		Span:         root,
-	})
-	sWidth := int64(sp.Divisor.Schema().Width())
-	workers := make([]*worker, cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range workers {
-		// Ship each processor its divisor share.
-		res.Network.TuplesShipped += int64(len(place.Clusters[i]))
-		res.Network.BytesShipped += int64(len(place.Clusters[i])) * sWidth
-		w := &worker{id: i, divisor: place.Clusters[i]}
-		if root != nil {
-			w.span = root.Child(workerSpanName(i), "worker")
-		}
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fe.Set(w.run(ctx, sp, cfg.HBS, sh))
-		}()
-	}
-	st := sh.Run(ctx, fe)
-	wg.Wait()
-	sh.Release()
-	obs.Default.Counter("parallel.morsels").Add(int64(st.Morsels))
-	if ferr := fe.Err(); ferr != nil {
-		return nil, ferr
-	}
-	res.Network.TuplesShipped += st.Shipped
-	res.Network.BytesShipped += st.Shipped * int64(sp.Dividend.Schema().Width())
-	res.Network.TuplesFiltered = st.Filtered
-
-	// The workers' outputs travel to the coordinator: network traffic too.
-	qs := sp.QuotientSchema()
-	qWidth := int64(qs.Width())
-	var collection *division.PhaseCollector
-	if cfg.Strategy == division.DivisorPartitioning {
-		collection = division.NewPhaseCollector(qs, place.Phases, 256, cfg.HBS)
-	}
-	for i, w := range workers {
-		res.Workers[i] = w.stats
-		res.Network.TuplesShipped += int64(len(w.out))
-		res.Network.BytesShipped += int64(len(w.out)) * qWidth
-		if collection == nil {
-			res.Quotient = append(res.Quotient, w.out...)
-			continue
-		}
-		for _, q := range w.out {
-			collection.Add(q, place.Phase[i])
-		}
-	}
-	if collection != nil {
-		err = collection.Scan(func(q tuple.Tuple) error {
-			res.Quotient = append(res.Quotient, q)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	report(cfg, res, workers)
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// ReadInstance adapts in-memory tuple slices to a division.Spec; convenience
-// for benchmarks and examples.
-func ReadInstance(dividendSchema *tuple.Schema, dividend []tuple.Tuple,
-	divisorSchema *tuple.Schema, divisor []tuple.Tuple, divisorCols []int) division.Spec {
-	return division.Spec{
-		Dividend:    exec.NewMemScan(dividendSchema, dividend),
-		Divisor:     exec.NewMemScan(divisorSchema, divisor),
-		DivisorCols: divisorCols,
-	}
 }

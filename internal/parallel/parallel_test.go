@@ -1,21 +1,35 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/division"
+	"repro/internal/exec"
+	"repro/internal/netexchange"
 	"repro/internal/obs"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
+// readInstance adapts in-memory tuple slices to a division.Spec.
+func readInstance(dividendSchema *tuple.Schema, dividend []tuple.Tuple,
+	divisorSchema *tuple.Schema, divisor []tuple.Tuple, divisorCols []int) division.Spec {
+	return division.Spec{
+		Dividend:    exec.NewMemScan(dividendSchema, dividend),
+		Divisor:     exec.NewMemScan(divisorSchema, divisor),
+		DivisorCols: divisorCols,
+	}
+}
+
 func instanceSpec(inst *workload.Instance) division.Spec {
-	return ReadInstance(workload.TranscriptSchema, inst.Dividend,
+	return readInstance(workload.TranscriptSchema, inst.Dividend,
 		workload.CourseSchema, inst.Divisor, []int{1})
 }
 
@@ -128,6 +142,14 @@ func TestBitVectorWithDivisorPartitioning(t *testing.T) {
 	checkAgainstReference(t, inst, res)
 }
 
+// TestNetworkAccounting checks the exchange's traffic against the frame
+// formula: a frame costs 20 bytes (length prefix, checksum, body header)
+// plus its payload. Under quotient partitioning each of the two workers is
+// sent the job header (85 bytes for these schemas), the replicated 5-tuple
+// divisor in one frame, divisorEnd, its dividend share n_i in
+// ceil(n_i/BatchSize) frames and dividendEnd; it returns its quotient share
+// q_i in ceil(q_i/BatchSize) frames and a quotientEnd carrying three 8-byte
+// counts.
 func TestNetworkAccounting(t *testing.T) {
 	inst, err := workload.Generate(workload.PaperCase(5, 10, 5))
 	if err != nil {
@@ -139,22 +161,41 @@ func TestNetworkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAgainstReference(t, inst, res)
 	// Replication: 2 workers × 5 divisor tuples; dividend: 50 tuples;
 	// quotient: 10 tuples shipped back.
 	wantTuples := int64(2*5 + 50 + 10)
 	if res.Network.TuplesShipped != wantTuples {
 		t.Errorf("TuplesShipped = %d, want %d", res.Network.TuplesShipped, wantTuples)
 	}
-	wantBytes := int64(2*5*8 + 50*16 + 10*8)
+	const frame, jobHeader, stats = 20, 85, 24
+	frames := func(n int64) int64 { return (n + exec.DefaultBatchSize - 1) / exec.DefaultBatchSize }
+	var wantBytes, wantDividend, dividendSeen, quotientSeen int64
+	for i, w := range res.Workers {
+		n, q := w.DividendTuples, w.QuotientTuples
+		want := netexchange.LinkStats{
+			FramesOut:  4 + frames(n),
+			FramesIn:   frames(q) + 1,
+			RoundTrips: 1,
+		}
+		want.BytesOut = want.FramesOut*frame + jobHeader + 5*8 + n*16
+		want.BytesIn = want.FramesIn*frame + q*8 + stats
+		if res.Links[i] != want {
+			t.Errorf("link %d: %+v, want %+v", i, res.Links[i], want)
+		}
+		wantBytes += want.BytesOut + want.BytesIn
+		wantDividend += frames(n)*frame + n*16
+		dividendSeen += n
+		quotientSeen += q
+	}
 	if res.Network.BytesShipped != wantBytes {
 		t.Errorf("BytesShipped = %d, want %d", res.Network.BytesShipped, wantBytes)
 	}
-	var dividendSeen int64
-	for _, w := range res.Workers {
-		dividendSeen += w.DividendTuples
+	if res.DividendBytes != wantDividend {
+		t.Errorf("DividendBytes = %d, want %d", res.DividendBytes, wantDividend)
 	}
-	if dividendSeen != 50 {
-		t.Errorf("workers saw %d dividend tuples, want 50", dividendSeen)
+	if dividendSeen != 50 || quotientSeen != 10 {
+		t.Errorf("workers saw %d dividend and %d quotient tuples, want 50 and 10", dividendSeen, quotientSeen)
 	}
 }
 
@@ -201,47 +242,93 @@ func TestEmptyDivisor(t *testing.T) {
 	}
 }
 
-// TestInvalidConfig exercises Config.Validate through Divide: every
-// malformed field yields a *ConfigError naming that field — no silent
-// clamping (Workers: 0 used to be corrected to 1).
+// TestInvalidConfig runs one table of malformed configurations through
+// both entry points: parallel.Divide, on the exchange and the shared-table
+// paths, and netexchange.Divide over loopback TCP for the fields the two
+// share. Each fails with a *ConfigError naming its field before anything
+// runs — no silent clamping, no panic, no oversized allocation — while
+// every value in use stays valid.
 func TestInvalidConfig(t *testing.T) {
 	inst := testInstance(t, 7)
-	cases := []struct {
-		field string
-		cfg   Config
-	}{
-		{"Workers", Config{Workers: 0, Strategy: division.QuotientPartitioning}},
-		{"Workers", Config{Workers: -3, Strategy: division.QuotientPartitioning}},
-		{"Strategy", Config{Workers: 2, Strategy: division.PartitionStrategy(9)}},
-		{"Path", Config{Workers: 2, Strategy: division.QuotientPartitioning, Path: Path(42)}},
-		{"Path", Config{Workers: 2, Strategy: division.DivisorPartitioning, Path: PathSharedTable}},
-		{"BitVectorBits", Config{Workers: 2, Strategy: division.QuotientPartitioning, BitVectorBits: -1}},
-		{"ChannelDepth", Config{Workers: 2, Strategy: division.QuotientPartitioning, ChannelDepth: -1}},
-		{"HBS", Config{Workers: 2, Strategy: division.QuotientPartitioning, HBS: -0.5}},
-		{"BatchSize", Config{Workers: 2, Strategy: division.QuotientPartitioning, BatchSize: -8}},
-		{"MorselTuples", Config{Workers: 2, Strategy: division.QuotientPartitioning, MorselTuples: -1}},
-		{"ExpectedQuotient", Config{Workers: 2, Strategy: division.QuotientPartitioning, ExpectedQuotient: -1}},
-	}
-	for _, c := range cases {
-		_, err := Divide(instanceSpec(inst), c.cfg)
-		var cerr *ConfigError
-		if !errors.As(err, &cerr) {
-			t.Errorf("%s: got %v, want *ConfigError", c.field, err)
-			continue
-		}
-		if cerr.Field != c.field {
-			t.Errorf("got ConfigError.Field = %q, want %q (err: %v)", cerr.Field, c.field, cerr)
-		}
-		if cerr.Error() == "" || !strings.Contains(cerr.Error(), c.field) {
-			t.Errorf("ConfigError message %q does not name field %s", cerr.Error(), c.field)
-		}
-	}
-	// Zero tunables are still defaults, not errors.
-	res, err := Divide(instanceSpec(inst), Config{Workers: 2, Strategy: division.QuotientPartitioning})
+	cl, err := netexchange.StartLocalCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, inst, res)
+	defer cl.Close()
+	check := func(entry, field string, err error) {
+		t.Helper()
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) {
+			t.Errorf("%s %s: got %v, want *ConfigError", entry, field, err)
+			return
+		}
+		if cerr.Field != field || !strings.Contains(cerr.Error(), field) {
+			t.Errorf("%s: ConfigError %q, want one naming field %s", entry, cerr, field)
+		}
+	}
+	q := division.QuotientPartitioning
+	cases := []struct {
+		field  string
+		cfg    Config
+		shared bool // a field netexchange.Config has too
+	}{
+		{"Workers", Config{Workers: 0, Strategy: q}, false},
+		{"Workers", Config{Workers: -3, Strategy: q}, false},
+		{"Strategy", Config{Workers: 2, Strategy: division.PartitionStrategy(9)}, true},
+		{"Path", Config{Workers: 2, Strategy: q, Path: Path(42)}, false},
+		{"Path", Config{Workers: 2, Strategy: division.DivisorPartitioning, Path: PathSharedTable}, false},
+		{"BitVectorBits", Config{Workers: 2, Strategy: q, BitVectorBits: -1}, true},
+		{"BitVectorBits", Config{Workers: 2, Strategy: q, BitVectorFilter: true, BitVectorBits: 1 << 40}, true},
+		{"HBS", Config{Workers: 2, Strategy: q, HBS: -0.5}, true},
+		{"HBS", Config{Workers: 2, Strategy: q, HBS: math.NaN()}, true},
+		{"HBS", Config{Workers: 2, Strategy: q, HBS: math.Inf(1)}, true},
+		{"HBS", Config{Workers: 2, Strategy: q, HBS: 1e-12}, true},
+		{"BatchSize", Config{Workers: 2, Strategy: q, BatchSize: -8}, true},
+		{"BatchSize", Config{Workers: 2, Strategy: q, BatchSize: 1 << 30}, true},
+		{"MorselTuples", Config{Workers: 2, Strategy: q, MorselTuples: -1}, true},
+		{"ExpectedQuotient", Config{Workers: 2, Strategy: q, ExpectedQuotient: -1}, false},
+	}
+	for _, c := range cases {
+		paths := []Path{c.cfg.Path}
+		if c.cfg.Path == PathMorsel {
+			paths = append(paths, PathSharedTable)
+		}
+		for _, path := range paths {
+			cfg := c.cfg
+			cfg.Path = path
+			if path == PathSharedTable && cfg.ExpectedQuotient == 0 {
+				cfg.ExpectedQuotient = 4096
+			}
+			_, err := Divide(instanceSpec(inst), cfg)
+			check("parallel/"+path.String(), c.field, err)
+		}
+		if c.shared {
+			_, err := netexchange.Divide(context.Background(), instanceSpec(inst), c.cfg.exchange(), cl.Conns())
+			check("netexchange", c.field, err)
+		}
+	}
+	_, err = netexchange.Divide(context.Background(), instanceSpec(inst),
+		netexchange.Config{WorkerBudget: -1}, cl.Conns())
+	check("netexchange", "WorkerBudget", err)
+
+	// Zero tunables are still defaults, and every value in use is valid.
+	valid := []Config{{}, {HBS: 1}, {HBS: 2.5}, {HBS: 4}, {HBS: 8}, {BatchSize: 16}, {BatchSize: 1024}}
+	for _, cfg := range valid {
+		cfg.Workers, cfg.Strategy = 2, q
+		for _, path := range []Path{PathMorsel, PathSharedTable} {
+			cfg.Path = path
+			res, err := Divide(instanceSpec(inst), cfg)
+			if err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			checkAgainstReference(t, inst, res)
+		}
+		res, err := netexchange.Divide(context.Background(), instanceSpec(inst), cfg.exchange(), cl.Conns())
+		if err != nil {
+			t.Fatalf("netexchange %+v: %v", cfg, err)
+		}
+		checkAgainstReference(t, inst, res)
+	}
 }
 
 // Property: both strategies equal the serial reference for arbitrary small
@@ -259,7 +346,7 @@ func TestQuickParallelEquivalence(t *testing.T) {
 			dividend = append(dividend,
 				workload.TranscriptSchema.MustMake(int64(b>>4), int64(b&0x0f)))
 		}
-		sp := ReadInstance(workload.TranscriptSchema, dividend, workload.CourseSchema, divisor, []int{1})
+		sp := readInstance(workload.TranscriptSchema, dividend, workload.CourseSchema, divisor, []int{1})
 		ref, err := division.Reference(sp)
 		if err != nil {
 			return false
@@ -424,54 +511,5 @@ func TestTraceCollectsWorkerSpans(t *testing.T) {
 	}
 	if rows != int64(len(res.Quotient)) {
 		t.Errorf("worker spans account for %d rows, quotient has %d", rows, len(res.Quotient))
-	}
-}
-
-// TestKeyShapeParity divides multi-column and character keys — the core's
-// closure kernels and the partitioner's generic hashes — on every exchange
-// path, both strategies, with and without the bit-vector filter, and
-// requires division.Reference's quotient.
-func TestKeyShapeParity(t *testing.T) {
-	inst := testInstance(t, 51)
-	for _, shape := range []workload.KeyShape{workload.CompositeKey, workload.CharKey} {
-		rk := inst.Rekey(shape)
-		spec := func() division.Spec {
-			return ReadInstance(rk.DividendSchema, rk.Dividend, rk.DivisorSchema, rk.Divisor, rk.DivisorCols)
-		}
-		ref, err := division.Reference(spec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ref) == 0 {
-			t.Fatal("reference quotient is empty; the instance tests nothing")
-		}
-		for _, path := range []Path{PathMorsel, PathSharedTable} {
-			for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
-				if path == PathSharedTable && strategy != division.QuotientPartitioning {
-					continue
-				}
-				for _, filter := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%v/%v/%v/filter=%v", shape, path, strategy, filter), func(t *testing.T) {
-						res, err := Divide(spec(), Config{
-							Workers:         3,
-							Strategy:        strategy,
-							Path:            path,
-							BitVectorFilter: filter,
-							MorselTuples:    64,
-							BatchSize:       16,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !division.EqualTupleSets(spec().QuotientSchema(), res.Quotient, ref) {
-							t.Fatalf("quotient of %d tuples, reference has %d", len(res.Quotient), len(ref))
-						}
-						if filter && path != PathSharedTable && res.Network.TuplesFiltered == 0 {
-							t.Error("filter dropped no noise tuple")
-						}
-					})
-				}
-			}
-		}
 	}
 }
