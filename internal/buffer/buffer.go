@@ -8,6 +8,15 @@
 // ("copying is avoided as scans give memory addresses to records fixed in the
 // buffer pool"), so a frame's bytes stay valid exactly while it is fixed.
 //
+// # Frame memory
+//
+// Frame buffers are recycled, as a real buffer manager's frames are: every
+// frame that leaves the pool (eviction, DropPages, DropClean, a failed read)
+// gives its buffer to a free list, and every miss, NewPage and FixVirtual
+// takes one from it before allocating. Resident plus free bytes never exceed
+// the memory limit. Under the race detector a returned buffer is filled with
+// PoisonByte, so bytes read after their frame was unfixed show up as garbage.
+//
 // # Sharding
 //
 // The pool is sharded by page-id hash into independent shards, each with its
@@ -211,10 +220,9 @@ type Pool struct {
 	shards   []*shard
 	mask     uint64 // len(shards)-1 when power of two, else 0 and mod is used
 
-	curBytes  atomic.Int64
-	peakBytes atomic.Int64
-	nextVirt  atomic.Int64
-	retry     atomic.Pointer[RetryPolicy]
+	mem      frameMem
+	nextVirt atomic.Int64
+	retry    atomic.Pointer[RetryPolicy]
 
 	prefetcher atomic.Pointer[Prefetcher]
 	hooks      atomic.Pointer[Hooks]
@@ -348,7 +356,7 @@ func (h *Handle) Unfix(keepLRU bool) error {
 	f.fixCount--
 	if f.fixCount == 0 {
 		if f.dropped {
-			p.release(len(f.data))
+			p.giveBack(f.data)
 			p.detached.Add(-1)
 			return nil
 		}
@@ -464,40 +472,6 @@ func (p *Pool) readPage(key frameKey, data []byte, want uint64, verify bool) (re
 	return retries, csFails, err
 }
 
-// reserve claims need bytes of the global budget, evicting unpinned frames
-// (preferring the caller's home shard) until the claim fits. It never holds
-// a shard lock while looping, so concurrent reservations make independent
-// progress.
-func (p *Pool) reserve(need int, prefer *shard) error {
-	if need > p.maxBytes {
-		return fmt.Errorf("%w: frame of %d bytes exceeds pool of %d", ErrNoMemory, need, p.maxBytes)
-	}
-	for {
-		cur := p.curBytes.Load()
-		if cur+int64(need) <= int64(p.maxBytes) {
-			if !p.curBytes.CompareAndSwap(cur, cur+int64(need)) {
-				continue
-			}
-			for {
-				pk := p.peakBytes.Load()
-				if cur+int64(need) <= pk || p.peakBytes.CompareAndSwap(pk, cur+int64(need)) {
-					return nil
-				}
-			}
-		}
-		evicted, err := p.evictOne(prefer)
-		if err != nil {
-			return err
-		}
-		if !evicted {
-			return fmt.Errorf("%w: need %d bytes, %d in use", ErrNoMemory, need, p.curBytes.Load())
-		}
-	}
-}
-
-// release returns reserved bytes to the global budget.
-func (p *Pool) release(n int) { p.curBytes.Add(-int64(n)) }
-
 // evictOne evicts a single unpinned frame from some shard, starting at the
 // preferred shard and rotating. Exactly one shard lock is held at a time, so
 // two threads evicting across shards cannot deadlock. Returns false when no
@@ -559,7 +533,7 @@ func (p *Pool) evictFromShardLocked(s *shard) (evicted, wasPrefetched bool, err 
 			s.stats.VirtualLost++
 		}
 		delete(s.frames, f.key)
-		p.release(len(f.data))
+		p.giveBack(f.data)
 		s.stats.Evictions++
 		return true, f.prefetched, nil
 	}
@@ -623,14 +597,12 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 		s.stats.Misses++
 		s.mu.Unlock()
 
-		var data []byte
-		err := p.reserve(dev.PageSize(), s)
+		data, err := p.reserve(dev.PageSize(), s, false)
 		var retries, csFails int
 		if err == nil {
-			data = make([]byte, dev.PageSize())
 			retries, csFails, err = p.readPage(key, data, want, verify)
 			if err != nil {
-				p.release(dev.PageSize())
+				p.giveBack(data)
 			}
 		}
 
@@ -659,10 +631,11 @@ func (p *Pool) NewPage(dev disk.Dev) (disk.PageID, *Handle, error) {
 	page := dev.Alloc()
 	key := frameKey{dev: dev, page: page}
 	s := p.shardFor(key)
-	if err := p.reserve(dev.PageSize(), s); err != nil {
+	data, err := p.reserve(dev.PageSize(), s, true)
+	if err != nil {
 		return disk.InvalidPage, nil, err
 	}
-	f := &frame{key: key, home: s, data: make([]byte, dev.PageSize()), dirty: true, fixCount: 1}
+	f := &frame{key: key, home: s, data: data, dirty: true, fixCount: 1}
 	s.mu.Lock()
 	s.frames[key] = f
 	s.mu.Unlock()
@@ -675,10 +648,11 @@ func (p *Pool) NewPage(dev disk.Dev) (disk.PageID, *Handle, error) {
 func (p *Pool) FixVirtual(size int) (*Handle, error) {
 	key := frameKey{dev: nil, page: disk.PageID(p.nextVirt.Add(1) - 1)}
 	s := p.shardFor(key)
-	if err := p.reserve(size, s); err != nil {
+	data, err := p.reserve(size, s, true)
+	if err != nil {
 		return nil, err
 	}
-	f := &frame{key: key, home: s, data: make([]byte, size), virtual: true, fixCount: 1}
+	f := &frame{key: key, home: s, data: data, virtual: true, fixCount: 1}
 	s.mu.Lock()
 	s.frames[key] = f
 	s.mu.Unlock()
@@ -765,7 +739,7 @@ func (p *Pool) DropClean() error {
 			s.lru.Remove(el)
 			f.lruElem = nil
 			delete(s.frames, f.key)
-			p.release(len(f.data))
+			p.giveBack(f.data)
 			el = next
 		}
 		s.mu.Unlock()
@@ -805,7 +779,7 @@ func (p *Pool) DropPages(dev disk.Dev, pages []disk.PageID) error {
 		} else {
 			s.lru.Remove(f.lruElem)
 			f.lruElem = nil
-			p.release(len(f.data))
+			p.giveBack(f.data)
 		}
 		s.mu.Unlock()
 		if wasPrefetched {
@@ -832,8 +806,7 @@ func (p *Pool) Stats() Stats {
 	for i := len(p.shards) - 1; i >= 0; i-- {
 		p.shards[i].mu.Unlock()
 	}
-	out.LiveBytes = int(p.curBytes.Load())
-	out.PeakBytes = int(p.peakBytes.Load())
+	out.LiveBytes, out.PeakBytes, _ = p.mem.usage()
 	out.PrefetchIssued = int(p.pfIssued.Load())
 	out.PrefetchHits = int(p.pfHits.Load())
 	out.PrefetchWasted = int(p.pfWasted.Load())
@@ -860,7 +833,7 @@ func (p *Pool) ResetStats() {
 		s.stats = Stats{}
 		s.mu.Unlock()
 	}
-	p.peakBytes.Store(0)
+	p.mem.resetPeak()
 	p.pfIssued.Store(0)
 	p.pfHits.Store(0)
 	p.pfWasted.Store(0)

@@ -1,7 +1,9 @@
 package buffer
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/disk"
@@ -508,5 +510,112 @@ func BenchmarkFixHit(b *testing.B) {
 		if err := h.Unfix(true); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFreeListBoundedByMaxBytes: frames that leave the pool give their
+// buffers to the free list, later misses take them back, and with two frame
+// sizes in one pool resident plus free bytes never exceed MaxBytes, also
+// after DropPages of more bytes than MaxBytes.
+func TestFreeListBoundedByMaxBytes(t *testing.T) {
+	big, small := newDev(64, 12), newDev(16, 12)
+	p := New(256) // four 64-byte frames
+	check := func(step string) {
+		t.Helper()
+		resident, _, free := p.mem.usage()
+		if resident+free > p.MaxBytes() {
+			t.Fatalf("%s: resident %d + free %d > MaxBytes %d", step, resident, free, p.MaxBytes())
+		}
+	}
+	fixUnfix := func(dev disk.Dev, pg disk.PageID) *byte {
+		t.Helper()
+		h, err := p.Fix(dev, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := &h.Bytes()[0]
+		if err := h.Unfix(true); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("fix of page %d on %s", pg, dev.Name()))
+		return data
+	}
+
+	pages := make([]disk.PageID, 12)
+	bufs := map[*byte]bool{}
+	for i := range pages {
+		pages[i] = disk.PageID(i)
+		bufs[fixUnfix(big, pages[i])] = true
+	}
+	if len(bufs) != 4 {
+		t.Errorf("12 misses over 4 frames used %d buffers, want 4 (evicted buffers reused)", len(bufs))
+	}
+	if err := p.DropPages(big, pages); err != nil { // 768 bytes of pages
+		t.Fatal(err)
+	}
+	check("DropPages")
+	if resident, _, free := p.mem.usage(); resident != 0 || free != 256 {
+		t.Errorf("after DropPages resident=%d free=%d, want 0/256", resident, free)
+	}
+	// A small frame finds no buffer of its size: each one drops big buffers
+	// until the sum fits again.
+	for pg := disk.PageID(0); pg < 12; pg++ {
+		fixUnfix(small, pg)
+	}
+	if resident, _, free := p.mem.usage(); resident != 192 || free != 64 {
+		t.Errorf("after 12 small frames resident=%d free=%d, want 192/64", resident, free)
+	}
+	if !bufs[fixUnfix(big, 0)] {
+		t.Error("a big miss did not reuse the big buffer left on the free list")
+	}
+	for pg := disk.PageID(1); pg < 4; pg++ {
+		fixUnfix(big, pg)
+	}
+	if got := p.Stats().LiveBytes; got != 256 {
+		t.Errorf("LiveBytes = %d, want 256", got)
+	}
+}
+
+// TestNewPageZeroesRecycledBuffer: NewPage and FixVirtual may be handed the
+// buffer of a dirty frame that was just evicted; they return it zeroed.
+func TestNewPageZeroesRecycledBuffer(t *testing.T) {
+	dev := newDev(16, 0)
+	p := New(16) // one frame
+	_, h, err := p.NewPage(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &h.Bytes()[0]
+	for i := range h.Bytes() {
+		h.Bytes()[i] = 0xFF
+	}
+	h.MarkDirty()
+	if err := h.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+	_, h2, err := p.NewPage(dev) // evicts (writes back) the first page
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &h2.Bytes()[0] != old {
+		t.Fatal("NewPage did not reuse the evicted frame's buffer")
+	}
+	if !bytes.Equal(h2.Bytes(), make([]byte, 16)) {
+		t.Errorf("NewPage on a recycled buffer = %x, want zeros", h2.Bytes())
+	}
+	h2.Bytes()[3] = 0xFF
+	if err := h2.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.FixVirtual(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Unfix(true)
+	if !bytes.Equal(v.Bytes(), make([]byte, 16)) {
+		t.Errorf("FixVirtual on a recycled buffer = %x, want zeros", v.Bytes())
+	}
+	if s := p.Stats(); s.Evictions != 2 || s.WriteBacks != 2 {
+		t.Errorf("evictions=%d writebacks=%d, want 2/2", s.Evictions, s.WriteBacks)
 	}
 }

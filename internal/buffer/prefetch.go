@@ -239,21 +239,20 @@ func (pf *Prefetcher) load(key frameKey) {
 		p.notePrefetchDropped()
 	}
 
-	need := key.dev.PageSize()
-	if err := p.reserve(need, s); err != nil {
+	data, err := p.reserve(key.dev.PageSize(), s, false)
+	if err != nil {
 		abort()
 		return
 	}
-	data := make([]byte, need)
 	if err := key.dev.Read(key.page, data); err != nil {
-		p.release(need)
+		p.giveBack(data)
 		abort()
 		return
 	}
 	if verify && disk.Checksum(data) != want {
 		// Possibly in-flight corruption: do not install, do not record a
 		// failure against the page. The sync path re-reads and retries.
-		p.release(need)
+		p.giveBack(data)
 		abort()
 		return
 	}

@@ -126,7 +126,8 @@ func TestPrefetchWindowDropsOnFull(t *testing.T) {
 
 // TestPrefetchFailureIsSilentAndResurfacesOnFix: a faulted prefetch load
 // must neither install a frame nor surface an error anywhere — until the
-// synchronous Fix path reads the page itself and reports honestly.
+// synchronous Fix path reads the page itself and reports honestly. Both
+// failed reads give their frame buffer back to the free list.
 func TestPrefetchFailureIsSilentAndResurfacesOnFix(t *testing.T) {
 	fd := &flakyDev{Device: newDev(64, 4)}
 	p := New(64 * 1024)
@@ -143,6 +144,9 @@ func TestPrefetchFailureIsSilentAndResurfacesOnFix(t *testing.T) {
 	// Still failing: the sync path surfaces the typed transient error.
 	if _, err := p.Fix(fd, 0); !disk.IsTransient(err) {
 		t.Fatalf("fix after failed prefetch: err = %v, want transient", err)
+	}
+	if resident, _, free := p.mem.usage(); resident != 0 || free != 64 {
+		t.Errorf("after two failed reads resident=%d free=%d, want 0/64 (one buffer, given back twice)", resident, free)
 	}
 	// Device healed: the sync path succeeds from scratch.
 	fd.setFailReads(false)

@@ -137,10 +137,11 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	}
 }
 
-// TestConcurrentStress hammers Fix/Unfix/FixVirtual/NewPage/Stats from 8
+// TestConcurrentStress hammers Fix/Unfix/FixVirtual/DropPages/Stats from 8
 // goroutines under both replacement policies; run with -race. The pool is
 // sized so evictions, virtual-frame losses, and cross-shard reservations all
-// happen while the storm is in flight.
+// happen while the storm is in flight, and its two frame sizes keep the
+// free list trading buffers of one size for the other.
 func TestConcurrentStress(t *testing.T) {
 	for _, policy := range []Policy{LRU, Clock} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -184,11 +185,20 @@ func TestConcurrentStress(t *testing.T) {
 								t.Errorf("unfix virtual: %v", err)
 								return
 							}
-						case 3: // snapshots race the storm
+						case 3: // snapshots and drops race the storm
 							st := p.Stats()
 							if st.Hits+st.Misses != st.Fixes {
 								t.Errorf("invariant: hits %d + misses %d != fixes %d",
 									st.Hits, st.Misses, st.Fixes)
+								return
+							}
+							if resident, _, free := p.mem.usage(); resident+free > p.MaxBytes() {
+								t.Errorf("resident %d + free %d bytes exceed budget %d", resident, free, p.MaxBytes())
+								return
+							}
+							pg := disk.PageID(rng.Intn(96))
+							if err := p.DropPages(dev, []disk.PageID{pg}); err != nil && !errors.Is(err, ErrFixed) {
+								t.Errorf("drop: %v", err)
 								return
 							}
 						}

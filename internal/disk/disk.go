@@ -164,10 +164,11 @@ var ErrBadBuffer = errors.New("disk: buffer size does not match page size")
 type Device struct {
 	name     string
 	pageSize int
+	recycler *sync.Pool // freed pages of this page size, process-wide
 
 	mu    sync.Mutex
-	pages [][]byte
-	freed map[PageID]bool
+	pages []*[]byte // nil for a freed page
+	freed idHeap
 	last  PageID // last page touched, for sequential-access detection
 	stats Stats
 }
@@ -182,9 +183,33 @@ func NewDevice(name string, pageSize int) *Device {
 	return &Device{
 		name:     name,
 		pageSize: pageSize,
-		freed:    make(map[PageID]bool),
+		recycler: recyclerFor(pageSize),
 		last:     InvalidPage,
 	}
+}
+
+// pageRecyclers maps a page size to the sync.Pool of freed pages (*[]byte)
+// that every Device of that size shares. A server query's temp device frees
+// its spill pages when the query ends, and the next query's device takes them
+// back instead of allocating.
+var pageRecyclers sync.Map
+
+func recyclerFor(pageSize int) *sync.Pool {
+	if r, ok := pageRecyclers.Load(pageSize); ok {
+		return r.(*sync.Pool)
+	}
+	r, _ := pageRecyclers.LoadOrStore(pageSize, new(sync.Pool))
+	return r.(*sync.Pool)
+}
+
+// newPage returns a zeroed page, recycled when some device freed one.
+func (d *Device) newPage() *[]byte {
+	if b, ok := d.recycler.Get().(*[]byte); ok {
+		clear(*b)
+		return b
+	}
+	b := make([]byte, d.pageSize)
+	return &b
 }
 
 // Name returns the device name (for diagnostics).
@@ -208,17 +233,16 @@ func (d *Device) Alloc() PageID {
 	return d.allocLocked()
 }
 
+// allocLocked reuses the lowest freed page id, so the ids a run of
+// reallocations gets are ascending (sequential to read back) and the same on
+// every run; it grows the device when none is free.
 func (d *Device) allocLocked() PageID {
-	// Prefer reusing a freed page only when it keeps extents contiguous;
-	// simplest faithful policy: reuse arbitrary freed pages.
-	for id := range d.freed {
-		delete(d.freed, id)
-		for i := range d.pages[id] {
-			d.pages[id][i] = 0
-		}
+	if len(d.freed) > 0 {
+		id := d.freed.pop()
+		d.pages[id] = d.newPage()
 		return id
 	}
-	d.pages = append(d.pages, make([]byte, d.pageSize))
+	d.pages = append(d.pages, d.newPage())
 	return PageID(len(d.pages) - 1)
 }
 
@@ -233,20 +257,23 @@ func (d *Device) AllocExtent(n int) PageID {
 	defer d.mu.Unlock()
 	first := PageID(len(d.pages))
 	for i := 0; i < n; i++ {
-		d.pages = append(d.pages, make([]byte, d.pageSize))
+		d.pages = append(d.pages, d.newPage())
 	}
 	return first
 }
 
-// Free releases a page for reuse. Freeing an already-freed or out-of-range
-// page returns ErrBadPage.
+// Free releases a page for reuse and hands its bytes to the recycler of its
+// page size. Freeing an already-freed or out-of-range page returns
+// ErrBadPage.
 func (d *Device) Free(p PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.checkLocked(p); err != nil {
 		return err
 	}
-	d.freed[p] = true
+	d.recycler.Put(d.pages[p])
+	d.pages[p] = nil
+	d.freed.push(p)
 	return nil
 }
 
@@ -254,7 +281,7 @@ func (d *Device) checkLocked(p PageID) error {
 	if p < 0 || int(p) >= len(d.pages) {
 		return fmt.Errorf("%w: %d of %d on %s", ErrBadPage, p, len(d.pages), d.name)
 	}
-	if d.freed[p] {
+	if d.pages[p] == nil {
 		return fmt.Errorf("%w: %d freed on %s", ErrBadPage, p, d.name)
 	}
 	return nil
@@ -286,7 +313,7 @@ func (d *Device) Read(p PageID, buf []byte) error {
 		return err
 	}
 	d.accountLocked(p, false)
-	copy(buf, d.pages[p])
+	copy(buf, *d.pages[p])
 	return nil
 }
 
@@ -301,7 +328,7 @@ func (d *Device) Write(p PageID, buf []byte) error {
 		return err
 	}
 	d.accountLocked(p, true)
-	copy(d.pages[p], buf)
+	copy(*d.pages[p], buf)
 	return nil
 }
 
@@ -329,4 +356,43 @@ func (d *Device) ResetStats() {
 	defer d.mu.Unlock()
 	d.stats = Stats{}
 	d.last = InvalidPage
+}
+
+// idHeap is a min-heap of freed page ids.
+type idHeap []PageID
+
+func (h *idHeap) push(id PageID) {
+	*h = append(*h, id)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up] <= s[i] {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+}
+
+func (h *idHeap) pop() PageID {
+	s := *h
+	low, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return low
 }

@@ -78,6 +78,49 @@ func TestFreeReuseZeroesPage(t *testing.T) {
 			t.Fatal("reused page not zeroed")
 		}
 	}
+	// Freed bytes go to the recycler every device of the page size shares;
+	// whichever device takes them gets them zeroed.
+	if err := d.Write(q, []byte{9, 9, 9, 9, 9, 9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(q); err != nil {
+		t.Fatal(err)
+	}
+	other := NewDevice("other", 8)
+	for p := other.AllocExtent(3); p < 3; p++ {
+		if err := other.Read(p, buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range buf {
+			if b != 0 {
+				t.Fatalf("page %d of a new extent not zeroed", p)
+			}
+		}
+	}
+}
+
+// TestFreedPagesReusedLowestFirst: Alloc reuses the lowest freed id, so
+// the same frees and allocations give the same ids on every run, and a
+// freed run reallocates in ascending (sequential) order.
+func TestFreedPagesReusedLowestFirst(t *testing.T) {
+	d := NewDevice("test", 8)
+	d.AllocExtent(10)
+	for _, p := range []PageID{7, 2, 9, 4, 3} {
+		if err := d.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.NumPages(); got != 5 {
+		t.Fatalf("NumPages = %d, want 5", got)
+	}
+	for _, want := range []PageID{2, 3, 4, 7, 9, 10} {
+		if got := d.Alloc(); got != want {
+			t.Fatalf("Alloc = %d, want %d", got, want)
+		}
+	}
+	if got := d.NumPages(); got != 11 {
+		t.Errorf("NumPages = %d, want 11", got)
+	}
 }
 
 func TestExtentIsContiguous(t *testing.T) {

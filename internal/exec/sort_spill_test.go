@@ -4,6 +4,8 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/buffer"
+	"repro/internal/disk"
 	"repro/internal/storage"
 )
 
@@ -61,5 +63,34 @@ func TestSortSpillGaugeClearedOnAbandon(t *testing.T) {
 	}
 	if live := storage.LiveSpillFiles(); live != base {
 		t.Fatalf("gauge %d after abandoning open sort, want base %d", live, base)
+	}
+}
+
+// TestSortIOIsDeterministic: an external sort's intermediate merge passes
+// free run pages and allocate new ones, and every run of the same sort must
+// reuse the same page ids. Freed ids are reused lowest first, so seeks (and
+// the pool's shard hash of the ids, hence its hits) repeat exactly.
+func TestSortIOIsDeterministic(t *testing.T) {
+	in := randomPairs(20000, 33)
+	var firstDisk disk.Stats
+	var firstPool buffer.Stats
+	for i := 0; i < 20; i++ {
+		pool, dev := buffer.New(64<<10), disk.NewDevice("runs", disk.PaperRunPageSize)
+		s := NewSort(NewMemScan(pairSchema, in), SortConfig{
+			Keys: []int{0}, MemoryBytes: 4 << 10, Pool: pool, TempDev: dev,
+		})
+		if n, err := Drain(s); err != nil || n != len(in) {
+			t.Fatalf("sort %d: %d of %d tuples, %v", i, n, len(in), err)
+		}
+		if i == 0 {
+			firstDisk, firstPool = dev.Stats(), pool.Stats()
+			continue
+		}
+		if got := dev.Stats(); got != firstDisk {
+			t.Fatalf("sort %d: disk %v, first sort %v", i, got, firstDisk)
+		}
+		if got := pool.Stats(); got != firstPool {
+			t.Fatalf("sort %d: pool %+v, first sort %+v", i, got, firstPool)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package netexchange
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -69,7 +68,8 @@ var errPoisoned = errors.New("netexchange: link poisoned")
 // pipeEnd is one end of a pipe, the in-process transport: the two ends of a
 // link in one address space. Frames cross as Go values through two buffered
 // channels: control payloads are the encodings the wire carries, and batch
-// payloads (divisor, candidate, collect, quotient) are copied. The dividend
+// payloads (divisor, candidate, collect, quotient) are copied into recycled
+// buffers, which the receiver gives back at its following next. The dividend
 // never enters the channels: at phase C the coordinator attaches the worker
 // end to its Shuffle destination, and the worker reads the shuffle's
 // batches in place and recycles each one — no copy, no allocation and no
@@ -81,12 +81,20 @@ type pipeEnd struct {
 	in  <-chan pipeFrame
 	out chan<- pipeFrame
 
+	// The payload the last next returned, recycled by the following one.
+	heldPayload *[]byte
+
 	// Worker end, during phase C: the attached shuffle destination, and
 	// the batch the last next returned, recycled by the following one.
 	sh   *Shuffle
 	dest int
 	held *exec.Batch
 }
+
+// payloads recycles the copies pipes make of the payloads they send. A
+// payload is valid only until the receiver's following next (the transport
+// contract), which gives its buffer back here.
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
 
 // pipe is the state both ends share.
 type pipe struct {
@@ -100,7 +108,7 @@ type pipe struct {
 // worker's next then drains until Run closes it.
 type pipeFrame struct {
 	h       FrameHeader
-	payload []byte
+	payload *[]byte // nil for an empty payload
 	sh      *Shuffle
 	dest    int
 }
@@ -147,13 +155,25 @@ func (e *pipeEnd) push(f pipeFrame) error {
 }
 
 func (e *pipeEnd) send(h FrameHeader, payload []byte) (int64, error) {
-	if err := e.push(pipeFrame{h: h, payload: bytes.Clone(payload)}); err != nil {
+	f := pipeFrame{h: h}
+	if len(payload) > 0 {
+		f.payload = payloads.Get().(*[]byte)
+		*f.payload = append((*f.payload)[:0], payload...)
+	}
+	if err := e.push(f); err != nil {
+		if f.payload != nil {
+			payloads.Put(f.payload)
+		}
 		return 0, err
 	}
 	return frameBytes(len(payload)), nil
 }
 
 func (e *pipeEnd) next() (FrameHeader, []byte, int64, error) {
+	if e.heldPayload != nil {
+		payloads.Put(e.heldPayload)
+		e.heldPayload = nil
+	}
 	if e.held != nil {
 		e.sh.Recycle(e.held)
 		e.held = nil
@@ -176,7 +196,11 @@ func (e *pipeEnd) next() (FrameHeader, []byte, int64, error) {
 			return FrameHeader{Type: frameDividendBatch, Count: uint32(b.Len())}, b.Raw(), frameBytes(len(b.Raw())), nil
 		case f := <-in:
 			if f.sh == nil {
-				return f.h, f.payload, frameBytes(len(f.payload)), nil
+				var payload []byte
+				if f.payload != nil {
+					payload, e.heldPayload = *f.payload, f.payload
+				}
+				return f.h, payload, frameBytes(len(payload)), nil
 			}
 			e.sh, e.dest = f.sh, f.dest
 		case <-e.done:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -434,6 +435,68 @@ func BenchmarkScan(b *testing.B) {
 		}
 		sc.Close()
 	}
+}
+
+// rescanFile is a 24-page heap file of 8 KB pages over a 64 KB pool (three
+// times the pool), scanned once, so the free list holds evicted frames'
+// buffers and every page of the next scan misses.
+func rescanFile(tb testing.TB) *File {
+	tb.Helper()
+	dev := disk.NewDevice("rescan", disk.PaperPageSize)
+	pool := buffer.New(64 << 10)
+	schema := tuple.NewSchema(tuple.Int64Field("a"), tuple.Int64Field("b"))
+	f := NewFile(pool, dev, schema, "rescan")
+	ap := f.NewAppender()
+	for i := 0; i < 24*f.RecordsPerPage(); i++ {
+		if _, err := ap.Append(schema.MustMake(i, i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := ap.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	scanAll(tb, f)
+	return f
+}
+
+// scanAll reads every record of f with a sequential Scanner that keeps its
+// pages in LRU order, so a file larger than the pool misses on every page.
+func scanAll(tb testing.TB, f *File) {
+	tb.Helper()
+	sc := f.Scan(true)
+	defer sc.Close()
+	for n := 0; ; n++ {
+		_, _, err := sc.Next()
+		if err == io.EOF {
+			if n != f.NumRecords() {
+				tb.Fatalf("scan read %d of %d records", n, f.NumRecords())
+			}
+			return
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRescan is a full scan of a heap file three times the size of its
+// pool, after a first scan: every page misses, and each miss should take an
+// evicted frame's buffer instead of allocating one. It reports the bytes
+// allocated per missed page beside allocs/op.
+func BenchmarkRescan(b *testing.B) {
+	f := rescanFile(b)
+	misses := f.Pool().Stats().Misses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll(b, f)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	missed := f.Pool().Stats().Misses - misses
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(missed), "B/miss")
 }
 
 func TestPageScannerPristine(t *testing.T) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"repro/internal/obs"
@@ -31,11 +32,14 @@ type prepared struct {
 // any table they reference is dropped (invalidateTable) or re-created under
 // the same name (generation mismatch at lookup), or when a store pushes the
 // cache past its cap and the least-recently-used entry is evicted
-// ("server.cache.evictions").
+// ("server.cache.evictions"). A shape compiles once however many queries
+// of it arrive together: the first miss marks the key in flight, and the
+// others wait for its compile and count as hits.
 type planCache struct {
 	mu           sync.Mutex
 	plans        map[string]*prepared
-	order        *list.List // front = most recently used; values are *prepared
+	order        *list.List               // front = most recently used; values are *prepared
+	compiling    map[string]chan struct{} // keys whose first miss is compiling; closed when it ends
 	max          int
 	hits, misses int64
 	evictions    int64
@@ -46,9 +50,10 @@ func newPlanCache(maxEntries int) *planCache {
 		maxEntries = DefaultPlanCacheEntries
 	}
 	return &planCache{
-		plans: make(map[string]*prepared),
-		order: list.New(),
-		max:   maxEntries,
+		plans:     make(map[string]*prepared),
+		order:     list.New(),
+		compiling: make(map[string]chan struct{}),
+		max:       maxEntries,
 	}
 }
 
@@ -58,12 +63,28 @@ func (c *planCache) removeLocked(p *prepared) {
 	c.order.Remove(p.elem)
 }
 
-// lookup returns the cached seed for key when the entry exists and was
-// prepared against the same table generations, marking it most recently
-// used. A generation mismatch deletes the stale entry and misses.
-func (c *planCache) lookup(key string, gens map[string]uint64) (seedCandidates int64, hit bool) {
+// prepare returns the cached seed for key when an entry prepared against the
+// same table generations exists, marking it most recently used. Otherwise it
+// runs compile and, when that succeeds, stores a fresh entry. While one
+// query's compile of a key runs, other queries of that key wait for it (or
+// for their own ctx) and then look again, so they count as hits; when the
+// compile fails, the next of them compiles in its place. A generation
+// mismatch deletes the stale entry and misses.
+func (c *planCache) prepare(ctx context.Context, key string, gens map[string]uint64, compile func() error) (seedCandidates int64, hit bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for {
+		wait, busy := c.compiling[key]
+		if !busy {
+			break
+		}
+		c.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return 0, false, ctx.Err()
+		}
+		c.mu.Lock()
+	}
 	p, ok := c.plans[key]
 	if ok {
 		for name, gen := range gens {
@@ -74,22 +95,40 @@ func (c *planCache) lookup(key string, gens map[string]uint64) (seedCandidates i
 			}
 		}
 	}
-	if !ok {
-		c.misses++
-		obs.Default.Counter("server.cache_misses").Inc()
-		return 0, false
+	if ok {
+		c.order.MoveToFront(p.elem)
+		c.hits++
+		seed := p.seedCandidates
+		c.mu.Unlock()
+		obs.Default.Counter("server.cache_hits").Inc()
+		return seed, true, nil
 	}
-	c.order.MoveToFront(p.elem)
-	c.hits++
-	obs.Default.Counter("server.cache_hits").Inc()
-	return p.seedCandidates, true
+	c.misses++
+	done := make(chan struct{})
+	c.compiling[key] = done
+	c.mu.Unlock()
+	obs.Default.Counter("server.cache_misses").Inc()
+
+	compiled := false
+	defer func() { // also when compile panics
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		delete(c.compiling, key)
+		close(done)
+		if compiled {
+			c.storeLocked(key, gens)
+		}
+	}()
+	if err = compile(); err != nil {
+		return 0, false, err
+	}
+	compiled = true
+	return 0, false, nil
 }
 
-// store records a freshly prepared plan at the front of the recency list,
-// evicting from the back when the cap is exceeded.
-func (c *planCache) store(key string, gens map[string]uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// storeLocked records a freshly prepared plan at the front of the recency
+// list, evicting from the back when the cap is exceeded.
+func (c *planCache) storeLocked(key string, gens map[string]uint64) {
 	if old, ok := c.plans[key]; ok {
 		c.removeLocked(old)
 	}

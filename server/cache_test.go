@@ -1,7 +1,10 @@
 package server
 
 import (
+	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // dividePair issues one divide and returns whether it hit the plan cache.
@@ -102,5 +105,42 @@ func TestPlanCacheEvictionKeepsDDLInvalidation(t *testing.T) {
 	}
 	if got, want := s.cache.size(), 1; got != want {
 		t.Fatalf("cache size %d after re-create, want %d", got, want)
+	}
+}
+
+// TestPlanCacheCompilesConcurrentFirstQueriesOnce: eight sessions that send
+// the first divide of one shape at the same moment compile it once; the
+// seven that arrive while it compiles wait for it and count as hits.
+func TestPlanCacheCompilesConcurrentFirstQueriesOnce(t *testing.T) {
+	compiles := obs.Default.Counter("rewrite.compiles")
+	for round := 0; round < 100; round++ {
+		s := NewServer(Options{})
+		loadWorkload(t, startPipeSession(t, s), 40, 4, int64(round))
+		clients := make([]*Client, 8)
+		for i := range clients {
+			clients[i] = startPipeSession(t, s)
+		}
+		before := compiles.Load()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, c := range clients {
+			wg.Add(1)
+			go func(c *Client) {
+				defer wg.Done()
+				<-start
+				if _, err := c.Divide("transcript", "courses", nil); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		if got := compiles.Load() - before; got != 1 {
+			t.Fatalf("round %d: 8 concurrent first divides compiled %d times, want 1", round, got)
+		}
+		if hits, misses := s.CacheStats(); hits != 7 || misses != 1 {
+			t.Fatalf("round %d: cache hits=%d misses=%d, want 7/1", round, hits, misses)
+		}
+		s.Close()
 	}
 }

@@ -87,12 +87,15 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 	// counter); misses pay one compile to validate the lowering, then every
 	// execution — first or repeat — binds fresh operators below.
 	key, node := planShape(req.Dividend, ds, dvRows, req.Divisor, ss, svRows, cols)
-	seed, hit := s.cache.lookup(key, gens)
-	if !hit {
-		if _, err := rewrite.Compile(node, division.Env{}); err != nil {
-			return badRequest("plan does not lower: %v", err)
+	seed, hit, err := s.cache.prepare(ctx, key, gens, func() error {
+		_, err := rewrite.Compile(node, division.Env{})
+		return err
+	})
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return &Response{Error: err.Error(), Code: CodeCancelled}
 		}
-		s.cache.store(key, gens)
+		return badRequest("plan does not lower: %v", err)
 	}
 
 	// Split the grant: a quarter buffers spill I/O, the rest is the hash
