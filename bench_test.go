@@ -269,8 +269,11 @@ func BenchmarkHashLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitioning compares the two §3.4 overflow strategies at the
-// same cluster count.
+// BenchmarkPartitioning compares the two §3.4 overflow strategies of
+// recursive hash-division at one 10 KB budget. The budget overflows the
+// quotient table, and half of it is too small for the 100-tuple divisor
+// table, so divisor partitioning re-clusters the divisor and runs its
+// collection phase.
 func BenchmarkPartitioning(b *testing.B) {
 	inst, err := workload.Generate(workload.PaperCase(100, 400, 1))
 	if err != nil {
@@ -282,16 +285,19 @@ func BenchmarkPartitioning(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				env := division.Env{
-					Pool:    buffer.New(1 << 20),
-					TempDev: disk.NewDevice("temp", disk.PaperRunPageSize),
+					Pool:         buffer.New(1 << 20),
+					TempDev:      disk.NewDevice("temp", disk.PaperRunPageSize),
+					MemoryBudget: 10 << 10,
 				}
-				op := division.NewPartitionedHashDivision(benchSpec(b, inst), env, strat, 4)
-				n, err := exec.Drain(op)
+				q, st, err := division.DivideRecursive(benchSpec(b, inst), env, strat, division.RecursiveOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if n != 400 {
-					b.Fatalf("quotient = %d", n)
+				if len(q) != 400 {
+					b.Fatalf("quotient = %d", len(q))
+				}
+				if strat == division.DivisorPartitioning && st.DivisorLeaves < 2 {
+					b.Fatalf("the divisor was not re-clustered: %+v", st)
 				}
 			}
 		})

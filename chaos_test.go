@@ -99,26 +99,13 @@ func TestChaosSuite(t *testing.T) {
 			t.Run(pc.name+"/"+mode.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				pool := buffer.New(64 * 1024)
-				var pf *buffer.Prefetcher
 				if mode.readAhead {
-					pf = pool.EnableReadAhead(8, 4)
+					pool.EnableReadAhead(8, 4)
 				}
-				// In-flight prefetch loads hold a pin until published or
-				// aborted; quiesce the window before counting leaks.
-				fixedFrames := func() int {
-					pf.Drain()
-					return pool.FixedFrames()
-				}
-				// Spill files (partition clusters, recursive spill cells,
-				// sort runs) are query scratch: success, typed failure, and
-				// cancellation must all drop every one of them.
+				// Spill files (recursive spill cells, sort runs) are query
+				// scratch: success, typed failure, and cancellation must all
+				// drop every one of them.
 				spillBase := storage.LiveSpillFiles()
-				checkSpill := func(label string) {
-					t.Helper()
-					if n := storage.LiveSpillFiles(); n != spillBase {
-						t.Fatalf("%s leaked spill files: %d live, want %d", label, n, spillBase)
-					}
-				}
 				dividendDev := faultinject.Wrap(disk.NewDevice("dividend", disk.PaperPageSize), pc.plan)
 				divisorDev := faultinject.Wrap(disk.NewDevice("divisor", disk.PaperPageSize), pc.plan)
 				rel, err := workload.LoadOn(pool, inst, dividendDev, divisorDev)
@@ -165,10 +152,8 @@ func TestChaosSuite(t *testing.T) {
 				} {
 					got, err := division.Run(alg, storageSpec(), env)
 					check(t, alg.String(), got, err)
-					if n := fixedFrames(); n != 0 {
-						t.Fatalf("%v left %d frames fixed", alg, n)
-					}
-					checkSpill(alg.String())
+					leakcheck.FixedFrames(t, pool)
+					leakcheck.SpillFiles(t, spillBase)
 				}
 
 				// Recursive divisor partitioning (spill files under fault
@@ -178,10 +163,8 @@ func TestChaosSuite(t *testing.T) {
 				got, _, err := division.DivideRecursive(storageSpec(), budgetEnv,
 					division.DivisorPartitioning, division.RecursiveOptions{})
 				check(t, "adaptive", got, err)
-				if n := fixedFrames(); n != 0 {
-					t.Fatalf("adaptive left %d frames fixed", n)
-				}
-				checkSpill("adaptive")
+				leakcheck.FixedFrames(t, pool)
+				leakcheck.SpillFiles(t, spillBase)
 
 				// Recursive out-of-core division at a budget tight enough to
 				// force spilling: the full spill-file lifecycle (create,
@@ -190,10 +173,8 @@ func TestChaosSuite(t *testing.T) {
 				rq, _, err := division.DivideRecursive(storageSpec(), budgetEnv,
 					division.QuotientPartitioning, division.RecursiveOptions{})
 				check(t, "recursive", rq, err)
-				if n := fixedFrames(); n != 0 {
-					t.Fatalf("recursive left %d frames fixed", n)
-				}
-				checkSpill("recursive")
+				leakcheck.FixedFrames(t, pool)
+				leakcheck.SpillFiles(t, spillBase)
 
 				// Parallel: every data path × partitioning strategy combination
 				// (shared-table requires quotient partitioning). The morsel paths
@@ -216,10 +197,8 @@ func TestChaosSuite(t *testing.T) {
 					}
 					label := "parallel/" + c.strategy.String() + "/" + c.path.String()
 					check(t, label, q, err)
-					if n := fixedFrames(); n != 0 {
-						t.Fatalf("%s left %d frames fixed", label, n)
-					}
-					checkSpill(label)
+					leakcheck.FixedFrames(t, pool)
+					leakcheck.SpillFiles(t, spillBase)
 					leakcheck.Goroutines(t, before)
 				}
 
@@ -275,8 +254,6 @@ func TestChaosCancellationUnderFaults(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled division under faults did not terminate")
 	}
-	if pool.FixedFrames() != 0 {
-		t.Errorf("cancellation leaked %d fixed frames", pool.FixedFrames())
-	}
+	leakcheck.FixedFrames(t, pool)
 	leakcheck.Goroutines(t, before)
 }

@@ -610,9 +610,7 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 		s.stats.Retries += retries
 		s.stats.ChecksumFails += csFails
 		if err != nil {
-			delete(s.frames, key)
-			f.loading = false
-			close(f.ready)
+			p.discardLoadingLocked(s, f)
 			s.mu.Unlock()
 			return nil, err
 		}
@@ -622,6 +620,22 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 		s.mu.Unlock()
 		return &Handle{pool: p, f: f}, nil
 	}
+}
+
+// discardLoadingLocked withdraws a loading placeholder whose read failed and
+// wakes its waiters. DropPages may have detached it meanwhile, and another
+// fix may then have installed a frame of its own under the same key: that
+// frame stays, and the detached placeholder is no longer counted. Caller
+// holds s.mu.
+func (p *Pool) discardLoadingLocked(s *shard, f *frame) {
+	if s.frames[f.key] == f {
+		delete(s.frames, f.key)
+	}
+	if f.dropped {
+		p.detached.Add(-1)
+	}
+	f.loading = false
+	close(f.ready)
 }
 
 // NewPage allocates a fresh page on the device and fixes a zeroed frame for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/disk"
@@ -365,6 +366,68 @@ func TestDropPagesDetachesFixedPage(t *testing.T) {
 	}
 	if got := p.FixedFrames(); got != 0 {
 		t.Errorf("FixedFrames = %d after every handle was unfixed", got)
+	}
+}
+
+// failFirstReadDev blocks its first read until release is closed and then
+// fails it; every later read succeeds.
+type failFirstReadDev struct {
+	*disk.Device
+	started, release chan struct{}
+	reads            atomic.Int32
+}
+
+func (d *failFirstReadDev) Read(p disk.PageID, buf []byte) error {
+	if d.reads.Add(1) == 1 {
+		close(d.started)
+		<-d.release
+		return errors.New("injected read failure")
+	}
+	return d.Device.Read(p, buf)
+}
+
+// TestFailedFixAfterDropPages: DropPages detaches a page whose first Fix is
+// still reading it, a second Fix installs a frame of its own, and then the
+// first read fails. The failure withdraws only the detached placeholder: the
+// second frame stays resident, and once its handle is unfixed no frame
+// counts as fixed.
+func TestFailedFixAfterDropPages(t *testing.T) {
+	dev := &failFirstReadDev{Device: newDev(16, 1), started: make(chan struct{}), release: make(chan struct{})}
+	p := New(1024)
+	failed := make(chan error)
+	go func() {
+		_, err := p.Fix(dev, 0)
+		failed <- err
+	}()
+	<-dev.started
+	if err := p.DropPages(dev, []disk.PageID{0}); !errors.Is(err, ErrFixed) {
+		t.Fatalf("DropPages of a loading page = %v, want ErrFixed", err)
+	}
+	h, err := p.Fix(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(dev.release)
+	if err := <-failed; err == nil {
+		t.Fatal("the fix whose read failed succeeded")
+	}
+	if err := h.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.FixedFrames(); got != 0 {
+		t.Errorf("FixedFrames = %d after every handle was unfixed", got)
+	}
+	before := p.Stats()
+	if h, err = p.Fix(dev, 0); err != nil {
+		t.Fatal(err)
+	}
+	h.Unfix(true)
+	if st := p.Stats(); st.Hits-before.Hits != 1 || st.Misses != before.Misses {
+		t.Errorf("fix of the resident page: %d hits, %d misses; want 1 hit",
+			st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	if got := p.Stats().LiveBytes; got != 16 {
+		t.Errorf("LiveBytes = %d, want one frame (16)", got)
 	}
 }
 

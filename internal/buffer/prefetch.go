@@ -232,9 +232,7 @@ func (pf *Prefetcher) load(key frameKey) {
 
 	abort := func() {
 		s.mu.Lock()
-		delete(s.frames, key)
-		f.loading = false
-		close(f.ready)
+		p.discardLoadingLocked(s, f)
 		s.mu.Unlock()
 		p.notePrefetchDropped()
 	}

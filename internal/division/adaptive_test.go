@@ -1,7 +1,12 @@
 package division
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // adaptiveCheck divides under budget with recursive divisor partitioning and
@@ -86,5 +91,78 @@ func TestAdaptiveGrowsBothSides(t *testing.T) {
 	kd, kq := adaptiveCheck(t, dividend, divisor, 48*1024)
 	if kd < 2 || kq < 2 {
 		t.Errorf("grid = (%d,%d), want growth on both sides", kd, kq)
+	}
+}
+
+// TestCombinedPartitioningMatchesReference: §6's combination of divisor and
+// quotient partitioning is recursive divisor partitioning splitting both
+// sides. Every student also takes a course outside the divisor, which the
+// divisor-side pass must discard. The quotient must equal the reference at
+// the plain tables' peak (a 1×1 grid), at half of it (only the quotient side
+// splits) and at a sixth and a twelfth of it (both sides split).
+func TestCombinedPartitioningMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	var dividend [][2]int64
+	divisor := make([]int64, 20)
+	for i := range divisor {
+		divisor[i] = int64(100 + i)
+	}
+	for q := 0; q < 80; q++ {
+		for _, c := range divisor {
+			if rng.Float64() < 0.8 {
+				dividend = append(dividend, [2]int64{int64(q), c})
+			}
+		}
+		dividend = append(dividend, [2]int64{int64(q), 777})
+	}
+	plain := NewHashDivision(makeSpec(dividend, divisor), testEnv(), HashDivisionOptions{})
+	if _, err := exec.Collect(plain); err != nil {
+		t.Fatal(err)
+	}
+	peak := plain.Stats().PeakTableBytes
+
+	for _, tc := range []struct {
+		k                             int
+		divisorSplits, quotientSplits bool
+	}{
+		{1, false, false},
+		{2, false, true},
+		{6, true, true},
+		{12, true, true},
+	} {
+		t.Run(fmt.Sprintf("peak-over-%d", tc.k), func(t *testing.T) {
+			kd, kq := adaptiveCheck(t, dividend, divisor, peak/tc.k)
+			if (kd > 1) != tc.divisorSplits || (kq > 1) != tc.quotientSplits {
+				t.Errorf("grid = (%d,%d), want divisor split %v, quotient split %v", kd, kq, tc.divisorSplits, tc.quotientSplits)
+			}
+		})
+	}
+}
+
+// TestRecursiveBothTooLarge is §6's fourth question — "what happens if
+// neither one of these partitioning strategies work because both divisor and
+// quotient are too large?" — at a 16 KB budget: neither the 200-entry
+// divisor table nor the 300-candidate quotient table fits, so plain
+// hash-division overflows, and recursive divisor partitioning must split
+// both sides and still return the whole quotient.
+func TestRecursiveBothTooLarge(t *testing.T) {
+	var dividend [][2]int64
+	divisor := make([]int64, 200)
+	for i := range divisor {
+		divisor[i] = int64(i)
+	}
+	for q := 0; q < 300; q++ {
+		for _, c := range divisor {
+			dividend = append(dividend, [2]int64{int64(q), c})
+		}
+	}
+	const budget = 16 * 1024
+	plain := NewHashDivision(makeSpec(dividend, divisor), Env{MemoryBudget: budget}, HashDivisionOptions{})
+	if _, err := exec.Collect(plain); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("plain hash-division = %v, want ErrMemoryBudget", err)
+	}
+	kd, kq := adaptiveCheck(t, dividend, divisor, budget)
+	if kd < 2 || kq < 2 {
+		t.Errorf("grid = (%d,%d), want both sides split", kd, kq)
 	}
 }

@@ -13,10 +13,9 @@ import (
 // distinct divisor tuples, the quotient table whose candidates carry a bit
 // map indexed by those numbers, and the scan for bit maps without a zero.
 // Every in-memory hash-division runs through it: the HashDivision operator
-// (and with it partitioned, combined and recursive division) and the
-// exchange workers, in process and behind a wire. Only SharedTable
-// keeps its own loop, because its quotient table is shared between
-// goroutines.
+// (and with it recursive division) and the exchange workers, in process and
+// behind a wire. Only SharedTable keeps its own loop, because its quotient
+// table is shared between goroutines.
 //
 // A Core is driven in Figure 1's order: AddDivisor for every divisor tuple
 // (step 1), then AbsorbBatch or Absorb for the dividend (step 2), then Scan

@@ -112,10 +112,10 @@ type Env struct {
 	// exec.DefaultBatchSize. The batch and tuple paths produce identical
 	// quotients and identical Counters at any size (see DESIGN.md §7).
 	BatchSize int
-	// Progress, when set, receives human-readable phase progress lines from
-	// the partitioned divisions (cluster sizes, candidate completion). Calls
-	// are serialized behind a mutex, so the sink needs no locking of its own
-	// even when phases report from concurrent workers.
+	// Progress, when set, receives human-readable progress lines from
+	// recursive division (overflows, fan-outs, seeded skips). Calls are
+	// serialized behind a mutex, so the sink needs no locking of its own
+	// even when divisions report from concurrent goroutines.
 	Progress func(format string, args ...any)
 	// Trace, when set, collects an EXPLAIN ANALYZE profile: every operator
 	// the algorithms build is wrapped in an obs probe recording rows, wall
@@ -167,9 +167,9 @@ func (e Env) hbs() float64 {
 }
 
 // progressMu serializes Progress sink calls across every Env (Env is passed
-// by value, so the mutex cannot live in it): partitioned and parallel
-// executions may report from concurrent goroutines, and sinks — a terminal
-// writer, a recording slice — are rarely safe for concurrent use.
+// by value, so the mutex cannot live in it): divisions sharing one sink may
+// report from concurrent goroutines, and sinks — a terminal writer, a
+// recording slice — are rarely safe for concurrent use.
 var progressMu sync.Mutex
 
 // progressf reports phase progress when a Progress sink is configured.

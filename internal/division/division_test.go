@@ -1,6 +1,7 @@
 package division
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -429,6 +430,10 @@ func TestCountersOnlyVariant(t *testing.T) {
 	}
 }
 
+// TestPartitionedEqualsUnpartitioned: recursive division under either
+// strategy returns plain hash-division's quotient, non-divisor noise
+// discarded, at a budget of the plain tables' peak, where it must not
+// partition, and at a half, a third and a seventh of it, where it must.
 func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var dividend [][2]int64
@@ -449,33 +454,34 @@ func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := makeSpec(dividend, divisor).QuotientSchema()
+	env := testEnv()
+	env.ExpectedDivisor = len(divisor)
+	plain := NewHashDivision(makeSpec(dividend, divisor), env, HashDivisionOptions{})
+	want, err := exec.Collect(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !EqualTupleSets(qs, want, ref) {
+		t.Fatalf("plain hash-division gave %v, reference %v", quotientIDs(t, qs, want), quotientIDs(t, qs, ref))
+	}
+	peak := plain.Stats().PeakTableBytes
 
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 		for _, k := range []int{1, 2, 3, 7} {
-			sp := makeSpec(dividend, divisor)
-			op := NewPartitionedHashDivision(sp, testEnv(), strategy, k)
-			got, err := exec.Collect(op)
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", strategy, k, err)
-			}
-			if !EqualTupleSets(qs, got, ref) {
-				t.Errorf("%v k=%d: got %v, want %v", strategy, k,
-					quotientIDs(t, qs, got), quotientIDs(t, qs, ref))
-			}
-		}
-	}
-}
-
-func TestPartitionedEmptyDivisor(t *testing.T) {
-	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-		sp := makeSpec([][2]int64{{1, 101}}, nil)
-		op := NewPartitionedHashDivision(sp, testEnv(), strategy, 4)
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
-		}
-		if len(got) != 0 {
-			t.Errorf("%v: empty divisor gave %v", strategy, got)
+			env.MemoryBudget = peak / k
+			t.Run(fmt.Sprintf("%v/peak-over-%d", strategy, k), func(t *testing.T) {
+				got, st, err := DivideRecursive(makeSpec(dividend, divisor), env, strategy, RecursiveOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !EqualTupleSets(qs, got, want) {
+					t.Errorf("got %v, want %v", quotientIDs(t, qs, got), quotientIDs(t, qs, want))
+				}
+				partitioned := st.Repartitions > 0 || st.DivisorLeaves > 1
+				if partitioned != (k > 1) {
+					t.Errorf("partitioned = %v at 1/%d of the peak: %+v", partitioned, k, st)
+				}
+			})
 		}
 	}
 }

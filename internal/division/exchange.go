@@ -6,11 +6,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// This file holds the partitioning decisions of §3.4 and §6 that every
-// partitioned division shares, whether its sites are phases of one operator,
-// in-process workers or processes behind a wire: where each divisor tuple
-// goes, where each dividend tuple goes, how large the Babb filter is, and how
-// a collection site intersects the sites' candidate sets.
+// This file holds the partitioning decisions of §3.4 and §6 that the
+// exchange's sites share, whether they are workers in process or behind a
+// wire: where each divisor tuple goes, where each dividend tuple goes, how
+// large the Babb filter is, and how a collection site intersects the sites'
+// candidate sets.
 
 // FilterBits sizes the Babb bit-vector filter over a distinct divisor of n
 // tuples: requested when positive, else 8 bits per divisor tuple plus one.
@@ -127,21 +127,6 @@ func (c *PhaseCollector) Add(t tuple.Tuple, phase int) {
 		c.tab.AddMemBytes(e.Bits.SizeBytes())
 	}
 	e.Bits.Set(phase)
-}
-
-// Len returns the number of distinct candidates collected so far.
-func (c *PhaseCollector) Len() int { return c.tab.Len() }
-
-// Reported counts the candidates exactly n phases have reported so far.
-func (c *PhaseCollector) Reported(n int) int {
-	count := 0
-	_ = c.tab.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.PopCount() == n {
-			count++
-		}
-		return nil
-	})
-	return count
 }
 
 // Stats returns the collection table's hash and comparison counts.

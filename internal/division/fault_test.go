@@ -6,8 +6,9 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
-	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/leakcheck"
+	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
@@ -53,53 +54,52 @@ func TestFaultPropagation(t *testing.T) {
 				if !errors.Is(err, faultinject.ErrInjected) {
 					t.Fatalf("error not propagated: %v", err)
 				}
-				if pool.FixedFrames() != 0 {
-					t.Errorf("leaked %d fixed frames after failure", pool.FixedFrames())
-				}
+				leakcheck.FixedFrames(t, pool)
 			})
 		}
 	}
 }
 
-// TestFaultInPartitionedDivision covers the partitioning paths, which manage
-// spill files that must be cleaned up on failure.
-func TestFaultInPartitionedDivision(t *testing.T) {
+// allocCounter counts the pages allocated on a device.
+type allocCounter struct {
+	disk.Dev
+	allocs int
+}
+
+func (d *allocCounter) Alloc() disk.PageID {
+	d.allocs++
+	return d.Dev.Alloc()
+}
+
+// TestFaultInPartitioningPass strikes the dividend scan inside recursive
+// division's first partitioning pass, after children have spilled, under
+// both strategies. The error must surface typed, and the spill files the
+// pass created must be gone: no frame fixed, no file live, no temp-device
+// page allocated.
+func TestFaultInPartitioningPass(t *testing.T) {
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			pool := buffer.New(1 << 20)
-			tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
-			env := Env{Pool: pool, TempDev: tempDev}
-			sp := faultSpec(30, -1)
-			op := NewPartitionedHashDivision(sp, env, strategy, 4)
-			_, err := exec.Collect(op)
+			tempDev := &allocCounter{Dev: disk.NewDevice("temp", disk.PaperRunPageSize)}
+			env := Env{Pool: pool, TempDev: tempDev, MemoryBudget: 256}
+			spills := storage.LiveSpillFiles()
+			// The seed skips quotient partitioning's root attempt, and the
+			// three 56-byte divisor entries overflow half the budget, so
+			// divisor partitioning re-clusters at once: either way the
+			// dividend's first reader is a partitioning pass.
+			_, st, err := DivideRecursive(faultSpec(30, -1), env, strategy, RecursiveOptions{SeedCandidates: 40})
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("error not propagated: %v", err)
 			}
-			if pool.FixedFrames() != 0 {
-				t.Errorf("leaked %d fixed frames", pool.FixedFrames())
+			if st.Attempts != 0 || tempDev.allocs == 0 {
+				t.Fatalf("the fault did not strike a spilling pass: %d attempts, %d spill pages", st.Attempts, tempDev.allocs)
 			}
+			leakcheck.FixedFrames(t, pool)
+			leakcheck.SpillFiles(t, spills)
 			if got := tempDev.NumPages(); got != 0 {
 				t.Errorf("leaked %d spill pages after failure", got)
 			}
 		})
-	}
-}
-
-func TestFaultInCombinedDivision(t *testing.T) {
-	pool := buffer.New(1 << 20)
-	tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
-	env := Env{Pool: pool, TempDev: tempDev}
-	sp := faultSpec(30, -1)
-	op := NewCombinedPartitionedHashDivision(sp, env, 2, 2)
-	_, err := exec.Collect(op)
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if pool.FixedFrames() != 0 {
-		t.Errorf("leaked %d fixed frames", pool.FixedFrames())
-	}
-	if got := tempDev.NumPages(); got != 0 {
-		t.Errorf("leaked %d spill pages", got)
 	}
 }
 

@@ -18,6 +18,18 @@ var depth2Seed = []byte{
 	0x80, 0x90, 0xa0, 0xb0, 0xc0, 0xd0, 0xe0, 0xf0,
 }
 
+// bothSidesSeed is the fuzz-corpus seed on which recursive divisor
+// partitioning splits both sides at the minimum budget: with the five-course
+// divisor (nDivisorRaw 4), students 0..3 take every course and students 4..7
+// miss course 2, and at 256 bytes neither the divisor table nor the
+// candidate table fits (TestFuzzSeedSplitsBothSides pins it).
+var bothSidesSeed = []byte{
+	0x00, 0x01, 0x02, 0x03, 0x04, 0x10, 0x11, 0x12, 0x13, 0x14,
+	0x20, 0x21, 0x22, 0x23, 0x24, 0x30, 0x31, 0x32, 0x33, 0x34,
+	0x40, 0x41, 0x43, 0x44, 0x50, 0x51, 0x53, 0x54,
+	0x60, 0x61, 0x63, 0x64, 0x70, 0x71, 0x73, 0x74,
+}
+
 // FuzzHashDivision cross-checks hash-division (all variants) against the
 // brute-force reference on fuzzer-generated inputs. Each input byte encodes
 // one dividend tuple (student = high nibble, course = low nibble).
@@ -61,6 +73,8 @@ func FuzzRecursiveDivision(f *testing.F) {
 	f.Add(depth2Seed, uint8(0), uint8(0))
 	f.Add([]byte{0x01, 0x12, 0x21}, uint8(2), uint8(40))
 	f.Add([]byte{0x00, 0x00, 0x00}, uint8(3), uint8(255))
+	f.Add([]byte{0xaa, 0xbb}, uint8(1), uint8(1))
+	f.Add(bothSidesSeed, uint8(4), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, nDivisorRaw, budgetRaw uint8) {
 		if len(raw) > 256 {
 			raw = raw[:256]
@@ -110,29 +124,23 @@ func TestFuzzSeedForcesDepth2(t *testing.T) {
 	}
 }
 
-// FuzzPartitionedDivision cross-checks the partitioned variants.
-func FuzzPartitionedDivision(f *testing.F) {
-	f.Add([]byte{0x01, 0x12, 0x21}, uint8(2), uint8(3), uint8(2))
-	f.Add([]byte{0xaa, 0xbb}, uint8(1), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, nDivisorRaw, kdRaw, kqRaw uint8) {
-		if len(raw) > 256 {
-			raw = raw[:256]
-		}
-		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		kd := int(kdRaw%4) + 1
-		kq := int(kqRaw%4) + 1
-		ref, err := Reference(makeSpec(dividend, divisor))
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := makeSpec(dividend, divisor).QuotientSchema()
-		op := NewCombinedPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), kd, kq)
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !EqualTupleSets(qs, got, ref) {
-			t.Fatalf("grid (%d,%d): got %d tuples, reference %d", kd, kq, len(got), len(ref))
-		}
-	})
+// TestFuzzSeedSplitsBothSides keeps the both-sides seed honest: under
+// divisor partitioning at the minimum budget it must split the divisor and
+// the candidates within a divisor leaf, and still return the reference.
+func TestFuzzSeedSplitsBothSides(t *testing.T) {
+	dividend, divisor := quickInstance(bothSidesSeed, 4)
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(256), DivisorPartitioning, RecursiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DivisorLeaves < 2 || st.MaxQuotientCells < 2 {
+		t.Fatalf("seed gave a %dx%d grid, want both sides split: %+v", st.DivisorLeaves, st.MaxQuotientCells, st)
+	}
+	ref, err := Reference(makeSpec(dividend, divisor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) == 0 || !EqualTupleSets(makeSpec(dividend, divisor).QuotientSchema(), got, ref) {
+		t.Fatalf("both-sides seed quotient %d tuples, reference %d", len(got), len(ref))
+	}
 }

@@ -33,100 +33,31 @@ func (c part) scan(ds *tuple.Schema) exec.Operator {
 	}
 }
 
-// quotientOut is the output side of the stop-and-go partitioned divisions:
-// Open computes the whole quotient into results, Next hands it out, and
-// Close, like a failed Open, drops the spill files the run still holds.
-type quotientOut struct {
-	name    string
-	results []tuple.Tuple
-	pos     int
-	opened  bool
-	spilled []*storage.File
-}
-
-// open validates sp and runs the division.
-func (o *quotientOut) open(sp Spec, run func() error) error {
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	o.results, o.pos = nil, 0
-	if err := run(); err != nil {
-		o.dropSpilled()
-		return err
-	}
-	o.opened = true
-	return nil
-}
-
-// Next implements Operator.
-func (o *quotientOut) Next() (tuple.Tuple, error) {
-	if !o.opened {
-		return nil, errNotOpen(o.name)
-	}
-	if o.pos >= len(o.results) {
-		return nil, io.EOF
-	}
-	o.pos++
-	return o.results[o.pos-1], nil
-}
-
-// Close implements Operator.
-func (o *quotientOut) Close() error {
-	o.opened, o.results = false, nil
-	o.dropSpilled()
-	return nil
-}
-
-// collect appends the candidates every phase reported to the results and
-// charges the collection table's probes.
-func (o *quotientOut) collect(c *PhaseCollector, counters *exec.Counters) error {
-	err := c.Scan(func(q tuple.Tuple) error {
-		o.results = append(o.results, q)
-		return nil
-	})
-	if counters != nil {
-		st := c.Stats()
-		counters.Hash += st.Hashes
-		counters.Comp += st.Comparisons
-	}
-	return err
-}
-
-func (o *quotientOut) dropSpilled() {
-	for _, f := range o.spilled {
-		if f != nil {
-			f.Drop()
-		}
-	}
-	o.spilled = nil
-}
-
-// partitionPass is the one partitioning loop of partitioned, combined and
-// recursive division (§3.4). It reads its input a batch at a time, routes
-// every row, keeps resident children as flat row arenas, and writes spilled
-// children a page at a time: the rows a batch sends to spilled children are
-// gathered per child and appended once per batch, so the memory outside the
-// budget stays below one batch. The callers differ only in their route and
-// in residency. Residency decisions are made per row in input order, so each
-// spill file holds the rows routed to its child in input order.
+// partitionPass is the partitioning loop of recursive division (§3.4), on
+// either side. It reads its input a batch at a time, routes every row, keeps
+// resident children as flat row arenas, and writes spilled children a page
+// at a time: the rows a batch sends to spilled children are gathered per
+// child and appended once per batch, so the memory outside the budget stays
+// below one batch. Every child starts resident; once the resident rows pass
+// the budget, the largest resident child moves to a spill file and grows
+// there (hybrid residency). Residency decisions are made per row in input
+// order, so each spill file holds the rows routed to its child in input
+// order.
 type partitionPass struct {
 	env    Env
 	schema *tuple.Schema
 	fanOut int
 	// route returns a row's child, or -1 to discard the row.
 	route func(row tuple.Tuple) int
-	// spilled[i], when non-nil, is the spill file child i starts in.
-	spilled []*storage.File
-	// budget, when positive, bounds the resident bytes: past it the largest
-	// resident child moves to a file from newSpill (hybrid residency).
+	// budget bounds the resident bytes; newSpill supplies the file a child
+	// moves to when they pass it.
 	budget   int
 	newSpill func() (*storage.File, error)
 }
 
-// run partitions src into fanOut children and reports how many rows it read;
-// each caller charges the hashes its route computed. The caller owns every
-// spill file, given or created, on every path.
-func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err error) {
+// run partitions src into fanOut children. The caller charges the hashes its
+// route computed and owns every spill file newSpill created, on every path.
+func (p *partitionPass) run(src exec.Operator) (parts []part, err error) {
 	w := p.schema.Width()
 	parts = make([]part, p.fanOut)
 	aps := make([]*storage.Appender, p.fanOut)
@@ -134,15 +65,8 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 	// Buffers start at twice a child's even share — of a batch for rows bound
 	// for disk, of the budget for resident rows — so they rarely grow.
 	share := max(2*p.env.batchSize()/p.fanOut, 1) * w
-	spillTo := func(i int, f *storage.File) {
-		parts[i].file, aps[i], pending[i] = f, f.NewAppender(), make([]byte, 0, share)
-	}
 	for i := range parts {
-		if i < len(p.spilled) && p.spilled[i] != nil {
-			spillTo(i, p.spilled[i])
-		} else if p.budget > 0 {
-			parts[i].rows = make([]byte, 0, 2*p.budget/p.fanOut/w*w)
-		}
+		parts[i].rows = make([]byte, 0, 2*p.budget/p.fanOut/w*w)
 	}
 	closeAll := func() (err error) {
 		for i, a := range aps {
@@ -173,7 +97,7 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 		if err != nil {
 			return false, err
 		}
-		spillTo(best, f)
+		parts[best].file, aps[best], pending[best] = f, f.NewAppender(), make([]byte, 0, share)
 		if err := aps[best].AppendRows(parts[best].rows); err != nil {
 			return false, err
 		}
@@ -184,7 +108,6 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 
 	err = eachBatch(src, p.env.batchSize(), func(b *exec.Batch) error {
 		raw := b.Raw()
-		read += b.Len()
 		for off := 0; off < len(raw); off += w {
 			row := raw[off : off+w : off+w]
 			c := p.route(row)
@@ -197,7 +120,7 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 			}
 			parts[c].rows = append(parts[c].rows, row...)
 			resident += w
-			for p.budget > 0 && resident > p.budget {
+			for resident > p.budget {
 				progress, err := spillLargest()
 				if err != nil {
 					return err
@@ -221,7 +144,7 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 		err = cerr
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for i := range parts {
 		parts[i].n = len(parts[i].rows) / w
@@ -229,7 +152,7 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, read int, err erro
 			parts[i].n = parts[i].file.NumRecords()
 		}
 	}
-	return parts, read, nil
+	return parts, nil
 }
 
 // divideOp is hash-division of sp under env, probed against a child span of

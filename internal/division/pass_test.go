@@ -19,7 +19,7 @@ import (
 // exactly the rows routed to it, in input order — resident in its arena or
 // in its spill file, on the pages per-record appends would fill — and the
 // children that spill are the ones the tuple-at-a-time spill-largest rule
-// picks, at any batch size.
+// picks, at any batch size, whether the budget spills some children or all.
 func TestPartitionPassKeepsInputOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := transcriptSchema.Width()
@@ -49,37 +49,33 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name     string
-		budget   int
-		startOut []int // children that start spilled
+		name   string
+		budget int
 	}{
-		{name: "spill-largest", budget: 12 << 10},
-		{name: "start-spilled", startOut: []int{1, 3}},
+		{"spill-largest", 12 << 10},
+		// A budget under one row spills each child at its first row, so
+		// every routed row goes to disk.
+		{"spill-all", 1},
 	} {
 		// The spill-largest rule applied one row at a time.
 		wantSpilled := make([]bool, fanOut)
-		for _, c := range tc.startOut {
-			wantSpilled[c] = true
-		}
-		if tc.budget > 0 {
-			resident, held := make([]int, fanOut), 0
-			for off := 0; off < len(input); off += w {
-				c := route(input[off : off+w])
-				if c < 0 || wantSpilled[c] {
-					continue
-				}
-				resident[c] += w
-				held += w
-				for held > tc.budget {
-					best := -1
-					for i := range resident {
-						if !wantSpilled[i] && (best < 0 || resident[i] > resident[best]) {
-							best = i
-						}
+		resident, held := make([]int, fanOut), 0
+		for off := 0; off < len(input); off += w {
+			c := route(input[off : off+w])
+			if c < 0 || wantSpilled[c] {
+				continue
+			}
+			resident[c] += w
+			held += w
+			for held > tc.budget {
+				best := -1
+				for i := range resident {
+					if !wantSpilled[i] && (best < 0 || resident[i] > resident[best]) {
+						best = i
 					}
-					wantSpilled[best] = true
-					held -= resident[best]
 				}
+				wantSpilled[best] = true
+				held -= resident[best]
 			}
 		}
 		for _, batch := range []int{7, 0} {
@@ -93,10 +89,6 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 					files = append(files, f)
 					return f, nil
 				}
-				spilled := make([]*storage.File, fanOut)
-				for _, c := range tc.startOut {
-					spilled[c], _ = newSpill()
-				}
 				defer func() {
 					for _, f := range files {
 						f.Drop()
@@ -106,13 +98,10 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 					}
 				}()
 				pass := partitionPass{env: env, schema: transcriptSchema, fanOut: fanOut, route: route,
-					spilled: spilled, budget: tc.budget, newSpill: newSpill}
-				parts, read, err := pass.run(exec.NewArenaScan(transcriptSchema, input))
+					budget: tc.budget, newSpill: newSpill}
+				parts, err := pass.run(exec.NewArenaScan(transcriptSchema, input))
 				if err != nil {
 					t.Fatal(err)
-				}
-				if read*w != len(input) {
-					t.Errorf("pass read %d rows, input has %d", read, len(input)/w)
 				}
 				for c, p := range parts {
 					if p.n*w != len(want[c]) {
@@ -143,14 +132,13 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 	}
 }
 
-// TestPartitionedPathsAcrossInputs runs every partitioned path — recursive
-// division under both strategies at 1 %, 5 %, 25 % and 100 % of the
-// dividend's footprint, partitioned division at k = 1, 3 and 8 under both
-// strategies, and combined division at (1,1), (2,3) and (3,1) — over int,
-// composite and CHAR keys and over every input protocol: an arena, a tuple
-// slice, a heap file, each behind a context, and a tuple-only input. Every
-// quotient must equal the reference, and the cost counters and recursion
-// statistics must not depend on how the dividend arrives.
+// TestPartitionedPathsAcrossInputs runs recursive division under both
+// strategies at 1 %, 5 %, 25 % and 100 % of the dividend's footprint, unseeded
+// and seeded with a plan cache's candidate count, over int, composite and
+// CHAR keys and over every input protocol: an arena, a tuple slice, a heap
+// file, each behind a context, and a tuple-only input. Every quotient must
+// equal the reference, and the cost counters and recursion statistics must
+// not depend on how the dividend arrives.
 func TestPartitionedPathsAcrossInputs(t *testing.T) {
 	inst, err := workload.Generate(workload.Config{
 		DivisorTuples:      24,
@@ -165,43 +153,10 @@ func TestPartitionedPathsAcrossInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type run func(sp Spec, env Env) ([]tuple.Tuple, RecursiveStats, error)
-	collect := func(op exec.Operator) ([]tuple.Tuple, RecursiveStats, error) {
-		q, err := exec.Collect(op)
-		return q, RecursiveStats{}, err
-	}
 	for _, shape := range []workload.KeyShape{workload.IntKey, workload.CompositeKey, workload.CharKey} {
 		rk := inst.Rekey(shape)
 		ds := rk.DividendSchema
 		footprint := len(rk.Dividend) * ds.Width()
-		var paths []struct {
-			name string
-			run  run
-		}
-		add := func(name string, r run) {
-			paths = append(paths, struct {
-				name string
-				run  run
-			}{name, r})
-		}
-		for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-			for _, pct := range []int{1, 5, 25, 100} {
-				add(fmt.Sprintf("recursive/%v/%d%%", strategy, pct), func(sp Spec, env Env) ([]tuple.Tuple, RecursiveStats, error) {
-					env.MemoryBudget = max(footprint*pct/100, 1)
-					return DivideRecursive(sp, env, strategy, RecursiveOptions{})
-				})
-			}
-			for _, k := range []int{1, 3, 8} {
-				add(fmt.Sprintf("partitioned/%v/k=%d", strategy, k), func(sp Spec, env Env) ([]tuple.Tuple, RecursiveStats, error) {
-					return collect(NewPartitionedHashDivision(sp, env, strategy, k))
-				})
-			}
-		}
-		for _, grid := range [][2]int{{1, 1}, {2, 3}, {3, 1}} {
-			add(fmt.Sprintf("combined/%dx%d", grid[0], grid[1]), func(sp Spec, env Env) ([]tuple.Tuple, RecursiveStats, error) {
-				return collect(NewCombinedPartitionedHashDivision(sp, env, grid[0], grid[1]))
-			})
-		}
 
 		arena := packRows(rk.Dividend)
 		heap := storage.NewFile(buffer.New(1<<20), disk.NewDevice("dividend", disk.PaperPageSize), ds, "dividend")
@@ -232,36 +187,57 @@ func TestPartitionedPathsAcrossInputs(t *testing.T) {
 			t.Fatal("reference quotient is empty; the instance tests nothing")
 		}
 		qs := spec(inputs[0].op()).QuotientSchema()
+		// A plan cache seeds a rerun with the candidate count an earlier
+		// execution observed; an unbudgeted run observes all of them.
+		_, plain, err := DivideRecursive(spec(inputs[0].op()), Env{}, QuotientPartitioning, RecursiveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes := []struct {
+			name  string
+			ropts RecursiveOptions
+		}{
+			{"recursive", RecursiveOptions{}},
+			{"seeded", RecursiveOptions{SeedCandidates: plain.Candidates}},
+		}
 
-		for _, p := range paths {
-			t.Run(fmt.Sprintf("%v/%s", shape, p.name), func(t *testing.T) {
-				var first exec.Counters
-				var firstStats RecursiveStats
-				for i, in := range inputs {
-					live := storage.LiveSpillFiles()
-					var counters exec.Counters
-					env := Env{Pool: buffer.New(256 << 10), TempDev: disk.NewDevice("temp", disk.PaperRunPageSize), Counters: &counters}
-					q, st, err := p.run(spec(in.op()), env)
-					if err != nil {
-						t.Fatalf("%s: %v", in.name, err)
-					}
-					if !EqualTupleSets(qs, q, ref) {
-						t.Errorf("%s: quotient of %d tuples, reference has %d", in.name, len(q), len(ref))
-					}
-					if i == 0 {
-						first, firstStats = counters, st
-					} else if counters != first || st != firstStats {
-						t.Errorf("%s: counters %+v, stats %+v; %s gave %+v, %+v",
-							in.name, counters, st, inputs[0].name, first, firstStats)
-					}
-					if got := storage.LiveSpillFiles(); got != live {
-						t.Errorf("%s: spill files leaked: %d -> %d", in.name, live, got)
-					}
-					if got := env.Pool.FixedFrames(); got != 0 {
-						t.Errorf("%s: %d frames left fixed", in.name, got)
-					}
+		for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
+			for _, pct := range []int{1, 5, 25, 100} {
+				for _, mode := range modes {
+					t.Run(fmt.Sprintf("%v/%s/%v/%d%%", shape, mode.name, strategy, pct), func(t *testing.T) {
+						var first exec.Counters
+						var firstStats RecursiveStats
+						for i, in := range inputs {
+							live := storage.LiveSpillFiles()
+							var counters exec.Counters
+							env := Env{Pool: buffer.New(256 << 10), TempDev: disk.NewDevice("temp", disk.PaperRunPageSize),
+								Counters: &counters, MemoryBudget: max(footprint*pct/100, 1)}
+							q, st, err := DivideRecursive(spec(in.op()), env, strategy, mode.ropts)
+							if err != nil {
+								t.Fatalf("%s: %v", in.name, err)
+							}
+							if mode.ropts.SeedCandidates > 0 && strategy == QuotientPartitioning && pct == 1 && st.SkippedAttempts != 1 {
+								t.Errorf("%s: the seed did not skip the root attempt: %+v", in.name, st)
+							}
+							if !EqualTupleSets(qs, q, ref) {
+								t.Errorf("%s: quotient of %d tuples, reference has %d", in.name, len(q), len(ref))
+							}
+							if i == 0 {
+								first, firstStats = counters, st
+							} else if counters != first || st != firstStats {
+								t.Errorf("%s: counters %+v, stats %+v; %s gave %+v, %+v",
+									in.name, counters, st, inputs[0].name, first, firstStats)
+							}
+							if got := storage.LiveSpillFiles(); got != live {
+								t.Errorf("%s: spill files leaked: %d -> %d", in.name, live, got)
+							}
+							if got := env.Pool.FixedFrames(); got != 0 {
+								t.Errorf("%s: %d frames left fixed", in.name, got)
+							}
+						}
+					})
 				}
-			})
+			}
 		}
 	}
 }

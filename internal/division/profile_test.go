@@ -144,50 +144,10 @@ func checkProfiled(t *testing.T, name string, alg Algorithm, earlyEmit, batch bo
 	}
 }
 
-// TestProfilePartitionedPhases checks the span tree of a partitioned
-// division: one child span per phase, selves still non-negative, tree still
-// telescoping to the total.
-func TestProfilePartitionedPhases(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	dividend, divisor := randomProfileInstance(rng)
-	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-		var counters exec.Counters
-		env := testEnv()
-		env.Counters = &counters
-		tr := obs.NewTracer()
-		env.Trace = tr
-		op := NewPartitionedHashDivision(makeSpec(dividend, divisor), env, strategy, 3)
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
-		}
-		want, err := Reference(makeSpec(dividend, divisor))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qs := makeSpec(dividend, divisor).QuotientSchema(); !EqualTupleSets(qs, want, got) {
-			t.Errorf("%s: wrong quotient under tracing", strategy)
-		}
-		phases := tr.Root().Children()
-		if len(phases) == 0 {
-			t.Fatalf("%s: no phase spans recorded", strategy)
-		}
-		prof := tr.Profile(&counters)
-		prof.Walk(func(s *obs.Span, depth int) {
-			if self := s.SelfCounters(); !nonNegative(self) {
-				t.Errorf("%s: span %q has negative self counters %+v", strategy, s.Name(), self)
-			}
-		})
-		if sum := prof.SumSelf(); sum != prof.Total {
-			t.Errorf("%s: self counters sum to %+v, total is %+v", strategy, sum, prof.Total)
-		}
-	}
-}
-
 // TestProfileRecursiveRepartitions checks the span tree of a recursive
-// division that re-partitions on both sides: every repartition span covers
-// its partitioning pass and its children, so selves stay non-negative and
-// the tree still telescopes to the total.
+// division that re-partitions on both sides: the root has phase spans, every
+// repartition span covers its partitioning pass and its children, so selves
+// stay non-negative and the tree still telescopes to the total.
 func TestProfileRecursiveRepartitions(t *testing.T) {
 	dividend, divisor := skewedWorkload(400, 25, 10, 3, 42)
 	want, err := Reference(makeSpec(dividend, divisor))
@@ -195,29 +155,34 @@ func TestProfileRecursiveRepartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-		var counters exec.Counters
-		env := budgetEnv(len(dividend) * transcriptSchema.Width() / 100)
-		env.Counters = &counters
-		tr := obs.NewTracer()
-		env.Trace = tr
-		got, st, err := DivideRecursive(makeSpec(dividend, divisor), env, strategy, RecursiveOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
-		}
-		if qs := makeSpec(dividend, divisor).QuotientSchema(); !EqualTupleSets(qs, want, got) {
-			t.Errorf("%s: wrong quotient under tracing", strategy)
-		}
-		if st.Repartitions == 0 {
-			t.Fatalf("%s: budget did not force a repartition: %+v", strategy, st)
-		}
-		prof := tr.Profile(&counters)
-		prof.Walk(func(s *obs.Span, depth int) {
-			if self := s.SelfCounters(); !nonNegative(self) {
-				t.Errorf("%s: span %q has negative self counters %+v", strategy, s.Name(), self)
+		t.Run(strategy.String(), func(t *testing.T) {
+			var counters exec.Counters
+			env := budgetEnv(len(dividend) * transcriptSchema.Width() / 100)
+			env.Counters = &counters
+			tr := obs.NewTracer()
+			env.Trace = tr
+			got, st, err := DivideRecursive(makeSpec(dividend, divisor), env, strategy, RecursiveOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", strategy, err)
+			}
+			if qs := makeSpec(dividend, divisor).QuotientSchema(); !EqualTupleSets(qs, want, got) {
+				t.Errorf("%s: wrong quotient under tracing", strategy)
+			}
+			if st.Repartitions == 0 {
+				t.Fatalf("%s: budget did not force a repartition: %+v", strategy, st)
+			}
+			if len(tr.Root().Children()) == 0 {
+				t.Fatalf("%s: no phase spans recorded", strategy)
+			}
+			prof := tr.Profile(&counters)
+			prof.Walk(func(s *obs.Span, depth int) {
+				if self := s.SelfCounters(); !nonNegative(self) {
+					t.Errorf("%s: span %q has negative self counters %+v", strategy, s.Name(), self)
+				}
+			})
+			if sum := prof.SumSelf(); sum != prof.Total {
+				t.Errorf("%s: self counters sum to %+v, total is %+v", strategy, sum, prof.Total)
 			}
 		})
-		if sum := prof.SumSelf(); sum != prof.Total {
-			t.Errorf("%s: self counters sum to %+v, total is %+v", strategy, sum, prof.Total)
-		}
 	}
 }

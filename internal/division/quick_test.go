@@ -1,6 +1,7 @@
 package division
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -76,23 +77,23 @@ func TestQuickHashDivisionDuplicationInvariant(t *testing.T) {
 	}
 }
 
-// Property: both partitionings agree with plain hash-division for any k.
-func TestQuickPartitioningEquivalence(t *testing.T) {
-	f := func(raw []byte, nDivisorRaw, kRaw uint8) bool {
+// Property: both recursive strategies agree with plain hash-division at any
+// budget, or stop with a typed error when skew defeats the budget.
+func TestQuickRecursiveEquivalence(t *testing.T) {
+	f := func(raw []byte, nDivisorRaw, budgetRaw uint8) bool {
 		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		k := int(kRaw%6) + 1
+		budget := 256 + int(budgetRaw)*16
 		ref, err := Run(AlgHashDivision, makeSpec(dividend, divisor), testEnv())
 		if err != nil {
 			return false
 		}
 		qs := makeSpec(dividend, divisor).QuotientSchema()
 		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-			op := NewPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), strat, k)
-			got, err := exec.Collect(op)
-			if err != nil {
-				return false
+			got, _, err := DivideRecursive(makeSpec(dividend, divisor), budgetEnv(budget), strat, RecursiveOptions{})
+			if errors.Is(err, ErrPartitionDepth) || errors.Is(err, ErrMemoryBudget) {
+				continue
 			}
-			if !EqualTupleSets(qs, got, ref) {
+			if err != nil || !EqualTupleSets(qs, got, ref) {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package division
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/exec"
 	"repro/internal/hashtab"
@@ -99,15 +100,20 @@ type RecursiveStats struct {
 // space, so a counter replaces the §3.4 phase bit map.) A divisor that fits
 // degenerates to the pure quotient-side recursion with no collection pass.
 type RecursiveHashDivision struct {
-	quotientOut // spilled: spill files not yet dropped
-	sp          Spec
-	env         Env
-	strategy    PartitionStrategy
-	ropts       RecursiveOptions
-	qs          *tuple.Schema
-	qCols       []int
-	stats       RecursiveStats
-	spillSeq    int
+	sp       Spec
+	env      Env
+	strategy PartitionStrategy
+	ropts    RecursiveOptions
+	qs       *tuple.Schema
+	qCols    []int
+	stats    RecursiveStats
+	spillSeq int
+	spilled  []*storage.File // spill files not yet dropped
+
+	// Open computes the whole quotient into results; Next hands it out.
+	results []tuple.Tuple
+	pos     int
+	opened  bool
 }
 
 // NewRecursiveHashDivision builds the operator. env.MemoryBudget drives
@@ -115,8 +121,7 @@ type RecursiveHashDivision struct {
 // operator degenerates to plain hash-division.
 func NewRecursiveHashDivision(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) *RecursiveHashDivision {
 	return &RecursiveHashDivision{
-		quotientOut: quotientOut{name: "RecursiveHashDivision"},
-		sp:          sp, env: env, strategy: strategy, ropts: ropts,
+		sp: sp, env: env, strategy: strategy, ropts: ropts,
 		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
 	}
 }
@@ -185,7 +190,7 @@ func (r *RecursiveHashDivision) repartition(c part, depth, fanOut int, parent *o
 			r.spilled = append(r.spilled, f)
 			return f, nil
 		}}
-	children, _, err := pass.run(c.scan(ds))
+	children, err := pass.run(c.scan(ds))
 	if err != nil {
 		return err
 	}
@@ -428,19 +433,50 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c part,
 }
 
 // Open implements Operator: the whole recursion runs here (the operator is
-// stop-and-go, like plain hash-division without early emit).
+// stop-and-go, like plain hash-division without early emit). A failed Open
+// drops the spill files the run still holds.
 func (r *RecursiveHashDivision) Open() error {
-	return r.open(r.sp, func() error {
-		r.stats = RecursiveStats{}
-		if err := r.run(); err != nil {
-			return err
-		}
-		if n := len(r.spilled); n != 0 {
-			// Every consumed cell drops its file eagerly; anything left is a bug.
-			return fmt.Errorf("division: recursive division leaked %d spill files", n)
-		}
-		return nil
-	})
+	if err := r.sp.Validate(); err != nil {
+		return err
+	}
+	r.results, r.pos, r.stats = nil, 0, RecursiveStats{}
+	err := r.run()
+	if n := len(r.spilled); err == nil && n != 0 {
+		// Every consumed cell drops its file eagerly; anything left is a bug.
+		err = fmt.Errorf("division: recursive division leaked %d spill files", n)
+	}
+	if err != nil {
+		r.dropSpilled()
+		return err
+	}
+	r.opened = true
+	return nil
+}
+
+// Next implements Operator.
+func (r *RecursiveHashDivision) Next() (tuple.Tuple, error) {
+	if !r.opened {
+		return nil, errNotOpen("RecursiveHashDivision")
+	}
+	if r.pos >= len(r.results) {
+		return nil, io.EOF
+	}
+	r.pos++
+	return r.results[r.pos-1], nil
+}
+
+// Close implements Operator.
+func (r *RecursiveHashDivision) Close() error {
+	r.opened, r.results = false, nil
+	r.dropSpilled()
+	return nil
+}
+
+func (r *RecursiveHashDivision) dropSpilled() {
+	for _, f := range r.spilled {
+		f.Drop()
+	}
+	r.spilled = nil
 }
 
 func (r *RecursiveHashDivision) run() error {
@@ -559,9 +595,9 @@ func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, ropts Recursi
 }
 
 // DistinctDivisor reads the divisor once, eliminating duplicates, and
-// returns the distinct tuples in first-seen order — the divisor every
-// partitioned, recursive and parallel division places or clusters. The probe
-// work is charged to env.Counters.
+// returns the distinct tuples in first-seen order — the divisor recursive
+// and parallel division place or cluster. The probe work is charged to
+// env.Counters.
 func DistinctDivisor(divisor exec.Operator, env Env) ([]tuple.Tuple, error) {
 	tab := hashtab.NewForExpected(divisor.Schema(), env.expectedDivisor(), env.hbs())
 	var out []tuple.Tuple

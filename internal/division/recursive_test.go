@@ -166,6 +166,50 @@ func TestRecursiveNoBudgetIsPlainDivision(t *testing.T) {
 	}
 }
 
+// TestRecursiveEmptyInputs: an empty divisor, an empty dividend, or both
+// give an empty quotient under either strategy, even at a budget that would
+// partition anything larger.
+func TestRecursiveEmptyInputs(t *testing.T) {
+	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
+		for _, tc := range []struct {
+			name     string
+			dividend [][2]int64
+			divisor  []int64
+		}{
+			{"divisor", [][2]int64{{1, 101}}, nil},
+			{"dividend", nil, []int64{101}},
+			{"both", nil, nil},
+		} {
+			t.Run(fmt.Sprintf("%v/empty-%s", strategy, tc.name), func(t *testing.T) {
+				got, _, err := DivideRecursive(makeSpec(tc.dividend, tc.divisor), budgetEnv(256), strategy, RecursiveOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 0 {
+					t.Errorf("quotient %v", got)
+				}
+			})
+		}
+	}
+}
+
+// TestRecursiveSpillNeedsTempDev: a division that must spill but has no
+// pool or temp device reports ErrMemoryBudget instead of exceeding the
+// budget.
+func TestRecursiveSpillNeedsTempDev(t *testing.T) {
+	var dividend [][2]int64
+	divisor := []int64{1, 2, 3}
+	for q := 0; q < 3000; q++ {
+		for _, c := range divisor {
+			dividend = append(dividend, [2]int64{int64(q), c})
+		}
+	}
+	_, _, err := DivideRecursive(makeSpec(dividend, divisor), Env{MemoryBudget: 4096}, QuotientPartitioning, RecursiveOptions{})
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget without a temp device, got %v", err)
+	}
+}
+
 // TestRecursiveAttemptFitsWherePlainFits pins the attempt sizing: a cell's
 // quotient table is pre-sized for at most the candidates the budget can
 // hold, but never above plain hash-division's expectation. With more than

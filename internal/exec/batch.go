@@ -143,20 +143,6 @@ func (b *Batch) SetAlias(data []byte, n int) {
 	b.owned = b.owned[:0]
 }
 
-// Unalias copies an aliased batch's tuples into the batch's own arena, so
-// the contents survive the foreign memory they aliased (e.g. a pinned page
-// about to be unfixed by the producer's next NextBatch). A no-op on owned
-// batches. After Unalias the batch is owned and may cross goroutines or
-// outlive its producer like any owned batch.
-func (b *Batch) Unalias() {
-	if !b.aliased {
-		return
-	}
-	b.owned = append(b.owned[:0], b.data...)
-	b.data = b.owned
-	b.aliased = false
-}
-
 // Raw returns the batch's tuples as one contiguous byte slice of exactly
 // Len()*width bytes — the zero-copy wire form of the batch. The slice aliases
 // batch storage under the same lifetime rules as Tuple: valid until the

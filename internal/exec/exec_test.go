@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -90,26 +91,6 @@ func TestFilterProject(t *testing.T) {
 	if s.NumFields() != 1 || s.Field(0).Name != "b" {
 		t.Errorf("projected schema = %s", s)
 	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewMemScan(pairSchema, pairs(1, 1))
-	b := NewMemScan(pairSchema, pairs(2, 2, 3, 3))
-	c := NewMemScan(pairSchema, nil)
-	got := rows(t, NewConcat(a, b, c))
-	if len(got) != 3 || got[0][0] != 1 || got[2][0] != 3 {
-		t.Errorf("Concat = %v", got)
-	}
-}
-
-func TestConcatSchemaMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	other := tuple.NewSchema(tuple.Int64Field("x"))
-	NewConcat(NewMemScan(pairSchema, nil), NewMemScan(other, nil))
 }
 
 func TestMaterializeRescannable(t *testing.T) {
@@ -279,40 +260,6 @@ func TestSortWithoutTempDevErrors(t *testing.T) {
 	}
 }
 
-func TestMergeJoinInner(t *testing.T) {
-	left := NewMemScan(pairSchema, pairs(1, 100, 2, 200, 2, 201, 4, 400))
-	rightSchema := tuple.NewSchema(tuple.Int64Field("k"), tuple.Int64Field("v"))
-	right := NewMemScan(rightSchema, []tuple.Tuple{
-		rightSchema.MustMake(2, 7),
-		rightSchema.MustMake(2, 8),
-		rightSchema.MustMake(3, 9),
-		rightSchema.MustMake(4, 10),
-	})
-	j := NewMergeJoin(left, right, []int{0}, []int{0}, nil)
-	ts, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// key 2: 2 left × 2 right = 4 pairs; key 4: 1×1.
-	if len(ts) != 5 {
-		t.Fatalf("inner join produced %d tuples, want 5", len(ts))
-	}
-	s := j.Schema()
-	if s.NumFields() != 4 {
-		t.Fatalf("join schema = %s", s)
-	}
-	// Verify one representative pair.
-	found := false
-	for _, tp := range ts {
-		if s.Int64(tp, 0) == 2 && s.Int64(tp, 1) == 201 && s.Int64(tp, 3) == 8 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("missing expected pair (2,201)x(2,8)")
-	}
-}
-
 func TestMergeSemiJoin(t *testing.T) {
 	left := NewMemScan(pairSchema, pairs(1, 0, 2, 0, 3, 0, 4, 0))
 	rs := tuple.NewSchema(tuple.Int64Field("k"))
@@ -327,12 +274,12 @@ func TestMergeSemiJoin(t *testing.T) {
 func TestMergeJoinEmptySides(t *testing.T) {
 	empty := NewMemScan(pairSchema, nil)
 	full := NewMemScan(pairSchema, pairs(1, 1))
-	if got := rows(t, NewMergeJoin(empty, full, []int{0}, []int{0}, nil)); len(got) != 0 {
+	if got := rows(t, NewMergeSemiJoin(empty, full, []int{0}, []int{0}, nil)); len(got) != 0 {
 		t.Errorf("join with empty left = %v", got)
 	}
 	empty2 := NewMemScan(pairSchema, nil)
 	full2 := NewMemScan(pairSchema, pairs(1, 1))
-	if got := rows(t, NewMergeJoin(full2, empty2, []int{0}, []int{0}, nil)); len(got) != 0 {
+	if got := rows(t, NewMergeSemiJoin(full2, empty2, []int{0}, []int{0}, nil)); len(got) != 0 {
 		t.Errorf("join with empty right = %v", got)
 	}
 }
@@ -348,46 +295,62 @@ func TestHashSemiJoin(t *testing.T) {
 	}
 }
 
-func TestHashJoinMatchesMergeJoin(t *testing.T) {
+func TestHashSemiJoinEmptySides(t *testing.T) {
+	empty := NewMemScan(pairSchema, nil)
+	full := NewMemScan(pairSchema, pairs(1, 1))
+	if got := rows(t, NewHashSemiJoin(empty, full, []int{0}, []int{0}, nil)); len(got) != 0 {
+		t.Errorf("join with empty probe = %v", got)
+	}
+	empty2 := NewMemScan(pairSchema, nil)
+	full2 := NewMemScan(pairSchema, pairs(1, 1))
+	if got := rows(t, NewHashSemiJoin(full2, empty2, []int{0}, []int{0}, nil)); len(got) != 0 {
+		t.Errorf("join with empty build = %v", got)
+	}
+}
+
+// TestHashSemiJoinMatchesMergeSemiJoin: over duplicate keys on both sides,
+// the hash semi-join of unsorted inputs emits the same multiset of outer
+// tuples as the merge semi-join of the sorted inputs.
+func TestHashSemiJoinMatchesMergeSemiJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var left, right []tuple.Tuple
 	for i := 0; i < 300; i++ {
 		left = append(left, pairSchema.MustMake(rng.Int63n(40), int64(i)))
-		right = append(right, pairSchema.MustMake(rng.Int63n(40), int64(1000+i)))
+		if i%5 == 0 {
+			right = append(right, pairSchema.MustMake(rng.Int63n(80), int64(1000+i)))
+		}
 	}
 	sortTuples := func(ts []tuple.Tuple) []tuple.Tuple {
 		out := append([]tuple.Tuple(nil), ts...)
 		sort.Slice(out, func(i, j int) bool { return pairSchema.CompareAll(out[i], out[j]) < 0 })
 		return out
 	}
-	mj := NewMergeJoin(
+	mj := NewMergeSemiJoin(
 		NewMemScan(pairSchema, sortTuples(left)),
 		NewMemScan(pairSchema, sortTuples(right)),
 		[]int{0}, []int{0}, nil)
-	hj := NewHashJoin(
+	hj := NewHashSemiJoin(
 		NewMemScan(pairSchema, left),
 		NewMemScan(pairSchema, right),
 		[]int{0}, []int{0}, nil)
 
-	canon := func(op Operator) map[[4]int64]int {
-		ts, err := Collect(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := op.Schema()
-		m := make(map[[4]int64]int)
-		for _, tp := range ts {
-			m[[4]int64{s.Int64(tp, 0), s.Int64(tp, 1), s.Int64(tp, 2), s.Int64(tp, 3)}]++
+	canon := func(op Operator) map[[2]int64]int {
+		m := make(map[[2]int64]int)
+		for _, r := range rows(t, op) {
+			m[r]++
 		}
 		return m
 	}
 	a, b := canon(mj), canon(hj)
+	if len(a) == 0 || len(a) == len(left) {
+		t.Fatalf("instance tests nothing: %d of %d outer tuples match", len(a), len(left))
+	}
 	if len(a) != len(b) {
-		t.Fatalf("join results differ in size: %d vs %d", len(a), len(b))
+		t.Fatalf("semi-join results differ in size: %d vs %d", len(a), len(b))
 	}
 	for k, v := range a {
 		if b[k] != v {
-			t.Fatalf("pair %v: merge=%d hash=%d", k, v, b[k])
+			t.Fatalf("tuple %v: merge=%d hash=%d", k, v, b[k])
 		}
 	}
 }
@@ -424,6 +387,77 @@ func TestSortedGroupCountEmpty(t *testing.T) {
 	g := NewSortedGroupCount(NewMemScan(pairSchema, nil), []int{0}, false, nil)
 	if got := rows(t, g); len(got) != 0 {
 		t.Errorf("empty = %v", got)
+	}
+}
+
+func TestHashGroupCountEmpty(t *testing.T) {
+	g := NewHashGroupCount(NewMemScan(pairSchema, nil), []int{0}, 4, 2, nil)
+	if got := rows(t, g); len(got) != 0 {
+		t.Errorf("empty = %v", got)
+	}
+}
+
+// Property: the grouped counts of the hash and the sorted operator, and the
+// sorted operator's distinct counts, equal a map model's on arbitrary
+// inputs with duplicate rows.
+func TestQuickGroupCountsMatchModel(t *testing.T) {
+	type model struct{ count, distinct map[int64]int64 }
+	instance := func(raw []byte) ([]tuple.Tuple, model) {
+		in := make([]tuple.Tuple, 0, len(raw)/2)
+		m := model{map[int64]int64{}, map[int64]int64{}}
+		seen := make(map[[2]int64]bool)
+		for i := 0; i+1 < len(raw); i += 2 {
+			g, v := int64(raw[i]%8), int64(raw[i+1]%4)
+			in = append(in, pairSchema.MustMake(g, v))
+			m.count[g]++
+			if !seen[[2]int64{g, v}] {
+				seen[[2]int64{g, v}] = true
+				m.distinct[g]++
+			}
+		}
+		return in, m
+	}
+	sorted := func(in []tuple.Tuple) []tuple.Tuple {
+		out := append([]tuple.Tuple(nil), in...)
+		sort.Slice(out, func(i, j int) bool { return pairSchema.CompareAll(out[i], out[j]) < 0 })
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		op   func(in []tuple.Tuple) Operator
+		want func(model) map[int64]int64
+	}{
+		{"hash", func(in []tuple.Tuple) Operator {
+			return NewHashGroupCount(NewMemScan(pairSchema, in), []int{0}, 0, 2, nil)
+		}, func(m model) map[int64]int64 { return m.count }},
+		{"sorted", func(in []tuple.Tuple) Operator {
+			return NewSortedGroupCount(NewMemScan(pairSchema, sorted(in)), []int{0}, false, nil)
+		}, func(m model) map[int64]int64 { return m.count }},
+		{"sorted-distinct", func(in []tuple.Tuple) Operator {
+			return NewSortedGroupCount(NewMemScan(pairSchema, sorted(in)), []int{0}, true, nil)
+		}, func(m model) map[int64]int64 { return m.distinct }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(raw []byte) bool {
+				in, m := instance(raw)
+				op := tc.op(in)
+				ts, err := Collect(op)
+				want := tc.want(m)
+				if err != nil || len(ts) != len(want) {
+					return false
+				}
+				s := op.Schema()
+				for _, tp := range ts {
+					if n, ok := want[s.Int64(tp, 0)]; !ok || s.Int64(tp, 1) != n {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -501,11 +535,9 @@ func TestNextBeforeOpenErrors(t *testing.T) {
 		NewSort(NewMemScan(pairSchema, nil), SortConfig{Keys: []int{0}}),
 		NewSortedGroupCount(NewMemScan(pairSchema, nil), []int{0}, false, nil),
 		NewHashGroupCount(NewMemScan(pairSchema, nil), []int{0}, 4, 2, nil),
-		NewMergeJoin(NewMemScan(pairSchema, nil), NewMemScan(pairSchema, nil), []int{0}, []int{0}, nil),
+		NewMergeSemiJoin(NewMemScan(pairSchema, nil), NewMemScan(pairSchema, nil), []int{0}, []int{0}, nil),
 		NewHashSemiJoin(NewMemScan(pairSchema, nil), NewMemScan(pairSchema, nil), []int{0}, []int{0}, nil),
-		NewHashJoin(NewMemScan(pairSchema, nil), NewMemScan(pairSchema, nil), []int{0}, []int{0}, nil),
 		NewHashDedup(NewMemScan(pairSchema, nil), nil),
-		NewConcat(NewMemScan(pairSchema, nil)),
 		NewMaterialize(NewMemScan(pairSchema, nil), storage.NewFile(buffer.New(4096), disk.NewDevice("y", 256), pairSchema, "y"), nil),
 	}
 	for _, op := range ops {

@@ -7,56 +7,37 @@ import (
 	"repro/internal/tuple"
 )
 
-// MergeJoin joins two inputs sorted on their join keys. In Semi mode it
+// MergeJoin is a merge semi-join of two inputs sorted on their join keys: it
 // emits each outer (left) tuple at most once when a matching inner (right)
 // tuple exists, as the paper's semi-join implementation does ("for semi-joins
 // in which the outer relation produces the result, no linked lists are
-// used"). In inner mode it emits the concatenation of matching pairs,
-// buffering the current inner key group in memory (the paper's "linked list
-// of tuples pinned in the buffer pool").
+// used").
 type MergeJoin struct {
 	left, right         Operator
 	leftKeys, rightKeys []int
-	semi                bool
 	counters            *Counters
-	schema              *tuple.Schema
 
-	opened    bool
-	leftCur   tuple.Tuple
-	rightCur  tuple.Tuple
-	leftEOF   bool
-	rightEOF  bool
-	group     []tuple.Tuple // buffered right group (inner mode)
-	groupIdx  int
-	groupLeft tuple.Tuple // left tuple currently paired with the group
-}
-
-// NewMergeJoin builds an inner merge join of left and right on the given key
-// columns; both inputs must arrive sorted on those keys.
-func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int, counters *Counters) *MergeJoin {
-	return &MergeJoin{
-		left: left, right: right,
-		leftKeys: leftKeys, rightKeys: rightKeys,
-		counters: counters,
-		schema:   left.Schema().Concat(right.Schema()),
-	}
+	opened   bool
+	leftCur  tuple.Tuple
+	rightCur tuple.Tuple
+	leftEOF  bool
+	rightEOF bool
 }
 
 // NewMergeSemiJoin builds a semi join: left tuples with at least one match
-// in right, each emitted once. Left must not contain duplicates on the keys
-// if exact multiset semantics matter to the caller.
+// in right, each emitted once. Both inputs must arrive sorted on the keys.
+// Left must not contain duplicates on the keys if exact multiset semantics
+// matter to the caller.
 func NewMergeSemiJoin(left, right Operator, leftKeys, rightKeys []int, counters *Counters) *MergeJoin {
 	return &MergeJoin{
 		left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys,
-		semi:     true,
 		counters: counters,
-		schema:   left.Schema(),
 	}
 }
 
 // Schema implements Operator.
-func (j *MergeJoin) Schema() *tuple.Schema { return j.schema }
+func (j *MergeJoin) Schema() *tuple.Schema { return j.left.Schema() }
 
 // Open implements Operator.
 func (j *MergeJoin) Open() error {
@@ -70,7 +51,6 @@ func (j *MergeJoin) Open() error {
 	j.opened = true
 	j.leftEOF, j.rightEOF = false, false
 	j.leftCur, j.rightCur = nil, nil
-	j.group, j.groupIdx, j.groupLeft = nil, 0, nil
 	return nil
 }
 
@@ -115,11 +95,6 @@ func (j *MergeJoin) Next() (tuple.Tuple, error) {
 	if !j.opened {
 		return nil, errNotOpen("MergeJoin")
 	}
-	// Emit any remaining pairs of the buffered group (inner mode).
-	if t, err, done := j.emitFromGroup(); !done {
-		return t, err
-	}
-
 	if j.leftCur == nil && !j.leftEOF {
 		if err := j.advanceLeft(); err != nil {
 			return nil, err
@@ -145,83 +120,12 @@ func (j *MergeJoin) Next() (tuple.Tuple, error) {
 				return nil, err
 			}
 		default:
-			if j.semi {
-				out := j.leftCur
-				j.leftCur = nil
-				if err := j.advanceLeft(); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			// Inner: buffer the right group for this key.
-			if err := j.bufferRightGroup(); err != nil {
-				return nil, err
-			}
-			j.groupLeft = j.leftCur
-			j.groupIdx = 0
+			out := j.leftCur
+			j.leftCur = nil
 			if err := j.advanceLeft(); err != nil {
 				return nil, err
 			}
-			if t, err, done := j.emitFromGroup(); !done {
-				return t, err
-			}
-		}
-	}
-}
-
-// bufferRightGroup collects every right tuple whose key equals rightCur's.
-func (j *MergeJoin) bufferRightGroup() error {
-	rs := j.right.Schema()
-	j.group = j.group[:0]
-	key := j.rightCur
-	j.group = append(j.group, key)
-	for {
-		if err := j.advanceRight(); err != nil {
-			return err
-		}
-		if j.rightEOF {
-			return nil
-		}
-		if j.counters != nil {
-			j.counters.Comp++
-		}
-		if rs.Compare(key, j.rightCur, j.rightKeys) != 0 {
-			return nil
-		}
-		j.group = append(j.group, j.rightCur)
-	}
-}
-
-// emitFromGroup produces the next (groupLeft × group) pair. When the group
-// left tuple is exhausted it checks whether the next left tuple still matches
-// the group's key and continues with it. done=true means nothing to emit.
-func (j *MergeJoin) emitFromGroup() (tuple.Tuple, error, bool) {
-	if j.semi || len(j.group) == 0 || j.groupLeft == nil {
-		return nil, nil, true
-	}
-	for {
-		if j.groupIdx < len(j.group) {
-			out := tuple.ConcatTuples(j.groupLeft, j.group[j.groupIdx])
-			j.groupIdx++
-			return out, nil, false
-		}
-		// Does the next left tuple share the group key?
-		if j.leftEOF {
-			j.group, j.groupLeft = nil, nil
-			return nil, nil, true
-		}
-		if j.counters != nil {
-			j.counters.Comp++
-		}
-		if tuple.CompareCross(j.left.Schema(), j.leftCur, j.leftKeys,
-			j.right.Schema(), j.group[0], j.rightKeys) != 0 {
-			j.group, j.groupLeft = nil, nil
-			return nil, nil, true
-		}
-		j.groupLeft = j.leftCur
-		j.groupIdx = 0
-		if err := j.advanceLeft(); err != nil {
-			return nil, err, false
+			return out, nil
 		}
 	}
 }
@@ -328,111 +232,4 @@ func (j *HashSemiJoin) fold() {
 		j.counters.Hash += st.Hashes
 		j.counters.Comp += st.Comparisons
 	}
-}
-
-// HashJoin is an inner hash join: the build side is loaded into buckets at
-// Open, probe tuples stream and emit concatenated pairs for every match.
-type HashJoin struct {
-	probe     Operator
-	build     Operator
-	probeKeys []int
-	buildKeys []int
-	counters  *Counters
-	schema    *tuple.Schema
-
-	buckets map[uint64][]tuple.Tuple
-	matches []tuple.Tuple
-	matchIx int
-	current tuple.Tuple
-	opened  bool
-}
-
-// NewHashJoin builds an inner hash join; output is probe ++ build columns.
-func NewHashJoin(probe, build Operator, probeKeys, buildKeys []int, counters *Counters) *HashJoin {
-	return &HashJoin{
-		probe: probe, build: build,
-		probeKeys: probeKeys, buildKeys: buildKeys,
-		counters: counters,
-		schema:   probe.Schema().Concat(build.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *HashJoin) Open() error {
-	j.buckets = make(map[uint64][]tuple.Tuple)
-	if err := j.build.Open(); err != nil {
-		return err
-	}
-	bs := j.build.Schema()
-	for {
-		t, err := j.build.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			j.build.Close()
-			return err
-		}
-		if j.counters != nil {
-			j.counters.Hash++
-		}
-		h := bs.Hash(t, j.buildKeys)
-		j.buckets[h] = append(j.buckets[h], t.Clone())
-	}
-	if err := j.build.Close(); err != nil {
-		return err
-	}
-	j.opened = true
-	return j.probe.Open()
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (tuple.Tuple, error) {
-	if !j.opened {
-		return nil, errNotOpen("HashJoin")
-	}
-	ps, bs := j.probe.Schema(), j.build.Schema()
-	for {
-		if j.matchIx < len(j.matches) {
-			out := tuple.ConcatTuples(j.current, j.matches[j.matchIx])
-			j.matchIx++
-			return out, nil
-		}
-		t, err := j.probe.Next()
-		if err != nil {
-			return nil, err
-		}
-		if j.counters != nil {
-			j.counters.Hash++
-		}
-		h := ps.Hash(t, j.probeKeys)
-		candidates := j.buckets[h]
-		j.matches = j.matches[:0]
-		for _, b := range candidates {
-			if j.counters != nil {
-				j.counters.Comp++
-			}
-			if tuple.CompareCross(ps, t, j.probeKeys, bs, b, j.buildKeys) == 0 {
-				j.matches = append(j.matches, b)
-			}
-		}
-		if len(j.matches) > 0 {
-			j.current = t.Clone()
-			j.matchIx = 0
-		}
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	if !j.opened {
-		return nil
-	}
-	j.opened = false
-	j.buckets = nil
-	j.matches = nil
-	return j.probe.Close()
 }

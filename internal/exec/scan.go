@@ -51,40 +51,17 @@ func (t *TableScan) Next() (tuple.Tuple, error) {
 	return tp, err
 }
 
-// NextBatch implements BatchOperator: each call pins the next heap page and
-// aliases the batch at the page's record area, so a whole page of tuples
-// costs one buffer fix and zero copies. The page stays fixed until the
-// following NextBatch or Close — exactly the batch validity contract. Pages
-// holding deleted records fall back to compacting the live records into the
-// batch arena.
+// NextBatch implements BatchOperator: it is a page-range scan over
+// [0, NumPages), the file's pages at the first call, handing out one heap
+// page per batch (see nextPageBatch).
 func (t *TableScan) NextBatch(b *Batch) error {
 	if !t.opened {
 		return errNotOpen("TableScan")
 	}
 	if t.ps == nil {
-		t.ps = t.file.ScanPages(t.keep)
+		t.ps = t.file.ScanPageRange(0, t.file.NumPages(), t.keep)
 	}
-	for {
-		data, n, pristine, err := t.ps.Next()
-		if err != nil {
-			return err
-		}
-		if pristine {
-			b.SetAlias(data, n)
-			return nil
-		}
-		b.Reset()
-		w := t.file.Schema().Width()
-		for slot := 0; slot < n; slot++ {
-			if t.ps.Deleted(slot) {
-				continue
-			}
-			b.Append(tuple.Tuple(data[slot*w : (slot+1)*w]))
-		}
-		if b.Len() > 0 {
-			return nil
-		}
-	}
+	return nextPageBatch(t.ps, t.file.Schema().Width(), b)
 }
 
 // Close implements Operator.
@@ -302,75 +279,6 @@ func (p *Project) Close() error {
 		p.scratch = nil
 	}
 	return p.input.Close()
-}
-
-// Concat streams its inputs one after another; all inputs must share a
-// schema. It is the "union (concatenation)" used to combine quotient
-// clusters after quotient partitioning.
-type Concat struct {
-	inputs []Operator
-	cur    int
-	open   bool
-}
-
-// NewConcat concatenates the inputs in order.
-func NewConcat(inputs ...Operator) *Concat {
-	if len(inputs) == 0 {
-		panic("exec: Concat needs at least one input")
-	}
-	s := inputs[0].Schema()
-	for _, in := range inputs[1:] {
-		if !in.Schema().Equal(s) {
-			panic("exec: Concat inputs must share a schema")
-		}
-	}
-	return &Concat{inputs: inputs}
-}
-
-// Schema implements Operator.
-func (c *Concat) Schema() *tuple.Schema { return c.inputs[0].Schema() }
-
-// Open implements Operator.
-func (c *Concat) Open() error {
-	c.cur = 0
-	c.open = true
-	return c.inputs[0].Open()
-}
-
-// Next implements Operator.
-func (c *Concat) Next() (tuple.Tuple, error) {
-	if !c.open {
-		return nil, errNotOpen("Concat")
-	}
-	for {
-		t, err := c.inputs[c.cur].Next()
-		if err == io.EOF {
-			if err := c.inputs[c.cur].Close(); err != nil {
-				return nil, err
-			}
-			c.cur++
-			if c.cur >= len(c.inputs) {
-				return nil, io.EOF
-			}
-			if err := c.inputs[c.cur].Open(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return t, err
-	}
-}
-
-// Close implements Operator.
-func (c *Concat) Close() error {
-	if !c.open {
-		return nil
-	}
-	c.open = false
-	if c.cur < len(c.inputs) {
-		return c.inputs[c.cur].Close()
-	}
-	return nil
 }
 
 // Materialize writes its input into a heap file at Open time and then scans

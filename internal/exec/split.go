@@ -108,8 +108,7 @@ func (t *TableScan) Morsels(tuplesPerMorsel int) []BatchOperator {
 }
 
 // pageRangeScan is one table-scan morsel: the batch protocol over a page
-// range. NextBatch aliases pristine pages into the caller's batch exactly
-// like TableScan.NextBatch, and compacts around deleted slots otherwise.
+// range.
 type pageRangeScan struct {
 	file   *storage.File
 	lo, hi int
@@ -139,8 +138,19 @@ func (r *pageRangeScan) NextBatch(b *Batch) error {
 	if r.ps == nil {
 		r.ps = r.file.ScanPageRange(r.lo, r.hi, r.keep)
 	}
+	return nextPageBatch(r.ps, r.file.Schema().Width(), b)
+}
+
+// nextPageBatch is the batch loop of every heap-file scan, a whole TableScan
+// or one of its morsels: it pins the scanner's next heap page and aliases
+// the batch at the page's record area of w-byte tuples, so a whole page
+// costs one buffer fix and zero copies. The page stays fixed until the
+// following call or the scanner's Close — exactly the batch validity
+// contract. Pages holding deleted records fall back to compacting the live
+// records into the batch arena.
+func nextPageBatch(ps *storage.PageScanner, w int, b *Batch) error {
 	for {
-		data, n, pristine, err := r.ps.Next()
+		data, n, pristine, err := ps.Next()
 		if err != nil {
 			return err
 		}
@@ -149,9 +159,8 @@ func (r *pageRangeScan) NextBatch(b *Batch) error {
 			return nil
 		}
 		b.Reset()
-		w := r.file.Schema().Width()
 		for slot := 0; slot < n; slot++ {
-			if r.ps.Deleted(slot) {
+			if ps.Deleted(slot) {
 				continue
 			}
 			b.Append(tuple.Tuple(data[slot*w : (slot+1)*w]))

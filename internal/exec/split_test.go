@@ -108,36 +108,3 @@ func TestOpaqueHidesMorsels(t *testing.T) {
 		t.Error("Filter claims to be splittable")
 	}
 }
-
-func TestBatchUnalias(t *testing.T) {
-	backing := make([]byte, 4*pairSchema.Width())
-	for i := range backing {
-		backing[i] = byte(i)
-	}
-	b := NewBatch(pairSchema, 4)
-	defer b.Release()
-	b.SetAlias(backing, 4)
-	before := make([]tuple.Tuple, b.Len())
-	for i := range before {
-		before[i] = b.Tuple(i).Clone()
-	}
-	b.Unalias()
-	// Clobber the foreign memory: the batch must be unaffected now.
-	for i := range backing {
-		backing[i] = 0xFF
-	}
-	if b.Len() != 4 {
-		t.Fatalf("Len after Unalias = %d", b.Len())
-	}
-	for i := range before {
-		if string(b.Tuple(i)) != string(before[i]) {
-			t.Errorf("tuple %d changed after Unalias when backing was clobbered", i)
-		}
-	}
-	// Unalias on an owned batch is a no-op and appends still work.
-	b.Unalias()
-	b.Append(before[0])
-	if b.Len() != 5 {
-		t.Errorf("Append after Unalias: Len = %d, want 5", b.Len())
-	}
-}

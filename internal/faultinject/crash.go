@@ -109,8 +109,23 @@ func (d *CrashDevice) Alloc() disk.PageID { return d.inner.Alloc() }
 // AllocExtent implements disk.Dev.
 func (d *CrashDevice) AllocExtent(n int) disk.PageID { return d.inner.AllocExtent(n) }
 
-// Free implements disk.Dev.
-func (d *CrashDevice) Free(p disk.PageID) error { return d.inner.Free(p) }
+// Free implements disk.Dev. The page's unsynced bytes go with it: a later
+// owner of the id starts from the inner device's zeros, and Sync never
+// promotes them onto the freed page.
+func (d *CrashDevice) Free(p disk.PageID) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.volatile[p]; ok {
+		delete(d.volatile, p)
+		for i, q := range d.order {
+			if q == p {
+				d.order = append(d.order[:i], d.order[i+1:]...)
+				break
+			}
+		}
+	}
+	return d.inner.Free(p)
+}
 
 // Read implements disk.Dev. Before the crash it sees the device through its
 // write cache (volatile content included); after the crash it serves the

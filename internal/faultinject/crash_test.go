@@ -163,6 +163,44 @@ func TestCrashDevicePowerCutDropsUnsynced(t *testing.T) {
 	}
 }
 
+// TestCrashDevicePowerCutFreeDropsUnsynced: a freed page takes its unsynced
+// bytes with it. Re-allocating the id reads zeros, and a Sync after the Free
+// promotes nothing onto the freed page.
+func TestCrashDevicePowerCutFreeDropsUnsynced(t *testing.T) {
+	const pageSize = 8
+	dev := WrapCrash(disk.NewDevice("d", pageSize), NeverCrash(true))
+	p := dev.Alloc()
+	if err := dev.Write(p, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if q := dev.Alloc(); q != p {
+		t.Fatalf("Alloc after Free = page %d, want the freed page %d", q, p)
+	}
+	got := make([]byte, pageSize)
+	if err := dev.Read(p, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, pageSize)) {
+		t.Errorf("re-allocated page reads %v, want zeros", got)
+	}
+
+	if err := dev.Write(p, bytes.Repeat([]byte{9}, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Sync(); err != nil {
+		t.Errorf("Sync after freeing an unsynced page: %v", err)
+	}
+	if got := dev.DurableBytes(); got != 0 {
+		t.Errorf("DurableBytes = %d, want 0: nothing was promoted", got)
+	}
+}
+
 func TestCrashDevicePowerCutTearsMidPromotion(t *testing.T) {
 	const pageSize = 16
 	inner := disk.NewDevice("d", pageSize)

@@ -104,9 +104,7 @@ func TestConnCloseMidDividend(t *testing.T) {
 		}
 		cl.Close()
 		leakcheck.Goroutines(t, goroutinesBefore)
-		if after := storage.LiveSpillFiles(); after != spillBefore {
-			t.Fatalf("%v: spill files leaked: %d before, %d after", strategy, spillBefore, after)
-		}
+		leakcheck.SpillFiles(t, spillBefore)
 	}
 }
 

@@ -108,12 +108,8 @@ func TestServerChaos(t *testing.T) {
 
 	s.Close()
 	leakcheck.Goroutines(t, goroutinesBefore)
-	if live := storage.LiveSpillFiles(); live != liveBefore {
-		t.Fatalf("spill files leaked: %d before storm, %d after", liveBefore, live)
-	}
-	if inUse := s.Governor().InUse(); inUse != 0 {
-		t.Fatalf("governor grants leaked: %d bytes in use", inUse)
-	}
+	leakcheck.SpillFiles(t, liveBefore)
+	leakcheck.Grants(t, s.Governor())
 	if hw, total := s.Governor().HighWater(), s.Governor().Total(); hw > total {
 		t.Fatalf("governor oversubscribed under chaos: %d > %d", hw, total)
 	}
