@@ -337,8 +337,11 @@ func BenchmarkParallelWorkers(b *testing.B) {
 // HashDivision operator (also on the two-column composite-key layout, whose
 // probes take the compiled closure kernels), two morsel workers, two
 // shared-table workers, and two netexchange workers over loopback TCP. The
-// parallel paths run with the bit-vector filter, as divload does. Absorbing
-// the dividend dominates every path; the rest is the shuffle, or the wire.
+// parallel paths run with the bit-vector filter, as divload does. As in
+// divload's morsel-zipf, whose relations keep their rows in one arena, the
+// rows are packed into arenas once, outside the timer, and every path scans
+// them zero-copy (exec.NewArenaScan), so the scan copies nothing and the
+// absorb, the shuffle or the wire is what the figure measures.
 func BenchmarkAbsorbPaths(b *testing.B) {
 	inst, err := workload.Generate(workload.Config{
 		DivisorTuples:      400,
@@ -359,6 +362,15 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 		}
 	}
 	r := inst.Rekey(workload.CompositeKey)
+	dividend, divisor := packArena(inst.Dividend), packArena(inst.Divisor)
+	rDividend, rDivisor := packArena(r.Dividend), packArena(r.Divisor)
+	spec := func() division.Spec {
+		return division.Spec{
+			Dividend:    exec.NewArenaScan(workload.TranscriptSchema, dividend),
+			Divisor:     exec.NewArenaScan(workload.CourseSchema, divisor),
+			DivisorCols: []int{1},
+		}
+	}
 	cluster, err := netexchange.StartLocalCluster(2)
 	if err != nil {
 		b.Fatal(err)
@@ -366,7 +378,7 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 	defer cluster.Close()
 	inParallel := func(path parallel.Path) func(*testing.B) []tuple.Tuple {
 		return func(b *testing.B) []tuple.Tuple {
-			res, err := parallel.Divide(benchSpec(b, inst), parallel.Config{
+			res, err := parallel.Divide(spec(), parallel.Config{
 				Workers: 2, Strategy: division.QuotientPartitioning, Path: path, BitVectorFilter: true,
 			})
 			if err != nil {
@@ -380,7 +392,7 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 		divide func(*testing.B) []tuple.Tuple
 	}{
 		{"serial", func(b *testing.B) []tuple.Tuple {
-			q, err := division.Run(division.AlgHashDivision, benchSpec(b, inst), division.Env{})
+			q, err := division.Run(division.AlgHashDivision, spec(), division.Env{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -388,8 +400,8 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 		}},
 		{"serial-composite", func(b *testing.B) []tuple.Tuple {
 			q, err := division.Run(division.AlgHashDivision, division.Spec{
-				Dividend:    exec.NewMemScan(r.DividendSchema, r.Dividend),
-				Divisor:     exec.NewMemScan(r.DivisorSchema, r.Divisor),
+				Dividend:    exec.NewArenaScan(r.DividendSchema, rDividend),
+				Divisor:     exec.NewArenaScan(r.DivisorSchema, rDivisor),
 				DivisorCols: r.DivisorCols,
 			}, division.Env{})
 			if err != nil {
@@ -400,7 +412,7 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 		{"morsel", inParallel(parallel.PathMorsel)},
 		{"shared-table", inParallel(parallel.PathSharedTable)},
 		{"netexchange", func(b *testing.B) []tuple.Tuple {
-			res, err := netexchange.Divide(context.Background(), benchSpec(b, inst), netexchange.Config{
+			res, err := netexchange.Divide(context.Background(), spec(), netexchange.Config{
 				Strategy: division.QuotientPartitioning, BitVectorFilter: true,
 			}, cluster.Conns())
 			if err != nil {
@@ -417,6 +429,16 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(inst.Dividend)), "ns/tuple")
 		})
 	}
+}
+
+// packArena lays rows out back to back, the batch layout exec.NewArenaScan
+// scans.
+func packArena(rows []tuple.Tuple) []byte {
+	var arena []byte
+	for _, t := range rows {
+		arena = append(arena, t...)
+	}
+	return arena
 }
 
 // BenchmarkBitVectorFilter ablates Babb filtering on a noisy dividend (most

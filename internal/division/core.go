@@ -22,8 +22,7 @@ import (
 // (step 3). It is not safe for concurrent use.
 type Core struct {
 	opts CoreOptions
-	qs   *tuple.Schema
-	k    kernels
+	plan *KeyPlan
 
 	divisorTable  *hashtab.Table
 	quotientTable *hashtab.Table // created by the first absorb
@@ -53,20 +52,14 @@ type CoreOptions struct {
 	Counters *exec.Counters
 }
 
-// NewCore prepares a division of dividends laid out by ds by divisors laid
-// out by ss, matching on the dividend's divisorCols.
-func NewCore(ds, ss *tuple.Schema, divisorCols []int, opts CoreOptions) *Core {
-	qCols := ds.Complement(divisorCols)
+// NewCore prepares a division by divisors laid out by ss whose keys plan
+// compiled.
+func NewCore(plan *KeyPlan, ss *tuple.Schema, opts CoreOptions) *Core {
 	divisorTable := hashtab.NewForExpected(ss, opts.ExpectedDivisor, opts.HBS)
 	if opts.DivisorCapacity > 0 {
 		divisorTable = hashtab.NewWithCapacity(ss, opts.DivisorCapacity)
 	}
-	return &Core{
-		opts:         opts,
-		qs:           ds.Project(qCols),
-		k:            compileKernels(ds, divisorCols, qCols),
-		divisorTable: divisorTable,
-	}
+	return &Core{opts: opts, plan: plan, divisorTable: divisorTable}
 }
 
 // SetFilterBit marks divisor tuple d in a Babb bit-vector filter. A dividend
@@ -126,7 +119,7 @@ func (c *Core) AddDivisor(t tuple.Tuple) error {
 // so the build's budget checks see the divisor table alone.
 func (c *Core) quotient() *hashtab.Table {
 	if c.quotientTable == nil {
-		c.quotientTable = hashtab.NewForExpected(c.qs, c.opts.ExpectedQuotient, c.opts.HBS)
+		c.quotientTable = hashtab.NewForExpected(c.plan.qs, c.opts.ExpectedQuotient, c.opts.HBS)
 	}
 	return c.quotientTable
 }
@@ -154,23 +147,28 @@ func (c *Core) Absorb(t tuple.Tuple) (tuple.Tuple, error) {
 // increments as Absorb — also when the budget fails mid-batch: only the
 // tuples up to and including the one that overflowed count as read. The
 // batch may alias foreign memory: candidates store owned copies.
+//
+// The plan hashes the whole batch's keys into the batch's hash vector first
+// (KeyPlan.HashRows), and the probe loop reads them from there; every probe
+// happens as Absorb would make it.
 func (c *Core) AbsorbBatch(b *exec.Batch) error {
-	if c.k.fastU64 {
-		return c.absorbBatchU64(b)
+	hs := c.plan.HashRows(b)
+	if c.plan.fastU64 {
+		return c.absorbBatchU64(b, hs)
 	}
 	divisorTable, quotientTable := c.divisorTable, c.quotient()
 	countersOnly := c.opts.CountersOnly
-	k := &c.k
+	p := c.plan
 	n := b.Len()
 	var bits int64
 	for i := 0; i < n; i++ {
 		t := b.Tuple(i)
-		de := divisorTable.LookupPre(k.divHash(t), t, k.divEq)
+		de := divisorTable.LookupPre(hs[2*i], t, p.div.eq)
 		if de == nil {
 			c.stats.DiscardedNoMatch++
 			continue
 		}
-		qe, created := quotientTable.GetOrInsertPre(k.quotHash(t), t, k.quotEq, k.quotProject)
+		qe, created := quotientTable.GetOrInsertPre(hs[2*i+1], t, p.quot.eq, p.project)
 		if created {
 			c.stats.Candidates++
 			if !countersOnly {
@@ -195,14 +193,15 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 func (c *Core) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 	var de, qe *hashtab.Element
 	var created bool
-	if c.k.fastU64 {
-		dk := binary.LittleEndian.Uint64(t[c.k.divOff:])
-		if de = c.divisorTable.LookupU64(tuple.HashUint64LE(dk), dk); de != nil {
-			qk := binary.LittleEndian.Uint64(t[c.k.quotOff:])
-			qe, created = c.quotient().GetOrInsertU64(tuple.HashUint64LE(qk), qk)
+	p := c.plan
+	if p.fastU64 {
+		dk := binary.LittleEndian.Uint64(t[p.div.off:])
+		if de = c.divisorTable.LookupU64(p.div.hashRow(t), dk); de != nil {
+			qk := binary.LittleEndian.Uint64(t[p.quot.off:])
+			qe, created = c.quotient().GetOrInsertU64(p.quot.hashRow(t), qk)
 		}
-	} else if de = c.divisorTable.LookupPre(c.k.divHash(t), t, c.k.divEq); de != nil {
-		qe, created = c.quotient().GetOrInsertPre(c.k.quotHash(t), t, c.k.quotEq, c.k.quotProject)
+	} else if de = c.divisorTable.LookupPre(p.div.hashRow(t), t, p.div.eq); de != nil {
+		qe, created = c.quotient().GetOrInsertPre(p.quot.hashRow(t), t, p.quot.eq, p.project)
 	}
 	if de == nil {
 		// No matching divisor tuple: discard immediately.
@@ -244,26 +243,25 @@ func (c *Core) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 }
 
 // absorbBatchU64 is AbsorbBatch for the single-8-byte-column shape, the hot
-// loop of every benchmark workload: keys load as words, hashes are the
-// unrolled tuple.HashUint64LE and the chain walks compare words, so no
-// closure or interface call remains in the loop. Both batch loops charge
-// bit sets once per batch.
-func (c *Core) absorbBatchU64(b *exec.Batch) error {
+// loop of every benchmark workload: keys load as words, hashes come from hs
+// and the chain walks compare words, so no closure or interface call
+// remains in the loop. Both batch loops charge bit sets once per batch.
+func (c *Core) absorbBatchU64(b *exec.Batch, hs []uint64) error {
 	divisorTable, quotientTable := c.divisorTable, c.quotient()
 	countersOnly := c.opts.CountersOnly
-	divOff, quotOff := c.k.divOff, c.k.quotOff
+	divOff, quotOff := c.plan.div.off, c.plan.quot.off
 	n := b.Len()
 	var bits int64
 	for i := 0; i < n; i++ {
 		t := b.Tuple(i)
 		dk := binary.LittleEndian.Uint64(t[divOff:])
-		de := divisorTable.LookupU64(tuple.HashUint64LE(dk), dk)
+		de := divisorTable.LookupU64(hs[2*i], dk)
 		if de == nil {
 			c.stats.DiscardedNoMatch++
 			continue
 		}
 		qk := binary.LittleEndian.Uint64(t[quotOff:])
-		qe, created := quotientTable.GetOrInsertU64(tuple.HashUint64LE(qk), qk)
+		qe, created := quotientTable.GetOrInsertU64(hs[2*i+1], qk)
 		if created {
 			c.stats.Candidates++
 			if !countersOnly {
@@ -343,34 +341,5 @@ func (c *Core) fold(t *hashtab.Table) {
 		st := t.Stats()
 		c.opts.Counters.Hash += st.Hashes
 		c.opts.Counters.Comp += st.Comparisons
-	}
-}
-
-// kernels are step 2's hash and equality functions, compiled once per
-// division: "all functions on data records, e.g., comparison and hashing,
-// are compiled prior to execution" (§5.1). When the divisor and quotient
-// projections are both a single 8-byte column — the Table 4 shape — fastU64
-// selects concrete word-key probes at divOff/quotOff and the closures stay
-// nil.
-type kernels struct {
-	fastU64         bool
-	divOff, quotOff int
-
-	divHash, quotHash func(tuple.Tuple) uint64
-	divEq, quotEq     func(src, stored tuple.Tuple) bool
-	quotProject       func(tuple.Tuple) tuple.Tuple
-}
-
-func compileKernels(ds *tuple.Schema, divisorCols, qCols []int) kernels {
-	if len(divisorCols) == 1 && ds.Field(divisorCols[0]).Width == 8 &&
-		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
-		return kernels{fastU64: true, divOff: ds.Offset(divisorCols[0]), quotOff: ds.Offset(qCols[0])}
-	}
-	return kernels{
-		divHash:     ds.HashFunc(divisorCols),
-		divEq:       ds.EqualProjectedFunc(divisorCols),
-		quotHash:    ds.HashFunc(qCols),
-		quotEq:      ds.EqualProjectedFunc(qCols),
-		quotProject: func(src tuple.Tuple) tuple.Tuple { return ds.ProjectTuple(src, qCols) },
 	}
 }

@@ -25,8 +25,8 @@ func rekeyedSpec(rk workload.Rekeyed) Spec {
 // 64 tuples (or one tuple at a time), and returns the quotient and the core.
 func runCore(t *testing.T, rk workload.Rekeyed, opts CoreOptions, batched bool) ([]tuple.Tuple, *Core, error) {
 	t.Helper()
-	c := NewCore(rk.DividendSchema, rk.DivisorSchema, rk.DivisorCols, opts)
-	if got, want := c.k.fastU64, len(rk.DivisorCols) == 1 && rk.DividendSchema.Width() == 16; got != want {
+	c := NewCore(CompileKeyPlan(rk.DividendSchema, rk.DivisorCols), rk.DivisorSchema, opts)
+	if got, want := c.plan.fastU64, len(rk.DivisorCols) == 1 && rk.DividendSchema.Width() == 16; got != want {
 		t.Fatalf("fastU64 = %v for a %d-byte dividend keyed on %v", got, rk.DividendSchema.Width(), rk.DivisorCols)
 	}
 	for _, d := range rk.Divisor {

@@ -63,43 +63,48 @@ func PlaceDivisor(divisor []tuple.Tuple, strategy PartitionStrategy, sites int) 
 	return p
 }
 
-// Router sends the dividend tuples of a partitioned division to their sites,
-// with its hashes compiled once (tuple.HashFunc) rather than interpreted per
-// tuple. A tuple first meets the bit-vector filter, when there is one, on
-// its divisor-attribute hash, the bit SetFilterBit set for a matching
-// divisor tuple. A passing tuple then goes to the site its routing columns
-// hash to: the quotient attributes under quotient partitioning, or the
-// divisor attributes under divisor partitioning, the same hash PlaceDivisor
-// clusters the divisor by. The kernels are pure, so concurrent producers may
-// share one Router.
+// Router sends the dividend tuples of a partitioned division to their sites
+// by their key plan's hash words (KeyPlan.HashRows), which the producer
+// computes for a whole batch in one loop. A tuple first meets the
+// bit-vector filter, when there is one, on its divisor-key word, the hash
+// SetFilterBit set a bit for on a matching divisor tuple. A passing tuple
+// then goes to the site its routing key's word selects: the quotient key's
+// under quotient partitioning, or the divisor key's under divisor
+// partitioning, the hash PlaceDivisor clusters the divisor by. A Router is
+// immutable, so concurrent producers may share one.
 type Router struct {
-	divHash   func(tuple.Tuple) uint64
-	routeHash func(tuple.Tuple) uint64 // nil = route on divHash
-	filter    *bitmap.Bitmap
-	sites     uint64
+	// filter is the filter's words, nil without a filter: the layout its
+	// frames carry on the wire (bitmap.Words), tested here without a call
+	// per tuple. TestRouterFilter holds each decision to bitmap.Test.
+	filter []uint64
+	bits   uint64 // the filter's length in bits
+	sites  uint64
+	onQuot bool // route on the quotient-key word
 }
 
-// NewRouter compiles a Router over sites sites for sp's dividend under
-// strategy. filter may be nil.
-func NewRouter(sp Spec, strategy PartitionStrategy, filter *bitmap.Bitmap, sites int) Router {
-	ds := sp.Dividend.Schema()
-	r := Router{divHash: ds.HashFunc(sp.DivisorCols), filter: filter, sites: uint64(sites)}
-	if strategy == QuotientPartitioning {
-		r.routeHash = ds.HashFunc(sp.QuotientCols())
+// NewRouter prepares a Router over sites sites under strategy. filter may be
+// nil.
+func NewRouter(strategy PartitionStrategy, filter *bitmap.Bitmap, sites int) Router {
+	r := Router{sites: uint64(sites), onQuot: strategy == QuotientPartitioning}
+	if filter != nil {
+		r.filter, r.bits = filter.Words(), uint64(filter.Len())
 	}
 	return r
 }
 
-// Dest returns t's site, or false when the filter drops t.
-func (r *Router) Dest(t tuple.Tuple) (int, bool) {
-	h := r.divHash(t)
-	if r.filter != nil && !r.filter.Test(int(h%uint64(r.filter.Len()))) {
-		return 0, false
+// Dest returns the site of a row whose hash words are div and quot, or false
+// when the filter drops the row. The filter slot is div modulo the filter's
+// length, the bit SetFilterBit sets.
+func (r *Router) Dest(div, quot uint64) (int, bool) {
+	if r.filter != nil {
+		if slot := div % r.bits; r.filter[slot/64]&(1<<(slot%64)) == 0 {
+			return 0, false
+		}
 	}
-	if r.routeHash != nil {
-		h = r.routeHash(t)
+	if r.onQuot {
+		div = quot
 	}
-	return int(h % r.sites), true
+	return int(div % r.sites), true
 }
 
 // PhaseCollector is the collection site of divisor partitioning. Each phase

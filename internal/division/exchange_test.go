@@ -54,9 +54,10 @@ func TestPlaceDivisorMatchesRouter(t *testing.T) {
 			siteOf[string(d)] = i
 		}
 	}
-	rt := NewRouter(sp, DivisorPartitioning, nil, sites)
+	plan := CompileKeyPlan(sp.Dividend.Schema(), sp.DivisorCols)
+	rt := NewRouter(DivisorPartitioning, nil, sites)
 	for _, r := range inst.Dividend {
-		site, ok := rt.Dest(r)
+		site, ok := routeTuple(plan, &rt, r)
 		if !ok {
 			t.Fatal("a router without a filter dropped a tuple")
 		}
@@ -77,6 +78,11 @@ func TestPlaceDivisorMatchesRouter(t *testing.T) {
 	}
 }
 
+// routeTuple routes one dividend tuple on its plan words.
+func routeTuple(plan *KeyPlan, rt *Router, t tuple.Tuple) (int, bool) {
+	return rt.Dest(plan.div.hashRow(t), plan.quot.hashRow(t))
+}
+
 // TestRouterFilter checks the filter half of the Router: with a Babb filter
 // built from the divisor, exactly the tuples whose divisor value hashes to
 // an empty bit are dropped, and no matching tuple ever is.
@@ -89,9 +95,10 @@ func TestRouterFilter(t *testing.T) {
 		SetFilterBit(bv, d)
 	}
 	sp := Spec{Dividend: exec.NewMemScan(ds, nil), Divisor: exec.NewMemScan(ss, divisor), DivisorCols: []int{1}}
-	rt := NewRouter(sp, QuotientPartitioning, bv, 3)
+	plan := CompileKeyPlan(sp.Dividend.Schema(), sp.DivisorCols)
+	rt := NewRouter(QuotientPartitioning, bv, 3)
 	for course := int64(0); course < 200; course++ {
-		_, ok := rt.Dest(ds.MustMake(7, course))
+		_, ok := routeTuple(plan, &rt, ds.MustMake(7, course))
 		if course >= 1 && course <= 3 && !ok {
 			t.Errorf("filter dropped divisor course %d", course)
 		}

@@ -53,7 +53,8 @@ type HashDivision struct {
 	opts HashDivisionOptions
 
 	qs   *tuple.Schema
-	core *Core // built by Open
+	plan *KeyPlan // compiled by the first Open, or the caller's (divideOp)
+	core *Core    // built by Open
 
 	// Stop-and-go result path.
 	results []tuple.Tuple
@@ -127,7 +128,10 @@ func (h *HashDivision) Schema() *tuple.Schema { return h.qs }
 
 // buildDivisorTable is step 1 of Figure 1.
 func (h *HashDivision) buildDivisorTable() error {
-	h.core = NewCore(h.sp.Dividend.Schema(), h.sp.Divisor.Schema(), h.sp.DivisorCols, CoreOptions{
+	if h.plan == nil {
+		h.plan = CompileKeyPlan(h.sp.Dividend.Schema(), h.sp.DivisorCols)
+	}
+	h.core = NewCore(h.plan, h.sp.Divisor.Schema(), CoreOptions{
 		HashDivisionOptions: h.opts,
 		MemoryBudget:        h.env.MemoryBudget,
 		ExpectedDivisor:     h.env.expectedDivisor(),
@@ -236,7 +240,8 @@ func (h *HashDivision) absorbDividend() error {
 }
 
 // absorbBatches is the vectorized step 2: it drains the dividend through the
-// batch protocol into the core's compiled kernels.
+// batch protocol into the core, which hashes each batch's keys with the
+// plan before probing.
 func (h *HashDivision) absorbBatches(bop exec.BatchOperator) error {
 	b := exec.NewBatch(h.sp.Dividend.Schema(), h.env.batchSize())
 	defer b.Release()

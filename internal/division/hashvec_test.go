@@ -1,0 +1,108 @@
+package division
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/hashtab"
+	"repro/internal/tuple"
+	"repro/internal/workload"
+)
+
+// coreRun is everything a core reports about one division.
+type coreRun struct {
+	quotient []tuple.Tuple
+	stats    HashDivisionStats
+	counters exec.Counters    // after Release, which charges the tables' probes
+	tables   [2]hashtab.Stats // divisor table, quotient table
+}
+
+// feedCore divides rk on a fresh core, absorbing the dividend a tuple at a
+// time (size 0) or in batches of size rows, which the core hashes into each
+// batch's hash vector before probing.
+func feedCore(t *testing.T, rk workload.Rekeyed, countersOnly bool, size int) coreRun {
+	t.Helper()
+	var run coreRun
+	c := NewCore(CompileKeyPlan(rk.DividendSchema, rk.DivisorCols), rk.DivisorSchema, CoreOptions{
+		HashDivisionOptions: HashDivisionOptions{CountersOnly: countersOnly},
+		ExpectedDivisor:     4, ExpectedQuotient: 4, HBS: 2, Counters: &run.counters,
+	})
+	for _, d := range rk.Divisor {
+		if err := c.AddDivisor(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := exec.NewBatch(rk.DividendSchema, size)
+	defer b.Release()
+	for lo := 0; lo < len(rk.Dividend); lo += max(size, 1) {
+		if size == 0 {
+			if _, err := c.Absorb(rk.Dividend[lo]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		b.Reset()
+		for _, r := range rk.Dividend[lo:min(lo+size, len(rk.Dividend))] {
+			b.Append(r)
+		}
+		if err := c.AbsorbBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Scan(func(q tuple.Tuple) error {
+		run.quotient = append(run.quotient, q)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run.tables = [2]hashtab.Stats{c.divisorTable.Stats(), c.quotientTable.Stats()}
+	c.Release()
+	run.stats = c.Stats()
+	return run
+}
+
+// TestHashVectorParity: AbsorbBatch, which probes with the hash words the
+// key plan computes for a whole batch, makes exactly the probes of
+// tuple-at-a-time Absorb: the identical quotient (in the same order),
+// HashDivisionStats, exec.Counters and hashtab.Stats, for int, composite
+// and CHAR keys, batch sizes 1, 64 and 1024 (the batch's vector is reused
+// across batches, the last one shorter), with bit maps and with counters
+// only.
+func TestHashVectorParity(t *testing.T) {
+	inst := generate(t, workload.Config{
+		DivisorTuples: 24, QuotientCandidates: 90, FullFraction: 0.4, MatchFraction: 0.7,
+		NoisePerCandidate: 3, Shuffle: true, Seed: 22,
+	})
+	for _, shape := range keyShapes {
+		rk := inst.Rekey(shape)
+		want, err := Reference(rekeyedSpec(rk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := rk.DividendSchema.Project(rk.DividendSchema.Complement(rk.DivisorCols))
+		for _, countersOnly := range []bool{false, true} {
+			ref := feedCore(t, rk, countersOnly, 0)
+			if !EqualTupleSets(qs, ref.quotient, want) {
+				t.Fatalf("%s: tuple absorb: %d quotient tuples, reference has %d", shape, len(ref.quotient), len(want))
+			}
+			for _, size := range []int{1, 64, 1024} {
+				t.Run(fmt.Sprintf("%s/counters-only=%v/batch=%d", shape, countersOnly, size), func(t *testing.T) {
+					got := feedCore(t, rk, countersOnly, size)
+					if len(got.quotient) != len(ref.quotient) {
+						t.Fatalf("%d quotient tuples, tuple absorb has %d", len(got.quotient), len(ref.quotient))
+					}
+					for i := range got.quotient {
+						if string(got.quotient[i]) != string(ref.quotient[i]) {
+							t.Fatalf("quotient tuple %d differs from tuple absorb's", i)
+						}
+					}
+					if got.stats != ref.stats || got.counters != ref.counters || got.tables != ref.tables {
+						t.Errorf("diverges from tuple absorb:\n got  %+v %+v %+v\n want %+v %+v %+v",
+							got.stats, got.counters, got.tables, ref.stats, ref.counters, ref.tables)
+					}
+				})
+			}
+		}
+	}
+}

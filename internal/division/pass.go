@@ -47,16 +47,20 @@ type partitionPass struct {
 	env    Env
 	schema *tuple.Schema
 	fanOut int
-	// route returns a row's child, or -1 to discard the row.
-	route func(row tuple.Tuple) int
+	// key is the plan's key the pass splits on; route returns the child of
+	// a row whose key hashes to h, or -1 to discard the row.
+	key   *planKey
+	route func(h uint64) int
 	// budget bounds the resident bytes; newSpill supplies the file a child
 	// moves to when they pass it.
 	budget   int
 	newSpill func() (*storage.File, error)
 }
 
-// run partitions src into fanOut children. The caller charges the hashes its
-// route computed and owns every spill file newSpill created, on every path.
+// run partitions src into fanOut children. Each batch's routing keys are
+// hashed in one loop, into the first Len() words of its hash vector, before
+// its rows are routed. The caller charges the hashes its route computed and
+// owns every spill file newSpill created, on every path.
 func (p *partitionPass) run(src exec.Operator) (parts []part, err error) {
 	w := p.schema.Width()
 	parts = make([]part, p.fanOut)
@@ -107,10 +111,11 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, err error) {
 	}
 
 	err = eachBatch(src, p.env.batchSize(), func(b *exec.Batch) error {
-		raw := b.Raw()
-		for off := 0; off < len(raw); off += w {
+		raw, hs := b.Raw(), b.HashVector()
+		p.key.hashInto(hs, 1, raw, w)
+		for i, off := 0, 0; off < len(raw); i, off = i+1, off+w {
 			row := raw[off : off+w : off+w]
-			c := p.route(row)
+			c := p.route(hs[i])
 			if c < 0 {
 				continue
 			}
@@ -158,13 +163,15 @@ func (p *partitionPass) run(src exec.Operator) (parts []part, err error) {
 // divideOp is hash-division of sp under env, probed against a child span of
 // parent named name when tracing is on: the probe makes the span's inclusive
 // counters cover its children, keeping every self non-negative.
-func divideOp(env Env, parent *obs.Span, name string, sp Spec) (exec.Operator, *HashDivision) {
+// The division probes with plan, sp's keys compiled once for every cell.
+func divideOp(env Env, parent *obs.Span, name string, sp Spec, plan *KeyPlan) (exec.Operator, *HashDivision) {
 	var span *obs.Span
 	if parent != nil {
 		span = parent.Child(name, "hash-division")
 		env.ProfileSpan = span
 	}
 	hd := NewHashDivision(sp, env, HashDivisionOptions{})
+	hd.plan = plan
 	return obs.Instrument(hd, span, env.Counters), hd
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/exec"
 	"repro/internal/storage"
-	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -28,22 +27,24 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 		input = append(input, transcriptSchema.MustMake(rng.Int63n(500), rng.Int63n(40))...)
 	}
 	// Child c takes (c+1)/15 of the routed rows, so the largest resident
-	// child is rarely the first one.
+	// child is rarely the first one; a seventh of the rows is discarded.
+	// The pass routes on the key plan's quotient-key hash.
 	const fanOut = 5
+	plan := CompileKeyPlan(transcriptSchema, []int{1})
 	hash := transcriptSchema.HashFunc([]int{0})
-	route := func(t tuple.Tuple) int {
-		if transcriptSchema.Int64(t, 1)%7 == 0 {
+	route := func(h uint64) int {
+		if (h>>32)%7 == 0 {
 			return -1
 		}
-		c, h := 0, hash(t)%15
-		for h >= uint64((c+1)*(c+2)/2) {
+		c, r := 0, h%15
+		for r >= uint64((c+1)*(c+2)/2) {
 			c++
 		}
 		return c
 	}
 	want := make([][]byte, fanOut)
 	for off := 0; off < len(input); off += w {
-		if c := route(input[off : off+w]); c >= 0 {
+		if c := route(hash(input[off : off+w])); c >= 0 {
 			want[c] = append(want[c], input[off:off+w]...)
 		}
 	}
@@ -61,7 +62,7 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 		wantSpilled := make([]bool, fanOut)
 		resident, held := make([]int, fanOut), 0
 		for off := 0; off < len(input); off += w {
-			c := route(input[off : off+w])
+			c := route(hash(input[off : off+w]))
 			if c < 0 || wantSpilled[c] {
 				continue
 			}
@@ -97,7 +98,7 @@ func TestPartitionPassKeepsInputOrder(t *testing.T) {
 						t.Errorf("spill files leaked: %d -> %d", live, got)
 					}
 				}()
-				pass := partitionPass{env: env, schema: transcriptSchema, fanOut: fanOut, route: route,
+				pass := partitionPass{env: env, schema: transcriptSchema, fanOut: fanOut, key: &plan.quot, route: route,
 					budget: tc.budget, newSpill: newSpill}
 				parts, err := pass.run(exec.NewArenaScan(transcriptSchema, input))
 				if err != nil {

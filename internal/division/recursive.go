@@ -105,7 +105,7 @@ type RecursiveHashDivision struct {
 	strategy PartitionStrategy
 	ropts    RecursiveOptions
 	qs       *tuple.Schema
-	qCols    []int
+	plan     *KeyPlan // compiled once per Open, for every pass and cell
 	stats    RecursiveStats
 	spillSeq int
 	spilled  []*storage.File // spill files not yet dropped
@@ -122,7 +122,7 @@ type RecursiveHashDivision struct {
 func NewRecursiveHashDivision(sp Spec, env Env, strategy PartitionStrategy, ropts RecursiveOptions) *RecursiveHashDivision {
 	return &RecursiveHashDivision{
 		sp: sp, env: env, strategy: strategy, ropts: ropts,
-		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
+		qs: sp.QuotientSchema(),
 	}
 }
 
@@ -164,15 +164,17 @@ func (r *RecursiveHashDivision) dropCell(c part) {
 	}
 }
 
-// repartition re-partitions THIS cell only, on route (salted for this
-// depth), with hybrid residency: children stay resident until the resident
-// rows exceed the budget, at which point the largest resident child is
-// staged out to a spill file and grows on disk from then on; children that
-// fit never touch disk. It then drops the spent cell and hands every child
-// that keep accepts to divide (dropping the rest), staging the next spilled
-// sibling while each one divides. The span named name covers the pass and
-// every child, so no span's self counters go negative.
-func (r *RecursiveHashDivision) repartition(c part, depth, fanOut int, parent *obs.Span, name string, route func(tuple.Tuple) int,
+// repartition re-partitions THIS cell only, routing each row on its key's
+// hash (route salts it for this depth), with hybrid residency: children stay
+// resident until the resident rows exceed the budget, at which point the
+// largest resident child is staged out to a spill file and grows on disk
+// from then on; children that fit never touch disk. It then drops the spent
+// cell and hands every child that keep accepts to divide (dropping the
+// rest), staging the next spilled sibling while each one divides. The span
+// named name covers the pass and every child, so no span's self counters go
+// negative.
+func (r *RecursiveHashDivision) repartition(c part, depth, fanOut int, parent *obs.Span, name string,
+	key *planKey, route func(h uint64) int,
 	keep func(i int, child part) bool, divide func(i int, child part, span *obs.Span) error) error {
 	var span *obs.Span
 	if parent != nil {
@@ -180,7 +182,7 @@ func (r *RecursiveHashDivision) repartition(c part, depth, fanOut int, parent *o
 	}
 	defer span.Start(r.env.Counters).End(0)
 	ds := r.sp.Dividend.Schema()
-	pass := partitionPass{env: r.env, schema: ds, fanOut: fanOut, route: route, budget: r.budget(),
+	pass := partitionPass{env: r.env, schema: ds, fanOut: fanOut, key: key, route: route, budget: r.budget(),
 		newSpill: func() (*storage.File, error) {
 			if r.env.Pool == nil || r.env.TempDev == nil {
 				return nil, fmt.Errorf("division: recursive partitioning must spill but has no Pool/TempDev: %w", ErrMemoryBudget)
@@ -320,7 +322,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c part, divisor []tuple.Tuple
 		Dividend:    c.scan(r.sp.Dividend.Schema()),
 		Divisor:     exec.NewMemScan(r.sp.Divisor.Schema(), divisor),
 		DivisorCols: r.sp.DivisorCols,
-	})
+	}, r.plan)
 	r.stats.Attempts++
 	qts, err := exec.Collect(op)
 	if err == nil {
@@ -361,9 +363,9 @@ func (r *RecursiveHashDivision) repartitionQuotientCell(c part, divisor []tuple.
 		return 0, fmt.Errorf("division: cell of %d tuples still exceeds budget %d at depth %d (quotient skew): %w",
 			c.n, r.budget(), depth, ErrPartitionDepth)
 	}
-	salt, hash := depthSalt(depth), r.sp.Dividend.Schema().HashFunc(r.qCols)
-	route := func(t tuple.Tuple) int { return int(mix64(hash(t)^salt) % uint64(fanOut)) }
-	err = r.repartition(c, depth, fanOut, parent, "repartition", route,
+	salt := depthSalt(depth)
+	route := func(h uint64) int { return int(mix64(h^salt) % uint64(fanOut)) }
+	err = r.repartition(c, depth, fanOut, parent, "repartition", &r.plan.quot, route,
 		func(_ int, child part) bool { return child.n > 0 },
 		func(_ int, child part, span *obs.Span) error {
 			n, err := r.divideQuotientCell(child, divisor, depth+1, span, emit)
@@ -415,9 +417,8 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c part,
 		i := int(mix64(tuple.HashBytes(d)^salt) % uint64(fanOut))
 		clusters[i] = append(clusters[i], d)
 	}
-	hash := r.sp.Dividend.Schema().HashFunc(r.sp.DivisorCols)
-	route := func(t tuple.Tuple) int {
-		i := int(mix64(hash(t)^salt) % uint64(fanOut))
+	route := func(h uint64) int {
+		i := int(mix64(h^salt) % uint64(fanOut))
 		if len(clusters[i]) == 0 {
 			return -1 // no divisor tuples there: the tuple can match nothing
 		}
@@ -425,7 +426,7 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c part,
 	}
 	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
 		len(divisor), r.budget(), depth, fanOut)
-	return r.repartition(c, depth, fanOut, parent, "divisor-repartition", route,
+	return r.repartition(c, depth, fanOut, parent, "divisor-repartition", &r.plan.div, route,
 		func(i int, _ part) bool { return len(clusters[i]) > 0 },
 		func(i int, child part, span *obs.Span) error {
 			return r.divideDivisorNode(clusters[i], child, depth+1, span, leaf)
@@ -440,6 +441,7 @@ func (r *RecursiveHashDivision) Open() error {
 		return err
 	}
 	r.results, r.pos, r.stats = nil, 0, RecursiveStats{}
+	r.plan = CompileKeyPlan(r.sp.Dividend.Schema(), r.sp.DivisorCols)
 	err := r.run()
 	if n := len(r.spilled); err == nil && n != 0 {
 		// Every consumed cell drops its file eagerly; anything left is a bug.
@@ -486,7 +488,7 @@ func (r *RecursiveHashDivision) run() error {
 
 	if budget <= 0 {
 		// No budget: plain hash-division, no partitioning machinery at all.
-		op, hd := divideOp(r.env, parent, "hash-division", r.sp)
+		op, hd := divideOp(r.env, parent, "hash-division", r.sp, r.plan)
 		qts, err := exec.Collect(op)
 		if err != nil {
 			return err

@@ -49,16 +49,12 @@ type SharedStats struct {
 // buckets are sized once from expectedQuotient/hbs. A wrong estimate costs
 // longer chains, never correctness.
 type SharedTable struct {
-	ds    *tuple.Schema
-	qs    *tuple.Schema
-	qCols []int
+	plan *KeyPlan
 
 	divisor      *hashtab.Frozen
 	divisorCount int64
 
 	buckets []atomic.Pointer[SharedElem]
-
-	k kernels // Core's compiled probe kernels
 }
 
 // NewSharedTable builds the divisor table from the given distinct divisor
@@ -72,14 +68,7 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 	if hbs <= 0 {
 		hbs = 2
 	}
-	ds := sp.Dividend.Schema()
-	qCols := sp.QuotientCols()
-	s := &SharedTable{
-		ds:    ds,
-		qs:    sp.QuotientSchema(),
-		qCols: qCols,
-		k:     compileKernels(ds, sp.DivisorCols, qCols),
-	}
+	s := &SharedTable{plan: CompileKeyPlan(sp.Dividend.Schema(), sp.DivisorCols)}
 	tab := hashtab.NewWithCapacity(sp.Divisor.Schema(), len(divisor))
 	for _, d := range divisor {
 		if e, created := tab.GetOrInsert(d); created {
@@ -104,7 +93,7 @@ func (s *SharedTable) DivisorCount() int64 { return s.divisorCount }
 func (s *SharedTable) NumBuckets() int { return len(s.buckets) }
 
 // QuotientSchema returns the candidate tuples' layout.
-func (s *SharedTable) QuotientSchema() *tuple.Schema { return s.qs }
+func (s *SharedTable) QuotientSchema() *tuple.Schema { return s.plan.qs }
 
 func (s *SharedTable) bucketFor(h uint64) int {
 	// Same multiply-shift range reduction as hashtab.bucketFor, so bucket
@@ -117,42 +106,42 @@ func (s *SharedTable) bucketFor(h uint64) int {
 // or publish the quotient candidate, atomically set the divisor's bit. Safe
 // for concurrent use; st must be private to the caller.
 func (s *SharedTable) Absorb(t tuple.Tuple, st *SharedStats) {
+	s.absorb(t, s.plan.div.hashRow(t), s.plan.quot.hashRow(t), st)
+}
+
+// absorb is Absorb with t's hash words given.
+func (s *SharedTable) absorb(t tuple.Tuple, dh, qh uint64, st *SharedStats) {
 	st.Dividend++
 	var de *hashtab.Element
-	var qh uint64
-	if s.k.fastU64 {
-		dk := binary.LittleEndian.Uint64(t[s.k.divOff:])
-		de = s.divisor.LookupU64(tuple.HashUint64LE(dk), dk, &st.Table)
-		if de == nil {
-			return
-		}
-		qh = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[s.k.quotOff:]))
+	if p := s.plan; p.div.word {
+		de = s.divisor.LookupU64(dh, binary.LittleEndian.Uint64(t[p.div.off:]), &st.Table)
 	} else {
-		de = s.divisor.LookupPre(s.k.divHash(t), t, s.k.divEq, &st.Table)
-		if de == nil {
-			return
-		}
-		qh = s.k.quotHash(t)
+		de = s.divisor.LookupPre(dh, t, p.div.eq, &st.Table)
+	}
+	if de == nil {
+		return
 	}
 	e := s.candidate(qh, t, st)
 	e.Bits.AtomicSet(int(de.Num))
 }
 
-// AbsorbBatch absorbs every tuple of b; the batch may alias foreign memory
-// (a pinned page) since candidates store owned projection copies.
+// AbsorbBatch absorbs every tuple of b, probing with the hash words the plan
+// computes for the whole batch first. The batch may alias foreign memory (a
+// pinned page) since candidates store owned projection copies.
 func (s *SharedTable) AbsorbBatch(b *exec.Batch, st *SharedStats) {
+	hs := s.plan.HashRows(b)
 	for i, n := 0, b.Len(); i < n; i++ {
-		s.Absorb(b.Tuple(i), st)
+		s.absorb(b.Tuple(i), hs[2*i], hs[2*i+1], st)
 	}
 }
 
 // equalsCandidate reports whether stored (a candidate's key) matches t's
 // quotient projection.
 func (s *SharedTable) equalsCandidate(t tuple.Tuple, stored tuple.Tuple) bool {
-	if s.k.fastU64 {
-		return binary.LittleEndian.Uint64(t[s.k.quotOff:]) == binary.LittleEndian.Uint64(stored)
+	if p := s.plan; p.quot.word {
+		return binary.LittleEndian.Uint64(t[p.quot.off:]) == binary.LittleEndian.Uint64(stored)
 	}
-	return s.k.quotEq(t, stored)
+	return s.plan.quot.eq(t, stored)
 }
 
 // candidate returns the (unique) SharedElem for t's quotient projection,
@@ -173,7 +162,7 @@ func (s *SharedTable) candidate(h uint64, t tuple.Tuple, st *SharedStats) *Share
 		}
 	}
 	n := &SharedElem{
-		Tuple: s.ds.ProjectTuple(t, s.qCols),
+		Tuple: s.plan.project(t),
 		Bits:  bitmap.New(int(s.divisorCount)),
 	}
 	for {

@@ -187,7 +187,7 @@ func TestSharedTableGenericKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.k.fastU64 {
+	if st.plan.fastU64 {
 		t.Fatal("two-column quotient took the fastU64 kernel")
 	}
 	var wg sync.WaitGroup

@@ -17,6 +17,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/tuple"
@@ -30,8 +31,17 @@ import (
 const DefaultBatchSize = 1024
 
 // arenaPool recycles batch arenas across batches, operators, and queries so
-// steady-state batch execution allocates nothing per batch.
+// steady-state batch execution allocates nothing per batch. It stores
+// *[]byte, so a put boxes nothing.
 var arenaPool sync.Pool
+
+// HashWords is the number of key hash words a batch's hash vector holds per
+// row (see HashVector).
+const HashWords = 2
+
+// hashPool recycles batches' hash vectors. It stores *[]uint64, so a put
+// boxes nothing.
+var hashPool sync.Pool
 
 // Batch is a flat byte arena of up to Cap fixed-width tuples sharing one
 // schema. Tuple i lives at bytes [i*width, (i+1)*width). A batch is either
@@ -43,8 +53,10 @@ var arenaPool sync.Pool
 type Batch struct {
 	schema   *tuple.Schema
 	width    int
-	owned    []byte // recyclable arena backing appended tuples
-	data     []byte // current view: owned, or foreign memory when aliased
+	arena    *[]byte   // the pooled box owned is returned in
+	owned    []byte    // recyclable arena backing appended tuples
+	data     []byte    // current view: owned, or foreign memory when aliased
+	hashes   *[]uint64 // HashVector's pooled storage; nil until first asked
 	n        int
 	aliased  bool
 	released bool
@@ -58,12 +70,15 @@ func NewBatch(schema *tuple.Schema, capTuples int) *Batch {
 	}
 	w := schema.Width()
 	need := capTuples * w
-	arena, ok := arenaPool.Get().([]byte)
-	if !ok || cap(arena) < need {
-		arena = make([]byte, 0, need)
+	arena, _ := arenaPool.Get().(*[]byte)
+	if arena == nil {
+		arena = new([]byte)
 	}
-	arena = arena[:0]
-	return &Batch{schema: schema, width: w, owned: arena, data: arena}
+	if cap(*arena) < need {
+		*arena = make([]byte, 0, need)
+	}
+	owned := (*arena)[:0]
+	return &Batch{schema: schema, width: w, arena: arena, owned: owned, data: owned}
 }
 
 // Schema returns the layout shared by every tuple in the batch.
@@ -109,6 +124,23 @@ func (b *Batch) Append(t tuple.Tuple) {
 	b.owned = append(b.owned, t...)
 	b.data = b.owned
 	b.n++
+}
+
+// HashVector returns HashWords words per row for the caller to fill with
+// the rows' key hashes before its probe loop reads them, so a consumer
+// hashes a whole batch in one loop. The words are the caller's and valid
+// until the batch's rows change. Their storage comes from a pool, stays with
+// the batch across Reset, SetAlias and Truncate, and returns to the pool on
+// Release.
+func (b *Batch) HashVector() []uint64 {
+	if b.hashes == nil {
+		if b.hashes, _ = hashPool.Get().(*[]uint64); b.hashes == nil {
+			b.hashes = new([]uint64)
+		}
+	}
+	n := HashWords * b.n
+	*b.hashes = slices.Grow((*b.hashes)[:0], n)[:n]
+	return *b.hashes
 }
 
 // AppendSlot reserves the next tuple slot and returns it zeroed for the
@@ -164,21 +196,29 @@ func (b *Batch) Truncate(n int) {
 	}
 }
 
-// Release returns the arena to the shared pool. The batch (and every tuple
-// obtained from it) must not be used afterwards. Release is idempotent: a
-// second call is a no-op, never a second arenaPool.Put — a double put would
-// hand the same arena to two live batches, silently sharing memory between
-// queries. Releasing an aliased batch returns only the owned arena; the
-// foreign memory it viewed never enters the pool.
+// Release returns the arena and the hash vector to their pools, allocating
+// nothing. The batch (and every tuple and hash word obtained from it) must
+// not be used afterwards. Release is idempotent: a second call is a no-op,
+// never a second put — a double put would hand the same arena to two live
+// batches, silently sharing memory between queries. Releasing an aliased
+// batch returns only the owned arena; the foreign memory it viewed never
+// enters the pool.
 func (b *Batch) Release() {
 	if b.released {
 		return
 	}
 	b.released = true
 	if b.owned != nil {
-		arenaPool.Put(b.owned[:0]) //nolint:staticcheck // []byte boxing is one header per query
+		if b.arena == nil {
+			b.arena = new([]byte) // an arena grown after an earlier Release
+		}
+		*b.arena = b.owned[:0]
+		arenaPool.Put(b.arena)
 	}
-	b.owned, b.data, b.n = nil, nil, 0
+	if b.hashes != nil {
+		hashPool.Put(b.hashes)
+	}
+	b.arena, b.owned, b.data, b.hashes, b.n = nil, nil, nil, nil, 0
 	b.aliased = false
 }
 

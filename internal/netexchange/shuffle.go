@@ -9,7 +9,6 @@ import (
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/tuple"
 )
 
 // ShuffleStats is a finished shuffle's traffic.
@@ -25,17 +24,19 @@ type ShuffleStats struct {
 // Shuffle ships a dividend to the sites of a partitioned division: the one
 // dividend exchange of the repository (DESIGN.md §9, §15). Producer
 // goroutines, at most min(GOMAXPROCS, 8), pull morsels (or the fallback
-// reader's batches) from an exec.MorselSource, route every tuple through a
-// division.Router — bit-vector filter first, then the partitioning hash —
-// and write-combine it into a private exec.Batch per destination; a batch
-// that reaches batchSize goes to its destination's channel, linkDepth
-// batches deep, in one send, and each producer's trailing partial batches
-// follow when its input runs dry. A consumer — a TCP link writer, or an
+// reader's batches) from an exec.MorselSource, hash each batch's keys with
+// the division's key plan in one loop, route every tuple on its hash words
+// through a division.Router — bit-vector filter first, then the
+// partitioning hash — and write-combine it into a private exec.Batch per
+// destination; a batch that reaches batchSize goes to its destination's
+// channel, linkDepth batches deep, in one send, and each producer's trailing
+// partial batches follow when its input runs dry. A consumer — a TCP link writer, or an
 // in-process worker reading its pipe — drains Dest(i) and hands every batch
 // back through Recycle, so batches circulate through a free list instead of
 // being allocated per send.
 type Shuffle struct {
 	sp                   division.Spec
+	plan                 *division.KeyPlan
 	rt                   division.Router
 	producers, batchSize int
 	morselTuples         int
@@ -50,7 +51,8 @@ func newShuffle(sp division.Spec, strategy division.PartitionStrategy, filter *b
 	sites, batchSize, morselTuples int, span *obs.Span) *Shuffle {
 	s := &Shuffle{
 		sp:           sp,
-		rt:           division.NewRouter(sp, strategy, filter, sites),
+		plan:         division.CompileKeyPlan(sp.Dividend.Schema(), sp.DivisorCols),
+		rt:           division.NewRouter(strategy, filter, sites),
 		producers:    min(runtime.GOMAXPROCS(0), 8),
 		batchSize:    batchSize,
 		morselTuples: morselTuples,
@@ -166,42 +168,37 @@ type partitioner struct {
 }
 
 // run routes every batch the producer claims, then ships its trailing
-// partial batches.
+// partial batches. Each batch's keys are hashed in one loop first, and every
+// tuple is routed on its words. Tuples a producer ships to its own consumer
+// count as shipped all the same: the accounting models the interconnect of
+// a shared-nothing system (§6), where self-delivery is not observable to
+// the cost model.
 func (p *partitioner) run(ctx context.Context, src *exec.MorselSource) (err error) {
 	defer exec.RecoverPanic(&err)
 	scratch := exec.NewBatch(p.s.sp.Dividend.Schema(), p.s.morselTuples)
 	defer scratch.Release()
 	err = src.Drain(ctx, scratch, func(b *exec.Batch) error {
+		hs := p.s.plan.HashRows(b)
+		rt, size := &p.s.rt, p.s.batchSize
 		for i, n := 0, b.Len(); i < n; i++ {
-			if err := p.route(ctx, b.Tuple(i)); err != nil {
+			d, ok := rt.Dest(hs[2*i], hs[2*i+1])
+			if !ok {
+				p.filtered++
+				continue
+			}
+			out := p.batches[d]
+			out.Append(b.Tuple(i))
+			if out.Len() < size {
+				continue
+			}
+			if err := p.send(ctx, d, out); err != nil {
 				return err
 			}
+			p.batches[d] = p.s.batch()
 		}
 		return ctx.Err()
 	})
 	return p.finish(ctx, err)
-}
-
-// route processes one dividend tuple. Tuples a producer ships to its own
-// consumer count as shipped all the same: the accounting models the
-// interconnect of a shared-nothing system (§6), where self-delivery is not
-// observable to the cost model.
-func (p *partitioner) route(ctx context.Context, t tuple.Tuple) error {
-	d, ok := p.s.rt.Dest(t)
-	if !ok {
-		p.filtered++
-		return nil
-	}
-	b := p.batches[d]
-	b.Append(t)
-	if b.Len() < p.s.batchSize {
-		return nil
-	}
-	if err := p.send(ctx, d, b); err != nil {
-		return err
-	}
-	p.batches[d] = p.s.batch()
-	return nil
 }
 
 // send hands b to destination d, counting its tuples, and a stall when the

@@ -172,7 +172,7 @@ func runJob(t transport, j jobHeader) (err error) {
 	if err != nil {
 		return err
 	}
-	core := division.NewCore(ds, ss, j.DivisorCols, division.CoreOptions{
+	core := division.NewCore(division.CompileKeyPlan(ds, j.DivisorCols), ss, division.CoreOptions{
 		DivisorCapacity:  divisor.Len(),
 		ExpectedQuotient: 256,
 		HBS:              j.HBS,
