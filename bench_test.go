@@ -478,47 +478,6 @@ func BenchmarkBitVectorFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferPolicy ablates LRU against second-chance Clock on a mixed
-// workload: a hot set re-fixed continuously while a sequential scan streams
-// past, the pattern where a scan can flush an LRU cache. The hit ratio is
-// reported as a custom metric.
-func BenchmarkBufferPolicy(b *testing.B) {
-	const pageSize = 1024
-	for _, pol := range []buffer.Policy{buffer.LRU, buffer.Clock} {
-		b.Run(pol.String(), func(b *testing.B) {
-			dev := disk.NewDevice("b", pageSize)
-			dev.AllocExtent(256)
-			var hits, total int
-			for i := 0; i < b.N; i++ {
-				pool := buffer.NewWithPolicy(16*pageSize, pol)
-				for round := 0; round < 50; round++ {
-					// Touch the 4-page hot set (kept), then 8 scan pages
-					// (release hint).
-					for pg := disk.PageID(0); pg < 4; pg++ {
-						h, err := pool.Fix(dev, pg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						h.Unfix(true)
-					}
-					for k := 0; k < 8; k++ {
-						pg := disk.PageID(4 + (round*8+k)%252)
-						h, err := pool.Fix(dev, pg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						h.Unfix(false)
-					}
-				}
-				s := pool.Stats()
-				hits += s.Hits
-				total += s.Hits + s.Misses
-			}
-			b.ReportMetric(float64(hits)/float64(total), "hit-ratio")
-		})
-	}
-}
-
 // BenchmarkPublicAPI measures the end-to-end façade.
 func BenchmarkPublicAPI(b *testing.B) {
 	orders := NewRelation("orders", Int64Col("customer"), Int64Col("product"))

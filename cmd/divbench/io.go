@@ -80,7 +80,7 @@ func ioScanOnce(f *storage.File) (int, error) {
 	defer ps.Close()
 	total := 0
 	for {
-		data, _, _, err := ps.Next()
+		data, _, err := ps.Next()
 		if err == io.EOF {
 			return total, ps.Close()
 		}
@@ -200,7 +200,7 @@ func runIO(args []string) error {
 	for _, nshards := range shardCounts {
 		sbase := disk.NewDevice("shardsweep", disk.PaperPageSize)
 		sdev := disk.NewLatency(sbase, 0, 0)
-		spool := buffer.NewWithShards(poolPages*disk.PaperPageSize, buffer.LRU, nshards)
+		spool := buffer.NewWithShards(poolPages*disk.PaperPageSize, nshards)
 		obs.InstrumentPool(obs.Default, spool)
 		ext := sbase.AllocExtent(sweepPages)
 		// Seed every page through the pool (delay off) so checksums exist.

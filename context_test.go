@@ -79,7 +79,8 @@ func TestDivideContextCancelMidParallel(t *testing.T) {
 }
 
 // TestExplainAnalyzeTimeout: ExplainAnalyze plans like Divide, so an
-// already expired Timeout aborts it on every path.
+// already expired Timeout aborts it on every path; it aborts DivideWithStats
+// too.
 func TestExplainAnalyzeTimeout(t *testing.T) {
 	dividend, divisor := bigRelations(50, 8)
 	for _, opts := range []*Options{
@@ -93,6 +94,12 @@ func TestExplainAnalyzeTimeout(t *testing.T) {
 		}
 		if q != nil || prof != nil {
 			t.Fatalf("%+v: expired query returned a result", *opts)
+		}
+		if opts.Workers > 1 {
+			continue // DivideWithStats runs serially
+		}
+		if q, _, err := DivideWithStats(dividend, divisor, nil, opts); !errors.Is(err, context.DeadlineExceeded) || q != nil {
+			t.Fatalf("%+v: DivideWithStats returned %v, err %v, want context.DeadlineExceeded", *opts, q, err)
 		}
 	}
 }

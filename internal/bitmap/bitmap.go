@@ -35,28 +35,32 @@ func (b *Bitmap) Len() int { return b.n }
 // memory-budget accounting of hash table overflow handling.
 func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 
+// rangeError is the panic value of an out-of-range index. Its message is
+// formatted only when the panic is reported, which keeps check, and the bit
+// operations calling it, within the compiler's inlining budget.
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitmap: index %d out of range [0,%d)", e.i, e.n)
+}
+
+// check panics unless 0 <= i < n; one unsigned comparison tests both.
 func (b *Bitmap) check(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitmap: index %d out of range [0,%d)", i, b.n))
+	if uint(i) >= uint(b.n) {
+		panic(rangeError{i, b.n})
 	}
 }
 
 // Set sets bit i.
 func (b *Bitmap) Set(i int) {
 	b.check(i)
-	b.words[i/wordBits] |= 1 << (i % wordBits)
-}
-
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	b.check(i)
-	b.words[i/wordBits] &^= 1 << (i % wordBits)
+	b.words[uint(i)/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
 // Test reports whether bit i is set.
 func (b *Bitmap) Test(i int) bool {
 	b.check(i)
-	return b.words[i/wordBits]&(1<<(i%wordBits)) != 0
+	return b.words[uint(i)/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
 // SetAndReport sets bit i and reports whether it was already set. The
@@ -65,8 +69,8 @@ func (b *Bitmap) Test(i int) bool {
 // already-set bit and is discarded.
 func (b *Bitmap) SetAndReport(i int) (wasSet bool) {
 	b.check(i)
-	w := i / wordBits
-	mask := uint64(1) << (i % wordBits)
+	w := uint(i) / wordBits
+	mask := uint64(1) << (uint(i) % wordBits)
 	wasSet = b.words[w]&mask != 0
 	b.words[w] |= mask
 	return wasSet
@@ -74,11 +78,11 @@ func (b *Bitmap) SetAndReport(i int) (wasSet bool) {
 
 // AtomicSet sets bit i with a compare-and-swap loop on its word and reports
 // whether the bit was already set. It is safe for concurrent use with other
-// AtomicSet and AtomicTest calls on the same map: this is the write half of
-// the shared-quotient-table contract (DESIGN.md §9), where parallel workers
-// set divisor bits on one shared candidate bitmap. Exactly one concurrent
+// AtomicSet calls on the same map: this is the write half of the
+// shared-quotient-table contract (DESIGN.md §9), where parallel workers set
+// divisor bits on one shared candidate bitmap. Exactly one concurrent
 // setter of a given bit observes wasSet == false. Mixing AtomicSet with the
-// plain mutators (Set, Clear, Reset, Or) concurrently is a data race; plain
+// plain mutators (Set, Reset, Or) concurrently is a data race; plain
 // readers (PopCount, AllSet, ...) are safe once the setters are quiesced by
 // a happens-before edge such as sync.WaitGroup.Wait.
 //
@@ -87,8 +91,8 @@ func (b *Bitmap) SetAndReport(i int) (wasSet bool) {
 // words, so the loop retries only under a genuine write collision.
 func (b *Bitmap) AtomicSet(i int) (wasSet bool) {
 	b.check(i)
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << (i % wordBits)
+	w := &b.words[uint(i)/wordBits]
+	mask := uint64(1) << (uint(i) % wordBits)
 	for {
 		old := atomic.LoadUint64(w)
 		if old&mask != 0 {
@@ -98,25 +102,6 @@ func (b *Bitmap) AtomicSet(i int) (wasSet bool) {
 			return false
 		}
 	}
-}
-
-// AtomicTest reports whether bit i is set, using an atomic word load so it
-// may run concurrently with AtomicSet.
-func (b *Bitmap) AtomicTest(i int) bool {
-	b.check(i)
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(i%wordBits)) != 0
-}
-
-// AtomicPopCount returns the number of set bits using atomic word loads, so
-// it may run concurrently with AtomicSet. The count is a consistent snapshot
-// per word, not across words; with monotone setters (bits are only ever set)
-// it is a lower bound on the eventual population.
-func (b *Bitmap) AtomicPopCount() int {
-	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(atomic.LoadUint64(&b.words[i]))
-	}
-	return c
 }
 
 // HasZero reports whether any of the n bits is still zero, scanning whole
@@ -146,37 +131,14 @@ func (b *Bitmap) AllSet() bool { return !b.HasZero() }
 
 // PopCount returns the number of set bits, one OnesCount64 per word. The
 // batch quotient scan tests candidate completion with it (PopCount == |S| ⇔
-// AllSet, since Set guards the index range) and partition-phase progress
-// logging prices completion percentages with it. Bits past Len can never be
-// set, so the partial final word needs no masking.
+// AllSet, since Set guards the index range). Bits past Len can never be set,
+// so the partial final word needs no masking.
 func (b *Bitmap) PopCount() int {
 	c := 0
 	for _, w := range b.words {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Count returns the number of set bits.
-//
-// Deprecated: use PopCount.
-func (b *Bitmap) Count() int { return b.PopCount() }
-
-// FirstZero returns the index of the lowest zero bit, or -1 if all bits are
-// set. Useful for diagnostics ("which divisor tuple is this candidate
-// missing?").
-func (b *Bitmap) FirstZero() int {
-	for wi, w := range b.words {
-		if w == ^uint64(0) {
-			continue
-		}
-		i := wi*wordBits + bits.TrailingZeros64(^w)
-		if i < b.n {
-			return i
-		}
-		return -1
-	}
-	return -1
 }
 
 // Words exposes the packed backing words, little-endian within each word

@@ -1,7 +1,9 @@
 package bitmap
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,8 +16,8 @@ func TestNewIsZero(t *testing.T) {
 		if b.Len() != n {
 			t.Errorf("Len = %d, want %d", b.Len(), n)
 		}
-		if b.Count() != 0 {
-			t.Errorf("n=%d: new bitmap has %d set bits", n, b.Count())
+		if b.PopCount() != 0 {
+			t.Errorf("n=%d: new bitmap has %d set bits", n, b.PopCount())
 		}
 		if n > 0 && !b.HasZero() {
 			t.Errorf("n=%d: new bitmap should have zeros", n)
@@ -35,7 +37,7 @@ func TestNewNegativePanics(t *testing.T) {
 	New(-1)
 }
 
-func TestSetTestClear(t *testing.T) {
+func TestSetTest(t *testing.T) {
 	b := New(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if b.Test(i) {
@@ -45,28 +47,43 @@ func TestSetTestClear(t *testing.T) {
 		if !b.Test(i) {
 			t.Errorf("bit %d not set after Set", i)
 		}
-		b.Clear(i)
-		if b.Test(i) {
-			t.Errorf("bit %d still set after Clear", i)
-		}
 	}
 }
 
+// TestOutOfRangePanics: every bit operation rejects an index below zero and
+// one at the length (check's one unsigned comparison catches both) with an
+// error naming the index and the range.
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
-	for name, f := range map[string]func(){
-		"Set":  func() { b.Set(10) },
-		"Test": func() { b.Test(-1) },
+	for _, op := range []struct {
+		name string
+		f    func(i int)
+	}{
+		{"Set", func(i int) { b.Set(i) }},
+		{"Test", func(i int) { b.Test(i) }},
+		{"SetAndReport", func(i int) { b.SetAndReport(i) }},
+		{"AtomicSet", func(i int) { b.AtomicSet(i) }},
 	} {
-		f := f
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
+		t.Run(op.name, func(t *testing.T) {
+			for _, i := range []int{-1, 10} {
+				t.Run(strconv.Itoa(i), func(t *testing.T) {
+					defer func() {
+						err, ok := recover().(error)
+						if !ok {
+							t.Fatal("no panic with an error value")
+						}
+						want := fmt.Sprintf("bitmap: index %d out of range [0,10)", i)
+						if msg := err.Error(); msg != want {
+							t.Errorf("panic message %q, want %q", msg, want)
+						}
+					}()
+					op.f(i)
+				})
+			}
 		})
+	}
+	if b.PopCount() != 0 {
+		t.Errorf("a rejected index set %d bits", b.PopCount())
 	}
 }
 
@@ -78,8 +95,8 @@ func TestSetAndReport(t *testing.T) {
 	if !b.SetAndReport(3) {
 		t.Error("second SetAndReport did not report already-set")
 	}
-	if b.Count() != 1 {
-		t.Errorf("Count = %d, want 1", b.Count())
+	if b.PopCount() != 1 {
+		t.Errorf("PopCount = %d, want 1", b.PopCount())
 	}
 }
 
@@ -93,26 +110,10 @@ func TestAllSetAndHasZeroBoundaries(t *testing.T) {
 		if b.AllSet() {
 			t.Errorf("n=%d: AllSet with one bit missing", n)
 		}
-		if got := b.FirstZero(); got != n-1 {
-			t.Errorf("n=%d: FirstZero = %d, want %d", n, got, n-1)
-		}
 		b.Set(n - 1)
 		if !b.AllSet() {
 			t.Errorf("n=%d: AllSet false with all bits set", n)
 		}
-		if got := b.FirstZero(); got != -1 {
-			t.Errorf("n=%d: FirstZero = %d, want -1", n, got)
-		}
-	}
-}
-
-func TestFirstZeroSkipsFullWords(t *testing.T) {
-	b := New(200)
-	for i := 0; i < 100; i++ {
-		b.Set(i)
-	}
-	if got := b.FirstZero(); got != 100 {
-		t.Errorf("FirstZero = %d, want 100", got)
 	}
 }
 
@@ -125,8 +126,8 @@ func TestOr(t *testing.T) {
 	if !a.Test(1) || !a.Test(69) {
 		t.Error("Or lost bits")
 	}
-	if a.Count() != 2 {
-		t.Errorf("Count = %d, want 2", a.Count())
+	if a.PopCount() != 2 {
+		t.Errorf("PopCount = %d, want 2", a.PopCount())
 	}
 }
 
@@ -145,8 +146,8 @@ func TestReset(t *testing.T) {
 		b.Set(i)
 	}
 	b.Reset()
-	if b.Count() != 0 {
-		t.Errorf("Count after Reset = %d", b.Count())
+	if b.PopCount() != 0 {
+		t.Errorf("PopCount after Reset = %d", b.PopCount())
 	}
 }
 
@@ -171,8 +172,8 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-// Property: Count equals the size of the set of indices set; AllSet iff every
-// index was set.
+// Property: PopCount equals the size of the set of indices set; AllSet iff
+// every index was set.
 func TestQuickCountMatchesModel(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw%500) + 1
@@ -187,7 +188,7 @@ func TestQuickCountMatchesModel(t *testing.T) {
 			}
 			model[i] = true
 		}
-		if b.Count() != len(model) {
+		if b.PopCount() != len(model) {
 			return false
 		}
 		return b.AllSet() == (len(model) == n)
@@ -230,10 +231,6 @@ func TestPopCount(t *testing.T) {
 	if got := b.PopCount(); got != len(set) {
 		t.Errorf("PopCount = %d, want %d", got, len(set))
 	}
-	b.Clear(64)
-	if got := b.PopCount(); got != len(set)-1 {
-		t.Errorf("PopCount after Clear = %d, want %d", got, len(set)-1)
-	}
 }
 
 func TestPopCountPartialFinalWord(t *testing.T) {
@@ -264,16 +261,6 @@ func TestPopCountPartialFinalWord(t *testing.T) {
 	}
 }
 
-func TestPopCountMatchesCount(t *testing.T) {
-	b := New(200)
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
-	}
-	if b.PopCount() != b.Count() {
-		t.Errorf("PopCount %d != Count %d", b.PopCount(), b.Count())
-	}
-}
-
 func TestAtomicSetMatchesSet(t *testing.T) {
 	a, b := New(131), New(131)
 	for i := 0; i < 131; i += 7 {
@@ -289,12 +276,6 @@ func TestAtomicSetMatchesSet(t *testing.T) {
 		if a.Test(i) != b.Test(i) {
 			t.Fatalf("bit %d: Set path %v, AtomicSet path %v", i, a.Test(i), b.Test(i))
 		}
-		if b.Test(i) != b.AtomicTest(i) {
-			t.Fatalf("bit %d: Test %v, AtomicTest %v", i, b.Test(i), b.AtomicTest(i))
-		}
-	}
-	if a.PopCount() != b.AtomicPopCount() {
-		t.Errorf("PopCount %d != AtomicPopCount %d", a.PopCount(), b.AtomicPopCount())
 	}
 }
 
@@ -338,7 +319,7 @@ func TestAtomicSetConcurrent(t *testing.T) {
 	if !b.AllSet() {
 		t.Error("not all bits set after concurrent setters finished")
 	}
-	if b.PopCount() != bits || b.AtomicPopCount() != bits {
-		t.Errorf("PopCount=%d AtomicPopCount=%d, want %d", b.PopCount(), b.AtomicPopCount(), bits)
+	if b.PopCount() != bits {
+		t.Errorf("PopCount=%d, want %d", b.PopCount(), bits)
 	}
 }

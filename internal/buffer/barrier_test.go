@@ -83,7 +83,7 @@ func TestWriteBarrierGatesDirtyWriteBack(t *testing.T) {
 // the barrier too, not just explicit flushes.
 func TestWriteBarrierCoversEviction(t *testing.T) {
 	dev := disk.NewDevice("data", 4096)
-	p := NewWithShards(8*4096, LRU, 1)
+	p := NewWithShards(8*4096, 1)
 	var barriers int
 	var mu sync.Mutex
 	p.SetWriteBarrier(func(disk.Dev, disk.PageID) error {

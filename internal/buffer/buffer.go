@@ -20,7 +20,7 @@
 // # Sharding
 //
 // The pool is sharded by page-id hash into independent shards, each with its
-// own mutex, frame table, LRU/Clock victim list, checksum table, and
+// own mutex, frame table, LRU victim list, checksum table, and
 // statistics. Concurrent fixes of different pages therefore contend only when
 // the pages hash to the same shard. The memory budget stays global: frame
 // bytes are reserved against one atomic counter, and a shard that needs room
@@ -67,32 +67,6 @@ var (
 	// ErrFixed is returned by DropPages for a page that was still fixed.
 	ErrFixed = errors.New("buffer: dropped page still fixed")
 )
-
-// Policy selects the replacement policy.
-type Policy int
-
-const (
-	// LRU replaces the least recently unfixed frame, honoring the unfix
-	// hint (immediately-replaceable frames go to the front of the queue).
-	// It is the paper's policy ("inserted into an LRU list").
-	LRU Policy = iota
-	// Clock is the second-chance policy: frames carry a reference bit set
-	// on unfix-with-keep; the evicting sweep clears set bits and evicts
-	// the first frame found clear. Cheaper bookkeeping per hit in real
-	// systems, provided as an ablation here.
-	Clock
-)
-
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case Clock:
-		return "clock"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // RetryPolicy bounds how the pool reissues faulted transfers. Attempts
 // counts total tries (first try included); Backoff is the sleep before the
@@ -167,7 +141,6 @@ type frame struct {
 	dropped    bool          // detached by DropPages while fixed; the last Unfix frees it
 	loading    bool          // a reader owns this frame; data not yet valid
 	ready      chan struct{} // closed when loading completes (or fails)
-	ref        bool          // Clock reference bit
 	lruElem    *list.Element // non-nil iff on the victim list (fixCount == 0)
 }
 
@@ -216,7 +189,6 @@ type shard struct {
 // Pool is the buffer manager. It is safe for concurrent use.
 type Pool struct {
 	maxBytes int
-	policy   Policy
 	shards   []*shard
 	mask     uint64 // len(shards)-1 when power of two, else 0 and mod is used
 
@@ -242,19 +214,14 @@ type Pool struct {
 // unfixed"). The shard count scales with the budget (one shard per 32 KB,
 // capped at 8); use NewWithShards for explicit control.
 func New(maxBytes int) *Pool {
-	return NewWithPolicy(maxBytes, LRU)
-}
-
-// NewWithPolicy creates a pool with an explicit replacement policy.
-func NewWithPolicy(maxBytes int, policy Policy) *Pool {
-	return NewWithShards(maxBytes, policy, defaultShards(maxBytes))
+	return NewWithShards(maxBytes, defaultShards(maxBytes))
 }
 
 // NewWithShards creates a pool with an explicit shard count. A single shard
 // reproduces the fully serialized pre-sharding pool (useful as a contention
 // baseline); counts that are not powers of two work but select shards by
 // modulo instead of mask.
-func NewWithShards(maxBytes int, policy Policy, nshards int) *Pool {
+func NewWithShards(maxBytes, nshards int) *Pool {
 	if maxBytes <= 0 {
 		panic(fmt.Sprintf("buffer: pool size must be positive, got %d", maxBytes))
 	}
@@ -263,7 +230,6 @@ func NewWithShards(maxBytes int, policy Policy, nshards int) *Pool {
 	}
 	p := &Pool{
 		maxBytes: maxBytes,
-		policy:   policy,
 		shards:   make([]*shard, nshards),
 	}
 	if nshards&(nshards-1) == 0 {
@@ -299,9 +265,6 @@ func (p *Pool) shardFor(key frameKey) *shard {
 
 // NumShards reports how many independently locked shards the pool has.
 func (p *Pool) NumShards() int { return len(p.shards) }
-
-// PolicyName reports the configured replacement policy.
-func (p *Pool) PolicyName() Policy { return p.policy }
 
 // SetRetryPolicy replaces the transfer retry policy (DefaultRetryPolicy by
 // default). A zero RetryPolicy disables retries; checksum verification stays
@@ -360,16 +323,10 @@ func (h *Handle) Unfix(keepLRU bool) error {
 			p.detached.Add(-1)
 			return nil
 		}
-		switch p.policy {
-		case Clock:
-			f.ref = keepLRU // second chance iff the caller wants it kept
+		if keepLRU {
 			f.lruElem = s.lru.PushBack(f)
-		default:
-			if keepLRU {
-				f.lruElem = s.lru.PushBack(f)
-			} else {
-				f.lruElem = s.lru.PushFront(f)
-			}
+		} else {
+			f.lruElem = s.lru.PushFront(f)
 		}
 	}
 	return nil
@@ -500,44 +457,32 @@ func (p *Pool) evictOne(prefer *shard) (bool, error) {
 	return false, nil
 }
 
-// evictFromShardLocked removes one victim from s, honoring Clock second
-// chances, writing back dirty real frames and discarding virtual ones. A
-// failed write-back leaves the frame at the front of the victim list so a
-// later attempt can retry.
+// evictFromShardLocked removes the front of s's victim list, writing back
+// a dirty real frame and discarding a virtual one. A failed write-back
+// leaves the frame at the front of the victim list so a later attempt can
+// retry.
 func (p *Pool) evictFromShardLocked(s *shard) (evicted, wasPrefetched bool, err error) {
-	// Each sweep iteration either evicts or clears one Clock bit, so
-	// 2*len passes bound the scan.
-	for sweep := 2*s.lru.Len() + 1; sweep > 0; sweep-- {
-		el := s.lru.Front()
-		if el == nil {
-			return false, false, nil
-		}
-		f := el.Value.(*frame)
-		if p.policy == Clock && f.ref {
-			// Second chance: clear the bit and move on. The sweep
-			// terminates because each pass clears bits.
-			f.ref = false
-			s.lru.MoveToBack(el)
-			continue
-		}
-		if f.dirty && !f.virtual {
-			if err := p.writePageLocked(s, f.key, f.data); err != nil {
-				return false, false, fmt.Errorf("buffer: write-back: %w", err)
-			}
-			f.dirty = false
-			s.stats.WriteBacks++
-		}
-		s.lru.Remove(el)
-		f.lruElem = nil
-		if f.virtual {
-			s.stats.VirtualLost++
-		}
-		delete(s.frames, f.key)
-		p.giveBack(f.data)
-		s.stats.Evictions++
-		return true, f.prefetched, nil
+	el := s.lru.Front()
+	if el == nil {
+		return false, false, nil
 	}
-	return false, false, nil
+	f := el.Value.(*frame)
+	if f.dirty && !f.virtual {
+		if err := p.writePageLocked(s, f.key, f.data); err != nil {
+			return false, false, fmt.Errorf("buffer: write-back: %w", err)
+		}
+		f.dirty = false
+		s.stats.WriteBacks++
+	}
+	s.lru.Remove(el)
+	f.lruElem = nil
+	if f.virtual {
+		s.stats.VirtualLost++
+	}
+	delete(s.frames, f.key)
+	p.giveBack(f.data)
+	s.stats.Evictions++
+	return true, f.prefetched, nil
 }
 
 // pinLocked marks an existing frame fixed, removing it from the victim list.

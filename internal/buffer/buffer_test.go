@@ -450,83 +450,125 @@ func TestPeakBytesTracksHighWater(t *testing.T) {
 	}
 }
 
-func TestClockSecondChance(t *testing.T) {
-	dev := newDev(16, 4)
-	p := NewWithPolicy(48, Clock) // 3 frames
-	if p.PolicyName() != Clock {
-		t.Fatal("policy not set")
-	}
-
-	fix := func(pg disk.PageID, keep bool) {
+// TestSequentialScanMissesEveryPage: a sequential scan with the release
+// hint through a pool smaller than the file retains no scan page.
+func TestSequentialScanMissesEveryPage(t *testing.T) {
+	dev := newDev(16, 8)
+	p := New(32)
+	for pg := disk.PageID(0); pg < 8; pg++ {
 		h, err := p.Fix(dev, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Unfix(keep); err != nil {
+		if err := h.Unfix(false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Pages 0 and 2 referenced (keep=true), page 1 not.
-	fix(0, true)
-	fix(1, false)
-	fix(2, true)
-
-	// Page 3 forces one eviction: the sweep must skip 0 (clearing its
-	// bit), evict 1 (bit clear), leaving 0 and 2 resident.
-	fix(3, true)
-	r := dev.Stats().Reads
-	fix(0, true)
-	fix(2, true)
-	if got := dev.Stats().Reads - r; got != 0 {
-		t.Errorf("referenced pages were evicted (%d extra reads)", got)
+	if s := p.Stats(); s.Misses != 8 {
+		t.Errorf("misses = %d, want 8", s.Misses)
 	}
-	fix(1, true)
+}
+
+// TestEvictsLeastRecentlyUnfixed: among frames all unfixed with the keep
+// hint, the victim is the one unfixed longest ago; a hit moves a frame to
+// the back of the list, and one miss evicts exactly one frame.
+func TestEvictsLeastRecentlyUnfixed(t *testing.T) {
+	dev := newDev(16, 4)
+	p := New(48) // 3 frames
+
+	fix := func(pg disk.PageID) {
+		h, err := p.Fix(dev, pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Unfix(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fix(0)
+	fix(1)
+	fix(2)
+	fix(0) // hit: page 1 is now the least recently unfixed
+
+	fix(3)
+	if s := p.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	}
+	r := dev.Stats().Reads
+	fix(0)
+	fix(2)
+	fix(3)
+	if got := dev.Stats().Reads - r; got != 0 {
+		t.Errorf("pages 0, 2 and 3 should be resident (%d extra reads)", got)
+	}
+	fix(1)
 	if got := dev.Stats().Reads - r; got != 1 {
 		t.Errorf("page 1 should have been the victim (extra reads = %d, want 1)", got)
 	}
 }
 
-func TestClockSweepTerminatesWhenAllReferenced(t *testing.T) {
+// TestFailedWriteBackKeepsVictim: when the write-back of the front victim
+// fails, the miss fails with that error and the dirty frame stays resident
+// at the front of the list, so the next miss writes it back and evicts it.
+func TestFailedWriteBackKeepsVictim(t *testing.T) {
 	dev := newDev(16, 4)
-	p := NewWithPolicy(32, Clock) // 2 frames
-	for pg := disk.PageID(0); pg < 2; pg++ {
-		h, err := p.Fix(dev, pg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Unfix(true); err != nil { // both referenced
-			t.Fatal(err)
-		}
-	}
-	// Eviction must clear bits and still find a victim.
-	h, err := p.Fix(dev, 2)
+	p := New(32) // 2 frames
+
+	h, err := p.Fix(dev, 0)
 	if err != nil {
-		t.Fatalf("clock sweep failed with all bits set: %v", err)
+		t.Fatal(err)
+	}
+	h.Bytes()[0] = 9
+	h.MarkDirty()
+	if err := h.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+	h, err = p.Fix(dev, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+
+	barrierErr := errors.New("log not durable")
+	p.SetWriteBarrier(func(disk.Dev, disk.PageID) error { return barrierErr })
+	if _, err := p.Fix(dev, 2); !errors.Is(err, barrierErr) {
+		t.Fatalf("Fix with a failing write-back = %v, want the barrier error", err)
+	}
+	if s := p.Stats(); s.Evictions != 0 || s.WriteBacks != 0 {
+		t.Fatalf("evictions=%d writebacks=%d after the failed write-back, want 0/0", s.Evictions, s.WriteBacks)
+	}
+	if got := dev.Stats().Writes; got != 0 {
+		t.Fatalf("device writes = %d, want 0", got)
+	}
+
+	p.SetWriteBarrier(nil)
+	h, err = p.Fix(dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unfix(true); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Evictions != 1 || s.WriteBacks != 1 {
+		t.Errorf("evictions=%d writebacks=%d, want 1/1", s.Evictions, s.WriteBacks)
+	}
+	buf := make([]byte, 16)
+	if err := dev.Read(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 9 {
+		t.Error("the retried eviction did not write page 0 back")
+	}
+	r := dev.Stats().Reads
+	h, err = p.Fix(dev, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	h.Unfix(true)
-	if s := p.Stats(); s.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", s.Evictions)
-	}
-}
-
-func TestClockBehavesOnScanWorkload(t *testing.T) {
-	// A pure sequential scan (keep=false) must evict in arrival order under
-	// both policies, so neither policy retains scan pages.
-	for _, pol := range []Policy{LRU, Clock} {
-		dev := newDev(16, 8)
-		p := NewWithPolicy(32, pol)
-		for pg := disk.PageID(0); pg < 8; pg++ {
-			h, err := p.Fix(dev, pg)
-			if err != nil {
-				t.Fatalf("%v: %v", pol, err)
-			}
-			if err := h.Unfix(false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s := p.Stats(); s.Misses != 8 {
-			t.Errorf("%v: misses = %d, want 8", pol, s.Misses)
-		}
+	if got := dev.Stats().Reads - r; got != 0 {
+		t.Errorf("page 1 was evicted in place of the dirty front frame (%d extra reads)", got)
 	}
 }
 

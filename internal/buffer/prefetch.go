@@ -261,9 +261,6 @@ func (pf *Prefetcher) load(key frameKey) {
 	f.fixCount = 0
 	f.prefetched = true
 	f.lruElem = s.lru.PushBack(f)
-	if p.policy == Clock {
-		f.ref = true
-	}
 	close(f.ready)
 	s.mu.Unlock()
 }

@@ -264,7 +264,7 @@ func TestDropPagesWaitsForLoadingPrefetch(t *testing.T) {
 // with -race.
 func TestPrefetchRacesSyncFix(t *testing.T) {
 	dev := newDev(128, 32)
-	p := NewWithShards(16*128, LRU, 4)
+	p := NewWithShards(16*128, 4)
 	pf := p.EnableReadAhead(8, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestDefaultShardHeuristic(t *testing.T) {
 // only reports ErrNoMemory when every frame everywhere is fixed.
 func TestShardedCapacityIsGlobal(t *testing.T) {
 	dev := newDev(512, 64)
-	p := NewWithShards(4*512, LRU, 4)
+	p := NewWithShards(4*512, 4)
 
 	handles := make([]*Handle, 4)
 	for i := range handles {
@@ -76,7 +77,7 @@ func TestShardedCapacityIsGlobal(t *testing.T) {
 // TestShardStats: per-shard counters sum to the aggregate snapshot.
 func TestShardStats(t *testing.T) {
 	dev := newDev(512, 32)
-	p := NewWithShards(64*512, LRU, 4)
+	p := NewWithShards(64*512, 4)
 	for i := 0; i < 32; i++ {
 		h, err := p.Fix(dev, disk.PageID(i))
 		if err != nil {
@@ -98,7 +99,7 @@ func TestShardStats(t *testing.T) {
 // Hits+Misses == Fixes invariant with torn per-shard reads.
 func TestStatsConsistentSnapshot(t *testing.T) {
 	dev := newDev(256, 128)
-	p := NewWithShards(64*256, LRU, 8)
+	p := NewWithShards(64*256, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -138,15 +139,16 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 // TestConcurrentStress hammers Fix/Unfix/FixVirtual/DropPages/Stats from 8
-// goroutines under both replacement policies; run with -race. The pool is
-// sized so evictions, virtual-frame losses, and cross-shard reservations all
-// happen while the storm is in flight, and its two frame sizes keep the
-// free list trading buffers of one size for the other.
+// goroutines; run with -race. The pool is sized so evictions and
+// virtual-frame losses happen while the storm is in flight, and its two
+// frame sizes keep the free list trading buffers of one size for the other.
+// It runs over one shard, where every operation takes the same lock, and
+// over eight, where misses also reserve room by evicting from other shards.
 func TestConcurrentStress(t *testing.T) {
-	for _, policy := range []Policy{LRU, Clock} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, nshards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
 			dev := newDev(512, 96)
-			p := NewWithShards(24*512, policy, 8)
+			p := NewWithShards(24*512, nshards)
 			const goroutines = 8
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {

@@ -23,7 +23,6 @@ package division
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -112,11 +111,6 @@ type Env struct {
 	// exec.DefaultBatchSize. The batch and tuple paths produce identical
 	// quotients and identical Counters at any size (see DESIGN.md §7).
 	BatchSize int
-	// Progress, when set, receives human-readable progress lines from
-	// recursive division (overflows, fan-outs, seeded skips). Calls are
-	// serialized behind a mutex, so the sink needs no locking of its own
-	// even when divisions report from concurrent goroutines.
-	Progress func(format string, args ...any)
 	// Trace, when set, collects an EXPLAIN ANALYZE profile: every operator
 	// the algorithms build is wrapped in an obs probe recording rows, wall
 	// time, and exec.Counters deltas into a span tree under Trace.Root().
@@ -164,22 +158,6 @@ func (e Env) hbs() float64 {
 		return e.HBS
 	}
 	return 2
-}
-
-// progressMu serializes Progress sink calls across every Env (Env is passed
-// by value, so the mutex cannot live in it): divisions sharing one sink may
-// report from concurrent goroutines, and sinks — a terminal writer, a
-// recording slice — are rarely safe for concurrent use.
-var progressMu sync.Mutex
-
-// progressf reports phase progress when a Progress sink is configured.
-func (e Env) progressf(format string, args ...any) {
-	if e.Progress == nil {
-		return
-	}
-	progressMu.Lock()
-	defer progressMu.Unlock()
-	e.Progress(format, args...)
 }
 
 // ProfileParent returns the span new operator spans should attach under: the

@@ -13,13 +13,8 @@ import (
 // candidate sets.
 
 // FilterBits sizes the Babb bit-vector filter over a distinct divisor of n
-// tuples: requested when positive, else 8 bits per divisor tuple plus one.
-func FilterBits(requested, n int) int {
-	if requested > 0 {
-		return requested
-	}
-	return 8*n + 1
-}
+// tuples: 8 bits per divisor tuple plus one.
+func FilterBits(n int) int { return 8*n + 1 }
 
 // DivisorPlacement is a distinct divisor laid out over a partitioned
 // division's sites.
@@ -73,11 +68,7 @@ func PlaceDivisor(divisor []tuple.Tuple, strategy PartitionStrategy, sites int) 
 // partitioning, the hash PlaceDivisor clusters the divisor by. A Router is
 // immutable, so concurrent producers may share one.
 type Router struct {
-	// filter is the filter's words, nil without a filter: the layout its
-	// frames carry on the wire (bitmap.Words), tested here without a call
-	// per tuple. TestRouterFilter holds each decision to bitmap.Test.
-	filter []uint64
-	bits   uint64 // the filter's length in bits
+	filter *bitmap.Bitmap // nil without a filter
 	sites  uint64
 	onQuot bool // route on the quotient-key word
 }
@@ -85,21 +76,15 @@ type Router struct {
 // NewRouter prepares a Router over sites sites under strategy. filter may be
 // nil.
 func NewRouter(strategy PartitionStrategy, filter *bitmap.Bitmap, sites int) Router {
-	r := Router{sites: uint64(sites), onQuot: strategy == QuotientPartitioning}
-	if filter != nil {
-		r.filter, r.bits = filter.Words(), uint64(filter.Len())
-	}
-	return r
+	return Router{filter: filter, sites: uint64(sites), onQuot: strategy == QuotientPartitioning}
 }
 
 // Dest returns the site of a row whose hash words are div and quot, or false
 // when the filter drops the row. The filter slot is div modulo the filter's
 // length, the bit SetFilterBit sets.
 func (r *Router) Dest(div, quot uint64) (int, bool) {
-	if r.filter != nil {
-		if slot := div % r.bits; r.filter[slot/64]&(1<<(slot%64)) == 0 {
-			return 0, false
-		}
+	if r.filter != nil && !r.filter.Test(int(div%uint64(r.filter.Len()))) {
+		return 0, false
 	}
 	if r.onQuot {
 		div = quot

@@ -289,8 +289,6 @@ func (r *RecursiveHashDivision) divideQuotientCell(c part, divisor []tuple.Tuple
 			fanOut := min(max(int(2*est/int64(r.budget()))+1, 2), maxFanOut)
 			r.stats.SkippedAttempts++
 			obs.Default.Counter("division.attempts.seed_skipped").Inc()
-			r.env.progressf("recursive: seed (%d candidates) projects %d bytes over budget %d; skipping root attempt, partitioning into %d",
-				r.ropts.SeedCandidates, est, r.budget(), fanOut)
 			return r.repartitionQuotientCell(c, divisor, depth, parent, fanOut, emit)
 		}
 	}
@@ -351,8 +349,6 @@ func (r *RecursiveHashDivision) divideQuotientCell(c part, divisor []tuple.Tuple
 	obs.Default.Counter("division.attempts.wasted_tuples").Add(st.DividendTuples)
 
 	fanOut := r.quotientFanOut(c, len(divisor), st)
-	r.env.progressf("recursive: cell of %d tuples overflowed budget %d at depth %d (%d candidates after %d tuples); re-partitioning into %d",
-		c.n, r.budget(), depth, st.Candidates, st.DividendTuples, fanOut)
 	return r.repartitionQuotientCell(c, divisor, depth, parent, fanOut, emit)
 }
 
@@ -424,8 +420,6 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c part,
 		}
 		return i
 	}
-	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
-		len(divisor), r.budget(), depth, fanOut)
 	return r.repartition(c, depth, fanOut, parent, "divisor-repartition", &r.plan.div, route,
 		func(i int, _ part) bool { return len(clusters[i]) > 0 },
 		func(i int, child part, span *obs.Span) error {

@@ -46,8 +46,8 @@ type SharedStats struct {
 //
 // The table does not grow: resizing lock-free bucket arrays is not worth the
 // complexity for a table whose expected size is a workload statistic, so
-// buckets are sized once from expectedQuotient/hbs. A wrong estimate costs
-// longer chains, never correctness.
+// buckets are sized once from expectedQuotient at two tuples per bucket. A
+// wrong estimate costs longer chains, never correctness.
 type SharedTable struct {
 	plan *KeyPlan
 
@@ -59,14 +59,12 @@ type SharedTable struct {
 
 // NewSharedTable builds the divisor table from the given distinct divisor
 // tuples (numbering them 0..n-1), freezes it, and sizes the quotient bucket
-// array for expectedQuotient candidates at hbs tuples per bucket (defaults: 2
-// and 4096 buckets). sp must already be validated.
-func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotient int) (*SharedTable, error) {
+// array for expectedQuotient candidates at the paper's two tuples per bucket
+// (§4.6), or 4096 buckets when expectedQuotient is 0. sp must already be
+// validated.
+func NewSharedTable(sp Spec, divisor []tuple.Tuple, expectedQuotient int) (*SharedTable, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if hbs <= 0 {
-		hbs = 2
 	}
 	s := &SharedTable{plan: CompileKeyPlan(sp.Dividend.Schema(), sp.DivisorCols)}
 	tab := hashtab.NewWithCapacity(sp.Divisor.Schema(), len(divisor))
@@ -80,7 +78,7 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 
 	nBuckets := 4096
 	if expectedQuotient > 0 {
-		nBuckets = int(float64(expectedQuotient)/hbs) + 1
+		nBuckets = expectedQuotient/2 + 1
 	}
 	s.buckets = make([]atomic.Pointer[SharedElem], nBuckets)
 	return s, nil

@@ -74,7 +74,7 @@ func TestSharedTableSerialMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSharedTable(sp, distinctDivisor(t, sp), 2, 64)
+	st, err := NewSharedTable(sp, distinctDivisor(t, sp), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSharedTableConcurrentParity(t *testing.T) {
 		}
 		// Deliberately undersized buckets: long chains mean racing inserts
 		// collide on the same chain constantly.
-		st, err := NewSharedTable(sp, distinctDivisor(t, sp), 2, 8)
+		st, err := NewSharedTable(sp, distinctDivisor(t, sp), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestSharedTableGenericKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSharedTable(sp, divisor, 0, 0) // default hbs and bucket count
+	st, err := NewSharedTable(sp, divisor, 0) // default bucket count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSharedTableEmptyDivisor(t *testing.T) {
 	inst := sharedInstance(t, 5)
 	sp := sharedSpec(inst)
 	sp.Divisor = exec.NewMemScan(workload.CourseSchema, nil)
-	st, err := NewSharedTable(sp, nil, 2, 16)
+	st, err := NewSharedTable(sp, nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSharedTableEmptyDivisor(t *testing.T) {
 func TestSharedTableRejectsInvalidSpec(t *testing.T) {
 	sp := sharedSpec(sharedInstance(t, 6))
 	sp.DivisorCols = nil
-	if _, err := NewSharedTable(sp, nil, 2, 16); err == nil {
+	if _, err := NewSharedTable(sp, nil, 16); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }

@@ -225,37 +225,6 @@ func TestTableScanNextBatchAliasesPages(t *testing.T) {
 	}
 }
 
-func TestTableScanNextBatchSkipsDeleted(t *testing.T) {
-	dev := disk.NewDevice("t", 256)
-	pool := buffer.New(1 << 16)
-	f := storage.NewFile(pool, dev, pairSchema, "r")
-	var rids []storage.RID
-	for i := int64(0); i < 40; i++ {
-		rid, err := f.Append(pairSchema.MustMake(i, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	for i, rid := range rids {
-		if i%3 == 0 {
-			if err := f.Delete(rid); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := rows(t, NewTableScan(f, false))
-	got := collectBatches(t, NewTableScan(f, false), 8)
-	if len(got) != len(want) {
-		t.Fatalf("batch scan with deletions: %d tuples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("tuple %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestFillBatchEOFOnlyWhenEmpty(t *testing.T) {
 	m := NewMemScan(pairSchema, pairs(1, 1, 2, 2, 3, 3))
 	if err := m.Open(); err != nil {

@@ -213,21 +213,6 @@ func TestSortDedupExternal(t *testing.T) {
 	}
 }
 
-func TestSortCombineAggregates(t *testing.T) {
-	// Combine sums column b per key a.
-	in := NewMemScan(pairSchema, pairs(1, 10, 2, 1, 1, 5, 2, 2, 1, 1))
-	s := NewSort(in, SortConfig{
-		Keys: []int{0},
-		Combine: func(dst, src tuple.Tuple) {
-			pairSchema.SetInt64(dst, 1, pairSchema.Int64(dst, 1)+pairSchema.Int64(src, 1))
-		},
-	})
-	got := rows(t, s)
-	if len(got) != 2 || got[0] != [2]int64{1, 16} || got[1] != [2]int64{2, 3} {
-		t.Errorf("Combine = %v", got)
-	}
-}
-
 func TestSortCountsComparisons(t *testing.T) {
 	var c Counters
 	in := NewMemScan(pairSchema, pairs(3, 0, 1, 0, 2, 0))

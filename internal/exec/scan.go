@@ -61,7 +61,7 @@ func (t *TableScan) NextBatch(b *Batch) error {
 	if t.ps == nil {
 		t.ps = t.file.ScanPageRange(0, t.file.NumPages(), t.keep)
 	}
-	return nextPageBatch(t.ps, t.file.Schema().Width(), b)
+	return nextPageBatch(t.ps, b)
 }
 
 // Close implements Operator.

@@ -24,20 +24,10 @@ type SortConfig struct {
 	// keeping the first — the paper's duplicate elimination "during the
 	// initial sort phase" (no intermediate run contains duplicate keys).
 	Dedup bool
-	// Combine, when non-nil, merges src into dst whenever their keys are
-	// equal — early aggregation inside the sort ("whenever two tuples with
-	// equal sort keys are found, they are aggregated into one tuple").
-	// Dedup and Combine are mutually exclusive.
-	Combine func(dst, src tuple.Tuple)
 	// Pool and TempDev host spilled runs. They may be nil when the caller
 	// guarantees the input fits in MemoryBytes.
 	Pool    *buffer.Pool
 	TempDev disk.Dev
-	// ReplacementSelection switches run formation from load-sort-store
-	// quicksort runs to a replacement-selection heap, which produces runs
-	// averaging twice the memory size on random input (and a single run on
-	// nearly-sorted input), cutting merge passes.
-	ReplacementSelection bool
 	// Counters, when non-nil, accumulate comparison and move counts.
 	Counters *Counters
 }
@@ -79,9 +69,6 @@ func NewSort(input Operator, cfg SortConfig) *Sort {
 	if cfg.MemoryBytes <= 0 {
 		cfg.MemoryBytes = buffer.PaperSortBytes
 	}
-	if cfg.Dedup && cfg.Combine != nil {
-		panic("exec: Sort Dedup and Combine are mutually exclusive")
-	}
 	return &Sort{
 		input:  input,
 		cfg:    cfg,
@@ -100,22 +87,17 @@ func (s *Sort) compare(a, b tuple.Tuple) int {
 	return s.cmp(a, b)
 }
 
-// reduceSorted applies Dedup/Combine to a sorted slice in place and returns
-// the reduced prefix.
+// reduceSorted applies Dedup to a sorted slice in place and returns the
+// reduced prefix.
 func (s *Sort) reduceSorted(ts []tuple.Tuple) []tuple.Tuple {
-	if (!s.cfg.Dedup && s.cfg.Combine == nil) || len(ts) == 0 {
+	if !s.cfg.Dedup || len(ts) == 0 {
 		return ts
 	}
 	out := ts[:1]
 	for _, t := range ts[1:] {
-		last := out[len(out)-1]
-		if s.compare(last, t) == 0 {
-			if s.cfg.Combine != nil {
-				s.cfg.Combine(last, t)
-			}
-			continue
+		if s.compare(out[len(out)-1], t) != 0 {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out
 }
@@ -158,8 +140,8 @@ func (s *Sort) fanIn() int {
 }
 
 // formRuns consumes the input, sorting it in memory when it fits and
-// spilling sorted runs otherwise (via quicksort batches or replacement
-// selection). It reports whether anything spilled.
+// spilling quicksorted runs of one memory load otherwise. It reports whether
+// anything spilled.
 func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 	width := s.schema.Width()
 	var cur []tuple.Tuple
@@ -176,11 +158,6 @@ func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 			s.peakBytes = b
 		}
 		if len(cur) >= maxTuples {
-			if s.cfg.ReplacementSelection {
-				// Hand the full buffer to the replacement-selection heap,
-				// which keeps draining the input itself.
-				return true, s.replacementSelection(cur)
-			}
 			if err := s.spillRun(s.sortRun(cur)); err != nil {
 				return spilled, err
 			}
@@ -200,142 +177,6 @@ func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 		}
 	}
 	return true, nil
-}
-
-// rsItem is a replacement-selection heap entry: tuples tagged with the run
-// they belong to, ordered by (run, key).
-type rsItem struct {
-	t   tuple.Tuple
-	run int
-}
-
-// replacementSelection drains the remaining input through a tournament
-// heap seeded with buf, writing runs that are on average twice the memory
-// size. On entry buf holds exactly the memory budget of tuples.
-func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
-	if s.cfg.Pool == nil || s.cfg.TempDev == nil {
-		return errors.New("exec: Sort input exceeds MemoryBytes but no temp device configured")
-	}
-	items := make([]rsItem, len(buf))
-	for i, t := range buf {
-		items[i] = rsItem{t: t, run: 0}
-	}
-	less := func(a, b rsItem) bool {
-		if a.run != b.run {
-			return a.run < b.run
-		}
-		return s.compare(a.t, b.t) < 0
-	}
-	// Build the heap.
-	h := items
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-
-	curRun := 0
-	var out *storage.File
-	var ap *storage.Appender
-	// The run being written is not yet in s.runs, so Close would never
-	// reclaim it: every error return must drop it here.
-	defer func() {
-		if ap != nil {
-			ap.Close()
-		}
-		if out != nil {
-			out.Drop()
-		}
-	}()
-	startRun := func() error {
-		out = storage.NewSpillFile(s.cfg.Pool, s.cfg.TempDev, s.schema, fmt.Sprintf("sortrun-%d", s.runSeq))
-		s.runSeq++
-		ap = out.NewAppender()
-		return nil
-	}
-	closeRun := func() error {
-		if ap == nil {
-			return nil
-		}
-		a := ap
-		ap = nil
-		if err := a.Close(); err != nil {
-			return err
-		}
-		if err := out.Flush(); err != nil {
-			return err
-		}
-		if s.cfg.Counters != nil {
-			s.cfg.Counters.Move += int64(out.NumPages())
-		}
-		s.runs = append(s.runs, out)
-		out = nil
-		return nil
-	}
-	if err := startRun(); err != nil {
-		return err
-	}
-	var last tuple.Tuple // last tuple written to the current run
-	inputDone := false
-	for len(h) > 0 {
-		top := h[0]
-		if top.run != curRun {
-			if err := closeRun(); err != nil {
-				return err
-			}
-			if err := startRun(); err != nil {
-				return err
-			}
-			curRun = top.run
-			last = nil
-		}
-		// Dedup/Combine within the run happen later during the merge; runs
-		// here may contain duplicates across keys only in non-reducing
-		// mode. For reducing sorts the merge pass handles it.
-		if _, err := ap.Append(top.t); err != nil {
-			return err
-		}
-		last = top.t
-
-		// Refill from input.
-		if !inputDone {
-			t, err := s.input.Next()
-			if err == io.EOF {
-				inputDone = true
-			} else if err != nil {
-				return err
-			} else {
-				nt := t.Clone()
-				run := curRun
-				if s.compare(nt, last) < 0 {
-					run = curRun + 1
-				}
-				h[0] = rsItem{t: nt, run: run}
-				down(0)
-				continue
-			}
-		}
-		// No replacement: shrink the heap.
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		down(0)
-	}
-	return closeRun()
 }
 
 // Open implements Operator: consume the input, create sorted runs, and merge
@@ -536,10 +377,9 @@ func (m *mergeState) nextRaw() (tuple.Tuple, error) {
 	return out, nil
 }
 
-// nextMerged applies Dedup/Combine across run boundaries using a pending
-// tuple.
+// nextMerged applies Dedup across run boundaries using a pending tuple.
 func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
-	if !s.cfg.Dedup && s.cfg.Combine == nil {
+	if !s.cfg.Dedup {
 		return m.nextRaw()
 	}
 	for {
@@ -560,9 +400,6 @@ func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
 			continue
 		}
 		if s.compare(s.pending, t) == 0 {
-			if s.cfg.Combine != nil {
-				s.cfg.Combine(s.pending, t)
-			}
 			continue
 		}
 		out := s.pending

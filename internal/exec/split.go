@@ -138,37 +138,21 @@ func (r *pageRangeScan) NextBatch(b *Batch) error {
 	if r.ps == nil {
 		r.ps = r.file.ScanPageRange(r.lo, r.hi, r.keep)
 	}
-	return nextPageBatch(r.ps, r.file.Schema().Width(), b)
+	return nextPageBatch(r.ps, b)
 }
 
 // nextPageBatch is the batch loop of every heap-file scan, a whole TableScan
 // or one of its morsels: it pins the scanner's next heap page and aliases
-// the batch at the page's record area of w-byte tuples, so a whole page
-// costs one buffer fix and zero copies. The page stays fixed until the
-// following call or the scanner's Close — exactly the batch validity
-// contract. Pages holding deleted records fall back to compacting the live
-// records into the batch arena.
-func nextPageBatch(ps *storage.PageScanner, w int, b *Batch) error {
-	for {
-		data, n, pristine, err := ps.Next()
-		if err != nil {
-			return err
-		}
-		if pristine {
-			b.SetAlias(data, n)
-			return nil
-		}
-		b.Reset()
-		for slot := 0; slot < n; slot++ {
-			if ps.Deleted(slot) {
-				continue
-			}
-			b.Append(tuple.Tuple(data[slot*w : (slot+1)*w]))
-		}
-		if b.Len() > 0 {
-			return nil
-		}
+// the batch at the page's record area, so a whole page costs one buffer fix
+// and zero copies. The page stays fixed until the following call or the
+// scanner's Close — exactly the batch validity contract.
+func nextPageBatch(ps *storage.PageScanner, b *Batch) error {
+	data, n, err := ps.Next()
+	if err != nil {
+		return err
 	}
+	b.SetAlias(data, n)
+	return nil
 }
 
 func (r *pageRangeScan) Close() error {

@@ -214,14 +214,6 @@ func (t *Table) GetOrInsertU64(h, key uint64) (e *Element, created bool) {
 	return t.insertHashed(h, tuple.Tuple(buf[:])), true
 }
 
-// Insert adds a copy of key unconditionally (duplicates allowed) and returns
-// the new element.
-func (t *Table) Insert(key tuple.Tuple) *Element {
-	t.stats.Hashes++
-	h := tuple.HashBytes(key)
-	return t.insertHashed(h, key)
-}
-
 func (t *Table) insertHashed(h uint64, key tuple.Tuple) *Element {
 	if t.maxLoad > 0 && float64(t.n+1) > t.maxLoad*float64(len(t.buckets)) {
 		t.grow()
@@ -287,33 +279,6 @@ func (t *Table) Freeze() *Frozen {
 func (f *Frozen) bucketFor(h uint64) int {
 	hi, _ := bits.Mul64(h, uint64(len(f.buckets)))
 	return int(hi)
-}
-
-// Lookup is Table.Lookup against the frozen view; st accumulates the probe
-// work and must be private to the calling goroutine.
-func (f *Frozen) Lookup(key tuple.Tuple, st *Stats) *Element {
-	st.Hashes++
-	h := tuple.HashBytes(key)
-	for e := f.buckets[f.bucketFor(h)]; e != nil; e = e.next {
-		st.Comparisons++
-		if f.schema.CompareAll(e.Tuple, key) == 0 {
-			return e
-		}
-	}
-	return nil
-}
-
-// LookupProjected is Table.LookupProjected against the frozen view.
-func (f *Frozen) LookupProjected(src tuple.Tuple, srcSchema *tuple.Schema, cols []int, st *Stats) *Element {
-	st.Hashes++
-	h := srcSchema.Hash(src, cols)
-	for e := f.buckets[f.bucketFor(h)]; e != nil; e = e.next {
-		st.Comparisons++
-		if srcSchema.EqualProjected(src, cols, e.Tuple) {
-			return e
-		}
-	}
-	return nil
 }
 
 // LookupPre is Table.LookupPre against the frozen view: caller-compiled hash

@@ -17,7 +17,7 @@ func TestInsertLookup(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 8)
 	for v := 0; v < 100; v++ {
-		e := tab.Insert(s.MustMake(v))
+		e, _ := tab.GetOrInsert(s.MustMake(v))
 		e.Num = int64(v * 10)
 	}
 	if tab.Len() != 100 {
@@ -41,7 +41,7 @@ func TestInsertClonesKey(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	k := s.MustMake(7)
-	tab.Insert(k)
+	tab.GetOrInsert(k)
 	s.SetInt64(k, 0, 8) // mutate caller's tuple
 	if tab.Lookup(s.MustMake(7)) == nil {
 		t.Error("table aliased caller's tuple instead of cloning")
@@ -73,8 +73,10 @@ func TestLookupProjected(t *testing.T) {
 	div := tuple.NewSchema(tuple.Int64Field("student"), tuple.Int64Field("course"))
 	course := tuple.NewSchema(tuple.Int64Field("course"))
 	tab := New(course, 4)
-	tab.Insert(course.MustMake(101)).Num = 0
-	tab.Insert(course.MustMake(102)).Num = 1
+	for i, c := range []int{101, 102} {
+		e, _ := tab.GetOrInsert(course.MustMake(c))
+		e.Num = int64(i)
+	}
 
 	d := div.MustMake(1, 102)
 	e := tab.LookupProjected(d, div, []int{1})
@@ -117,21 +119,11 @@ func TestGetOrInsertProjected(t *testing.T) {
 	}
 }
 
-func TestDuplicateInsertAllowed(t *testing.T) {
-	s := keySchema()
-	tab := New(s, 2)
-	tab.Insert(s.MustMake(1))
-	tab.Insert(s.MustMake(1))
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (Insert keeps duplicates)", tab.Len())
-	}
-}
-
 func TestIterateVisitsAll(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	for v := 0; v < 50; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	seen := make(map[int64]bool)
 	err := tab.Iterate(func(e *Element) error {
@@ -151,7 +143,7 @@ func TestGrowthKeepsElements(t *testing.T) {
 	tab := New(s, 1)
 	tab.SetMaxLoad(2)
 	for v := 0; v < 1000; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	if tab.NumBuckets() <= 1 {
 		t.Error("table did not grow")
@@ -171,7 +163,7 @@ func TestFixedGeometry(t *testing.T) {
 	tab := New(s, 3)
 	tab.SetMaxLoad(0)
 	for v := 0; v < 100; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	if tab.NumBuckets() != 3 {
 		t.Errorf("fixed table grew to %d buckets", tab.NumBuckets())
@@ -182,15 +174,15 @@ func TestStatsCount(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 1) // single bucket: comparisons are predictable
 	tab.SetMaxLoad(0)
-	tab.Insert(s.MustMake(1)) // 1 hash
-	tab.Insert(s.MustMake(2)) // 1 hash
-	tab.Lookup(s.MustMake(2)) // 1 hash + 1 comparison (2 is at chain head)
+	tab.GetOrInsert(s.MustMake(1)) // 1 hash, empty chain
+	tab.GetOrInsert(s.MustMake(2)) // 1 hash + 1 comparison (against 1)
+	tab.Lookup(s.MustMake(2))      // 1 hash + 1 comparison (2 is at chain head)
 	st := tab.Stats()
 	if st.Hashes != 3 {
 		t.Errorf("Hashes = %d, want 3", st.Hashes)
 	}
-	if st.Comparisons != 1 {
-		t.Errorf("Comparisons = %d, want 1", st.Comparisons)
+	if st.Comparisons != 2 {
+		t.Errorf("Comparisons = %d, want 2", st.Comparisons)
 	}
 }
 
@@ -198,7 +190,7 @@ func TestMemBytesGrowsWithBitmaps(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	base := tab.MemBytes()
-	e := tab.Insert(s.MustMake(1))
+	e, _ := tab.GetOrInsert(s.MustMake(1))
 	afterInsert := tab.MemBytes()
 	if afterInsert <= base {
 		t.Error("MemBytes did not grow on insert")
@@ -213,7 +205,7 @@ func TestMemBytesGrowsWithBitmaps(t *testing.T) {
 func TestReset(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
-	tab.Insert(s.MustMake(1))
+	tab.GetOrInsert(s.MustMake(1))
 	tab.Reset()
 	if tab.Len() != 0 || tab.Lookup(s.MustMake(1)) != nil {
 		t.Error("Reset did not clear the table")
@@ -275,7 +267,7 @@ func BenchmarkLookupProjected(b *testing.B) {
 	course := div.Project([]int{1})
 	tab := NewForExpected(course, 400, 2)
 	for v := 0; v < 400; v++ {
-		tab.Insert(course.MustMake(v))
+		tab.GetOrInsert(course.MustMake(v))
 	}
 	d := div.MustMake(1, 200)
 	b.ReportAllocs()
@@ -293,7 +285,7 @@ func TestNewWithCapacityNeverGrows(t *testing.T) {
 		tab := NewWithCapacity(s, capacity)
 		buckets := tab.NumBuckets()
 		for v := 0; v < capacity; v++ {
-			tab.Insert(s.MustMake(v))
+			tab.GetOrInsert(s.MustMake(v))
 		}
 		if got := tab.Stats().Rehashed; got != 0 {
 			t.Errorf("capacity %d: Rehashed = %d, want 0", capacity, got)
@@ -309,7 +301,7 @@ func TestGrowChargesRehashes(t *testing.T) {
 	tab := New(s, 1) // maxLoad 4: fifth insert triggers growth
 	const n = 100
 	for v := 0; v < n; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	st := tab.Stats()
 	if st.Rehashed == 0 {
@@ -410,17 +402,19 @@ func TestFrozenMatchesTable(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 8)
 	for i := 0; i < 50; i += 2 {
-		e := tab.Insert(s.MustMake(i))
+		e, _ := tab.GetOrInsert(s.MustMake(i))
 		e.Num = int64(i)
 	}
 	f := tab.Freeze()
 	base := tab.Stats()
 	var st Stats
 	src := tuple.NewSchema(tuple.Int64Field("pad"), tuple.Int64Field("k"))
+	cols := []int{1}
+	hash, eq := src.HashFunc(cols), src.EqualProjectedFunc(cols)
 	for i := 0; i < 50; i++ {
 		key := s.MustMake(i)
 		want := tab.Lookup(key)
-		got := f.Lookup(key, &st)
+		got := f.LookupU64(tuple.HashUint64LE(uint64(i)), uint64(i), &st)
 		if (want == nil) != (got == nil) {
 			t.Fatalf("key %d: table %v, frozen %v", i, want, got)
 		}
@@ -429,7 +423,7 @@ func TestFrozenMatchesTable(t *testing.T) {
 		}
 		// Projected probe from a wider source tuple.
 		wide := src.MustMake(999, i)
-		if pw, pg := tab.LookupProjected(wide, src, []int{1}), f.LookupProjected(wide, src, []int{1}, &st); pw != pg {
+		if pw, pg := tab.LookupProjected(wide, src, cols), f.LookupPre(hash(wide), wide, eq, &st); pw != pg {
 			t.Fatalf("key %d: projected probe mismatch", i)
 		}
 	}
@@ -447,7 +441,8 @@ func TestFrozenConcurrentProbes(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 16)
 	for i := 0; i < 100; i++ {
-		tab.Insert(s.MustMake(i)).Num = int64(i)
+		e, _ := tab.GetOrInsert(s.MustMake(i))
+		e.Num = int64(i)
 	}
 	f := tab.Freeze()
 	const goroutines = 8
@@ -459,7 +454,8 @@ func TestFrozenConcurrentProbes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if e := f.Lookup(s.MustMake(i%150), &stats[g]); e != nil {
+				k := uint64(i % 150)
+				if e := f.LookupU64(tuple.HashUint64LE(k), k, &stats[g]); e != nil {
 					hits[g]++
 				}
 			}

@@ -32,13 +32,9 @@ type Config struct {
 	// workers and drops dividend tuples hashing to empty bits before they
 	// are serialized — the paper's semi-join reduction, on a real wire.
 	BitVectorFilter bool
-	// BitVectorBits sizes the filter; 0 picks 8× the divisor cardinality.
-	BitVectorBits int
 	// BatchSize is the tuples-per-frame packing of every shuffle
 	// (default exec.DefaultBatchSize).
 	BatchSize int
-	// HBS sizes worker hash tables (default 2).
-	HBS float64
 	// MorselTuples is the work-queue grain of the dividend shuffle; 0 picks
 	// 4× the batch size.
 	MorselTuples int
@@ -61,9 +57,13 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("invalid Config.%s = %v: %s", e.Field, e.Value, e.Reason)
 }
 
-// The bounds the configuration and the job header share: a table needs an
-// HBS of at least 1/64 (64 buckets per expected tuple), and a filter and a
-// full batch must each fit one frame.
+// workerHBS is the average bucket size every job header asks the workers'
+// hash tables for: the paper's two tuples per bucket (§4.6).
+const workerHBS = 2
+
+// The bounds a job header must meet before a worker sizes anything by it: a
+// table needs an HBS of at least 1/64 (64 buckets per expected tuple), and a
+// filter must fit one frame.
 const (
 	minHBS        = 1.0 / 64
 	maxFilterBits = maxFrameBytes * 8
@@ -87,14 +87,9 @@ func fitsFrame(batch, width int) bool {
 
 // Validate rejects, with a *ConfigError naming the field, a configuration
 // that cannot divide dividends laid out by ds: an unknown strategy, a
-// negative count, a non-finite HBS or one too small to size a table, or a
-// filter or dividend batch larger than one frame. Zero values remain "use
-// the default". Both exchanges run it, over pipes and over TCP.
+// negative count, or a dividend batch larger than one frame. Zero values
+// remain "use the default". Both exchanges run it, over pipes and over TCP.
 func (cfg Config) Validate(ds *tuple.Schema) error {
-	hbs := ""
-	if cfg.HBS != 0 {
-		hbs = hbsProblem(cfg.HBS)
-	}
 	const negative, overFrame = "must not be negative", "exceeds one frame"
 	for _, c := range []struct {
 		field, reason string
@@ -103,9 +98,6 @@ func (cfg Config) Validate(ds *tuple.Schema) error {
 	}{
 		{"Strategy", "unknown partitioning strategy", cfg.Strategy,
 			cfg.Strategy != division.QuotientPartitioning && cfg.Strategy != division.DivisorPartitioning},
-		{"BitVectorBits", negative, cfg.BitVectorBits, cfg.BitVectorBits < 0},
-		{"BitVectorBits", overFrame, cfg.BitVectorBits, cfg.BitVectorBits > maxFilterBits},
-		{"HBS", hbs, cfg.HBS, hbs != ""},
 		{"BatchSize", negative, cfg.BatchSize, cfg.BatchSize < 0},
 		{"BatchSize", overFrame, cfg.BatchSize, !fitsFrame(cfg.BatchSize, ds.Width())},
 		{"MorselTuples", negative, cfg.MorselTuples, cfg.MorselTuples < 0},
@@ -439,7 +431,6 @@ func divide(ctx context.Context, fe *exec.FirstError, sp division.Spec, cfg Conf
 		strategy = strategyDivisor
 	}
 	cfg.BatchSize = cmp.Or(cfg.BatchSize, exec.DefaultBatchSize)
-	cfg.HBS = cmp.Or(cfg.HBS, 2)
 	cfg.MorselTuples = cmp.Or(cfg.MorselTuples, 4*cfg.BatchSize)
 	links := make([]*link, nw)
 	for i, t := range ts {
@@ -479,7 +470,7 @@ func divide(ctx context.Context, fe *exec.FirstError, sp division.Spec, cfg Conf
 	place := division.PlaceDivisor(divisor, cfg.Strategy, nw)
 	filterBits := 0
 	if cfg.BitVectorFilter {
-		filterBits = division.FilterBits(cfg.BitVectorBits, len(divisor))
+		filterBits = division.FilterBits(len(divisor))
 	}
 	if span != nil {
 		for _, l := range links {
@@ -504,7 +495,7 @@ func divide(ctx context.Context, fe *exec.FirstError, sp division.Spec, cfg Conf
 			NumPhases:   place.Phases,
 			FilterBits:  filterBits,
 			BatchSize:   cfg.BatchSize,
-			HBS:         cfg.HBS,
+			HBS:         workerHBS,
 			Budget:      cfg.WorkerBudget,
 			Dividend:    ds,
 			Divisor:     ss,

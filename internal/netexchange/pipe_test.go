@@ -62,9 +62,7 @@ func TestPipeWorkerBudgetErrorIsGoValue(t *testing.T) {
 		t.Fatalf("error %v does not match a typed division sentinel", err)
 	}
 	leakcheck.Goroutines(t, before)
-	if after := storage.LiveSpillFiles(); after != spillBefore {
-		t.Errorf("spill files leaked: %d before, %d after", spillBefore, after)
-	}
+	leakcheck.SpillFiles(t, spillBefore)
 }
 
 // hookEnd wraps a worker's pipe end and calls hook once, when a frame of
@@ -178,9 +176,7 @@ func TestPipeCancellation(t *testing.T) {
 					t.Fatal("division hung after cancellation")
 				}
 				leakcheck.Goroutines(t, before)
-				if fixed := pool.FixedFrames(); fixed != 0 {
-					t.Errorf("%d frames still fixed after cancellation", fixed)
-				}
+				leakcheck.FixedFrames(t, pool)
 			})
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -62,9 +61,7 @@ func TestPipelinedMorselProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, inst, res)
-	if fixed := pool.FixedFrames(); fixed != 0 {
-		t.Errorf("%d frames still fixed after pipelined ship", fixed)
-	}
+	leakcheck.FixedFrames(t, pool)
 }
 
 // failAfterConn injects a deterministic mid-ship write failure: after the
@@ -128,12 +125,8 @@ func TestPipelinedWriteFailMidShip(t *testing.T) {
 		}
 		cl.Close()
 		leakcheck.Goroutines(t, goroutinesBefore)
-		if fixed := pool.FixedFrames(); fixed != 0 {
-			t.Errorf("%v: %d frames still fixed after mid-ship failure", strategy, fixed)
-		}
-		if after := storage.LiveSpillFiles(); after != spillBefore {
-			t.Errorf("%v: spill files leaked: %d before, %d after", strategy, spillBefore, after)
-		}
+		leakcheck.FixedFrames(t, pool)
+		leakcheck.SpillFiles(t, spillBefore)
 	}
 }
 
@@ -181,9 +174,7 @@ func TestWorkerBudgetSpills(t *testing.T) {
 			if got := obs.Default.Counter("net.worker.budget_spilled_partitions").Load(); got == spilledBefore {
 				t.Error("no spilled partitions counted: budget did not bind")
 			}
-			if after := storage.LiveSpillFiles(); after != spillBefore {
-				t.Errorf("spill files leaked: %d before, %d after", spillBefore, after)
-			}
+			leakcheck.SpillFiles(t, spillBefore)
 		})
 	}
 }
@@ -217,13 +208,7 @@ func TestWorkerBudgetDepthCapTyped(t *testing.T) {
 	// may still be dividing its partition. That worker must drop its spill
 	// files when it fails, with its link still open: links outlive jobs, so
 	// nothing else would ever release them.
-	deadline := time.Now().Add(5 * time.Second)
-	for storage.LiveSpillFiles() != spillBefore && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := storage.LiveSpillFiles(); after != spillBefore {
-		t.Errorf("spill files leaked on failure: %d before, %d after", spillBefore, after)
-	}
+	leakcheck.SpillFiles(t, spillBefore)
 }
 
 // TestBudgetLinkReuse runs budgeted and unbudgeted jobs back-to-back on the

@@ -67,18 +67,6 @@ func (s *Span) Child(name, kind string) *Span {
 	return c
 }
 
-// ChildOnce memoizes a child span in *slot: operators that rebuild their
-// internal plan on every Open (Naive builds its sorts in Open) reuse one span
-// across re-opens instead of growing a sibling per Open.
-func (s *Span) ChildOnce(slot **Span, name, kind string) *Span {
-	if *slot != nil {
-		return *slot
-	}
-	c := s.Child(name, kind)
-	*slot = c
-	return c
-}
-
 // Record folds one observation into the span. delta must be the counter
 // growth observed across the recorded window (inclusive of any nested calls).
 func (s *Span) Record(opens, rows, batches int64, wall time.Duration, delta exec.Counters) {

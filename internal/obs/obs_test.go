@@ -164,19 +164,6 @@ func TestSelfCountersAndSumSelf(t *testing.T) {
 	}
 }
 
-func TestChildOnceMemoizes(t *testing.T) {
-	tr := NewTracer()
-	var slot *Span
-	a := tr.Root().ChildOnce(&slot, "sort", "Sort")
-	b := tr.Root().ChildOnce(&slot, "sort", "Sort")
-	if a != b || a == nil {
-		t.Fatalf("ChildOnce returned distinct spans %p %p", a, b)
-	}
-	if len(tr.Root().Children()) != 1 {
-		t.Fatalf("root has %d children", len(tr.Root().Children()))
-	}
-}
-
 func TestProfileFormatAndTree(t *testing.T) {
 	tr := NewTracer()
 	span := tr.Root().Child("hash-division", "HashDivision")
@@ -290,34 +277,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Get("hits"); got != 800 {
 		t.Errorf("hits = %d", got)
-	}
-}
-
-func TestSerializeProgress(t *testing.T) {
-	if SerializeProgress(nil) != nil {
-		t.Fatal("nil sink should stay nil")
-	}
-	var mu sync.Mutex
-	var lines []string
-	sink := SerializeProgress(func(format string, args ...any) {
-		// Intentionally not locking here: SerializeProgress must make this safe.
-		lines = append(lines, format)
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				sink("line")
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != 400 {
-		t.Errorf("recorded %d lines", len(lines))
 	}
 }
 

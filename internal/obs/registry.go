@@ -95,22 +95,3 @@ func (c *Counter) SetMax(v int64) {
 		}
 	}
 }
-
-// progressMu serializes every progress sink wrapped by SerializeProgress.
-// One process-wide mutex suffices: progress lines are per-phase, not
-// per-tuple, so contention is negligible, and a shared lock also serializes
-// two sinks that happen to write the same terminal.
-var progressMu sync.Mutex
-
-// SerializeProgress wraps a printf-style progress sink so concurrent callers
-// (parallel workers, partition phases) are serialized. A nil sink stays nil.
-func SerializeProgress(fn func(format string, args ...any)) func(format string, args ...any) {
-	if fn == nil {
-		return nil
-	}
-	return func(format string, args ...any) {
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		fn(format, args...)
-	}
-}

@@ -151,29 +151,22 @@ func TestSharedTableFallbackSource(t *testing.T) {
 }
 
 // TestSharedTableObservability checks the shared-table path keeps the same
-// progress-line and span-tree shape as the exchange paths: one summary line
-// plus one line per worker, and a strategy span whose only children are the
-// worker spans (opens=1 each, rows summing to the quotient).
+// span-tree shape as the exchange paths: a strategy span whose only
+// children are the worker spans (opens=1 each, rows summing to the
+// quotient).
 func TestSharedTableObservability(t *testing.T) {
 	inst := testInstance(t, 45)
-	var lines []string
 	tr := obs.NewTracer()
 	res, err := Divide(instanceSpec(inst), Config{
 		Workers:  3,
 		Strategy: division.QuotientPartitioning,
 		Path:     PathSharedTable,
-		Progress: func(format string, args ...any) {
-			lines = append(lines, format)
-		},
-		Trace: tr,
+		Trace:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, inst, res)
-	if want := 1 + 3; len(lines) != want {
-		t.Errorf("got %d progress lines, want %d", len(lines), want)
-	}
 	kids := tr.Root().Children()
 	if len(kids) != 1 || kids[0].Name() != "parallel quotient-partitioning" {
 		t.Fatalf("root children = %v", kids)

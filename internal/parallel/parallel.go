@@ -88,10 +88,6 @@ type Config struct {
 	// tuple before they are shipped. Purely an optimization: false
 	// positives still pass and are discarded at the worker.
 	BitVectorFilter bool
-	// BitVectorBits sizes the filter; 0 picks 8× the divisor cardinality.
-	BitVectorBits int
-	// HBS sizes worker hash tables (default 2).
-	HBS float64
 	// BatchSize is the shuffle packet size in tuples (default
 	// exec.DefaultBatchSize): each sender packs a destination's tuples into
 	// one exec.Batch arena per send, accounted as one frame.
@@ -103,11 +99,6 @@ type Config struct {
 	// never correctness. Ignored by the other paths, whose worker tables
 	// grow dynamically.
 	ExpectedQuotient int
-	// Progress, when set, receives human-readable lines about the shuffle
-	// and per-worker outcomes. DivideContext serializes all calls behind a
-	// mutex, so the sink needs no locking even when divisions run
-	// concurrently.
-	Progress func(format string, args ...any)
 	// Trace, when set, collects per-worker spans (rows, wall time, input
 	// statistics) under Trace.Root() for EXPLAIN ANALYZE-style reporting.
 	// Worker counters are NOT folded into span deltas — workers run
@@ -121,9 +112,7 @@ func (cfg Config) exchange() netexchange.Config {
 	return netexchange.Config{
 		Strategy:        cfg.Strategy,
 		BitVectorFilter: cfg.BitVectorFilter,
-		BitVectorBits:   cfg.BitVectorBits,
 		BatchSize:       cfg.BatchSize,
-		HBS:             cfg.HBS,
 		MorselTuples:    cfg.MorselTuples,
 	}
 }
@@ -190,13 +179,5 @@ func DivideContext(ctx context.Context, sp division.Spec, cfg Config) (*Result, 
 		return nil, err
 	}
 	obs.Default.Counter("parallel.tuples_shipped").Add(res.Network.TuplesShipped)
-	if progress := obs.SerializeProgress(cfg.Progress); progress != nil {
-		progress("parallel %s: shipped %d tuples (%d bytes), filtered %d",
-			cfg.Strategy, res.Network.TuplesShipped, res.Network.BytesShipped, res.Network.TuplesFiltered)
-		for i, w := range res.Workers {
-			progress("worker %d: dividend=%d divisor=%d quotient=%d",
-				i, w.DividendTuples, w.DivisorTuples, w.QuotientTuples)
-		}
-	}
 	return res, nil
 }

@@ -39,7 +39,7 @@ func divideSharedTable(ctx context.Context, sp division.Spec, cfg Config, root *
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
-	st, err := division.NewSharedTable(sp, divisor, cfg.HBS, cfg.ExpectedQuotient)
+	st, err := division.NewSharedTable(sp, divisor, cfg.ExpectedQuotient)
 	if err != nil {
 		return nil, err
 	}

@@ -31,10 +31,10 @@ func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 // ErrBadRID is returned for out-of-range record ids.
 var ErrBadRID = errors.New("storage: bad record id")
 
-// File is a heap file of fixed-width records described by a schema. File
-// metadata — the page list, record count, and deletion marks — lives with
-// the File value, like the catalog of the simulated system; page payloads
-// live on the device.
+// File is an append-only heap file of fixed-width records described by a
+// schema. File metadata — the page list and record count — lives with the
+// File value, like the catalog of the simulated system; page payloads live
+// on the device.
 type File struct {
 	name    string
 	pool    *buffer.Pool
@@ -43,7 +43,6 @@ type File struct {
 	perPage int
 	pages   []disk.PageID
 	numRecs int
-	deleted map[RID]bool
 	// spill marks a file created by NewSpillFile; the first Drop retires it
 	// from the live-spill gauge.
 	spill bool
@@ -206,49 +205,6 @@ func (a *Appender) Close() error {
 	return err
 }
 
-// Delete marks the record at rid deleted. Scans skip it and Fetch reports
-// ErrBadRID. The slot is reclaimed by Compact, not reused in place, so
-// outstanding record ids never alias new records.
-func (f *File) Delete(rid RID) error {
-	if err := f.checkRID(rid); err != nil {
-		return err
-	}
-	if f.deleted == nil {
-		f.deleted = make(map[RID]bool)
-	}
-	f.deleted[rid] = true
-	f.numRecs--
-	return nil
-}
-
-// checkRID validates that rid addresses a live record.
-func (f *File) checkRID(rid RID) error {
-	if f.pageIndex(rid.Page) < 0 {
-		return fmt.Errorf("%w: page %d not in file %s", ErrBadRID, rid.Page, f.name)
-	}
-	if f.deleted[rid] {
-		return fmt.Errorf("%w: record %v deleted in %s", ErrBadRID, rid, f.name)
-	}
-	return nil
-}
-
-// Compact rewrites the file without its deleted records, freeing the
-// reclaimed pages. Record ids change; indexes must be rebuilt afterwards.
-func (f *File) Compact() error {
-	if len(f.deleted) == 0 {
-		return nil
-	}
-	live, err := f.ReadAll()
-	if err != nil {
-		return err
-	}
-	if err := f.Drop(); err != nil {
-		return err
-	}
-	f.deleted = nil
-	return f.Load(live)
-}
-
 // Fetch returns a copy of the record at rid.
 func (f *File) Fetch(rid RID) (tuple.Tuple, error) {
 	t, h, err := f.FetchRef(rid)
@@ -267,8 +223,8 @@ func (f *File) Fetch(rid RID) (tuple.Tuple, error) {
 // the tuple is valid until then. This is the zero-copy path hash tables use
 // to keep tuples "fixed in the buffer pool".
 func (f *File) FetchRef(rid RID) (tuple.Tuple, *buffer.Handle, error) {
-	if err := f.checkRID(rid); err != nil {
-		return nil, nil, err
+	if f.pageIndex(rid.Page) < 0 {
+		return nil, nil, fmt.Errorf("%w: page %d not in file %s", ErrBadRID, rid.Page, f.name)
 	}
 	h, err := f.pool.Fix(f.dev, rid.Page)
 	if err != nil {
@@ -356,10 +312,6 @@ func (s *Scanner) Next() (tuple.Tuple, RID, error) {
 	for {
 		if s.handle != nil && s.slot < s.count {
 			rid := RID{Page: s.f.pages[s.pageIx], Slot: s.slot}
-			if s.f.deleted[rid] {
-				s.slot++
-				continue
-			}
 			off := s.f.recordOffset(s.slot)
 			t := tuple.Tuple(s.handle.Bytes()[off : off+s.f.schema.Width()])
 			s.slot++
@@ -410,8 +362,6 @@ type PageScanner struct {
 	pageIx int
 	limit  int // exclusive upper page index; -1 = whole file
 	handle *buffer.Handle
-	page   disk.PageID
-	count  int
 	keep   bool
 	closed bool
 }
@@ -451,61 +401,37 @@ func (ps *PageScanner) end() int {
 
 // Next pins the next non-empty page and returns its record area: data holds
 // n records of the file's schema width, back to back. data aliases the
-// fixed buffer frame and is valid until the following Next or Close.
-// pristine reports that no record on the page is deleted, so data may be
-// consumed wholesale; otherwise the caller must skip slots for which
-// Deleted reports true. Next returns io.EOF after the last page.
-func (ps *PageScanner) Next() (data []byte, n int, pristine bool, err error) {
+// fixed buffer frame and is valid until the following Next or Close. Next
+// returns io.EOF after the last page.
+func (ps *PageScanner) Next() (data []byte, n int, err error) {
 	if ps.closed {
-		return nil, 0, false, io.EOF
+		return nil, 0, io.EOF
 	}
 	for {
 		if ps.handle != nil {
 			if err := ps.handle.Unfix(ps.keep); err != nil {
-				return nil, 0, false, err
+				return nil, 0, err
 			}
 			ps.handle = nil
 		}
 		ps.pageIx++
 		if ps.pageIx >= ps.end() {
 			ps.closed = true
-			return nil, 0, false, io.EOF
+			return nil, 0, io.EOF
 		}
-		ps.page = ps.f.pages[ps.pageIx]
-		h, err := ps.f.pool.Fix(ps.f.dev, ps.page)
+		h, err := ps.f.pool.Fix(ps.f.dev, ps.f.pages[ps.pageIx])
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		// Page cursors are sequential within their range; stay ahead of the
 		// consumer without crossing into a neighboring morsel's range.
 		ps.f.readAhead(ps.pageIx+1, ps.end())
 		ps.handle = h
-		ps.count = pageCount(h.Bytes())
-		if ps.count == 0 {
+		if n = pageCount(h.Bytes()); n == 0 {
 			continue
 		}
-		width := ps.f.schema.Width()
-		data = h.Bytes()[pageHeaderLen : pageHeaderLen+ps.count*width]
-		return data, ps.count, ps.pristine(), nil
+		return h.Bytes()[pageHeaderLen : pageHeaderLen+n*ps.f.schema.Width()], n, nil
 	}
-}
-
-// pristine reports whether the current page carries no deleted records.
-func (ps *PageScanner) pristine() bool {
-	if len(ps.f.deleted) == 0 {
-		return true
-	}
-	for rid := range ps.f.deleted {
-		if rid.Page == ps.page {
-			return false
-		}
-	}
-	return true
-}
-
-// Deleted reports whether the given slot of the current page is deleted.
-func (ps *PageScanner) Deleted(slot int) bool {
-	return ps.f.deleted[RID{Page: ps.page, Slot: slot}]
 }
 
 // Close releases any fixed page. Safe to call multiple times.
@@ -539,7 +465,6 @@ func (f *File) Drop() error {
 	}
 	f.pages = nil
 	f.numRecs = 0
-	f.deleted = nil
 	return err
 }
 
@@ -555,37 +480,27 @@ func (f *File) Load(tuples []tuple.Tuple) error {
 	return ap.Close()
 }
 
-// ReadArena copies every live record, in storage order, into one new slice:
+// ReadArena copies every record, in storage order, into one new slice:
 // record i at bytes [i*w, (i+1)*w) for the schema width w, the layout of a
-// page's record area and of exec.Batch. A page without deleted records is
-// copied with one append of its record area; only pages with deleted slots
-// are copied record by record. Scanned pages stay cached (Scan(true)).
+// page's record area and of exec.Batch. Each page is copied with one append
+// of its record area. Scanned pages stay cached (Scan(true)).
 func (f *File) ReadArena() ([]byte, error) {
-	w := f.schema.Width()
-	out := make([]byte, 0, f.numRecs*w)
+	out := make([]byte, 0, f.numRecs*f.schema.Width())
 	ps := f.ScanPages(true)
 	defer ps.Close()
 	for {
-		data, n, pristine, err := ps.Next()
+		data, _, err := ps.Next()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if pristine {
-			out = append(out, data...)
-			continue
-		}
-		for slot := 0; slot < n; slot++ {
-			if !ps.Deleted(slot) {
-				out = append(out, data[slot*w:(slot+1)*w]...)
-			}
-		}
+		out = append(out, data...)
 	}
 }
 
-// ReadAll returns every live record as a tuple. The tuples are slices of
+// ReadAll returns every record as a tuple. The tuples are slices of
 // one ReadArena copy, so they outlive the buffer frames they were read from.
 func (f *File) ReadAll() ([]tuple.Tuple, error) {
 	arena, err := f.ReadArena()

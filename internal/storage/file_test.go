@@ -152,6 +152,30 @@ func TestFetchRefAliasesFrame(t *testing.T) {
 	}
 }
 
+// TestFetchRefRejectsBadRID: a page outside the file and a slot outside the
+// page's records fail with ErrBadRID, and a rejected slot leaves the page's
+// frame unfixed.
+func TestFetchRefRejectsBadRID(t *testing.T) {
+	f := testFile(t, 68, 1024)
+	s := f.Schema()
+	rid, err := f.Append(s.MustMake(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []RID{
+		{Page: rid.Page + 99, Slot: 0},
+		{Page: rid.Page, Slot: -1},
+		{Page: rid.Page, Slot: 1},
+	} {
+		if tp, h, err := f.FetchRef(bad); !errors.Is(err, ErrBadRID) || tp != nil || h != nil {
+			t.Errorf("FetchRef(%+v) = %v, %v, %v, want ErrBadRID", bad, tp, h, err)
+		}
+		if n := f.Pool().FixedFrames(); n != 0 {
+			t.Fatalf("FetchRef(%+v) left %d frames fixed", bad, n)
+		}
+	}
+}
+
 func TestScanSurvivesEvictionPressure(t *testing.T) {
 	// Pool of 2 frames, file of many pages: the scan must keep working while
 	// pages are continuously evicted behind it.
@@ -239,74 +263,7 @@ func TestLoadReadAllRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeleteAndCompact(t *testing.T) {
-	f := testFile(t, 68, 4096)
-	s := f.Schema()
-	rids := make([]RID, 20)
-	for i := range rids {
-		rid, err := f.Append(s.MustMake(i, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids[i] = rid
-	}
-	// Delete the even records.
-	for i := 0; i < 20; i += 2 {
-		if err := f.Delete(rids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.NumRecords() != 10 {
-		t.Errorf("NumRecords = %d, want 10", f.NumRecords())
-	}
-	// Deleted records are unfetchable and skipped by scans.
-	if _, err := f.Fetch(rids[0]); !errors.Is(err, ErrBadRID) {
-		t.Errorf("Fetch deleted: %v", err)
-	}
-	if err := f.Delete(rids[0]); !errors.Is(err, ErrBadRID) {
-		t.Errorf("double Delete: %v", err)
-	}
-	all, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 10 {
-		t.Fatalf("scan returned %d records", len(all))
-	}
-	for i, tp := range all {
-		if got := s.Int64(tp, 0); got != int64(2*i+1) {
-			t.Errorf("survivor %d = %d, want %d", i, got, 2*i+1)
-		}
-	}
-	// Odd records remain fetchable before compaction.
-	if tp, err := f.Fetch(rids[1]); err != nil || s.Int64(tp, 0) != 1 {
-		t.Errorf("Fetch survivor: %v", err)
-	}
-
-	pagesBefore := f.Device().NumPages()
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if f.NumRecords() != 10 {
-		t.Errorf("NumRecords after Compact = %d", f.NumRecords())
-	}
-	if got := f.Device().NumPages(); got >= pagesBefore {
-		t.Errorf("Compact did not reclaim pages: %d -> %d", pagesBefore, got)
-	}
-	all, err = f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 10 {
-		t.Fatalf("post-compact scan = %d records", len(all))
-	}
-	// Compact on a clean file is a no-op.
-	if err := f.Compact(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// scanRecords is the per-record reference for ReadArena: every live record
+// scanRecords is the per-record reference for ReadArena: every record
 // through Scan, back to back.
 func scanRecords(t *testing.T, f *File) []byte {
 	t.Helper()
@@ -326,8 +283,8 @@ func scanRecords(t *testing.T, f *File) []byte {
 }
 
 // TestReadArenaMatchesScan: the bulk read equals a per-record Scan on an
-// empty file and on a multi-page file whose deleted slots sit on some pages
-// only, and it leaves no frame fixed.
+// empty file and on a multi-page file with a partial last page, and it
+// leaves no frame fixed.
 func TestReadArenaMatchesScan(t *testing.T) {
 	f := testFile(t, 68, 4096) // 4 records per page
 	s := f.Schema()
@@ -345,22 +302,12 @@ func TestReadArenaMatchesScan(t *testing.T) {
 		}
 	}
 	check("empty file")
-	var rids []RID
 	for i := 0; i < 30; i++ {
-		rid, err := f.Append(s.MustMake(i, 100-i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	check("pristine pages")
-	// Pages 1 and 5 lose slots, the rest stay pristine.
-	for _, i := range []int{4, 6, 7, 20} {
-		if err := f.Delete(rids[i]); err != nil {
+		if _, err := f.Append(s.MustMake(i, 100-i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("deleted slots")
+	check("eight pages")
 }
 
 // Property: any sequence of int64 pairs survives a load/scan round trip in
@@ -499,7 +446,7 @@ func BenchmarkRescan(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(missed), "B/miss")
 }
 
-func TestPageScannerPristine(t *testing.T) {
+func TestPageScannerRecordAreas(t *testing.T) {
 	f := testFile(t, 68, 1024) // 4 records per page
 	s := f.Schema()
 	const n = 10
@@ -514,15 +461,12 @@ func TestPageScannerPristine(t *testing.T) {
 	var got []int64
 	pages := 0
 	for {
-		data, cnt, pristine, err := ps.Next()
+		data, cnt, err := ps.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !pristine {
-			t.Errorf("page %d not pristine with no deletions", pages)
 		}
 		if len(data) != cnt*width {
 			t.Errorf("page %d: %d bytes for %d records", pages, len(data), cnt)
@@ -545,66 +489,10 @@ func TestPageScannerPristine(t *testing.T) {
 	}
 }
 
-func TestPageScannerDeleted(t *testing.T) {
-	f := testFile(t, 68, 1024)
-	s := f.Schema()
-	var rids []RID
-	for i := 0; i < 8; i++ {
-		rid, err := f.Append(s.MustMake(i, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	// Delete slots 1 and 2 of page 0; page 1 stays pristine.
-	if err := f.Delete(rids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Delete(rids[2]); err != nil {
-		t.Fatal(err)
-	}
-	ps := f.ScanPages(true)
-	defer ps.Close()
-	width := s.Width()
-	var live []int64
-	page := 0
-	for {
-		data, cnt, pristine, err := ps.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if page == 0 && pristine {
-			t.Error("page 0 reported pristine despite deletions")
-		}
-		if page == 1 && !pristine {
-			t.Error("page 1 reported non-pristine")
-		}
-		for i := 0; i < cnt; i++ {
-			if ps.Deleted(i) {
-				continue
-			}
-			live = append(live, s.Int64(tuple.Tuple(data[i*width:(i+1)*width]), 0))
-		}
-		page++
-	}
-	want := []int64{0, 3, 4, 5, 6, 7}
-	if len(live) != len(want) {
-		t.Fatalf("live records %v, want %v", live, want)
-	}
-	for i := range want {
-		if live[i] != want[i] {
-			t.Errorf("live[%d] = %d, want %d", i, live[i], want[i])
-		}
-	}
-}
-
 func TestPageScannerEmptyFileAndClose(t *testing.T) {
 	f := testFile(t, 68, 1024)
 	ps := f.ScanPages(false)
-	if _, _, _, err := ps.Next(); err != io.EOF {
+	if _, _, err := ps.Next(); err != io.EOF {
 		t.Fatalf("empty file scan: %v, want EOF", err)
 	}
 	if err := ps.Close(); err != nil {
@@ -622,13 +510,13 @@ func TestPageScannerEmptyFileAndClose(t *testing.T) {
 		}
 	}
 	ps = f.ScanPages(false)
-	if _, _, _, err := ps.Next(); err != nil {
+	if _, _, err := ps.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ps.Next(); err != io.EOF {
+	if _, _, err := ps.Next(); err != io.EOF {
 		t.Fatalf("Next after Close: %v, want EOF", err)
 	}
 	if got := f.Pool().FixedFrames(); got != 0 {
@@ -636,8 +524,7 @@ func TestPageScannerEmptyFileAndClose(t *testing.T) {
 	}
 }
 
-// collectRange drains a page-range scan into (a, b) values, skipping deleted
-// slots like a batch consumer would.
+// collectRange drains a page-range scan into the records' first columns.
 func collectRange(t *testing.T, f *File, lo, hi int) []int64 {
 	t.Helper()
 	ps := f.ScanPageRange(lo, hi, true)
@@ -645,7 +532,7 @@ func collectRange(t *testing.T, f *File, lo, hi int) []int64 {
 	var out []int64
 	w := f.Schema().Width()
 	for {
-		data, n, pristine, err := ps.Next()
+		data, n, err := ps.Next()
 		if err == io.EOF {
 			return out
 		}
@@ -653,9 +540,6 @@ func collectRange(t *testing.T, f *File, lo, hi int) []int64 {
 			t.Fatal(err)
 		}
 		for slot := 0; slot < n; slot++ {
-			if !pristine && ps.Deleted(slot) {
-				continue
-			}
 			rec := tuple.Tuple(data[slot*w : (slot+1)*w])
 			out = append(out, f.Schema().Int64(rec, 0))
 		}
@@ -694,17 +578,6 @@ func TestScanPageRange(t *testing.T) {
 	if got := collectRange(t, f, 4, 2); len(got) != 0 {
 		t.Errorf("inverted range saw %d records, want 0", len(got))
 	}
-	// Deleted records are skipped inside a range like in a full scan.
-	if err := f.Delete(RID{Page: f.pages[1], Slot: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := collectRange(t, f, 1, 2); len(got) != 3 {
-		t.Errorf("range over page with deletion saw %d records, want 3", len(got))
-	}
-	// ScanPages is unchanged: still the whole (now shorter) file.
-	if got := collectRange(t, f, 0, f.NumPages()); len(got) != n-1 {
-		t.Errorf("full range after delete saw %d records, want %d", len(got), n-1)
-	}
 }
 
 // TestScanPageRangeConcurrent runs disjoint range scans of one file in
@@ -730,7 +603,7 @@ func TestScanPageRangeConcurrent(t *testing.T) {
 			ps := f.ScanPageRange(p*per, (p+1)*per, false)
 			defer ps.Close()
 			for {
-				_, m, _, err := ps.Next()
+				_, m, err := ps.Next()
 				if err != nil {
 					return
 				}
@@ -769,11 +642,11 @@ func TestScanPageRangeDegenerate(t *testing.T) {
 	fixesBefore := f.Pool().Stats().Fixes
 	for _, k := range []int{0, 1, f.NumPages(), f.NumPages() + 5} {
 		ps := f.ScanPageRange(k, k, true)
-		if _, _, _, err := ps.Next(); err != io.EOF {
+		if _, _, err := ps.Next(); err != io.EOF {
 			t.Errorf("empty range [%d,%d): err = %v, want EOF", k, k, err)
 		}
 		// EOF is sticky.
-		if _, _, _, err := ps.Next(); err != io.EOF {
+		if _, _, err := ps.Next(); err != io.EOF {
 			t.Errorf("empty range [%d,%d) second Next: err = %v, want EOF", k, k, err)
 		}
 		if err := ps.Close(); err != nil {

@@ -339,18 +339,6 @@ func (s *Schema) CompareAll(t1, t2 Tuple) int {
 	return s.Compare(t1, t2, s.AllColumns())
 }
 
-// EqualOn reports whether t1 and t2 agree on the listed columns.
-func (s *Schema) EqualOn(t1, t2 Tuple, cols []int) bool {
-	for _, c := range cols {
-		off := s.offsets[c]
-		w := s.fields[c].Width
-		if !bytes.Equal(t1[off:off+w], t2[off:off+w]) {
-			return false
-		}
-	}
-	return true
-}
-
 // EqualProjected compares the cols projection of t (schema s) against an
 // already-projected tuple p (schema s.Project(cols)).
 func (s *Schema) EqualProjected(t Tuple, cols []int, p Tuple) bool {

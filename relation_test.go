@@ -282,15 +282,17 @@ func TestRelationSourcesAcrossPaths(t *testing.T) {
 				t.Errorf("%s/%s: counters %+v, over a MemScan %+v", src.name, p.name, c, ref)
 			}
 		}
-		var streamed [][]any
-		if err := DivideStream(src.streams[0], src.streams[1], nil, nil, func(row []any) error {
-			streamed = append(streamed, row)
-			return nil
-		}); err != nil {
-			t.Fatalf("%s/stream: %v", src.name, err)
-		}
-		if got := sortedFirstColumn(streamed); !slices.Equal(got, want) {
-			t.Fatalf("%s/stream: quotient %v, reference %v", src.name, got, want)
+		for _, p := range paths {
+			var streamed [][]any
+			if err := DivideStream(src.streams[0], src.streams[1], nil, &p.opts, func(row []any) error {
+				streamed = append(streamed, row)
+				return nil
+			}); err != nil {
+				t.Fatalf("%s/stream/%s: %v", src.name, p.name, err)
+			}
+			if got := sortedFirstColumn(streamed); !slices.Equal(got, want) {
+				t.Fatalf("%s/stream/%s: quotient %v, reference %v", src.name, p.name, got, want)
+			}
 		}
 	}
 }

@@ -304,6 +304,14 @@ func (o *Options) orDefault() Options {
 	return *o
 }
 
+// withTimeout bounds ctx by Timeout when one is set.
+func (o Options) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.Timeout > 0 {
+		return context.WithTimeout(ctx, o.Timeout)
+	}
+	return ctx, func() {}
+}
+
 // Divide computes dividend ÷ divisor: the rows of the dividend's remaining
 // columns that co-occur with EVERY divisor row. on names the dividend
 // columns matched (positionally) against the divisor's columns; nil matches
@@ -368,11 +376,8 @@ func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*R
 // profile; DivideContext passes nil for both.
 func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options, tracer *obs.Tracer, counters *exec.Counters) (*Relation, error) {
 	o := opts.orDefault()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := o.withTimeout(ctx)
+	defer cancel()
 	cols, err := matchColumns(dividend, divisor, on)
 	if err != nil {
 		return nil, err
@@ -497,10 +502,14 @@ type RunStats struct {
 	PeakTableBytes   int   // high-water mark of the two hash tables
 }
 
-// DivideWithStats runs hash-division and returns the quotient together with
-// the execution statistics.
+// DivideWithStats runs one in-memory hash-division and returns the quotient
+// together with the execution statistics. It does not re-partition: a
+// MemoryBudget its tables outgrow fails the call with the division's
+// memory-budget error. Timeout bounds the call as it bounds Divide.
 func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*Relation, RunStats, error) {
 	o := opts.orDefault()
+	ctx, cancel := o.withTimeout(context.Background())
+	defer cancel()
 	cols, err := matchColumns(dividend, divisor, on)
 	if err != nil {
 		return nil, RunStats{}, err
@@ -513,6 +522,7 @@ func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*
 	if err := sp.Validate(); err != nil {
 		return nil, RunStats{}, err
 	}
+	wrapCancel(ctx, &sp)
 	env := division.Env{
 		Pool:            buffer.New(buffer.PaperPoolBytes),
 		TempDev:         disk.NewDevice("temp", disk.PaperRunPageSize),

@@ -2,10 +2,12 @@ package reldiv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/division"
 	"repro/internal/obs"
 )
 
@@ -126,16 +128,15 @@ func TestDivideWithMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestDivideMemoryBudgetRepartitions: a budget below the table footprint
-// runs recursive hash-division, which re-partitions the overflowing input
-// (counted in division.repartitions) and still returns the exact quotient.
-func TestDivideMemoryBudgetRepartitions(t *testing.T) {
-	orders := NewRelation("orders", Int64Col("customer"), Int64Col("product"))
-	products := NewRelation("products", Int64Col("product"))
+// partialOrders is 600 customers over 8 products in which every third
+// customer buys all of them and the rest miss one; want is the quotient.
+func partialOrders() (orders, products *Relation, want map[int64]bool) {
+	orders = NewRelation("orders", Int64Col("customer"), Int64Col("product"))
+	products = NewRelation("products", Int64Col("product"))
 	for p := 0; p < 8; p++ {
 		products.MustInsert(p)
 	}
-	want := map[int64]bool{}
+	want = map[int64]bool{}
 	for c := 0; c < 600; c++ {
 		full := c%3 == 0
 		if full {
@@ -147,15 +148,30 @@ func TestDivideMemoryBudgetRepartitions(t *testing.T) {
 			}
 		}
 	}
+	return orders, products, want
+}
+
+// quarterTableBudget is a quarter of the hash tables' peak footprint when
+// orders ÷ products runs in memory.
+func quarterTableBudget(t *testing.T, orders, products *Relation) int {
+	t.Helper()
 	_, st, err := DivideWithStats(orders, products, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := st.PeakTableBytes / 4
+	return st.PeakTableBytes / 4
+}
+
+// TestDivideMemoryBudgetRepartitions: a budget below the table footprint
+// runs recursive hash-division, which re-partitions the overflowing input
+// (counted in division.repartitions) and still returns the exact quotient.
+func TestDivideMemoryBudgetRepartitions(t *testing.T) {
+	orders, products, want := partialOrders()
+	budget := quarterTableBudget(t, orders, products)
 	before := obs.Default.Get("division.repartitions")
 	q, err := Divide(orders, products, nil, &Options{MemoryBudget: budget})
 	if err != nil {
-		t.Fatalf("budget %d of %d table bytes: %v", budget, st.PeakTableBytes, err)
+		t.Fatalf("budget %d: %v", budget, err)
 	}
 	got := quotientCustomers(t, q)
 	if len(got) != len(want) {
@@ -167,7 +183,56 @@ func TestDivideMemoryBudgetRepartitions(t *testing.T) {
 		}
 	}
 	if obs.Default.Get("division.repartitions") <= before {
-		t.Fatalf("budget %d of %d table bytes divided without re-partitioning", budget, st.PeakTableBytes)
+		t.Fatalf("budget %d divided without re-partitioning", budget)
+	}
+}
+
+// TestDivideStreamMemoryBudgetRepartitions: a streamed division under a
+// budget its tables outgrow re-partitions as Divide does instead of failing,
+// and the budget takes precedence over EarlyEmit.
+func TestDivideStreamMemoryBudgetRepartitions(t *testing.T) {
+	orders, products, want := partialOrders()
+	budget := quarterTableBudget(t, orders, products)
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"auto", Options{MemoryBudget: budget}},
+		{"early-emit", Options{Algorithm: HashDivision, EarlyEmit: true, MemoryBudget: budget}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := obs.Default.Get("division.repartitions")
+			got := map[int64]bool{}
+			if err := DivideStream(relationStream(orders), relationStream(products), nil, &c.opts, func(row []any) error {
+				got[row[0].(int64)] = true
+				return nil
+			}); err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("quotient = %d rows, want %d", len(got), len(want))
+			}
+			for cust := range want {
+				if !got[cust] {
+					t.Fatalf("customer %d missing from the quotient", cust)
+				}
+			}
+			if obs.Default.Get("division.repartitions") <= before {
+				t.Fatalf("budget %d divided without re-partitioning", budget)
+			}
+		})
+	}
+}
+
+// TestDivideWithStatsBudgetOverflowFails: DivideWithStats runs one
+// in-memory hash-division, so a budget its tables outgrow fails the call
+// with the division's memory-budget error rather than re-partitioning.
+func TestDivideWithStatsBudgetOverflowFails(t *testing.T) {
+	orders, products, _ := partialOrders()
+	budget := quarterTableBudget(t, orders, products)
+	q, _, err := DivideWithStats(orders, products, nil, &Options{MemoryBudget: budget})
+	if !errors.Is(err, division.ErrMemoryBudget) || q != nil {
+		t.Fatalf("budget %d: quotient %v, err %v, want division.ErrMemoryBudget", budget, q, err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/exec"
+	"repro/internal/leakcheck"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -93,8 +94,6 @@ func TestSortRunsChargeSessionQuota(t *testing.T) {
 		if used := q.used.Load(); used != 0 {
 			t.Fatalf("%d bytes charged after failed open + releaseAll", used)
 		}
-		if live := storage.LiveSpillFiles(); live != liveBefore {
-			t.Fatalf("spill files leaked on quota failure: %d before, %d after", liveBefore, live)
-		}
+		leakcheck.SpillFiles(t, liveBefore)
 	})
 }

@@ -146,7 +146,9 @@ func (r *rowSourceOp) Close() error {
 // matches by column name). With Options.EarlyEmit (and the default
 // hash-division algorithm), quotient rows are emitted as soon as they
 // complete, before the dividend is fully consumed — hash-division as "a
-// producer in a dataflow query processing system" (§3.3).
+// producer in a dataflow query processing system" (§3.3). A MemoryBudget
+// runs recursive hash-division instead, as Divide does, and takes
+// precedence over EarlyEmit.
 func DivideStream(dividend, divisor StreamInput, on []string, opts *Options, emit func(row []any) error) error {
 	return DivideStreamContext(context.Background(), dividend, divisor, on, opts, emit)
 }
@@ -156,11 +158,8 @@ func DivideStream(dividend, divisor StreamInput, on []string, opts *Options, emi
 // returns ctx's error; the operator tree is closed on every path.
 func DivideStreamContext(ctx context.Context, dividend, divisor StreamInput, on []string, opts *Options, emit func(row []any) error) error {
 	o := opts.orDefault()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := o.withTimeout(ctx)
+	defer cancel()
 	dividendOp, err := newRowSourceOp(dividend)
 	if err != nil {
 		return err
@@ -202,8 +201,10 @@ func DivideStreamContext(ctx context.Context, dividend, divisor StreamInput, on 
 	if alg == Auto {
 		alg = HashDivision
 	}
-	if alg == HashDivision {
+	if alg == HashDivision && o.MemoryBudget > 0 {
 		env.MemoryBudget = o.MemoryBudget
+		op = division.NewRecursiveHashDivision(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
+	} else if alg == HashDivision {
 		op = division.NewHashDivision(sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
 	} else {
 		ialg, err := alg.internal()
