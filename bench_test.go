@@ -250,7 +250,10 @@ func BenchmarkSortEarlyAgg(b *testing.B) {
 }
 
 // BenchmarkHashLoad ablates the average-bucket-size parameter hbs (§4.6 uses
-// 2): longer chains trade memory for comparisons.
+// 2): longer chains trade memory for comparisons. comp/op counts the
+// comparisons of the paper's chains (Table 1 Comp units), which grow with
+// hbs; ns/op is the walk over the physical index, four times finer, so it
+// grows far less.
 func BenchmarkHashLoad(b *testing.B) {
 	inst, err := workload.Generate(workload.PaperCase(100, 400, 1))
 	if err != nil {
@@ -258,13 +261,15 @@ func BenchmarkHashLoad(b *testing.B) {
 	}
 	for _, hbs := range []float64{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("hbs=%g", hbs), func(b *testing.B) {
+			var c exec.Counters
 			for i := 0; i < b.N; i++ {
-				env := division.Env{HBS: hbs, ExpectedDivisor: 100, ExpectedQuotient: 400}
+				env := division.Env{HBS: hbs, ExpectedDivisor: 100, ExpectedQuotient: 400, Counters: &c}
 				op := division.NewHashDivision(benchSpec(b, inst), env, division.HashDivisionOptions{})
 				if _, err := exec.Drain(op); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(c.Comp)/float64(b.N), "comp/op")
 		})
 	}
 }
@@ -337,11 +342,13 @@ func BenchmarkParallelWorkers(b *testing.B) {
 // HashDivision operator (also on the two-column composite-key layout, whose
 // probes take the compiled closure kernels), two morsel workers, two
 // shared-table workers, and two netexchange workers over loopback TCP. The
-// parallel paths run with the bit-vector filter, as divload does. As in
-// divload's morsel-zipf, whose relations keep their rows in one arena, the
-// rows are packed into arenas once, outside the timer, and every path scans
-// them zero-copy (exec.NewArenaScan), so the scan copies nothing and the
-// absorb, the shuffle or the wire is what the figure measures.
+// parallel paths run with the bit-vector filter, as divload does.
+// serial-durable is the serial operator on durable-mixed's instance instead,
+// workload.PaperCase(100, 400, 2), with the divisor-sized table reldiv.Divide
+// builds. As in divload's morsel-zipf, whose relations keep their rows in one
+// arena, the rows are packed into arenas once, outside the timer, and every
+// path scans them zero-copy (exec.NewArenaScan), so the scan copies nothing
+// and the absorb, the shuffle or the wire is what the figure measures.
 func BenchmarkAbsorbPaths(b *testing.B) {
 	inst, err := workload.Generate(workload.Config{
 		DivisorTuples:      400,
@@ -356,14 +363,14 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	check := func(b *testing.B, q []tuple.Tuple) {
-		if len(q) != len(inst.QuotientIDs) {
-			b.Fatalf("quotient = %d, want %d", len(q), len(inst.QuotientIDs))
-		}
+	durable, err := workload.Generate(workload.PaperCase(100, 400, 2))
+	if err != nil {
+		b.Fatal(err)
 	}
 	r := inst.Rekey(workload.CompositeKey)
 	dividend, divisor := packArena(inst.Dividend), packArena(inst.Divisor)
 	rDividend, rDivisor := packArena(r.Dividend), packArena(r.Divisor)
+	dDividend, dDivisor := packArena(durable.Dividend), packArena(durable.Divisor)
 	spec := func() division.Spec {
 		return division.Spec{
 			Dividend:    exec.NewArenaScan(workload.TranscriptSchema, dividend),
@@ -389,16 +396,17 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 	}
 	paths := []struct {
 		name   string
+		inst   *workload.Instance
 		divide func(*testing.B) []tuple.Tuple
 	}{
-		{"serial", func(b *testing.B) []tuple.Tuple {
+		{"serial", inst, func(b *testing.B) []tuple.Tuple {
 			q, err := division.Run(division.AlgHashDivision, spec(), division.Env{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return q
 		}},
-		{"serial-composite", func(b *testing.B) []tuple.Tuple {
+		{"serial-composite", inst, func(b *testing.B) []tuple.Tuple {
 			q, err := division.Run(division.AlgHashDivision, division.Spec{
 				Dividend:    exec.NewArenaScan(r.DividendSchema, rDividend),
 				Divisor:     exec.NewArenaScan(r.DivisorSchema, rDivisor),
@@ -409,9 +417,20 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 			}
 			return q
 		}},
-		{"morsel", inParallel(parallel.PathMorsel)},
-		{"shared-table", inParallel(parallel.PathSharedTable)},
-		{"netexchange", func(b *testing.B) []tuple.Tuple {
+		{"serial-durable", durable, func(b *testing.B) []tuple.Tuple {
+			q, err := division.Run(division.AlgHashDivision, division.Spec{
+				Dividend:    exec.NewArenaScan(workload.TranscriptSchema, dDividend),
+				Divisor:     exec.NewArenaScan(workload.CourseSchema, dDivisor),
+				DivisorCols: []int{1},
+			}, division.Env{ExpectedDivisor: len(durable.Divisor)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return q
+		}},
+		{"morsel", inst, inParallel(parallel.PathMorsel)},
+		{"shared-table", inst, inParallel(parallel.PathSharedTable)},
+		{"netexchange", inst, func(b *testing.B) []tuple.Tuple {
 			res, err := netexchange.Divide(context.Background(), spec(), netexchange.Config{
 				Strategy: division.QuotientPartitioning, BitVectorFilter: true,
 			}, cluster.Conns())
@@ -424,9 +443,11 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 	for _, p := range paths {
 		b.Run(p.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				check(b, p.divide(b))
+				if q := p.divide(b); len(q) != len(p.inst.QuotientIDs) {
+					b.Fatalf("quotient = %d, want %d", len(q), len(p.inst.QuotientIDs))
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(inst.Dividend)), "ns/tuple")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p.inst.Dividend)), "ns/tuple")
 		})
 	}
 }

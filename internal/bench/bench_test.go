@@ -270,3 +270,54 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("withDefaults incomplete: %+v", cfg)
 	}
 }
+
+// TestTable4HashCellsPinned pins the Table 1-priced CPU and the Table 3-priced
+// I/O of the hash-based cells of the paper grid (PaperConfig, |S|, |Q| in
+// {25, 100, 400}) to a recorded run. Both are deterministic operation counts,
+// so any change to how the hash tables count Hash and Comp, or to the I/O a
+// plan performs, shows here as a changed constant.
+func TestTable4HashCellsPinned(t *testing.T) {
+	ha, haj, hd := division.AlgHashAgg, division.AlgHashAggJoin, division.AlgHashDivision
+	for _, c := range []struct {
+		alg       division.Algorithm
+		s, q      int
+		cpu, simI float64
+	}{
+		{ha, 25, 25, 48.18, 82},
+		{haj, 25, 25, 94.33, 82},
+		{hd, 25, 25, 100.89, 82},
+		{ha, 25, 100, 189.81, 124},
+		{haj, 25, 100, 371.71, 124},
+		{hd, 25, 100, 396.87, 124},
+		{ha, 25, 400, 843.48, 334},
+		{haj, 25, 400, 1567.98, 375},
+		{hd, 25, 400, 1667.94, 334},
+		{ha, 100, 25, 194.45999999999998, 124},
+		{haj, 100, 25, 461.74, 124},
+		{hd, 100, 25, 414.41999999999996, 124},
+		{ha, 100, 100, 763.41, 334},
+		{haj, 100, 100, 1811.79, 375},
+		{hd, 100, 100, 1627.3199999999997, 334},
+		{ha, 100, 400, 3404.7599999999998, 1160},
+		{haj, 100, 400, 7577.54, 31875},
+		{hd, 100, 400, 6844.469999999999, 1160},
+		{ha, 400, 25, 779.0999999999999, 334},
+		{haj, 400, 25, 1910.37, 375},
+		{hd, 400, 25, 1727.415, 334},
+		{ha, 400, 100, 3058.02, 1160},
+		{haj, 400, 100, 7432.94, 31875},
+		{hd, 400, 100, 6779.91, 1160},
+		{ha, 400, 400, 13646.19, 4450},
+		{haj, 400, 400, 30996.11, 113170},
+		{hd, 400, 400, 28462.38, 4450},
+	} {
+		cell, err := RunCell(c.alg, c.s, c.q, PaperConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.CountedCPUMS != c.cpu || cell.SimulatedIO != c.simI {
+			t.Errorf("%v (%d,%d): counted CPU %v ms, simulated I/O %v ms; recorded %v and %v",
+				c.alg, c.s, c.q, cell.CountedCPUMS, cell.SimulatedIO, c.cpu, c.simI)
+		}
+	}
+}

@@ -324,22 +324,28 @@ func (c *Core) Scan(emit func(tuple.Tuple) error) error {
 // FreeDivisor drops the divisor table once the dividend is absorbed ("free
 // divisor table"), charging its probe work to the counters.
 func (c *Core) FreeDivisor() {
-	c.fold(c.divisorTable)
-	c.divisorTable = nil
+	c.free(&c.divisorTable)
 }
 
 // Release drops both tables ("free quotient table"), charging their
-// remaining probe work to the counters. Stats stay readable.
+// remaining probe work to the counters. Stats stay readable, and so do the
+// quotient tuples Scan and Absorb returned.
 func (c *Core) Release() {
 	c.FreeDivisor()
-	c.fold(c.quotientTable)
-	c.quotientTable = nil
+	c.free(&c.quotientTable)
 }
 
-func (c *Core) fold(t *hashtab.Table) {
-	if c.opts.Counters != nil && t != nil {
+// free charges a table's probe work to the counters and releases it.
+func (c *Core) free(tp **hashtab.Table) {
+	t := *tp
+	if t == nil {
+		return
+	}
+	if c.opts.Counters != nil {
 		st := t.Stats()
 		c.opts.Counters.Hash += st.Hashes
 		c.opts.Counters.Comp += st.Comparisons
 	}
+	t.Release()
+	*tp = nil
 }

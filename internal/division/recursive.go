@@ -537,6 +537,7 @@ func (r *RecursiveHashDivision) run() error {
 
 	// Divisor-side recursion with a counting collection phase.
 	collection := hashtab.NewForExpected(r.qs, r.env.expectedQuotient(), r.env.hbs())
+	defer collection.Release()
 	totalLeaves := 0
 	leaf := func(cluster []tuple.Tuple, c part, depth int, span *obs.Span) error {
 		totalLeaves++
@@ -596,6 +597,7 @@ func DivideRecursive(sp Spec, env Env, strategy PartitionStrategy, ropts Recursi
 // env.Counters.
 func DistinctDivisor(divisor exec.Operator, env Env) ([]tuple.Tuple, error) {
 	tab := hashtab.NewForExpected(divisor.Schema(), env.expectedDivisor(), env.hbs())
+	defer tab.Release()
 	var out []tuple.Tuple
 	err := eachTuple(divisor, env.batchSize(), func(t tuple.Tuple) {
 		if e, created := tab.GetOrInsert(t); created {

@@ -231,6 +231,7 @@ func (g *HashGroupCount) TableMemBytes() int {
 // Close implements Operator.
 func (g *HashGroupCount) Close() error {
 	g.opened = false
+	g.table.Release()
 	g.table = nil
 	g.elems = nil
 	return nil
@@ -303,6 +304,7 @@ func (d *HashDedup) Close() error {
 		d.counters.Hash += st.Hashes
 		d.counters.Comp += st.Comparisons
 	}
+	d.table.Release()
 	d.table = nil
 	return d.input.Close()
 }

@@ -222,6 +222,7 @@ func (j *HashSemiJoin) Close() error {
 	}
 	j.opened = false
 	j.fold()
+	j.table.Release()
 	j.table = nil
 	return j.probe.Close()
 }

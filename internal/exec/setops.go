@@ -151,12 +151,13 @@ func (d *Difference) Close() error {
 		return nil
 	}
 	d.opened = false
-	if d.counters != nil {
-		for _, tab := range []*hashtab.Table{d.rightSet, d.seen} {
+	for _, tab := range []*hashtab.Table{d.rightSet, d.seen} {
+		if d.counters != nil {
 			st := tab.Stats()
 			d.counters.Hash += st.Hashes
 			d.counters.Comp += st.Comparisons
 		}
+		tab.Release()
 	}
 	d.rightSet, d.seen = nil, nil
 	return d.left.Close()

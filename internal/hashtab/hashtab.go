@@ -7,29 +7,52 @@
 //
 // The table counts hash calculations and tuple comparisons so callers can
 // report deterministic CPU costs in Table 1 units.
+//
+// The paper's geometry — the bucket count, hbs, growth by doubling — is kept
+// as bookkeeping: each logical bucket stores only its chain length, and each
+// element its insertion ordinal within the bucket. The elements themselves
+// live in a physical index fanout times finer, so a probe walks about a
+// quarter of the chain the paper prices, while Stats charge exactly what
+// walking the newest-first logical chain would charge (DESIGN.md §7).
 package hashtab
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/tuple"
 )
 
-// elementOverheadBytes approximates the per-element bookkeeping (next
-// pointer, numbers, slice header) for memory-budget accounting.
+// elementOverheadBytes is the per-element bookkeeping (next pointer,
+// numbers, slice header) the paper's memory model charges for
+// memory-budget accounting. The real Element is 64 bytes, its key included
+// when the key fits in eight bytes; MemBytes keeps the model so budgets,
+// spills and recursive partitioning decide as they always have.
 const elementOverheadBytes = 48
+
+// fanoutBits is log2 of the number of physical sub-chains each logical
+// bucket splits into.
+const fanoutBits = 2
+
+// fanout is the number of physical sub-chains per logical bucket.
+const fanout = 1 << fanoutBits
 
 // Element is one chain entry. Exactly one of the payload fields is used by
 // any given algorithm.
 type Element struct {
 	next  *Element
-	Tuple tuple.Tuple    // the stored key tuple (owned copy)
+	Tuple tuple.Tuple    // the stored key tuple (owned copy); never reassigned
 	Num   int64          // divisor number, counter, or grouped count
 	Bits  *bitmap.Bitmap // quotient candidate bit map (hash-division)
+	ord   int32          // insertion ordinal within its logical bucket
+	key   [8]byte        // holds Tuple when the key is at most 8 bytes
 }
+
+// word returns an 8-byte key as its little-endian word.
+func (e *Element) word() uint64 { return binary.LittleEndian.Uint64(e.key[:]) }
 
 // Stats count the work the table performed, in cost-model units. Rehash
 // moves during growth are real work too: every element moved recomputes its
@@ -41,14 +64,165 @@ type Stats struct {
 	Rehashed    int64 // element moves performed by grow() rehashes
 }
 
+// probe charges one probe of a logical chain of n elements that ended at e,
+// or ran off the chain when e is nil: one hash, and the comparisons walking
+// the newest-first chain makes. The element of ordinal ord sits n − ord
+// places down that chain.
+func (st *Stats) probe(n int32, e *Element) {
+	st.Hashes++
+	if e != nil {
+		n -= e.ord
+	}
+	st.Comparisons += int64(n)
+}
+
+// index is a table's storage: the logical chain lengths and the physical
+// sub-chain heads, fanout per logical bucket, each sub-chain newest first.
+type index struct {
+	lcount []int32
+	heads  []*Element
+	box    *[]*Element // the pooled array of which heads is a prefix
+}
+
+// headPools recycle released sub-chain head arrays, one pool per power-of-two
+// length, so a query's tables reuse the arrays of the tables before them.
+// The arrays in a pool are all nil, and boxed (*[]*Element) so a put boxes
+// nothing.
+var headPools [bits.UintSize]sync.Pool
+
+// newIndex returns an empty index of nb logical buckets.
+func newIndex(nb int) index {
+	need := nb * fanout
+	k := bits.Len(uint(need - 1))
+	box, _ := headPools[k].Get().(*[]*Element)
+	if box == nil {
+		heads := make([]*Element, 1<<k)
+		box = &heads
+	}
+	return index{lcount: make([]int32, nb), heads: (*box)[:need], box: box}
+}
+
+// recycle clears the head array and returns it to its pool.
+func (x *index) recycle() {
+	if x.box == nil {
+		return
+	}
+	heads := *x.box
+	clear(heads)
+	headPools[bits.Len(uint(len(heads)-1))].Put(x.box)
+	*x = index{}
+}
+
+func (x *index) bucketFor(h uint64) int {
+	// Multiply-shift range reduction (Lemire 2016): maps the 64-bit hash
+	// uniformly onto [0, nbuckets) with one multiply-high instead of the
+	// ~25-cycle 64-bit modulo. bucketFor sits on the probe hot path, twice
+	// per dividend tuple in hash-division step 2.
+	hi, _ := bits.Mul64(h, uint64(len(x.lcount)))
+	return int(hi)
+}
+
+// slot returns h's logical bucket and the position of h's sub-chain head.
+// The sub-chain is picked by the top bits of a Fibonacci multiple of h:
+// bucketFor reads h's top bits, so these depend on all of h.
+func (x *index) slot(h uint64) (b, p int) {
+	b = x.bucketFor(h)
+	return b, b<<fanoutBits | int((h*0x9e3779b97f4a7c15)>>(64-fanoutBits))
+}
+
+// chain returns the length of h's logical chain and the head of h's
+// sub-chain.
+func (x *index) chain(h uint64) (int32, *Element) {
+	b, p := x.slot(h)
+	return x.lcount[b], x.heads[p]
+}
+
+// link prepends e to h's sub-chain as the newest element of h's logical
+// bucket.
+func (x *index) link(e *Element, h uint64) {
+	b, p := x.slot(h)
+	e.ord = x.lcount[b]
+	x.lcount[b]++
+	e.next = x.heads[p]
+	x.heads[p] = e
+}
+
+// each calls fn for every element in the chained table's order: logical
+// buckets in turn, each newest first. A bucket's ordinals are 0..n-1, so
+// walking its sub-chains and placing each element at n-1-ord lays the
+// bucket out newest first in linear time, with no sort; the buffer lives on
+// the stack unless a chain outgrows it, which only a fixed geometry's long
+// chains do. A lone element heads the one non-empty sub-chain; picking it
+// from the four heads compiles to conditional moves instead of the branches
+// a walk would mispredict. fn may relink the element it is given.
+func (x *index) each(fn func(*Element) error) error {
+	var stack [32]*Element
+	buf := stack[:]
+	for b, n := range x.lcount {
+		if n == 0 {
+			continue
+		}
+		h := x.heads[b<<fanoutBits : (b+1)<<fanoutBits : (b+1)<<fanoutBits]
+		if n == 1 {
+			e, h1, h2, h3 := h[0], h[1], h[2], h[3]
+			if e == nil {
+				e = h1
+			}
+			if e == nil {
+				e = h2
+			}
+			if e == nil {
+				e = h3
+			}
+			if err := fn(e); err != nil {
+				return err
+			}
+			continue
+		}
+		if int(n) > len(buf) {
+			buf = make([]*Element, n)
+		}
+		for _, e := range h {
+			for ; e != nil; e = e.next {
+				buf[n-1-e.ord] = e
+			}
+		}
+		for _, e := range buf[:n] {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (x *index) lookupU64(h, key uint64, st *Stats) *Element {
+	n, e := x.chain(h)
+	for e != nil && e.word() != key {
+		e = e.next
+	}
+	st.probe(n, e)
+	return e
+}
+
+func (x *index) lookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, st *Stats) *Element {
+	n, e := x.chain(h)
+	for e != nil && !eq(src, e.Tuple) {
+		e = e.next
+	}
+	st.probe(n, e)
+	return e
+}
+
 // Table is a bucket-chained hash table over fixed-width tuples.
 type Table struct {
+	index
 	schema   *tuple.Schema
-	buckets  []*Element
 	n        int
 	memBytes int
 	stats    Stats
 	maxLoad  float64 // grow when exceeded; 0 = never grow
+	frozen   bool    // a Frozen view shares the index
 }
 
 // New creates a table for key tuples of the given schema with nBuckets
@@ -58,8 +232,8 @@ func New(schema *tuple.Schema, nBuckets int) *Table {
 		nBuckets = 1
 	}
 	return &Table{
+		index:   newIndex(nBuckets),
 		schema:  schema,
-		buckets: make([]*Element, nBuckets),
 		maxLoad: 4,
 	}
 }
@@ -97,58 +271,44 @@ func (t *Table) Schema() *tuple.Schema { return t.schema }
 // Len returns the number of stored elements.
 func (t *Table) Len() int { return t.n }
 
-// NumBuckets returns the bucket count.
-func (t *Table) NumBuckets() int { return len(t.buckets) }
+// NumBuckets returns the (logical) bucket count.
+func (t *Table) NumBuckets() int { return len(t.lcount) }
 
 // LoadFactor returns elements per bucket.
-func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.buckets)) }
+func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.lcount)) }
 
 // Stats returns the accumulated work counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// MemBytes approximates the table's heap footprint: buckets, elements, key
-// copies, and any attached bit maps. Hash table overflow handling keys off
-// this number.
+// MemBytes is the table's footprint in the paper's memory model: per
+// element its key plus elementOverheadBytes, 8 bytes per bucket, and any
+// attached bit maps. Hash table overflow handling keys off this number.
 func (t *Table) MemBytes() int {
-	return t.memBytes + len(t.buckets)*8
-}
-
-func (t *Table) bucketFor(h uint64) int {
-	// Multiply-shift range reduction (Lemire 2016): maps the 64-bit hash
-	// uniformly onto [0, nbuckets) with one multiply-high instead of the
-	// ~25-cycle 64-bit modulo. bucketFor sits on the probe hot path, twice
-	// per dividend tuple in hash-division step 2.
-	hi, _ := bits.Mul64(h, uint64(len(t.buckets)))
-	return int(hi)
+	return t.memBytes + len(t.lcount)*8
 }
 
 // Lookup finds the element whose stored tuple equals key (all columns), or
 // nil.
 func (t *Table) Lookup(key tuple.Tuple) *Element {
-	t.stats.Hashes++
-	h := tuple.HashBytes(key)
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if t.schema.CompareAll(e.Tuple, key) == 0 {
-			return e
-		}
-	}
-	return nil
+	return t.lookupPre(tuple.HashBytes(key), key, t.equalAll, &t.stats)
+}
+
+// equalAll is the all-column key equality of Lookup and GetOrInsert.
+func (t *Table) equalAll(key, stored tuple.Tuple) bool {
+	return t.schema.CompareAll(stored, key) == 0
 }
 
 // LookupProjected matches the cols projection of src (laid out by srcSchema)
 // against the stored tuples without materializing the projection — the inner
 // loop of hash-division step 2.
 func (t *Table) LookupProjected(src tuple.Tuple, srcSchema *tuple.Schema, cols []int) *Element {
-	t.stats.Hashes++
-	h := srcSchema.Hash(src, cols)
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if srcSchema.EqualProjected(src, cols, e.Tuple) {
-			return e
-		}
-	}
-	return nil
+	return t.lookupProjected(srcSchema.Hash(src, cols), src, srcSchema, cols)
+}
+
+func (t *Table) lookupProjected(h uint64, src tuple.Tuple, srcSchema *tuple.Schema, cols []int) *Element {
+	return t.lookupPre(h, src, func(src, stored tuple.Tuple) bool {
+		return srcSchema.EqualProjected(src, cols, stored)
+	}, &t.stats)
 }
 
 // LookupPre is LookupProjected with the hash value and equality predicate
@@ -158,26 +318,15 @@ func (t *Table) LookupProjected(src tuple.Tuple, srcSchema *tuple.Schema, cols [
 // EqualProjected, so Stats and the quotient are byte-identical to the
 // generic path.
 func (t *Table) LookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool) *Element {
-	t.stats.Hashes++
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if eq(src, e.Tuple) {
-			return e
-		}
-	}
-	return nil
+	return t.lookupPre(h, src, eq, &t.stats)
 }
 
 // GetOrInsertPre is GetOrInsertProjected with caller-compiled hash and
 // equality (see LookupPre); project materializes the stored key when an
 // insert happens (rare relative to probes, so it stays a plain callback).
 func (t *Table) GetOrInsertPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, project func(src tuple.Tuple) tuple.Tuple) (e *Element, created bool) {
-	t.stats.Hashes++
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if eq(src, e.Tuple) {
-			return e, false
-		}
+	if e := t.lookupPre(h, src, eq, &t.stats); e != nil {
+		return e, false
 	}
 	return t.insertHashed(h, project(src)), true
 }
@@ -185,42 +334,39 @@ func (t *Table) GetOrInsertPre(h uint64, src tuple.Tuple, eq func(src, stored tu
 // LookupU64 is LookupProjected specialized to a single 8-byte key column:
 // key is the little-endian word of the projection and h its schema hash
 // (tuple.HashUint64LE of key). Every call is concrete — no closure
-// indirection in the chain walk — while Stats stay identical to the generic
-// probe. The batch hash-division kernel uses it when both the divisor and
-// quotient projections are single 8-byte columns.
+// indirection in the chain walk, and the stored word sits in the element —
+// while Stats stay identical to the generic probe. The batch hash-division
+// kernel uses it when both the divisor and quotient projections are single
+// 8-byte columns.
 func (t *Table) LookupU64(h, key uint64) *Element {
-	t.stats.Hashes++
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if binary.LittleEndian.Uint64(e.Tuple) == key {
-			return e
-		}
-	}
-	return nil
+	return t.lookupU64(h, key, &t.stats)
 }
 
 // GetOrInsertU64 is GetOrInsertProjected specialized like LookupU64; the
 // stored key is the eight little-endian bytes of key.
 func (t *Table) GetOrInsertU64(h, key uint64) (e *Element, created bool) {
-	t.stats.Hashes++
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if binary.LittleEndian.Uint64(e.Tuple) == key {
-			return e, false
-		}
+	if e := t.lookupU64(h, key, &t.stats); e != nil {
+		return e, false
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], key)
-	return t.insertHashed(h, tuple.Tuple(buf[:])), true
+	return t.insertHashed(h, buf[:]), true
 }
 
+// insertHashed stores a copy of key, whose hash is h, as the newest element
+// of its bucket. A key of up to 8 bytes is copied into the element itself.
 func (t *Table) insertHashed(h uint64, key tuple.Tuple) *Element {
-	if t.maxLoad > 0 && float64(t.n+1) > t.maxLoad*float64(len(t.buckets)) {
+	if t.maxLoad > 0 && float64(t.n+1) > t.maxLoad*float64(len(t.lcount)) {
 		t.grow()
 	}
-	b := t.bucketFor(h)
-	e := &Element{next: t.buckets[b], Tuple: key.Clone()}
-	t.buckets[b] = e
+	e := new(Element)
+	if len(key) <= len(e.key) {
+		n := copy(e.key[:], key)
+		e.Tuple = e.key[:n:n]
+	} else {
+		e.Tuple = key.Clone()
+	}
+	t.link(e, h)
 	t.n++
 	t.memBytes += len(key) + elementOverheadBytes
 	return e
@@ -230,13 +376,9 @@ func (t *Table) insertHashed(h uint64, key tuple.Tuple) *Element {
 // absent. created reports whether an insertion happened. This is the
 // "eliminate duplicates in the divisor on the fly" path.
 func (t *Table) GetOrInsert(key tuple.Tuple) (e *Element, created bool) {
-	t.stats.Hashes++
 	h := tuple.HashBytes(key)
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if t.schema.CompareAll(e.Tuple, key) == 0 {
-			return e, false
-		}
+	if e := t.lookupPre(h, key, t.equalAll, &t.stats); e != nil {
+		return e, false
 	}
 	return t.insertHashed(h, key), true
 }
@@ -245,13 +387,9 @@ func (t *Table) GetOrInsert(key tuple.Tuple) (e *Element, created bool) {
 // the stored tuple is the materialized projection. This is the quotient-table
 // probe of hash-division step 2.
 func (t *Table) GetOrInsertProjected(src tuple.Tuple, srcSchema *tuple.Schema, cols []int) (e *Element, created bool) {
-	t.stats.Hashes++
 	h := srcSchema.Hash(src, cols)
-	for e := t.buckets[t.bucketFor(h)]; e != nil; e = e.next {
-		t.stats.Comparisons++
-		if srcSchema.EqualProjected(src, cols, e.Tuple) {
-			return e, false
-		}
+	if e := t.lookupProjected(h, src, srcSchema, cols); e != nil {
+		return e, false
 	}
 	return t.insertHashed(h, srcSchema.ProjectTuple(src, cols)), true
 }
@@ -264,61 +402,45 @@ func (t *Table) GetOrInsertProjected(src tuple.Tuple, srcSchema *tuple.Schema, c
 // simultaneously. The parallel shared-table absorb path (DESIGN.md §9) uses
 // this for the divisor table, which is immutable after its build phase.
 type Frozen struct {
-	schema  *tuple.Schema
-	buckets []*Element
+	x index
 }
 
 // Freeze returns a read-only concurrent view of the table's current
-// contents. The table must not be mutated afterwards (no inserts, no Reset);
-// probes on the Table itself remain legal but still race with Frozen probes
-// only through Stats, which Frozen does not touch.
+// contents. The table must not be mutated afterwards (no inserts, no Reset)
+// and is never released to the head pools; probes on the Table itself
+// remain legal but still race with Frozen probes only through Stats, which
+// Frozen does not touch.
 func (t *Table) Freeze() *Frozen {
-	return &Frozen{schema: t.schema, buckets: t.buckets}
-}
-
-func (f *Frozen) bucketFor(h uint64) int {
-	hi, _ := bits.Mul64(h, uint64(len(f.buckets)))
-	return int(hi)
+	t.frozen = true
+	return &Frozen{x: t.index}
 }
 
 // LookupPre is Table.LookupPre against the frozen view: caller-compiled hash
 // and equality, caller-owned stats.
 func (f *Frozen) LookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, st *Stats) *Element {
-	st.Hashes++
-	for e := f.buckets[f.bucketFor(h)]; e != nil; e = e.next {
-		st.Comparisons++
-		if eq(src, e.Tuple) {
-			return e
-		}
-	}
-	return nil
+	return f.x.lookupPre(h, src, eq, st)
 }
 
 // LookupU64 is Table.LookupU64 against the frozen view.
 func (f *Frozen) LookupU64(h, key uint64, st *Stats) *Element {
-	st.Hashes++
-	for e := f.buckets[f.bucketFor(h)]; e != nil; e = e.next {
-		st.Comparisons++
-		if binary.LittleEndian.Uint64(e.Tuple) == key {
-			return e
-		}
-	}
-	return nil
+	return f.x.lookupU64(h, key, st)
 }
 
+// grow doubles the bucket count, moving the elements in the chained table's
+// rehash order: old buckets in turn, each newest first, every move
+// prepending to its new chain. So the ordinals, and with them every later
+// probe's charge, are the ones the chained table's rehash would produce.
 func (t *Table) grow() {
-	old := t.buckets
-	t.buckets = make([]*Element, 2*len(old))
+	old := t.index
+	t.index = newIndex(2 * len(old.lcount))
 	var moved int64
-	for _, chain := range old {
-		for e := chain; e != nil; {
-			next := e.next
-			b := t.bucketFor(tuple.HashBytes(e.Tuple))
-			e.next = t.buckets[b]
-			t.buckets[b] = e
-			e = next
-			moved++
-		}
+	old.each(func(e *Element) error {
+		t.link(e, tuple.HashBytes(e.Tuple))
+		moved++
+		return nil
+	})
+	if !t.frozen {
+		old.recycle()
 	}
 	// Each move recomputed a hash; charge it so cost counters reflect the
 	// rehash work.
@@ -330,28 +452,33 @@ func (t *Table) grow() {
 // MemBytes reflects the true footprint.
 func (t *Table) AddMemBytes(n int) { t.memBytes += n }
 
-// Iterate calls fn for every element in bucket order (the "scan all buckets"
-// of hash-division step 3). Iteration stops at the first error.
+// Iterate calls fn for every element in bucket order, each bucket newest
+// first (the "scan all buckets" of hash-division step 3). Iteration stops
+// at the first error.
 func (t *Table) Iterate(fn func(*Element) error) error {
-	for _, chain := range t.buckets {
-		for e := chain; e != nil; e = e.next {
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.each(fn)
 }
 
-// Reset empties the table, keeping the bucket array.
+// Reset empties the table, keeping the bucket arrays.
 func (t *Table) Reset() {
-	for i := range t.buckets {
-		t.buckets[i] = nil
-	}
+	clear(t.lcount)
+	clear(t.heads)
 	t.n = 0
 	t.memBytes = 0
 }
 
+// Release returns the table's sub-chain head array, cleared, to a package
+// pool for the next table to reuse. Stats stay readable; the table must not
+// be probed afterwards. The stored elements are untouched, so tuples taken
+// from them stay valid. A table with a Frozen view keeps its array, which
+// the view still probes. Releasing a nil table does nothing.
+func (t *Table) Release() {
+	if t == nil || t.frozen {
+		return
+	}
+	t.recycle()
+}
+
 func (t *Table) String() string {
-	return fmt.Sprintf("hashtab{%d elements, %d buckets, load %.2f}", t.n, len(t.buckets), t.LoadFactor())
+	return fmt.Sprintf("hashtab{%d elements, %d buckets, load %.2f}", t.n, len(t.lcount), t.LoadFactor())
 }

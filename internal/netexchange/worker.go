@@ -177,6 +177,7 @@ func runJob(t transport, j jobHeader) (err error) {
 		ExpectedQuotient: 256,
 		HBS:              j.HBS,
 	})
+	defer core.Release()
 	for i, n := 0, divisor.Len(); i < n; i++ {
 		if err := core.AddDivisor(divisor.Tuple(i)); err != nil {
 			return err

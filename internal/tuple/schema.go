@@ -10,6 +10,7 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -58,6 +59,7 @@ func CharField(name string, w int) Field {
 type Schema struct {
 	fields  []Field
 	offsets []int
+	all     []int // the identity projection, shared by CompareAll and HashAll
 	width   int
 }
 
@@ -67,10 +69,12 @@ func NewSchema(fields ...Field) *Schema {
 	s := &Schema{
 		fields:  make([]Field, len(fields)),
 		offsets: make([]int, len(fields)),
+		all:     make([]int, len(fields)),
 	}
 	copy(s.fields, fields)
 	off := 0
 	for i, f := range s.fields {
+		s.all[i] = i
 		switch f.Kind {
 		case KindInt64:
 			if f.Width != 8 {
@@ -169,13 +173,10 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// AllColumns returns [0, 1, ..., n-1], the identity projection.
+// AllColumns returns [0, 1, ..., n-1], the identity projection, as a slice
+// the caller owns.
 func (s *Schema) AllColumns() []int {
-	cols := make([]int, len(s.fields))
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
+	return slices.Clone(s.all)
 }
 
 // Complement returns the columns of the schema that are not in cols,

@@ -336,7 +336,7 @@ func (s *Schema) EqualProjectedFunc(cols []int) func(t, p Tuple) bool {
 
 // CompareAll orders two tuples over every column.
 func (s *Schema) CompareAll(t1, t2 Tuple) int {
-	return s.Compare(t1, t2, s.AllColumns())
+	return s.Compare(t1, t2, s.all)
 }
 
 // EqualProjected compares the cols projection of t (schema s) against an
@@ -408,7 +408,7 @@ func (s *Schema) Hash(t Tuple, cols []int) uint64 {
 
 // HashAll hashes every column of t.
 func (s *Schema) HashAll(t Tuple) uint64 {
-	return s.Hash(t, s.AllColumns())
+	return s.Hash(t, s.all)
 }
 
 // HashBytes hashes a raw already-projected tuple (no schema needed because

@@ -309,6 +309,29 @@ func BenchmarkCompareCompiledVsGeneric(b *testing.B) {
 	})
 }
 
+// TestAllColumnOpsDoNotAllocate pins CompareAll and HashAll to the schema's
+// stored identity projection: both run on every generic hash-table probe and
+// every netexchange candidate, so a per-call column list would allocate there.
+func TestAllColumnOpsDoNotAllocate(t *testing.T) {
+	s := NewSchema(Int64Field("a"), CharField("b", 5))
+	t1, t2 := s.MustMake(1, "x"), s.MustMake(1, "y")
+	if n := testing.AllocsPerRun(100, func() { _ = s.CompareAll(t1, t2) }); n != 0 {
+		t.Errorf("CompareAll: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.HashAll(t1) }); n != 0 {
+		t.Errorf("HashAll: %v allocations per call, want 0", n)
+	}
+	if got, want := s.HashAll(t1), s.Hash(t1, []int{0, 1}); got != want {
+		t.Errorf("HashAll = %#x, Hash over every column = %#x", got, want)
+	}
+	// AllColumns hands out a copy: changing it leaves the schema's own list.
+	cols := s.AllColumns()
+	cols[0] = 1
+	if s.CompareAll(t1, t2) >= 0 {
+		t.Error("mutating AllColumns' result changed CompareAll")
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	s := NewSchema(Int64Field("v"))
 	a := s.MustMake(1)

@@ -263,12 +263,14 @@ type Options struct {
 	// aggregation-based algorithms (hash-division never needs it).
 	AssumeUniqueInputs bool
 	// MemoryBudget bounds hash-division's table memory in bytes. A positive
-	// budget runs recursive hash-division, which re-partitions on the
-	// quotient attributes (§3.4) only the cells whose tables outgrow it,
-	// spilling through a buffer pool of buffer.PaperPoolBytes.
+	// budget runs recursive hash-division, whatever Algorithm says, which
+	// re-partitions on the quotient attributes (§3.4) only the cells whose
+	// tables outgrow it, spilling through a buffer pool of
+	// buffer.PaperPoolBytes. Divide and DivideStream follow the same rule.
 	MemoryBudget int
 	// Workers > 1 runs hash-division on a simulated shared-nothing
-	// multi-processor (§6).
+	// multi-processor (§6), on Divide and DivideStream alike; Algorithm,
+	// MemoryBudget and EarlyEmit do not apply then.
 	Workers int
 	// DivisorPartitioned selects divisor partitioning instead of quotient
 	// partitioning for parallel runs.
@@ -276,7 +278,8 @@ type Options struct {
 	// BitVectorFilter enables Babb bit-vector filtering of the dividend
 	// shuffle in parallel runs.
 	BitVectorFilter bool
-	// EarlyEmit uses the streaming hash-division variant (§3.3).
+	// EarlyEmit uses the streaming hash-division variant (§3.3) when
+	// neither Workers > 1 nor a MemoryBudget plans the division.
 	EarlyEmit bool
 	// Timeout bounds the wall-clock time of one division; zero means no
 	// limit. Exceeding it aborts the query with context.DeadlineExceeded.
@@ -370,10 +373,10 @@ func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*R
 	return rel, tracer.Profile(counters), nil
 }
 
-// divide plans and runs one division: parallel workers when Workers > 1,
-// recursive hash-division under a MemoryBudget, the chosen serial algorithm
-// otherwise. A non-nil tracer and counters record an EXPLAIN ANALYZE
-// profile; DivideContext passes nil for both.
+// divide runs one division of two relations under run's plan rule, with
+// Auto choosing the algorithm by the cost model. A non-nil tracer and
+// counters record an EXPLAIN ANALYZE profile; DivideContext passes nil for
+// both.
 func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options, tracer *obs.Tracer, counters *exec.Counters) (*Relation, error) {
 	o := opts.orDefault()
 	ctx, cancel := o.withTimeout(ctx)
@@ -390,7 +393,36 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
+	env := division.Env{
+		AssumeUniqueInputs: o.AssumeUniqueInputs,
+		ExpectedDivisor:    divisor.NumRows(),
+		Counters:           counters,
+		Trace:              tracer,
+	}
+	q := quotientRelation(dividend, divisor, sp, nil)
+	err = run(ctx, sp, o, env, func() Algorithm { return choose(dividend, divisor) }, func(t tuple.Tuple) error {
+		q.rows = append(q.rows, t...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return q, nil
+}
 
+// run divides sp under o and hands every quotient tuple to emit, valid for
+// the call only. It is the one plan rule of Divide and DivideStream:
+//   - Workers > 1 runs parallel hash-division with o's strategy and filter,
+//     and emits the quotient once the workers finish; Algorithm,
+//     MemoryBudget and EarlyEmit do not apply.
+//   - Otherwise a MemoryBudget runs recursive hash-division, whatever
+//     Algorithm says.
+//   - Otherwise Algorithm runs, Auto resolved by auto, with EarlyEmit under
+//     hash-division.
+//
+// env supplies the sizing, counters and trace; run adds the buffer pool,
+// the temporary device and the budget.
+func run(ctx context.Context, sp division.Spec, o Options, env division.Env, auto func() Algorithm, emit func(tuple.Tuple) error) error {
 	if o.Workers > 1 {
 		strategy := division.QuotientPartitioning
 		if o.DivisorPartitioned {
@@ -400,50 +432,40 @@ func divide(ctx context.Context, dividend, divisor *Relation, on []string, opts 
 			Workers:         o.Workers,
 			Strategy:        strategy,
 			BitVectorFilter: o.BitVectorFilter,
-			Trace:           tracer,
+			Trace:           env.Trace,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return quotientRelation(dividend, divisor, sp, res.Quotient), nil
+		for _, t := range res.Quotient {
+			if err := emit(t); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	wrapCancel(ctx, &sp)
+	env.Pool = buffer.New(buffer.PaperPoolBytes)
+	env.TempDev = disk.NewDevice("temp", disk.PaperRunPageSize)
 
-	env := division.Env{
-		Pool:               buffer.New(buffer.PaperPoolBytes),
-		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
-		AssumeUniqueInputs: o.AssumeUniqueInputs,
-		ExpectedDivisor:    divisor.NumRows(),
-		Counters:           counters,
-		Trace:              tracer,
-	}
-
+	var op exec.Operator
 	if o.MemoryBudget > 0 {
 		env.MemoryBudget = o.MemoryBudget
-		qts, _, err := division.DivideRecursive(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
-		if err != nil {
-			return nil, err
+		op = division.NewRecursiveHashDivision(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
+	} else {
+		alg := o.Algorithm
+		if alg == Auto {
+			alg = auto()
 		}
-		return quotientRelation(dividend, divisor, sp, qts), nil
+		ialg, err := alg.internal()
+		if err != nil {
+			return err
+		}
+		if op, err = division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit}); err != nil {
+			return err
+		}
 	}
-
-	alg := o.Algorithm
-	if alg == Auto {
-		alg = choose(dividend, divisor)
-	}
-	ialg, err := alg.internal()
-	if err != nil {
-		return nil, err
-	}
-	op, err := division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
-	if err != nil {
-		return nil, err
-	}
-	qts, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	return quotientRelation(dividend, divisor, sp, qts), nil
+	return exec.ForEach(op, emit)
 }
 
 // quotientRelation copies an operator's quotient tuples into the arena of

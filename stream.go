@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/buffer"
-	"repro/internal/disk"
 	"repro/internal/division"
-	"repro/internal/exec"
 	"repro/internal/tuple"
 )
 
@@ -143,12 +140,17 @@ func (r *rowSourceOp) Close() error {
 // DivideStream divides a streamed dividend by a streamed divisor without
 // materializing either as a Relation, invoking emit for every quotient row.
 // on names the dividend columns matched against the divisor's columns (nil
-// matches by column name). With Options.EarlyEmit (and the default
-// hash-division algorithm), quotient rows are emitted as soon as they
-// complete, before the dividend is fully consumed — hash-division as "a
-// producer in a dataflow query processing system" (§3.3). A MemoryBudget
-// runs recursive hash-division instead, as Divide does, and takes
-// precedence over EarlyEmit.
+// matches by column name). The options plan the division as they plan
+// Divide's, except that Auto means hash-division, since a stream has no
+// statistics for the cost model:
+//   - Workers > 1 runs parallel hash-division over the streams (each read
+//     by a single reader) and emits the quotient once the workers finish.
+//   - Otherwise a MemoryBudget runs recursive hash-division, whatever
+//     Algorithm says.
+//   - Otherwise, with EarlyEmit and hash-division, quotient rows are emitted
+//     as soon as they complete, before the dividend is fully consumed —
+//     hash-division as "a producer in a dataflow query processing system"
+//     (§3.3). EarlyEmit does not apply to the first two plans.
 func DivideStream(dividend, divisor StreamInput, on []string, opts *Options, emit func(row []any) error) error {
 	return DivideStreamContext(context.Background(), dividend, divisor, on, opts, emit)
 }
@@ -188,37 +190,9 @@ func DivideStreamContext(ctx context.Context, dividend, divisor StreamInput, on 
 	if err := sp.Validate(); err != nil {
 		return err
 	}
-	wrapCancel(ctx, &sp)
-
-	env := division.Env{
-		Pool:               buffer.New(buffer.PaperPoolBytes),
-		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
-		AssumeUniqueInputs: o.AssumeUniqueInputs,
-	}
-
-	var op exec.Operator
-	alg := o.Algorithm
-	if alg == Auto {
-		alg = HashDivision
-	}
-	if alg == HashDivision && o.MemoryBudget > 0 {
-		env.MemoryBudget = o.MemoryBudget
-		op = division.NewRecursiveHashDivision(sp, env, division.QuotientPartitioning, division.RecursiveOptions{})
-	} else if alg == HashDivision {
-		op = division.NewHashDivision(sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
-	} else {
-		ialg, err := alg.internal()
-		if err != nil {
-			return err
-		}
-		op, err = division.New(ialg, sp, env)
-		if err != nil {
-			return err
-		}
-	}
-
 	qs := sp.QuotientSchema()
-	return exec.ForEach(op, func(t tuple.Tuple) error {
+	env := division.Env{AssumeUniqueInputs: o.AssumeUniqueInputs}
+	return run(ctx, sp, o, env, func() Algorithm { return HashDivision }, func(t tuple.Tuple) error {
 		return emit(qs.Row(t))
 	})
 }
