@@ -1,7 +1,9 @@
 package division
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/exec"
@@ -104,5 +106,55 @@ func TestHashVectorParity(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+var hashRowsSink []uint64
+
+// BenchmarkHashRows reports KeyPlan.HashRows' ns per row over one
+// cache-resident 1024-row batch of two 8-byte keys, for three key sets: the
+// Zipf cell's rows (divload's morsel-zipf and wire-zipf input, whose ids are
+// below 2^16 but for 3-byte noise courses), ids of four significant bytes,
+// and random 64-bit words, which take all eight FNV-1a steps.
+func BenchmarkHashRows(b *testing.B) {
+	const rows = 1024
+	inst, err := workload.Generate(workload.Config{
+		DivisorTuples: 400, QuotientCandidates: 400, FullFraction: 0.5, MatchFraction: 0.8,
+		NoisePerCandidate: 5, CourseZipfS: 1.5, Shuffle: true, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := workload.TranscriptSchema
+	rng := rand.New(rand.NewSource(1))
+	words := func(word func() uint64) func(int) tuple.Tuple {
+		return func(int) tuple.Tuple {
+			t := s.New()
+			binary.LittleEndian.PutUint64(t[s.Offset(0):], word())
+			binary.LittleEndian.PutUint64(t[s.Offset(1):], word())
+			return t
+		}
+	}
+	plan := CompileKeyPlan(s, []int{1})
+	for _, set := range []struct {
+		name string
+		row  func(i int) tuple.Tuple
+	}{
+		{"zipf-cell", func(i int) tuple.Tuple { return inst.Dividend[i] }},
+		{"4-byte", words(func() uint64 { return 1<<24 + uint64(rng.Int63n(1<<32-1<<24)) })},
+		{"random-64", words(rng.Uint64)},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			batch := exec.NewBatch(s, rows)
+			defer batch.Release()
+			for i := 0; i < rows; i++ {
+				batch.Append(set.row(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hashRowsSink = plan.HashRows(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
 	}
 }

@@ -33,8 +33,9 @@ type KeyPlan struct {
 
 // planKey is one key of a plan: a projection of the dividend.
 type planKey struct {
-	// word: the key is one 8-byte column at off, hashed with the unrolled
-	// tuple.HashUint64LE and compared as a word.
+	// word: the key is one 8-byte column at off, hashed as a word by
+	// tuple.HashUint64LE (tuple.HashWordColumn for a batch) and compared as
+	// a word.
 	word bool
 	off  int
 	hash func(tuple.Tuple) uint64
@@ -71,18 +72,15 @@ func (p *KeyPlan) project(src tuple.Tuple) tuple.Tuple { return p.ds.ProjectTupl
 // hashInto writes the key hash of every row of raw (rows of width w) to
 // dst[0], dst[stride], dst[2*stride], ...
 func (k *planKey) hashInto(dst []uint64, stride int, raw []byte, w int) {
+	if k.word {
+		tuple.HashWordColumn(dst, stride, raw, w, k.off)
+		return
+	}
 	n := len(raw) / w
 	if n == 0 {
 		return
 	}
 	_ = dst[(n-1)*stride]
-	if k.word {
-		off := k.off
-		for i := 0; i < n; i++ {
-			dst[i*stride] = tuple.HashUint64LE(binary.LittleEndian.Uint64(raw[i*w+off:]))
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
 		dst[i*stride] = k.hash(raw[i*w : (i+1)*w : (i+1)*w])
 	}

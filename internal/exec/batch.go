@@ -60,6 +60,10 @@ type Batch struct {
 	n        int
 	aliased  bool
 	released bool
+	// size is the capacity in tuples NewBatch was asked for, which Reset
+	// takes again for a released batch. An int32 beside the flags keeps
+	// the struct in the 96-byte size class.
+	size int32
 }
 
 // NewBatch returns an empty batch for schema tuples with room for capTuples
@@ -69,7 +73,13 @@ func NewBatch(schema *tuple.Schema, capTuples int) *Batch {
 		capTuples = DefaultBatchSize
 	}
 	w := schema.Width()
-	need := capTuples * w
+	arena := takeArena(capTuples * w)
+	owned := (*arena)[:0]
+	return &Batch{schema: schema, width: w, size: int32(capTuples), arena: arena, owned: owned, data: owned}
+}
+
+// takeArena returns a pooled arena with room for need bytes.
+func takeArena(need int) *[]byte {
 	arena, _ := arenaPool.Get().(*[]byte)
 	if arena == nil {
 		arena = new([]byte)
@@ -77,8 +87,7 @@ func NewBatch(schema *tuple.Schema, capTuples int) *Batch {
 	if cap(*arena) < need {
 		*arena = make([]byte, 0, need)
 	}
-	owned := (*arena)[:0]
-	return &Batch{schema: schema, width: w, arena: arena, owned: owned, data: owned}
+	return arena
 }
 
 // Schema returns the layout shared by every tuple in the batch.
@@ -103,9 +112,13 @@ func (b *Batch) Tuple(i int) tuple.Tuple {
 }
 
 // Reset empties the batch for refilling, dropping any alias. Resetting a
-// released batch revives it with a fresh (empty) arena, so a later Release
-// returns only memory this batch grew itself.
+// released batch revives it with a pooled arena of the capacity NewBatch
+// was asked for, so producers that fill a batch up to Cap fill it again.
 func (b *Batch) Reset() {
+	if b.released {
+		b.arena = takeArena(int(b.size) * b.width)
+		b.owned = *b.arena
+	}
 	b.owned = b.owned[:0]
 	b.data = b.owned
 	b.n = 0
@@ -209,9 +222,6 @@ func (b *Batch) Release() {
 	}
 	b.released = true
 	if b.owned != nil {
-		if b.arena == nil {
-			b.arena = new([]byte) // an arena grown after an earlier Release
-		}
 		*b.arena = b.owned[:0]
 		arenaPool.Put(b.arena)
 	}
@@ -357,7 +367,8 @@ func Opaque(op Operator) Operator { return opaque{op} }
 
 // NextBatch implements BatchOperator natively for MemScan: tuples are copied
 // into the arena in slices of the batch capacity, eliminating the per-tuple
-// interface dispatch of Next.
+// interface dispatch of Next. One loop copies the slice's rows, checking each
+// row's width as Append does.
 func (m *MemScan) NextBatch(b *Batch) error {
 	if !m.open {
 		return errNotOpen("MemScan")
@@ -366,10 +377,17 @@ func (m *MemScan) NextBatch(b *Batch) error {
 		return io.EOF
 	}
 	b.Reset()
-	for m.pos < len(m.tuples) && !b.Full() {
-		b.Append(m.tuples[m.pos])
-		m.pos++
+	ts := m.tuples[m.pos:min(len(m.tuples), m.pos+b.Cap())]
+	w := b.width
+	b.owned = b.owned[:len(ts)*w]
+	for i, t := range ts {
+		if len(t) != w {
+			panic(fmt.Sprintf("exec: Batch.Append tuple width %d, schema wants %d", len(t), w))
+		}
+		copy(b.owned[i*w:], t)
 	}
+	b.data, b.n = b.owned, len(ts)
+	m.pos += len(ts)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -12,12 +13,19 @@ import (
 
 func collectBatches(t *testing.T, bop BatchOperator, size int) [][2]int64 {
 	t.Helper()
+	b := NewBatch(bop.Schema(), size)
+	defer b.Release()
+	return drainBatches(t, bop, b)
+}
+
+// drainBatches opens bop and reads it to its end into b, failing on an
+// empty batch that is not the end.
+func drainBatches(t *testing.T, bop BatchOperator, b *Batch) [][2]int64 {
+	t.Helper()
 	if err := bop.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer bop.Close()
-	b := NewBatch(bop.Schema(), size)
-	defer b.Release()
 	s := bop.Schema()
 	var out [][2]int64
 	for {
@@ -279,6 +287,35 @@ func TestBatchReleaseAfterAlias(t *testing.T) {
 		t.Fatal("foreign aliased memory entered the arena pool")
 	}
 	nb.Release()
+}
+
+// TestRevivedBatchTakesEveryRow: Reset gives a released batch back its
+// capacity, so each producer that fills a batch up to Cap returns every row
+// into it, neither spinning on empty batches nor ending at once.
+func TestRevivedBatchTakesEveryRow(t *testing.T) {
+	arena, in := pairArena(10)
+	want := rows(t, NewMemScan(pairSchema, in))
+	for _, p := range []struct {
+		name string
+		op   BatchOperator
+	}{
+		{"MemScan", NewMemScan(pairSchema, in)},
+		{"ArenaScan", NewArenaScan(pairSchema, arena)},
+		{"FillBatch", Lift(NewMemScan(pairSchema, in))},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			b := NewBatch(pairSchema, 4)
+			b.Release()
+			b.Reset()
+			defer b.Release()
+			if b.Cap() < 4 {
+				t.Errorf("revived batch Cap = %d, want at least 4", b.Cap())
+			}
+			if got := drainBatches(t, p.op, b); !slices.Equal(got, want) {
+				t.Errorf("%d rows into a revived batch, want %d", len(got), len(want))
+			}
+		})
+	}
 }
 
 func TestBatchResetRevivesAfterRelease(t *testing.T) {

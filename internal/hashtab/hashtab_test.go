@@ -385,16 +385,6 @@ func TestU64ProbesMatchProjected(t *testing.T) {
 	}
 }
 
-func TestHashUint64LEMatchesHashBytes(t *testing.T) {
-	s := keySchema()
-	for _, v := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 50)} {
-		tp := s.MustMake(v)
-		if got, want := tuple.HashUint64LE(uint64(v)), tuple.HashBytes(tp); got != want {
-			t.Errorf("HashUint64LE(%d) = %#x, HashBytes = %#x", v, got, want)
-		}
-	}
-}
-
 // TestFrozenMatchesTable probes a frozen view and the live table with the
 // same keys and checks identical results AND identical stats growth, so the
 // shared-table path stays cost-accounting-compatible with the serial path.

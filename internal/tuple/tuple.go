@@ -262,9 +262,9 @@ func (s *Schema) CompareFunc(cols []int) func(t1, t2 Tuple) int {
 // HashFunc returns a hash function specialized to the listed columns
 // (offsets resolved once), consistent with Hash: the returned values are
 // bit-identical to Hash(t, cols) for every input. The common single
-// 8-byte-column projection (an int64 key) gets an unrolled kernel — one
-// word load and eight xor/multiply steps, no per-byte bounds checks — which
-// is what the batch execution path hoists out of its per-tuple loops.
+// 8-byte-column projection (an int64 key) loads the column as one word and
+// hashes it with HashUint64LE, no per-byte bounds checks; the batch
+// execution path hoists it out of its per-tuple loops.
 func (s *Schema) HashFunc(cols []int) func(t Tuple) uint64 {
 	type span struct{ off, end int }
 	spans := make([]span, len(cols))
@@ -290,19 +290,67 @@ func (s *Schema) HashFunc(cols []int) func(t Tuple) uint64 {
 }
 
 // HashUint64LE returns the FNV-1a hash of the eight little-endian bytes of
-// x — bit-identical to Hash over a single 8-byte column holding those bytes,
-// unrolled so hot probe loops pay no per-byte bounds checks.
+// x, bit-identical to Hash over a single 8-byte column holding those bytes.
+// FNV-1a's step on a zero byte is a bare multiply by the prime, so the
+// steps over x's high zero bytes fold into one multiply by a power of the
+// prime: a word below 2^16 costs two multiplies, a word below 2^32 four, and
+// any other word the eight steps.
 func HashUint64LE(x uint64) uint64 {
-	h := uint64(fnvOffset64)
-	h = (h ^ (x & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 8 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 16 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 24 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 32 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 40 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 48 & 0xff)) * fnvPrime64
-	h = (h ^ (x >> 56)) * fnvPrime64
-	return h
+	h := (fnvOffset64 ^ x&0xff) * fnvPrime64
+	if x < 1<<16 {
+		return (h ^ x>>8) * fnvPrime64Pow7
+	}
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	if x < 1<<16 { // below 2^32 before the two shifts
+		return (h ^ x>>8) * fnvPrime64Pow5
+	}
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	x >>= 8
+	h = (h ^ x&0xff) * fnvPrime64
+	return (h ^ x>>8) * fnvPrime64
+}
+
+// HashWordColumn writes HashUint64LE of the little-endian word at byte off
+// of every w-byte row of raw, which holds whole rows, to dst[0],
+// dst[stride], dst[2*stride], ...: one key column of a batch hashed in one
+// loop. HashUint64LE is too large for the compiler to inline, so the loop
+// spells out its steps; a call per word, even only for wide words, costs
+// more than the multiplies it saves.
+func HashWordColumn(dst []uint64, stride int, raw []byte, w, off int) {
+	for j := 0; off+8 <= len(raw); j, off = j+stride, off+w {
+		x := binary.LittleEndian.Uint64(raw[off:])
+		h := (fnvOffset64 ^ x&0xff) * fnvPrime64
+		if x < 1<<16 {
+			h = (h ^ x>>8) * fnvPrime64Pow7
+		} else {
+			x >>= 8
+			h = (h ^ x&0xff) * fnvPrime64
+			x >>= 8
+			h = (h ^ x&0xff) * fnvPrime64
+			if x < 1<<16 { // below 2^32 before the two shifts
+				h = (h ^ x>>8) * fnvPrime64Pow5
+			} else {
+				x >>= 8
+				h = (h ^ x&0xff) * fnvPrime64
+				x >>= 8
+				h = (h ^ x&0xff) * fnvPrime64
+				x >>= 8
+				h = (h ^ x&0xff) * fnvPrime64
+				x >>= 8
+				h = (h ^ x&0xff) * fnvPrime64
+				h = (h ^ x>>8) * fnvPrime64
+			}
+		}
+		dst[j] = h
+	}
 }
 
 // EqualProjectedFunc returns an equality predicate specialized to the listed
@@ -390,6 +438,11 @@ func CompareCross(s1 *Schema, t1 Tuple, cols1 []int, s2 *Schema, t2 Tuple, cols2
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	// fnvPrime64Pow5 and fnvPrime64Pow7 are fnvPrime64^5 and fnvPrime64^7
+	// mod 2^64: the steps of HashUint64LE over four and six zero bytes, the
+	// last significant byte's own step included.
+	fnvPrime64Pow5 = 0x0caee32a7d4f6a63
+	fnvPrime64Pow7 = 0xc5527b8a51d3d2db
 )
 
 // Hash computes an FNV-1a hash over the listed columns of t. This is the
