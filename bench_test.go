@@ -146,37 +146,6 @@ func benchSpec(b *testing.B, inst *workload.Instance) division.Spec {
 	}
 }
 
-// BenchmarkBitmapVsCounter ablates §3.3's sixth observation: bit maps vs
-// plain counters in the quotient table (counters need duplicate-free
-// dividends).
-func BenchmarkBitmapVsCounter(b *testing.B) {
-	inst, err := workload.Generate(workload.PaperCase(100, 400, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		opts division.HashDivisionOptions
-	}{
-		{"bitmap", division.HashDivisionOptions{}},
-		{"counter", division.HashDivisionOptions{CountersOnly: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op := division.NewHashDivision(benchSpec(b, inst), division.Env{}, mode.opts)
-				n, err := exec.Drain(op)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != 400 {
-					b.Fatalf("quotient = %d", n)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEarlyEmit ablates the §3.3 streaming modification against the
 // stop-and-go original.
 func BenchmarkEarlyEmit(b *testing.B) {
@@ -340,8 +309,8 @@ func BenchmarkParallelWorkers(b *testing.B) {
 // in-memory hash-division path on the Zipf-1.5 |S| = |Q| = 400 cell, the
 // input of divload's morsel-zipf and wire-zipf workloads: the serial
 // HashDivision operator (also on the two-column composite-key layout, whose
-// probes take the compiled closure kernels), two morsel workers, two
-// shared-table workers, and two netexchange workers over loopback TCP. The
+// probes take the compiled closure kernels), two in-process exchange workers
+// over pipes (morsel), and two netexchange workers over loopback TCP. The
 // parallel paths run with the bit-vector filter, as divload does.
 // serial-durable is the serial operator on durable-mixed's instance instead,
 // workload.PaperCase(100, 400, 2), with the divisor-sized table reldiv.Divide
@@ -383,17 +352,6 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cluster.Close()
-	inParallel := func(path parallel.Path) func(*testing.B) []tuple.Tuple {
-		return func(b *testing.B) []tuple.Tuple {
-			res, err := parallel.Divide(spec(), parallel.Config{
-				Workers: 2, Strategy: division.QuotientPartitioning, Path: path, BitVectorFilter: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.Quotient
-		}
-	}
 	paths := []struct {
 		name   string
 		inst   *workload.Instance
@@ -428,8 +386,15 @@ func BenchmarkAbsorbPaths(b *testing.B) {
 			}
 			return q
 		}},
-		{"morsel", inst, inParallel(parallel.PathMorsel)},
-		{"shared-table", inst, inParallel(parallel.PathSharedTable)},
+		{"morsel", inst, func(b *testing.B) []tuple.Tuple {
+			res, err := parallel.Divide(spec(), parallel.Config{
+				Workers: 2, Strategy: division.QuotientPartitioning, BitVectorFilter: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Quotient
+		}},
 		{"netexchange", inst, func(b *testing.B) []tuple.Tuple {
 			res, err := netexchange.Divide(context.Background(), spec(), netexchange.Config{
 				Strategy: division.QuotientPartitioning, BitVectorFilter: true,

@@ -176,27 +176,20 @@ func TestChaosSuite(t *testing.T) {
 				leakcheck.FixedFrames(t, pool)
 				leakcheck.SpillFiles(t, spillBase)
 
-				// Parallel: every data path × partitioning strategy combination
-				// (shared-table requires quotient partitioning). The morsel paths
-				// scan page ranges concurrently, so faults fire under contention.
-				parallelCases := []struct {
-					strategy division.PartitionStrategy
-					path     parallel.Path
-				}{
-					{division.QuotientPartitioning, parallel.PathMorsel},
-					{division.QuotientPartitioning, parallel.PathSharedTable},
-					{division.DivisorPartitioning, parallel.PathMorsel},
-				}
-				for _, c := range parallelCases {
+				// Parallel under both partitioning strategies. The shuffle's
+				// producers scan page ranges concurrently, so faults fire
+				// under contention.
+				for _, strategy := range []division.PartitionStrategy{
+					division.QuotientPartitioning, division.DivisorPartitioning,
+				} {
 					res, err := parallel.Divide(storageSpec(), parallel.Config{
-						Workers: 4, Strategy: c.strategy, Path: c.path,
+						Workers: 4, Strategy: strategy,
 					})
 					var q []tuple.Tuple
 					if res != nil {
 						q = res.Quotient
 					}
-					label := "parallel/" + c.strategy.String() + "/" + c.path.String()
-					check(t, label, q, err)
+					check(t, "parallel/"+strategy.String(), q, err)
 					leakcheck.FixedFrames(t, pool)
 					leakcheck.SpillFiles(t, spillBase)
 					leakcheck.Goroutines(t, before)

@@ -505,7 +505,6 @@ func runOverflow(args []string) error {
 // parallelScalingPoint is one measurement in the parallel_scaling section.
 type parallelScalingPoint struct {
 	Strategy string  `json:"strategy"`
-	Path     string  `json:"path"`
 	Workers  int     `json:"workers"`
 	Ns       int64   `json:"ns"`      // min wall clock over reps
 	Speedup  float64 `json:"speedup"` // serial_ns / ns
@@ -571,27 +570,17 @@ func runParallel(args []string) error {
 		*s, *q, len(inst.Dividend), runtime.GOMAXPROCS(0))
 	fmt.Printf("serial batch hash-division baseline: %s (min of %d)\n",
 		time.Duration(serialNs).Round(time.Microsecond), *reps)
-	fmt.Printf("%-24s %-12s %8s %10s %8s %12s\n", "strategy", "path", "workers", "elapsed", "speedup", "bytes")
+	fmt.Printf("%-24s %8s %10s %8s %12s\n", "strategy", "workers", "elapsed", "speedup", "bytes")
 
-	combos := []struct {
-		strategy division.PartitionStrategy
-		path     parallel.Path
-	}{
-		{division.QuotientPartitioning, parallel.PathMorsel},
-		{division.QuotientPartitioning, parallel.PathSharedTable},
-		{division.DivisorPartitioning, parallel.PathMorsel},
-	}
 	var points []parallelScalingPoint
-	for _, c := range combos {
+	for _, strategy := range []division.PartitionStrategy{division.QuotientPartitioning, division.DivisorPartitioning} {
 		for _, workers := range workerCounts {
 			best := int64(0)
 			var bytes int64
 			for r := 0; r < *reps; r++ {
 				res, err := parallel.Divide(spec(), parallel.Config{
-					Workers:          workers,
-					Strategy:         c.strategy,
-					Path:             c.path,
-					ExpectedQuotient: *q,
+					Workers:  workers,
+					Strategy: strategy,
 				})
 				if err != nil {
 					return err
@@ -602,15 +591,14 @@ func runParallel(args []string) error {
 				}
 			}
 			p := parallelScalingPoint{
-				Strategy: c.strategy.String(),
-				Path:     c.path.String(),
+				Strategy: strategy.String(),
 				Workers:  workers,
 				Ns:       best,
 				Speedup:  float64(serialNs) / float64(best),
 			}
 			points = append(points, p)
-			fmt.Printf("%-24s %-12s %8d %10s %8.2f %12d\n",
-				p.Strategy, p.Path, workers,
+			fmt.Printf("%-24s %8d %10s %8.2f %12d\n",
+				p.Strategy, workers,
 				time.Duration(best).Round(time.Microsecond), p.Speedup, bytes)
 		}
 	}
@@ -639,8 +627,7 @@ func runParallel(args []string) error {
 		var morsel4 *parallelScalingPoint
 		for i := range points {
 			p := &points[i]
-			if p.Strategy == division.QuotientPartitioning.String() &&
-				p.Path == parallel.PathMorsel.String() && p.Workers == 4 {
+			if p.Strategy == division.QuotientPartitioning.String() && p.Workers == 4 {
 				morsel4 = p
 			}
 		}

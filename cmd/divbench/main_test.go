@@ -227,7 +227,6 @@ func TestParallelScalingSectionPreservesSiblings(t *testing.T) {
 		SerialNs   int64 `json:"serial_ns"`
 		Points     []struct {
 			Strategy string  `json:"strategy"`
-			Path     string  `json:"path"`
 			Workers  int     `json:"workers"`
 			Ns       int64   `json:"ns"`
 			Speedup  float64 `json:"speedup"`
@@ -239,20 +238,20 @@ func TestParallelScalingSectionPreservesSiblings(t *testing.T) {
 	if section.S != 20 || section.R == 0 || section.SerialNs == 0 || section.GOMAXPROCS == 0 {
 		t.Errorf("section header: %+v", section)
 	}
-	// 3 strategy×path combos × 2 worker counts.
-	if len(section.Points) != 6 {
-		t.Fatalf("got %d points, want 6", len(section.Points))
+	// 2 strategies × 2 worker counts.
+	if len(section.Points) != 4 {
+		t.Fatalf("got %d points, want 4", len(section.Points))
 	}
-	paths := map[string]bool{}
+	strategies := map[string]bool{}
 	for _, p := range section.Points {
-		paths[p.Path] = true
+		strategies[p.Strategy] = true
 		if p.Ns == 0 || p.Speedup == 0 {
 			t.Errorf("unpopulated point %+v", p)
 		}
 	}
-	for _, want := range []string{"morsel", "shared-table"} {
-		if !paths[want] {
-			t.Errorf("no points for path %q", want)
+	for _, want := range []string{"quotient-partitioning", "divisor-partitioning"} {
+		if !strategies[want] {
+			t.Errorf("no points for strategy %q", want)
 		}
 	}
 }

@@ -3,8 +3,14 @@ package reldiv
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/division"
+	"repro/internal/leakcheck"
+	"repro/internal/parallel"
+	"repro/internal/workload"
 )
 
 func bigRelations(students, courses int) (*Relation, *Relation) {
@@ -55,6 +61,26 @@ func TestDivideContextPreCancelled(t *testing.T) {
 			t.Errorf("opts %+v: pre-cancelled division returned %v", opts, err)
 		}
 	}
+}
+
+// TestDivideRejectsWorkersPastWireLimit: a worker count the exchange's job
+// header cannot carry fails with its *ConfigError naming Workers, and no
+// goroutine outlives the call. The division runs only once parallel.Config
+// is seen to reject the count, since an accepted count would start a
+// goroutine per worker.
+func TestDivideRejectsWorkersPastWireLimit(t *testing.T) {
+	const workers = 1 << 16
+	if (parallel.Config{Workers: workers, Strategy: division.QuotientPartitioning}).Validate(workload.TranscriptSchema) == nil {
+		t.Fatalf("parallel.Config accepts %d workers", workers)
+	}
+	dividend, divisor := bigRelations(50, 8)
+	before := runtime.NumGoroutine()
+	_, err := Divide(dividend, divisor, nil, &Options{Workers: workers})
+	var cerr *parallel.ConfigError
+	if !errors.As(err, &cerr) || cerr.Field != "Workers" {
+		t.Fatalf("Divide with %d workers returned %v, want a *ConfigError naming Workers", workers, err)
+	}
+	leakcheck.Goroutines(t, before)
 }
 
 // TestDivideContextCancelMidParallel cancels a running parallel division;

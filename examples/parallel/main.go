@@ -71,12 +71,6 @@ func main() {
 		})
 	}
 	fmt.Println()
-	for _, w := range []int{1, 2, 4, 8} {
-		run("shared-table", parallel.Config{
-			Workers: w, Strategy: division.QuotientPartitioning, Path: parallel.PathSharedTable,
-		})
-	}
-	fmt.Println()
 	run("quotient-part + bitvector", parallel.Config{
 		Workers: 4, Strategy: division.QuotientPartitioning, BitVectorFilter: true,
 	})
@@ -87,6 +81,4 @@ func main() {
 	fmt.Println("collection phase; divisor partitioning ships less divisor state but the")
 	fmt.Println("collection site re-divides the tagged quotient clusters. The bit vector")
 	fmt.Println("filter drops dividend tuples with no divisor match before shipping.")
-	fmt.Println("The default morsel path ships worker-to-worker from a shared morsel")
-	fmt.Println("queue; the shared-table path skips the exchange entirely on one node.")
 }

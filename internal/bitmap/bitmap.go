@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync/atomic"
 )
 
 const wordBits = 64
@@ -74,34 +73,6 @@ func (b *Bitmap) SetAndReport(i int) (wasSet bool) {
 	wasSet = b.words[w]&mask != 0
 	b.words[w] |= mask
 	return wasSet
-}
-
-// AtomicSet sets bit i with a compare-and-swap loop on its word and reports
-// whether the bit was already set. It is safe for concurrent use with other
-// AtomicSet calls on the same map: this is the write half of the
-// shared-quotient-table contract (DESIGN.md §9), where parallel workers set
-// divisor bits on one shared candidate bitmap. Exactly one concurrent
-// setter of a given bit observes wasSet == false. Mixing AtomicSet with the
-// plain mutators (Set, Reset, Or) concurrently is a data race; plain
-// readers (PopCount, AllSet, ...) are safe once the setters are quiesced by
-// a happens-before edge such as sync.WaitGroup.Wait.
-//
-// A CAS loop is used rather than atomic.OrUint64 to stay within the Go 1.22
-// sync/atomic surface; contention is per-word, and quotient bitmaps span many
-// words, so the loop retries only under a genuine write collision.
-func (b *Bitmap) AtomicSet(i int) (wasSet bool) {
-	b.check(i)
-	w := &b.words[uint(i)/wordBits]
-	mask := uint64(1) << (uint(i) % wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return true
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return false
-		}
-	}
 }
 
 // HasZero reports whether any of the n bits is still zero, scanning whole

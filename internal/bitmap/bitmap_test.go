@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -62,7 +60,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		{"Set", func(i int) { b.Set(i) }},
 		{"Test", func(i int) { b.Test(i) }},
 		{"SetAndReport", func(i int) { b.SetAndReport(i) }},
-		{"AtomicSet", func(i int) { b.AtomicSet(i) }},
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			for _, i := range []int{-1, 10} {
@@ -258,68 +255,5 @@ func TestPopCountPartialFinalWord(t *testing.T) {
 	// The step-3 fast path: PopCount == Len iff AllSet.
 	if (b.PopCount() == b.Len()) != b.AllSet() {
 		t.Error("PopCount/AllSet equivalence broken")
-	}
-}
-
-func TestAtomicSetMatchesSet(t *testing.T) {
-	a, b := New(131), New(131)
-	for i := 0; i < 131; i += 7 {
-		a.Set(i)
-		if was := b.AtomicSet(i); was {
-			t.Errorf("AtomicSet(%d) reported already set on first set", i)
-		}
-		if was := b.AtomicSet(i); !was {
-			t.Errorf("AtomicSet(%d) reported unset on second set", i)
-		}
-	}
-	for i := 0; i < 131; i++ {
-		if a.Test(i) != b.Test(i) {
-			t.Fatalf("bit %d: Set path %v, AtomicSet path %v", i, a.Test(i), b.Test(i))
-		}
-	}
-}
-
-func TestAtomicSetOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AtomicSet out of range did not panic")
-		}
-	}()
-	New(10).AtomicSet(10)
-}
-
-// TestAtomicSetConcurrent hammers one bitmap from many goroutines, all
-// setting overlapping bit ranges. Under -race this proves AtomicSet is safe
-// for concurrent use; the wasSet accounting proves exactly one setter per bit
-// observed the 0→1 transition.
-func TestAtomicSetConcurrent(t *testing.T) {
-	const bits = 777
-	const goroutines = 8
-	b := New(bits)
-	var firstSets atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Every goroutine sets every bit, in a different order, so every
-			// word sees real write contention.
-			for k := 0; k < bits; k++ {
-				i := (k*31 + g*97) % bits
-				if !b.AtomicSet(i) {
-					firstSets.Add(1)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := firstSets.Load(); got != bits {
-		t.Errorf("%d first-time sets reported, want %d (one per bit)", got, bits)
-	}
-	if !b.AllSet() {
-		t.Error("not all bits set after concurrent setters finished")
-	}
-	if b.PopCount() != bits {
-		t.Errorf("PopCount=%d, want %d", b.PopCount(), bits)
 	}
 }

@@ -14,8 +14,7 @@ import (
 // map indexed by those numbers, and the scan for bit maps without a zero.
 // Every in-memory hash-division runs through it: the HashDivision operator
 // (and with it recursive division) and the exchange workers, in process and
-// behind a wire. Only SharedTable keeps its own loop, because its quotient
-// table is shared between goroutines.
+// behind a wire.
 //
 // A Core is driven in Figure 1's order: AddDivisor for every divisor tuple
 // (step 1), then AbsorbBatch or Absorb for the dividend (step 2), then Scan
@@ -157,7 +156,6 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 		return c.absorbBatchU64(b, hs)
 	}
 	divisorTable, quotientTable := c.divisorTable, c.quotient()
-	countersOnly := c.opts.CountersOnly
 	p := c.plan
 	n := b.Len()
 	var bits int64
@@ -171,16 +169,10 @@ func (c *Core) AbsorbBatch(b *exec.Batch) error {
 		qe, created := quotientTable.GetOrInsertPre(hs[2*i+1], t, p.quot.eq, p.project)
 		if created {
 			c.stats.Candidates++
-			if !countersOnly {
-				if err := c.newCandidate(qe); err != nil {
-					c.endBatch(i+1, bits)
-					return err
-				}
+			if err := c.newCandidate(qe); err != nil {
+				c.endBatch(i+1, bits)
+				return err
 			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
 		}
 		bits++
 		qe.Bits.Set(int(de.Num))
@@ -211,24 +203,17 @@ func (c *Core) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 	ctr := c.opts.Counters
 	if created {
 		c.stats.Candidates++
-		if !c.opts.CountersOnly {
-			if err := c.newCandidate(qe); err != nil {
-				return nil, err
-			}
+		if err := c.newCandidate(qe); err != nil {
+			return nil, err
 		}
 	}
-	if c.opts.CountersOnly {
-		// Counter-only variant: requires a duplicate-free dividend.
-		qe.Num++
-	} else {
-		if ctr != nil {
-			ctr.Bit++
-		}
-		if qe.Bits.SetAndReport(int(de.Num)) {
-			return nil, nil
-		}
-		qe.Num++
+	if ctr != nil {
+		ctr.Bit++
 	}
+	if qe.Bits.SetAndReport(int(de.Num)) {
+		return nil, nil
+	}
+	qe.Num++
 	if !c.opts.EarlyEmit {
 		return nil, nil
 	}
@@ -248,7 +233,6 @@ func (c *Core) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 // remains in the loop. Both batch loops charge bit sets once per batch.
 func (c *Core) absorbBatchU64(b *exec.Batch, hs []uint64) error {
 	divisorTable, quotientTable := c.divisorTable, c.quotient()
-	countersOnly := c.opts.CountersOnly
 	divOff, quotOff := c.plan.div.off, c.plan.quot.off
 	n := b.Len()
 	var bits int64
@@ -264,16 +248,10 @@ func (c *Core) absorbBatchU64(b *exec.Batch, hs []uint64) error {
 		qe, created := quotientTable.GetOrInsertU64(hs[2*i+1], qk)
 		if created {
 			c.stats.Candidates++
-			if !countersOnly {
-				if err := c.newCandidate(qe); err != nil {
-					c.endBatch(i+1, bits)
-					return err
-				}
+			if err := c.newCandidate(qe); err != nil {
+				c.endBatch(i+1, bits)
+				return err
 			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
 		}
 		bits++
 		qe.Bits.Set(int(de.Num))
@@ -293,27 +271,18 @@ func (c *Core) endBatch(read int, bits int64) {
 
 // Scan is step 3: it emits every candidate whose bit map has no zero — a
 // word-level population count equal to the divisor count (§3.3 "inspecting
-// a word at a time") — or, without bit maps, whose counter reached it. An
-// empty divisor divides nothing, so it yields an empty quotient.
+// a word at a time"). An empty divisor divides nothing, so it yields an
+// empty quotient.
 func (c *Core) Scan(emit func(tuple.Tuple) error) error {
 	if c.quotientTable == nil || c.divisorCount == 0 {
 		return nil
 	}
 	ctr := c.opts.Counters
 	return c.quotientTable.Iterate(func(e *hashtab.Element) error {
-		var complete bool
-		if c.opts.CountersOnly {
-			if ctr != nil {
-				ctr.Comp++
-			}
-			complete = e.Num == c.divisorCount
-		} else {
-			if ctr != nil {
-				ctr.Bit += int64(e.Bits.SizeBytes() / 8)
-			}
-			complete = e.Bits.PopCount() == int(c.divisorCount)
+		if ctr != nil {
+			ctr.Bit += int64(e.Bits.SizeBytes() / 8)
 		}
-		if !complete {
+		if e.Bits.PopCount() != int(c.divisorCount) {
 			return nil
 		}
 		c.stats.QuotientTuples++

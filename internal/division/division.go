@@ -9,9 +9,8 @@
 //     preceding hash semi-join.
 //   - Hash-Division (§3): the new algorithm with a divisor table and a
 //     quotient table of bit maps, including the early-emit streaming
-//     variant, the counter-only variant, duplicate handling, and the
-//     quotient/divisor partitioning strategies for hash table overflow and
-//     parallel execution.
+//     variant, duplicate handling, and the quotient/divisor partitioning
+//     strategies for hash table overflow and parallel execution.
 //
 // Every algorithm is an exec.Operator producing the quotient relation; all
 // agree on these semantics: the quotient contains each distinct combination

@@ -415,21 +415,6 @@ func TestEarlyEmitProducesBeforeEOF(t *testing.T) {
 	}
 }
 
-func TestCountersOnlyVariant(t *testing.T) {
-	// Duplicate-free dividend: counter variant must agree with bit maps.
-	dividend := [][2]int64{{1, 101}, {1, 102}, {2, 101}}
-	sp := makeSpec(dividend, []int64{101, 102})
-	hd := NewHashDivision(sp, Env{}, HashDivisionOptions{CountersOnly: true})
-	got, err := exec.Collect(hd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := quotientIDs(t, sp.QuotientSchema(), got)
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Errorf("counters-only quotient = %v", ids)
-	}
-}
-
 // TestPartitionedEqualsUnpartitioned: recursive division under either
 // strategy returns plain hash-division's quotient, non-divisor noise
 // discarded, at a budget of the plain tables' peak, where it must not

@@ -22,10 +22,6 @@ type HashDivisionOptions struct {
 	// complete instead of waiting for the full dividend — making
 	// hash-division a usable producer in a dataflow system.
 	EarlyEmit bool
-	// CountersOnly drops the bit maps entirely and keeps only a counter
-	// per candidate (§3.3, sixth observation): correct only when the
-	// dividend is duplicate-free, but cheaper in memory.
-	CountersOnly bool
 }
 
 // HashDivisionStats describe one hash-division run, exposed for EXPLAIN

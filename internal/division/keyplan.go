@@ -11,8 +11,8 @@ import (
 // quotient attributes — compiled once per query and node: "all functions on
 // data records, e.g., comparison and hashing, are compiled prior to
 // execution" (§5.1). It is the one place keys are compiled: the Router
-// routes with it, the Core and the SharedTable probe with it, and recursive
-// division's partitioning passes split with it.
+// routes with it, the Core probes with it, and recursive division's
+// partitioning passes split with it.
 //
 // HashRows hashes a batch's keys, a tight loop per key, into the batch's
 // vector of exec.HashWords words per row: the divisor-key hash, then the

@@ -14,7 +14,7 @@ import (
 // the moment it finishes. When the input is not splittable, a single
 // fallback reader streams owned batches through a channel instead —
 // partitioning and absorption still run in parallel, only the raw scan is
-// serial. The exchange's shuffle and the shared-table workers both drain one.
+// serial. The exchange's shuffle drains one.
 type MorselSource struct {
 	ops   []BatchOperator
 	next  atomic.Int64

@@ -196,24 +196,6 @@ func (x *index) each(fn func(*Element) error) error {
 	return nil
 }
 
-func (x *index) lookupU64(h, key uint64, st *Stats) *Element {
-	n, e := x.chain(h)
-	for e != nil && e.word() != key {
-		e = e.next
-	}
-	st.probe(n, e)
-	return e
-}
-
-func (x *index) lookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, st *Stats) *Element {
-	n, e := x.chain(h)
-	for e != nil && !eq(src, e.Tuple) {
-		e = e.next
-	}
-	st.probe(n, e)
-	return e
-}
-
 // Table is a bucket-chained hash table over fixed-width tuples.
 type Table struct {
 	index
@@ -222,7 +204,6 @@ type Table struct {
 	memBytes int
 	stats    Stats
 	maxLoad  float64 // grow when exceeded; 0 = never grow
-	frozen   bool    // a Frozen view shares the index
 }
 
 // New creates a table for key tuples of the given schema with nBuckets
@@ -290,7 +271,7 @@ func (t *Table) MemBytes() int {
 // Lookup finds the element whose stored tuple equals key (all columns), or
 // nil.
 func (t *Table) Lookup(key tuple.Tuple) *Element {
-	return t.lookupPre(tuple.HashBytes(key), key, t.equalAll, &t.stats)
+	return t.LookupPre(tuple.HashBytes(key), key, t.equalAll)
 }
 
 // equalAll is the all-column key equality of Lookup and GetOrInsert.
@@ -306,9 +287,9 @@ func (t *Table) LookupProjected(src tuple.Tuple, srcSchema *tuple.Schema, cols [
 }
 
 func (t *Table) lookupProjected(h uint64, src tuple.Tuple, srcSchema *tuple.Schema, cols []int) *Element {
-	return t.lookupPre(h, src, func(src, stored tuple.Tuple) bool {
+	return t.LookupPre(h, src, func(src, stored tuple.Tuple) bool {
 		return srcSchema.EqualProjected(src, cols, stored)
-	}, &t.stats)
+	})
 }
 
 // LookupPre is LookupProjected with the hash value and equality predicate
@@ -318,14 +299,19 @@ func (t *Table) lookupProjected(h uint64, src tuple.Tuple, srcSchema *tuple.Sche
 // EqualProjected, so Stats and the quotient are byte-identical to the
 // generic path.
 func (t *Table) LookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool) *Element {
-	return t.lookupPre(h, src, eq, &t.stats)
+	n, e := t.chain(h)
+	for e != nil && !eq(src, e.Tuple) {
+		e = e.next
+	}
+	t.stats.probe(n, e)
+	return e
 }
 
 // GetOrInsertPre is GetOrInsertProjected with caller-compiled hash and
 // equality (see LookupPre); project materializes the stored key when an
 // insert happens (rare relative to probes, so it stays a plain callback).
 func (t *Table) GetOrInsertPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, project func(src tuple.Tuple) tuple.Tuple) (e *Element, created bool) {
-	if e := t.lookupPre(h, src, eq, &t.stats); e != nil {
+	if e := t.LookupPre(h, src, eq); e != nil {
 		return e, false
 	}
 	return t.insertHashed(h, project(src)), true
@@ -339,13 +325,18 @@ func (t *Table) GetOrInsertPre(h uint64, src tuple.Tuple, eq func(src, stored tu
 // kernel uses it when both the divisor and quotient projections are single
 // 8-byte columns.
 func (t *Table) LookupU64(h, key uint64) *Element {
-	return t.lookupU64(h, key, &t.stats)
+	n, e := t.chain(h)
+	for e != nil && e.word() != key {
+		e = e.next
+	}
+	t.stats.probe(n, e)
+	return e
 }
 
 // GetOrInsertU64 is GetOrInsertProjected specialized like LookupU64; the
 // stored key is the eight little-endian bytes of key.
 func (t *Table) GetOrInsertU64(h, key uint64) (e *Element, created bool) {
-	if e := t.lookupU64(h, key, &t.stats); e != nil {
+	if e := t.LookupU64(h, key); e != nil {
 		return e, false
 	}
 	var buf [8]byte
@@ -377,7 +368,7 @@ func (t *Table) insertHashed(h uint64, key tuple.Tuple) *Element {
 // "eliminate duplicates in the divisor on the fly" path.
 func (t *Table) GetOrInsert(key tuple.Tuple) (e *Element, created bool) {
 	h := tuple.HashBytes(key)
-	if e := t.lookupPre(h, key, t.equalAll, &t.stats); e != nil {
+	if e := t.LookupPre(h, key, t.equalAll); e != nil {
 		return e, false
 	}
 	return t.insertHashed(h, key), true
@@ -394,38 +385,6 @@ func (t *Table) GetOrInsertProjected(src tuple.Tuple, srcSchema *tuple.Schema, c
 	return t.insertHashed(h, srcSchema.ProjectTuple(src, cols)), true
 }
 
-// Frozen is an immutable, concurrently probeable view of a Table. Every
-// Table probe mutates the table's Stats, so sharing a *Table across
-// goroutines is a data race even for pure lookups; Freeze separates the two
-// concerns. A Frozen view carries no mutable state — each probe takes the
-// caller's own *Stats accumulator — so any number of goroutines may probe it
-// simultaneously. The parallel shared-table absorb path (DESIGN.md §9) uses
-// this for the divisor table, which is immutable after its build phase.
-type Frozen struct {
-	x index
-}
-
-// Freeze returns a read-only concurrent view of the table's current
-// contents. The table must not be mutated afterwards (no inserts, no Reset)
-// and is never released to the head pools; probes on the Table itself
-// remain legal but still race with Frozen probes only through Stats, which
-// Frozen does not touch.
-func (t *Table) Freeze() *Frozen {
-	t.frozen = true
-	return &Frozen{x: t.index}
-}
-
-// LookupPre is Table.LookupPre against the frozen view: caller-compiled hash
-// and equality, caller-owned stats.
-func (f *Frozen) LookupPre(h uint64, src tuple.Tuple, eq func(src, stored tuple.Tuple) bool, st *Stats) *Element {
-	return f.x.lookupPre(h, src, eq, st)
-}
-
-// LookupU64 is Table.LookupU64 against the frozen view.
-func (f *Frozen) LookupU64(h, key uint64, st *Stats) *Element {
-	return f.x.lookupU64(h, key, st)
-}
-
 // grow doubles the bucket count, moving the elements in the chained table's
 // rehash order: old buckets in turn, each newest first, every move
 // prepending to its new chain. So the ordinals, and with them every later
@@ -439,9 +398,7 @@ func (t *Table) grow() {
 		moved++
 		return nil
 	})
-	if !t.frozen {
-		old.recycle()
-	}
+	old.recycle()
 	// Each move recomputed a hash; charge it so cost counters reflect the
 	// rehash work.
 	t.stats.Hashes += moved
@@ -470,10 +427,9 @@ func (t *Table) Reset() {
 // Release returns the table's sub-chain head array, cleared, to a package
 // pool for the next table to reuse. Stats stay readable; the table must not
 // be probed afterwards. The stored elements are untouched, so tuples taken
-// from them stay valid. A table with a Frozen view keeps its array, which
-// the view still probes. Releasing a nil table does nothing.
+// from them stay valid. Releasing a nil table does nothing.
 func (t *Table) Release() {
-	if t == nil || t.frozen {
+	if t == nil {
 		return
 	}
 	t.recycle()

@@ -1,7 +1,6 @@
 package hashtab
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -382,82 +381,5 @@ func TestU64ProbesMatchProjected(t *testing.T) {
 	}
 	if generic.Stats() != fast.Stats() {
 		t.Errorf("stats diverged: generic %+v, fast %+v", generic.Stats(), fast.Stats())
-	}
-}
-
-// TestFrozenMatchesTable probes a frozen view and the live table with the
-// same keys and checks identical results AND identical stats growth, so the
-// shared-table path stays cost-accounting-compatible with the serial path.
-func TestFrozenMatchesTable(t *testing.T) {
-	s := keySchema()
-	tab := New(s, 8)
-	for i := 0; i < 50; i += 2 {
-		e, _ := tab.GetOrInsert(s.MustMake(i))
-		e.Num = int64(i)
-	}
-	f := tab.Freeze()
-	base := tab.Stats()
-	var st Stats
-	src := tuple.NewSchema(tuple.Int64Field("pad"), tuple.Int64Field("k"))
-	cols := []int{1}
-	hash, eq := src.HashFunc(cols), src.EqualProjectedFunc(cols)
-	for i := 0; i < 50; i++ {
-		key := s.MustMake(i)
-		want := tab.Lookup(key)
-		got := f.LookupU64(tuple.HashUint64LE(uint64(i)), uint64(i), &st)
-		if (want == nil) != (got == nil) {
-			t.Fatalf("key %d: table %v, frozen %v", i, want, got)
-		}
-		if want != nil && (want != got || got.Num != int64(i)) {
-			t.Fatalf("key %d: frozen returned different element", i)
-		}
-		// Projected probe from a wider source tuple.
-		wide := src.MustMake(999, i)
-		if pw, pg := tab.LookupProjected(wide, src, cols), f.LookupPre(hash(wide), wide, eq, &st); pw != pg {
-			t.Fatalf("key %d: projected probe mismatch", i)
-		}
-	}
-	delta := tab.Stats()
-	delta.Hashes -= base.Hashes
-	delta.Comparisons -= base.Comparisons
-	if st != delta {
-		t.Errorf("frozen stats %+v != table stats delta %+v", st, delta)
-	}
-}
-
-// TestFrozenConcurrentProbes checks (under -race) that one Frozen view can be
-// probed from many goroutines at once, each with private stats.
-func TestFrozenConcurrentProbes(t *testing.T) {
-	s := keySchema()
-	tab := New(s, 16)
-	for i := 0; i < 100; i++ {
-		e, _ := tab.GetOrInsert(s.MustMake(i))
-		e.Num = int64(i)
-	}
-	f := tab.Freeze()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	hits := make([]int, goroutines)
-	stats := make([]Stats, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := uint64(i % 150)
-				if e := f.LookupU64(tuple.HashUint64LE(k), k, &stats[g]); e != nil {
-					hits[g]++
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if hits[g] != 150 { // i%150 < 100 holds for 150 of the 200 probes
-			t.Errorf("goroutine %d: %d hits", g, hits[g])
-		}
-		if stats[g].Hashes != 200 {
-			t.Errorf("goroutine %d: %d hashes, want 200", g, stats[g].Hashes)
-		}
 	}
 }

@@ -130,8 +130,7 @@ func (k keyKind) srcRow(vals []any) tuple.Tuple {
 // TestTableMatchesChainedModel drives random operation sequences against a
 // Table and the chained model, over word, composite and CHAR keys, growing
 // and fixed geometries and every probe form, and demands identical Stats,
-// NumBuckets, Len, MemBytes and Iterate order after every operation; at the
-// end a Frozen view's probes must charge what the model's walks charge.
+// NumBuckets, Len, MemBytes and Iterate order after every operation.
 func TestTableMatchesChainedModel(t *testing.T) {
 	kinds := keyKinds()
 	for seq := 0; seq < 300; seq++ {
@@ -228,30 +227,6 @@ func modelTableSequence(t *testing.T, kind keyKind, rng *rand.Rand) {
 		}
 		checkAgainstModel(t, where, tab, m)
 	}
-
-	f := tab.Freeze()
-	var st, want Stats
-	for i := 0; i < 100; i++ {
-		vals := kind.vals(rng.Intn(domain))
-		key := kind.key.MustMake(vals...)
-		src := kind.srcRow(vals)
-		var e *Element
-		if kind.words && i%2 == 1 {
-			w := binary.LittleEndian.Uint64(key)
-			e = f.LookupU64(tuple.HashUint64LE(w), w, &st)
-		} else {
-			e = f.LookupPre(hash(src), src, eq, &st)
-		}
-		found, comps := m.probe(string(key))
-		want.Hashes++
-		want.Comparisons += comps
-		if (e != nil) != found {
-			t.Fatalf("%s: frozen probe %v found %v, model %v", desc, vals, e != nil, found)
-		}
-	}
-	if st != want {
-		t.Fatalf("%s: frozen probe stats %+v, model %+v", desc, st, want)
-	}
 }
 
 func checkAgainstModel(t *testing.T, where string, tab *Table, m *chainModel) {
@@ -276,7 +251,7 @@ func checkAgainstModel(t *testing.T, where string, tab *Table, m *chainModel) {
 }
 
 // TestReleaseClearsHeads: Release hands the sub-chain head array back all
-// nil, and a table with a Frozen view keeps its array.
+// nil.
 func TestReleaseClearsHeads(t *testing.T) {
 	s := keySchema()
 	tab := NewForExpected(s, 500, 2)
@@ -299,18 +274,6 @@ func TestReleaseClearsHeads(t *testing.T) {
 		t.Errorf("Release changed Stats: %+v, before %+v", tab.Stats(), st)
 	}
 
-	frozen := NewWithCapacity(s, 100)
-	for v := 0; v < 100; v++ {
-		frozen.GetOrInsert(s.MustMake(v))
-	}
-	f := frozen.Freeze()
-	frozen.Release()
-	var fst Stats
-	for v := 0; v < 100; v++ {
-		if f.LookupU64(tuple.HashUint64LE(uint64(v)), uint64(v), &fst) == nil {
-			t.Fatalf("frozen view lost key %d after Release", v)
-		}
-	}
 }
 
 // TestProbesAndIterateDoNotAllocate: neither a probe that finds its key nor

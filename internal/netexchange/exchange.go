@@ -57,6 +57,10 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("invalid Config.%s = %v: %s", e.Field, e.Value, e.Reason)
 }
 
+// MaxWorkers is the most workers one division can use: a job header
+// carries the worker count and each worker's id in 16 bits.
+const MaxWorkers = 1<<16 - 1
+
 // workerHBS is the average bucket size every job header asks the workers'
 // hash tables for: the paper's two tuples per bucket (§4.6).
 const workerHBS = 2
@@ -423,8 +427,8 @@ func divide(ctx context.Context, fe *exec.FirstError, sp division.Spec, cfg Conf
 	if nw == 0 {
 		return nil, fmt.Errorf("netexchange: no worker links")
 	}
-	if nw > 1<<16-1 {
-		return nil, fmt.Errorf("netexchange: %d workers exceed the wire limit", nw)
+	if nw > MaxWorkers {
+		return nil, fmt.Errorf("netexchange: %d workers exceed the wire limit of %d", nw, MaxWorkers)
 	}
 	strategy := strategyQuotient
 	if cfg.Strategy == division.DivisorPartitioning {

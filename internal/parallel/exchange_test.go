@@ -68,8 +68,7 @@ func rekeyedSpec(rk workload.Rekeyed) division.Spec {
 // batches per link; a link still carries its n_i dividend tuples in
 // ceil(n_i/BatchSize) frames of 20 bytes' overhead each. Each row runs its
 // transports as subtests: pipe, tcp, and tcp-budget (the TCP cells under a
-// worker budget); quotient-partitioned rows add a shared-table subtest that
-// checks that path's quotient.
+// worker budget).
 func TestExchangeParity(t *testing.T) {
 	const batchSize, frame = 16, 20
 	inst, err := workload.Generate(workload.Config{
@@ -183,24 +182,6 @@ func TestExchangeParity(t *testing.T) {
 								}
 							})
 						}
-						if strategy != division.QuotientPartitioning {
-							return
-						}
-						t.Run("shared-table", func(t *testing.T) {
-							for _, src := range exchangeSources {
-								shared := cfg
-								shared.Path = PathSharedTable
-								sp, _ := src.spec(t, rk)
-								got, err := Divide(sp, shared)
-								if err != nil {
-									t.Fatalf("%s: %v", src.name, err)
-								}
-								if !division.EqualTupleSets(qs, got.Quotient, ref) {
-									t.Fatalf("%s: quotient of %d tuples, reference has %d",
-										src.name, len(got.Quotient), len(ref))
-								}
-							}
-						})
 					})
 				}
 			}

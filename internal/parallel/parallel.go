@@ -22,14 +22,11 @@
 // before shipping and never cross the interconnect, as §6 proposes for
 // Transcript tuples of an optics course.
 //
-// The dividend data path is selected by Config.Path. The default, PathMorsel,
-// is netexchange.DividePipes: the one coordinator and the one worker loop of
-// the distributed exchange, over in-process links. Morsel producers
-// partition the dividend through write-combining buffers and each worker
-// absorbs its destination's batches in place, so no single goroutine touches
-// every tuple. PathSharedTable replaces the exchange entirely with one shared
-// quotient table updated by atomic CAS (single-node fast path, shared.go);
-// it ships nothing, by construction.
+// The dividend data path is netexchange.DividePipes: the one coordinator
+// and the one worker loop of the distributed exchange, over in-process
+// links. Morsel producers partition the dividend through write-combining
+// buffers and each worker absorbs its destination's batches in place, so no
+// single goroutine touches every tuple.
 package parallel
 
 import (
@@ -41,34 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tuple"
 )
-
-// Path selects the dividend data path of a parallel division.
-type Path int
-
-const (
-	// PathMorsel (the default) runs the exchange over in-process links:
-	// morsel producers pulling from a shared queue partition the dividend
-	// through write-combining buffers, and each worker absorbs its share
-	// with no central coordinator on the data path.
-	PathMorsel Path = iota
-	// PathSharedTable is the single-node fast path: workers absorb morsels
-	// into one shared quotient table (atomic-CAS chains and bitmap bits)
-	// instead of exchanging tuples. Requires quotient partitioning — the
-	// divisor table is global, which is exactly the quotient-partitioning
-	// replication taken to its shared-memory limit.
-	PathSharedTable
-)
-
-func (p Path) String() string {
-	switch p {
-	case PathMorsel:
-		return "morsel"
-	case PathSharedTable:
-		return "shared-table"
-	default:
-		return fmt.Sprintf("Path(%d)", int(p))
-	}
-}
 
 // The exchange's result and error types, under this package's names.
 type (
@@ -82,8 +51,6 @@ type (
 type Config struct {
 	Workers  int
 	Strategy division.PartitionStrategy
-	// Path selects the dividend data path; the zero value is PathMorsel.
-	Path Path
 	// BitVectorFilter drops dividend tuples that cannot match any divisor
 	// tuple before they are shipped. Purely an optimization: false
 	// positives still pass and are discarded at the worker.
@@ -94,11 +61,6 @@ type Config struct {
 	BatchSize int
 	// MorselTuples is the morsel grain (default 4× the batch size).
 	MorselTuples int
-	// ExpectedQuotient sizes the shared quotient table for PathSharedTable
-	// (default 4096 buckets when 0); a wrong estimate costs chain length,
-	// never correctness. Ignored by the other paths, whose worker tables
-	// grow dynamically.
-	ExpectedQuotient int
 	// Trace, when set, collects per-worker spans (rows, wall time, input
 	// statistics) under Trace.Root() for EXPLAIN ANALYZE-style reporting.
 	// Worker counters are NOT folded into span deltas — workers run
@@ -123,31 +85,21 @@ func Divide(sp division.Spec, cfg Config) (*Result, error) {
 }
 
 // Validate rejects a configuration for dividing dividends laid out by ds
-// with a *ConfigError naming the offending field: the exchange's own
-// validation (netexchange.Config.Validate), plus the worker count, the path
-// and the shared table's size. Zero values remain "use the default" for the
-// tunables; negative values and a missing worker count are errors, not
+// with a *ConfigError naming the offending field: the worker count, which
+// must be at least 1 and fit the wire's job header
+// (netexchange.MaxWorkers), and the exchange's own validation
+// (netexchange.Config.Validate). Zero values remain "use the default" for
+// the tunables; negative values and a missing worker count are errors, not
 // silently corrected.
 func (cfg Config) Validate(ds *tuple.Schema) error {
 	if cfg.Workers < 1 {
 		return &ConfigError{Field: "Workers", Value: cfg.Workers, Reason: "must be at least 1"}
 	}
-	if err := cfg.exchange().Validate(ds); err != nil {
-		return err
+	if cfg.Workers > netexchange.MaxWorkers {
+		return &ConfigError{Field: "Workers", Value: cfg.Workers,
+			Reason: fmt.Sprintf("exceeds the wire's limit of %d workers", netexchange.MaxWorkers)}
 	}
-	switch cfg.Path {
-	case PathMorsel, PathSharedTable:
-	default:
-		return &ConfigError{Field: "Path", Value: cfg.Path, Reason: "unknown data path"}
-	}
-	if cfg.Path == PathSharedTable && cfg.Strategy != division.QuotientPartitioning {
-		return &ConfigError{Field: "Path", Value: cfg.Path,
-			Reason: "shared-table path requires quotient partitioning (the divisor table is global, not partitioned)"}
-	}
-	if cfg.ExpectedQuotient < 0 {
-		return &ConfigError{Field: "ExpectedQuotient", Value: cfg.ExpectedQuotient, Reason: "must not be negative"}
-	}
-	return nil
+	return cfg.exchange().Validate(ds)
 }
 
 // DivideContext is Divide under a context: cancellation (or a timeout on
@@ -166,18 +118,13 @@ func DivideContext(ctx context.Context, sp division.Spec, cfg Config) (*Result, 
 	if cfg.Trace != nil {
 		root = cfg.Trace.Root().Child("parallel "+cfg.Strategy.String(), "parallel")
 	}
-	var res *Result
-	var err error
-	if cfg.Path == PathSharedTable {
-		res, err = divideSharedTable(ctx, sp, cfg, root)
-	} else if res, err = netexchange.DividePipes(ctx, sp, cfg.exchange(), cfg.Workers, root); err == nil {
-		obs.Default.Counter("parallel.morsels").Add(int64(res.Shuffle.Morsels))
-	}
+	res, err := netexchange.DividePipes(ctx, sp, cfg.exchange(), cfg.Workers, root)
 	obs.Default.Counter("parallel.divisions").Inc()
 	if err != nil {
 		obs.Default.Counter("parallel.division_errors").Inc()
 		return nil, err
 	}
+	obs.Default.Counter("parallel.morsels").Add(int64(res.Shuffle.Morsels))
 	obs.Default.Counter("parallel.tuples_shipped").Add(res.Network.TuplesShipped)
 	return res, nil
 }

@@ -242,11 +242,10 @@ func TestEmptyDivisor(t *testing.T) {
 }
 
 // TestInvalidConfig runs one table of malformed configurations through
-// both entry points: parallel.Divide, on the exchange and the shared-table
-// paths, and netexchange.Divide over loopback TCP for the fields the two
-// share. Each fails with a *ConfigError naming its field before anything
-// runs — no silent clamping, no panic, no oversized allocation — while
-// every value in use stays valid.
+// both entry points: parallel.Divide over pipes, and netexchange.Divide over
+// loopback TCP for the fields the two share. Each fails with a *ConfigError
+// naming its field before anything runs — no silent clamping, no panic, no
+// oversized allocation — while every value in use stays valid.
 func TestInvalidConfig(t *testing.T) {
 	inst := testInstance(t, 7)
 	cl, err := netexchange.StartLocalCluster(1)
@@ -274,27 +273,13 @@ func TestInvalidConfig(t *testing.T) {
 		{"Workers", Config{Workers: 0, Strategy: q}, false},
 		{"Workers", Config{Workers: -3, Strategy: q}, false},
 		{"Strategy", Config{Workers: 2, Strategy: division.PartitionStrategy(9)}, true},
-		{"Path", Config{Workers: 2, Strategy: q, Path: Path(42)}, false},
-		{"Path", Config{Workers: 2, Strategy: division.DivisorPartitioning, Path: PathSharedTable}, false},
 		{"BatchSize", Config{Workers: 2, Strategy: q, BatchSize: -8}, true},
 		{"BatchSize", Config{Workers: 2, Strategy: q, BatchSize: 1 << 30}, true},
 		{"MorselTuples", Config{Workers: 2, Strategy: q, MorselTuples: -1}, true},
-		{"ExpectedQuotient", Config{Workers: 2, Strategy: q, ExpectedQuotient: -1}, false},
 	}
 	for _, c := range cases {
-		paths := []Path{c.cfg.Path}
-		if c.cfg.Path == PathMorsel {
-			paths = append(paths, PathSharedTable)
-		}
-		for _, path := range paths {
-			cfg := c.cfg
-			cfg.Path = path
-			if path == PathSharedTable && cfg.ExpectedQuotient == 0 {
-				cfg.ExpectedQuotient = 4096
-			}
-			_, err := Divide(instanceSpec(inst), cfg)
-			check("parallel/"+path.String(), c.field, err)
-		}
+		_, err := Divide(instanceSpec(inst), c.cfg)
+		check("parallel", c.field, err)
 		if c.shared {
 			_, err := netexchange.Divide(context.Background(), instanceSpec(inst), c.cfg.exchange(), cl.Conns())
 			check("netexchange", c.field, err)
@@ -308,19 +293,33 @@ func TestInvalidConfig(t *testing.T) {
 	valid := []Config{{}, {BatchSize: 16}, {BatchSize: 1024}}
 	for _, cfg := range valid {
 		cfg.Workers, cfg.Strategy = 2, q
-		for _, path := range []Path{PathMorsel, PathSharedTable} {
-			cfg.Path = path
-			res, err := Divide(instanceSpec(inst), cfg)
-			if err != nil {
-				t.Fatalf("%+v: %v", cfg, err)
-			}
-			checkAgainstReference(t, inst, res)
+		res, err := Divide(instanceSpec(inst), cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
 		}
-		res, err := netexchange.Divide(context.Background(), instanceSpec(inst), cfg.exchange(), cl.Conns())
+		checkAgainstReference(t, inst, res)
+		res, err = netexchange.Divide(context.Background(), instanceSpec(inst), cfg.exchange(), cl.Conns())
 		if err != nil {
 			t.Fatalf("netexchange %+v: %v", cfg, err)
 		}
 		checkAgainstReference(t, inst, res)
+	}
+}
+
+// TestValidateRejectsWorkersPastWireLimit: a job header carries the worker
+// count in 16 bits, so Validate rejects a count past netexchange.MaxWorkers
+// with a *ConfigError naming Workers, and Divide, which validates first,
+// never starts a pipe or goroutine for them; MaxWorkers itself is valid.
+// Only Validate runs here: dividing with that many workers would start them.
+func TestValidateRejectsWorkersPastWireLimit(t *testing.T) {
+	ds := workload.TranscriptSchema
+	err := Config{Workers: 1 << 16, Strategy: division.QuotientPartitioning}.Validate(ds)
+	var cerr *ConfigError
+	if !errors.As(err, &cerr) || cerr.Field != "Workers" {
+		t.Fatalf("Validate with 1<<16 workers = %v, want a *ConfigError naming Workers", err)
+	}
+	if err := (Config{Workers: netexchange.MaxWorkers, Strategy: division.QuotientPartitioning}).Validate(ds); err != nil {
+		t.Errorf("Validate with MaxWorkers workers = %v", err)
 	}
 }
 
